@@ -171,7 +171,7 @@ def run_energy(cfg, rep, out_dir, args):
     from .field import GaussianSampleSpec, gaussian_coeffs, sample_field
     from .interaction import (KernelSpec, assemble_interaction,
                               grid_energy_context, interaction_energy,
-                              interaction_energy_grid, kernel_node_values,
+                              interaction_energy_grid, kernel_node_matrix,
                               nonlinearity, nonlinearity_grid,
                               wick_energy_literal)
     from .zonal import analyze, build_basis, synthesize
@@ -223,14 +223,8 @@ def run_energy(cfg, rep, out_dir, args):
     r0 = float(np.exp(-interaction_energy(anchor, zero)))
     rep.add_check("vacuum_anchor_weight", abs(r0 - np.exp(-2.0)), 1e-12,
                   detail="Gibbs weight exp(-E(0)) at the same anchor")
-    kind, payload = kernel_node_values(tensor.kernel, basis.grid)
+    mat = kernel_node_matrix(tensor.kernel, basis.grid)
     w = basis.grid.weights
-    if kind == "constant":
-        mat = np.full((w.size, w.size), payload)
-    elif kind == "separable":
-        mat = np.outer(payload, payload)
-    else:
-        mat = payload
     inner = (mat ** (cfg.q / 2)) @ w
     mixed = float((w @ inner ** 2) ** (1.0 / cfg.q))
     rep.add("kernel_mixed_norm", "info", value=mixed,
@@ -367,6 +361,16 @@ def _load_initial_state(path, n_modes):
     return values[:, 0] + 1j * values[:, 1]
 
 
+def _add_solver_counters(rep, meta):
+    steps = meta["n_steps"]
+    rep.add("solver_counters", "info",
+            value={"steps": steps, "f_evals": meta["f_evals"],
+                   "f_per_step": meta["f_evals"] / steps if steps else 0.0,
+                   "halvings": meta["halvings"]},
+            detail=f"{meta['integrator']} integrator at dt = {meta['dt']}: "
+                   "cubic-term evaluations and step halvings")
+
+
 def run_flow(cfg, rep, out_dir, args):
     import numpy as np
 
@@ -406,6 +410,7 @@ def run_flow(cfg, rep, out_dir, args):
             value=float(np.max(np.abs(traj.hamiltonian - h0))),
             detail="reference observable (1/2)K + (1/4)E; not an invariant "
                    "of the flow at coupling kernels")
+    _add_solver_counters(rep, traj.meta)
     rev, sec_rev = _timed(reversal_error, tensor, c0, fcfg)
     rep.add_check("reversal_error", rev, 1e-6,
                   detail="forward then conjugate-backward round trip",
@@ -460,6 +465,7 @@ def run_invariance(cfg, rep, out_dir, args):
             detail=f"{cfg.invariance_ensemble_size} parallel chains, "
                    f"{cfg.invariance_burn_steps} burn sweeps",
             seconds=seconds)
+    _add_solver_counters(rep, res["meta"])
     threshold = res["alpha"] / res["n_tests"]
     if cfg.invariance_negative_control:
         energy_row = next(r for r in res["rows"]
@@ -504,7 +510,11 @@ def run_full(cfg, rep, out_dir, args):
         name, runner = item
         log.info("running %s", name)
         sub = Report(name, {})
-        runner(cfg, sub, out_dir, args)
+        try:
+            runner(cfg, sub, out_dir, args)
+        except Exception as exc:  # one section must not erase the others
+            sub.add("aborted", "fail", detail=f"{type(exc).__name__}: {exc}")
+            log.exception("section %s aborted", name)
         return sub
 
     if threads > 1:

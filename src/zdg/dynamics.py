@@ -84,13 +84,18 @@ def _nl_part(tensor, c):
     return -2j * nonlinearity(tensor, c)
 
 
-def _midpoint_step(tensor, c, dt, cfg, depth=0):
-    """One implicit midpoint step; splits the step on solver failure."""
+def _midpoint_step(tensor, c, dt, cfg, counters, depth=0):
+    """One implicit midpoint step; splits the step on solver failure.
+
+    counters["f_evals"] and counters["halvings"] count the cubic-term
+    evaluations and the step splits.
+    """
     omega = tensor.lam ** 2
     denom = 1.0 + 0.5j * dt * omega
     mid = c / denom
     scale = max(1.0, float(np.max(np.abs(c))))
     for _ in range(cfg.max_iter):
+        counters["f_evals"] += 1
         rhs = c + 0.5 * dt * _nl_part(tensor, mid)
         new_mid = rhs / denom
         delta = float(np.max(np.abs(new_mid - mid)))
@@ -102,8 +107,9 @@ def _midpoint_step(tensor, c, dt, cfg, depth=0):
             f"midpoint solver failed to reach {cfg.solver_tol} after "
             f"{cfg.max_halvings} step halvings (dt={dt})")
     log.debug("midpoint solver stalled at dt=%g; halving", dt)
-    half = _midpoint_step(tensor, c, dt / 2, cfg, depth + 1)
-    return _midpoint_step(tensor, half, dt / 2, cfg, depth + 1)
+    counters["halvings"] += 1
+    half = _midpoint_step(tensor, c, dt / 2, cfg, counters, depth + 1)
+    return _midpoint_step(tensor, half, dt / 2, cfg, counters, depth + 1)
 
 
 def _lawson_rk4_step(tensor, c, dt):
@@ -136,9 +142,12 @@ def flow(tensor, coeffs0, cfg):
     n_steps = int(round(cfg.t_final / cfg.dt))
     if not np.isclose(n_steps * cfg.dt, cfg.t_final, rtol=1e-9, atol=1e-12):
         raise ValueError("t_final must be an integer number of dt steps")
+    counters = {"f_evals": 0, "halvings": 0}
     if cfg.integrator == "midpoint":
-        step = lambda state, dt: _midpoint_step(tensor, state, dt, cfg)
+        step = lambda state, dt: _midpoint_step(tensor, state, dt, cfg,
+                                                counters)
     elif cfg.integrator == "lawson-rk4":
+        counters["f_evals"] = 4 * n_steps
         step = lambda state, dt: _lawson_rk4_step(tensor, state, dt)
     else:
         raise ValueError(f"unknown integrator {cfg.integrator!r}")
@@ -172,7 +181,7 @@ def flow(tensor, coeffs0, cfg):
     return Trajectory(times=times, states=states, hamiltonian=ham,
                       flow_energy=fen, mass=mss,
                       meta={"integrator": cfg.integrator, "dt": cfg.dt,
-                            "n_steps": n_steps})
+                            "n_steps": n_steps, **counters})
 
 
 def reversal_error(tensor, coeffs0, cfg):

@@ -19,15 +19,25 @@ fully-contracted constants, giving for coefficients c
     e0_const = sum_jl A[j, j, l, l] / (lambda_j lambda_l)^2
     e0_trace = sum_jk A[j, k, k, j] / (lambda_j lambda_k)^2.
 
-On raw Gaussians g (c = g / lambda) the same quantity is the integrated
-fourth Wick monomial; `wick_energy_literal` evaluates that seven-term
-monomial directly as an independent route.  A third, fully grid-space route
-(`interaction_energy_grid`) never touches the tensor at all.
+The batched E and F never touch A.  They run on factors built once per
+tensor (`FactoredInteraction`): the state on the quadrature nodes for grid
+and file kernels, since A itself is a quadrature sum over node pairs
+(quadrature tensor hypercontraction; Hohenstein, Parrish & Martinez,
+J. Chem. Phys. 137, 044103, 2012), and the rank-one pair factor for
+constant and separable kernels.
+
+The dense A is the oracle for that fast path.  It feeds the counterterm
+contractions, the chaos tail series and the literal Wick route: on raw
+Gaussians g (c = g / lambda) the energy is the integrated fourth Wick
+monomial, and `wick_energy_literal` contracts that seven-term monomial
+against A directly.  A fully grid-space route (`interaction_energy_grid`)
+never touches the tensor or its factors.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -186,8 +196,10 @@ class InteractionTensor:
     """Assembled interaction tensor with counterterm contractions.
 
     factor is the rank-one pair factor V with A = V (x) V when the kernel is
-    constant or separable (None for grid kernels); it powers the fast batched
-    energy path, while A itself is always present for the generic routes.
+    constant or separable (None for grid kernels).  The batched E and F run
+    on `factored`, built once per tensor from V or from the basis and kernel
+    node values; the dense A serves the counterterms, the chaos series, the
+    literal Wick route and the tests as their oracle.
     """
 
     dim: int
@@ -209,6 +221,12 @@ class InteractionTensor:
     @property
     def inv_lam2(self):
         return 1.0 / self.lam ** 2
+
+    @cached_property
+    def factored(self):
+        """Factors of the batched E and F; built on first use, per instance,
+        so `slice` and `dataclasses.replace` never see stale counterterms."""
+        return FactoredInteraction(self)
 
     def slice(self, cutoff):
         """Tensor for a lower cutoff; counterterms recomputed at that cutoff."""
@@ -269,36 +287,118 @@ def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
                              factor=factor, basis=basis)
 
 
+def kernel_node_matrix(spec, grid):
+    """Kernel values W(x_i, x_j) on the grid nodes, for every kernel kind."""
+    kind, payload = kernel_node_values(spec, grid)
+    if kind == "constant":
+        return np.full((grid.size, grid.size), payload)
+    if kind == "separable":
+        return np.outer(payload, payload)
+    return payload
+
+
+# ---------------------------------------------------------------------------
+# batched energy and cubic term on factors (quadrature tensor hypercontraction)
+
+BLOCK_ROWS = 1024  # rows per pass: bounds the temporaries of large batches
+
+
+class FactoredInteraction:
+    """E and F of a tensor from factors; never touches the dense A.
+
+    Both routes start from one matmul P = c @ [L | S + T].  With a rank-one
+    pair factor (L = V, A = V (x) V) the quartic form is (c~ V c)^2 and the
+    cubic term (c~ V c) V c.  Otherwise L = B, the basis values on the
+    nodes as a (J, 2K) matrix, so psi = c B is the state on the grid and,
+    with q = |psi|^2 per node and W~ = diag(w) W diag(w),
+
+        quartic = q . W~ q,    cubic = ((W~ q) psi) B^T,
+
+    because A[j, k, l, m] = sum_xy rho_jk(x) W~(x, y) rho_lm(y).
+    """
+
+    def __init__(self, tensor):
+        j = tensor.n_modes
+        st = np.zeros((j, j)) + tensor.s_mat + tensor.t_mat
+        self.e0 = tensor.e0_const + tensor.e0_trace
+        if tensor.factor is not None:
+            left = tensor.factor
+            self.nodes = None
+        else:
+            basis = tensor.basis
+            if basis is None:
+                raise ValueError("a tensor without a pair factor needs its "
+                                 "basis for the batched energy")
+            # (J, 2K): component 0 on every node, then component 1
+            left = basis.values[:j].transpose(0, 2, 1).reshape(j, -1)
+            w = basis.grid.weights
+            self.nodes = (w[:, None] * kernel_node_matrix(tensor.kernel,
+                                                          basis.grid) * w)
+            self.synth_t = left.T.astype(complex)
+        self.rank = left.shape[1]
+        self.mat = np.concatenate([left, st], axis=1).astype(complex)
+
+    def _density(self, psi):
+        """q = |psi|^2 summed over the two spinor components, per node."""
+        sq = psi.real ** 2 + psi.imag ** 2
+        return sq[:, :self.nodes.shape[0]] + sq[:, self.nodes.shape[0]:]
+
+    def quartic(self, c):
+        p = c @ self.mat
+        if self.nodes is None:
+            q = np.vecdot(c, p[:, :self.rank]).real
+            return q * q
+        q = self._density(p[:, :self.rank])
+        return np.vecdot(q, q @ self.nodes)
+
+    def energy(self, c):
+        p = c @ self.mat
+        if self.nodes is None:
+            q, lin = np.vecdot(c[:, None, :],
+                               p.reshape(-1, 2, self.rank)).real.T
+            return q * q - 2.0 * lin + self.e0
+        lin = np.vecdot(c, p[:, self.rank:]).real
+        q = self._density(p[:, :self.rank])
+        return np.vecdot(q, q @ self.nodes) - 2.0 * lin + self.e0
+
+    def cubic(self, c):
+        p = c @ self.mat
+        left, counter = p[:, :self.rank], p[:, self.rank:]
+        if self.nodes is None:
+            q = np.vecdot(c, left).real
+            return q[:, None] * left - counter
+        u = self._density(left) @ self.nodes
+        pot = left.reshape(c.shape[0], 2, -1) * u[:, None, :]
+        return pot.reshape(c.shape[0], -1) @ self.synth_t - counter
+
+
 def _as_batch(coeffs):
     c = np.asarray(coeffs, dtype=complex)
     single = c.ndim == 1
     return (c[None, :] if single else c), single
 
 
-def quartic_form(tensor, coeffs, chunk=128):
-    """sum A c~_j c_k c~_l c_m per sample (real)."""
+def _by_blocks(kernel, coeffs, width=None, dtype=float):
+    """kernel over row blocks of BLOCK_ROWS; a one-block batch runs as is."""
     c, single = _as_batch(coeffs)
-    if tensor.factor is not None:
-        q = np.einsum("sj,jk,sk->s", np.conj(c), tensor.factor, c).real
-        out = q * q
+    n = c.shape[0]
+    if n <= BLOCK_ROWS:
+        out = kernel(c)
     else:
-        out = np.empty(c.shape[0])
-        for lo in range(0, c.shape[0], chunk):
-            blk = c[lo:lo + chunk]
-            out[lo:lo + chunk] = np.einsum(
-                "jklm,sj,sk,sl,sm->s", tensor.a,
-                np.conj(blk), blk, np.conj(blk), blk, optimize=True).real
+        out = np.empty((n,) if width is None else (n, width), dtype=dtype)
+        for lo in range(0, n, BLOCK_ROWS):
+            out[lo:lo + BLOCK_ROWS] = kernel(c[lo:lo + BLOCK_ROWS])
     return out[0] if single else out
+
+
+def quartic_form(tensor, coeffs):
+    """sum A c~_j c_k c~_l c_m per sample (real)."""
+    return _by_blocks(tensor.factored.quartic, coeffs)
 
 
 def interaction_energy(tensor, coeffs):
     """Renormalized interaction energy E(c); batched over leading axis."""
-    c, single = _as_batch(coeffs)
-    quart = quartic_form(tensor, c)
-    st = tensor.s_mat + tensor.t_mat
-    lin = np.einsum("sj,jk,sk->s", np.conj(c), st, c).real
-    out = quart - 2.0 * lin + tensor.e0_const + tensor.e0_trace
-    return out[0] if single else out
+    return _by_blocks(tensor.factored.energy, coeffs)
 
 
 def log_gibbs_weight(tensor, coeffs):
@@ -312,16 +412,7 @@ def nonlinearity(tensor, coeffs):
     F_m = sum_{jkl} A[m, k, j, l] c~_j c_k c_l - ((S + T) c)_m; the energy
     gradient satisfies d/dc~ E = 2 F exactly.
     """
-    c, single = _as_batch(coeffs)
-    st = tensor.s_mat + tensor.t_mat
-    if tensor.factor is not None:
-        q = np.einsum("sj,jk,sk->s", np.conj(c), tensor.factor, c).real
-        cubic = q[:, None] * (c @ tensor.factor)
-    else:
-        cubic = np.einsum("mkjl,sj,sk,sl->sm", tensor.a,
-                          np.conj(c), c, c, optimize=True)
-    out = cubic - c @ st
-    return out[0] if single else out
+    return _by_blocks(tensor.factored.cubic, coeffs, tensor.n_modes, complex)
 
 
 # ---------------------------------------------------------------------------

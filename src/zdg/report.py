@@ -10,6 +10,7 @@ written as CSV sidecars next to the JSON file.
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,21 @@ def build_identifier():
         with open(os.path.join(root, name), "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()[:12]
+
+
+def _strict(value):
+    """(value, finite): non-finite floats replaced by their names, which
+    strict JSON can hold, and whether the value had none."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value), False
+    if isinstance(value, dict):
+        pairs = [(k, _strict(v)) for k, v in value.items()]
+        return ({k: v for k, (v, _) in pairs},
+                all(ok for _, (_, ok) in pairs))
+    if isinstance(value, list):
+        items = [_strict(v) for v in value]
+        return [v for v, _ in items], all(ok for _, ok in items)
+    return value, True
 
 
 def _coerce(value):
@@ -61,11 +77,16 @@ class Report:
         if status not in STATUSES:
             raise ValueError(f"record status must be one of {STATUSES}, "
                              f"got {status!r}")
+        value, value_ok = _strict(_coerce(value))
+        tolerance, tolerance_ok = _strict(_coerce(tolerance))
+        if not (value_ok and tolerance_ok):
+            status = "fail"
+            detail = (f"{detail}; " if detail else "") + "non-finite value"
         record = {
             "name": name,
             "status": status,
-            "value": _coerce(value),
-            "tolerance": _coerce(tolerance),
+            "value": value,
+            "tolerance": tolerance,
             "detail": detail,
         }
         if seconds is not None:
@@ -100,7 +121,7 @@ class Report:
             "created": self.created,
             "build_id": self.build_id,
             "elapsed_seconds": round(time.perf_counter() - self.started, 3),
-            "config": _coerce(self.config),
+            "config": _strict(_coerce(self.config))[0],
             "summary": {
                 "records": len(self.records),
                 "pass": counts["pass"],
@@ -117,7 +138,7 @@ class Report:
         stem = stem or self.command.replace("-", "_")
         path = os.path.join(out_dir, f"{stem}.json")
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+            json.dump(self.to_json_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
         return path
 

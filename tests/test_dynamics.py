@@ -201,3 +201,23 @@ def test_invariance_positive_and_negative_controls(tensor_sep):
     assert not bad["all_pass"]
     energy_row = next(r for r in bad["rows"] if r["observable"] == "energy")
     assert not energy_row["pass"]
+
+
+@pytest.mark.parametrize("max_iter", [100, 8])
+def test_midpoint_counters_in_trajectory_meta(tensor_sep, monkeypatch,
+                                              max_iter):
+    import zdg.dynamics as dynamics
+    calls = []
+    real = dynamics.nonlinearity
+    monkeypatch.setattr(dynamics, "nonlinearity",
+                        lambda t, c: calls.append(1) or real(t, c))
+    cfg = FlowConfig(dt=0.01, t_final=0.02, max_iter=max_iter)
+    traj = flow(tensor_sep, sample_state(tensor_sep, size=4), cfg)
+    assert traj.meta["n_steps"] == 2
+    assert traj.meta["f_evals"] == len(calls)
+    if max_iter == 100:
+        assert traj.meta["halvings"] == 0
+        assert 2 <= traj.meta["f_evals"] <= 2 * max_iter
+    else:
+        # eight iterations cannot reach the tolerance at this step size
+        assert traj.meta["halvings"] > 0

@@ -194,6 +194,29 @@ def test_report_write_is_valid_json(tmp_path):
     assert doc["build_id"] == build_identifier()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_report_non_finite_values_become_fail_records(tmp_path):
+    rep = Report("some-cmd", {})
+    rep.add("measured", "info", value=float("nan"))
+    rep.add_check("checked", float("inf"), 1.0, larger_ok=True)
+    rep.add("nested", "pass", value={"x": [1.0, float("-inf")]},
+            detail="a table")
+    rep.add("finite", "pass", value=1.5)
+    with open(rep.write(tmp_path)) as fh:
+        doc = json.load(fh, parse_constant=_reject_constant)
+    measured, checked, nested, finite = doc["records"]
+    assert [r["status"] for r in doc["records"]] == ["fail"] * 3 + ["pass"]
+    assert measured["value"] == "nan"
+    assert checked["value"] == "inf"
+    assert nested["value"] == {"x": [1.0, "-inf"]}
+    assert nested["detail"] == "a table; non-finite value"
+    assert finite["value"] == 1.5
+    assert doc["summary"]["fail"] == 3
+
+
 def test_write_table_quoting_and_float_repr(tmp_path):
     path = write_table(tmp_path, "t", ["name", "x", "flag"],
                        [["a,b", 0.1, True], {"name": 'q"q', "x": 2.0,
@@ -311,3 +334,39 @@ def test_cli_seed_override_lands_in_report(tmp_path):
 def test_config_dataclass_is_flat_values():
     for f in dataclasses.fields(ExperimentConfig):
         assert f.name.isidentifier()
+
+
+def test_full_suite_isolates_an_aborted_section(tmp_path, monkeypatch):
+    # the file kernel is tabulated on the config's 32-node grid, so the
+    # cauchy and nelson sections (larger study grids) abort; every other
+    # section must keep its records, serial and threaded alike
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "file_kernel.cfg")) as fh:
+        text = fh.read().replace(
+            "configs/sample_kernel.csv",
+            os.path.join(root, "configs", "sample_kernel.csv"))
+    text += ("gibbs.ensemble_size = 400\nflow.t_final = 0.05\n"
+             "invariance.ensemble_size = 32\ninvariance.t_final = 0.05\n"
+             "invariance.burn_steps = 20\n")
+    cfg = _write(tmp_path / "file.cfg", text)
+    tables = []
+    for threads in (1, 2):
+        monkeypatch.setenv("ZDG_THREADS", str(threads))
+        out = str(tmp_path / f"t{threads}")
+        assert main(["full-suite", "--config", cfg, "--out", out]) == 1
+        with open(os.path.join(out, "full_suite.json")) as fh:
+            doc = json.load(fh)
+        records = {r["name"]: r for r in doc["records"]}
+        for name in ("cauchy", "nelson"):
+            aborted = records[f"{name}.aborted"]
+            assert aborted["status"] == "fail"
+            assert "kernel file nodes do not match" in aborted["detail"]
+        for name in ("clifford", "spectral", "wick", "energy", "gibbs",
+                     "flow", "invariance"):
+            assert f"{name}.aborted" not in records
+            assert any(key.startswith(f"{name}.") for key in records)
+        tables.append({name: open(os.path.join(out, name), "rb").read()
+                       for name in sorted(os.listdir(out))
+                       if name.endswith(".csv")})
+    assert "gibbs_moments.csv" in tables[0]
+    assert tables[0] == tables[1]

@@ -1,8 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zdg import interaction
 from zdg.field import GaussianSampleSpec, gaussian_coeffs
 from zdg.interaction import (KernelSpec, assemble_interaction,
                              chaos_tail_series, grid_energy_context,
@@ -159,6 +165,88 @@ def test_quartic_form_dense_vs_factor_paths(basis, tensors):
                        interaction_energy(dense, coeffs), rtol=1e-11)
     assert np.allclose(nonlinearity(t, coeffs), nonlinearity(dense, coeffs),
                        rtol=1e-10, atol=1e-10)
+
+
+# --- factored fast path vs the dense-A oracle -------------------------------
+
+
+def dense_oracle(tensor, c):
+    """E, F and their term scales straight from the dense A (no factors)."""
+    cc = np.conj(c)
+    st_ = np.zeros((tensor.n_modes,) * 2) + tensor.s_mat + tensor.t_mat
+    quartic = np.einsum("jklm,sj,sk,sl,sm->s", tensor.a, cc, c, cc, c,
+                        optimize=True).real
+    lin = np.einsum("sj,jk,sk->s", cc, st_, c).real
+    e0 = tensor.e0_const + tensor.e0_trace
+    cubic = np.einsum("mkjl,sj,sk,sl->sm", tensor.a, cc, c, c,
+                      optimize=True)
+    counter = c @ st_
+    e_scale = max(1.0, np.abs(quartic).max() + 2 * np.abs(lin).max()
+                  + abs(e0))
+    f_scale = max(1.0, np.abs(cubic).max() + np.abs(counter).max())
+    return quartic - 2.0 * lin + e0, cubic - counter, e_scale, f_scale
+
+
+def assert_matches_oracle(tensor, c, rel=1e-12):
+    energy, cubic, e_scale, f_scale = dense_oracle(tensor, np.atleast_2d(c))
+    assert np.max(np.abs(interaction_energy(tensor, c) - energy)) \
+        <= rel * e_scale
+    assert np.max(np.abs(nonlinearity(tensor, c) - cubic)) <= rel * f_scale
+
+
+ORACLE_KINDS = ("constant", "separable", "grid", "matrix")
+
+
+@lru_cache(maxsize=16)
+def oracle_tensor(dim, cutoff, kind):
+    basis = build_basis(dim, cutoff)
+    if kind == "matrix":
+        cos = np.cos(basis.grid.theta)
+        spec = KernelSpec(kind="matrix",
+                          matrix=0.5 * (1.0 + np.outer(cos, cos)))
+    else:
+        spec = {"constant": CONSTANT, "separable": SEPARABLE,
+                "grid": GRIDK}[kind]
+    return assemble_interaction(basis, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 4, 6]), kind=st.sampled_from(ORACLE_KINDS),
+       cutoff=st.integers(0, 24), rows=st.integers(1, 9),
+       block=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_energy_and_cubic_match_dense_oracle(dim, kind, cutoff, rows,
+                                                      block, seed):
+    t = oracle_tensor(dim, cutoff, kind)
+    c = random_coeffs(t.n_modes, size=rows, seed=seed) / t.lam
+    with mock.patch.object(interaction, "BLOCK_ROWS", block):
+        assert_matches_oracle(t, c)
+        assert_matches_oracle(t, c[0])  # a single state, 1-D
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_factored_path_at_default_block_size(kind):
+    t = oracle_tensor(2, 8, kind)
+    rows = interaction.BLOCK_ROWS + 5
+    assert_matches_oracle(t, random_coeffs(t.n_modes, size=rows, seed=2)
+                          / t.lam)
+
+
+@pytest.mark.parametrize("kind", ["constant", "grid"])
+def test_slice_and_replace_rebuild_cached_factors(kind):
+    t = oracle_tensor(4, 10, kind)
+    c = random_coeffs(t.n_modes, size=7, seed=13) / t.lam
+    interaction_energy(t, c)  # builds and caches the factors of t
+    assert t.factored is t.factored
+    low = t.slice(5)
+    assert low.factored is not t.factored
+    assert_matches_oracle(low, c[:, :low.n_modes])
+    # the invariance negative control: counterterms dropped by replace
+    bare = replace(t, s_mat=0, t_mat=0)
+    assert bare.factored is not t.factored
+    assert_matches_oracle(bare, c)
+    e_bare = interaction_energy(bare, c)
+    assert np.allclose(e_bare, quartic_form(t, c) + t.e0_const + t.e0_trace,
+                       rtol=1e-12)
 
 
 def test_wick_monomial_is_centered(basis, tensors):
