@@ -301,10 +301,15 @@ def run_gibbs(cfg, rep, out_dir, args):
                               cfg.seed, beta=beta)
     rep.add("pcn_acceptance_rate", "info", value=chain.acc_rate,
             detail=f"beta={chain.beta:.3f}, thin={chain.thin}, "
-                   f"burn={chain.burn}", seconds=sec_chain)
+                   f"burn={chain.burn}, chains={chain.n_chains}",
+            seconds=sec_chain)
     rep.add("pcn_energy_iact", "info", value=chain.iact,
             detail="integrated autocorrelation time of the energy series "
-                   "after thinning")
+                   "after thinning, mean over chains")
+    rep.add("pcn_energy_rhat", "info", value=chain.rhat,
+            detail=f"rank-normalized split-R-hat of the energy over "
+                   f"{chain.n_chains} chain(s), each split in halves; "
+                   f"near 1 when the halves agree")
     rows = []
     for k in range(min(cfg.gibbs_kmax, tensor.cutoff) + 1):
         x_imp = np.abs(imp.coeffs[:, k]) ** 2

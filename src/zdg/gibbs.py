@@ -2,21 +2,31 @@
 
 The target density is exp(-E(c)) relative to the free Gaussian measure on
 coefficients.  Two samplers are provided: self-normalized importance
-reweighting of prior draws, and a preconditioned Crank-Nicolson chain whose
+reweighting of prior draws, and preconditioned Crank-Nicolson chains whose
 proposal c' = sqrt(1 - beta^2) c + beta xi (xi a fresh prior draw) preserves
-the prior, leaving the simple acceptance ratio exp(E(c) - E(c')).
+the prior, leaving the simple acceptance ratio exp(E(c) - E(c')).  Every
+chain sampler advances all of its chains together, one vectorized sweep
+over the rows at a time.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from . import rng as rng_mod
 from .interaction import chaos_tail_series, interaction_energy
 
 log = logging.getLogger(__name__)
+
+# pcn_chain runs max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS))
+# chains.  A sweep over 64 rows costs about three one-row sweeps and every
+# chain runs the whole warm-up and pilot, so more chains save little; at
+# least MIN_CHAIN_DRAWS draws keep each chain long enough for its own
+# autocorrelation time and split-R-hat.
+MAX_CHAINS = 64
+MIN_CHAIN_DRAWS = 256
 
 
 @dataclass
@@ -33,6 +43,8 @@ class Ensemble:
     burn: int = 0
     iact: float = None
     seed: int = None
+    n_chains: int = 1
+    rhat: float = None
 
     @property
     def size(self):
@@ -105,14 +117,32 @@ def _pcn_sweep(tensor, states, energies, beta, gen):
     return accept
 
 
-def _adapt_beta(tensor, state, energy, gen, beta, block, max_blocks,
+def _advance(tensor, states, energies, beta, gen, sweeps):
+    """sweeps pCN steps over all rows (in place); returns the accept count."""
+    accepted = 0
+    for _ in range(sweeps):
+        accepted += int(_pcn_sweep(tensor, states, energies, beta, gen).sum())
+    return accepted
+
+
+def _prior_states(tensor, gen, n_rows):
+    """n_rows independent prior draws and their energies."""
+    states = rng_mod.standard_complex(gen, (n_rows, tensor.n_modes)) \
+        / tensor.lam
+    return states, interaction_energy(tensor, states)
+
+
+def _adapt_beta(tensor, states, energies, gen, beta, block, max_blocks,
                 lo=0.3, hi=0.5):
-    """Warm-up: scale beta until the block acceptance rate is in [lo, hi]."""
+    """Warm-up: scale beta until the block acceptance rate is in [lo, hi].
+
+    The rate pools every row: accepted / (block * rows).  With no block run
+    the rate is nan.
+    """
+    rate = float("nan")
     for _ in range(max_blocks):
-        acc = 0
-        for _ in range(block):
-            acc += int(_pcn_sweep(tensor, state, energy, beta, gen)[0])
-        rate = acc / block
+        accepted = _advance(tensor, states, energies, beta, gen, block)
+        rate = accepted / (block * states.shape[0])
         if rate < lo:
             beta = max(beta * 0.7, 1e-3)
         elif rate > hi:
@@ -124,44 +154,98 @@ def _adapt_beta(tensor, state, energy, gen, beta, block, max_blocks,
     return beta, rate
 
 
+def split_rhat(series):
+    """Rank-normalized split-R-hat of a (chains, draws) series.
+
+    Vehtari, Gelman, Simpson, Carpenter & Buerkner, Bayesian Analysis 2021:
+    each chain is split into halves (the middle draw of an odd length is
+    dropped), all draws are replaced by the normal scores of their pooled
+    ranks, and R-hat is the larger of the value for the ranks (bulk) and for
+    the ranks of the distance to the median (tail).  Values near 1 mean the
+    halves agree; above about 1.01 they disagree.  A single chain is
+    compared with itself, half against half.  nan when a half has fewer
+    than two draws.
+    """
+    x = np.atleast_2d(np.asarray(series, dtype=float))
+    half = x.shape[1] // 2
+    if half < 2:
+        return float("nan")
+    halves = np.concatenate([x[:, :half], x[:, -half:]])
+    folded = np.abs(halves - np.median(halves))
+    return max(_rhat(_normal_scores(halves)), _rhat(_normal_scores(folded)))
+
+
+def _normal_scores(x):
+    """Blom normal scores of the pooled ranks (average ranks for ties).
+
+    Rejected pCN proposals repeat a state, so equal values occur.
+    """
+    flat = x.ravel()
+    order = np.argsort(flat, kind="stable")
+    _, first, counts = np.unique(flat[order], return_index=True,
+                                 return_counts=True)
+    ranks = np.empty(flat.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    return ndtri((ranks.reshape(x.shape) - 0.375) / (x.size + 0.25))
+
+
+def _rhat(chains):
+    """Classic potential scale reduction of (chains, draws)."""
+    n = chains.shape[1]
+    within = chains.var(axis=1, ddof=1).mean()
+    between = n * chains.mean(axis=1).var(ddof=1)
+    return float(np.sqrt(((n - 1) / n * within + between / n) / within))
+
+
 def pcn_chain(tensor, n_samples, seed, beta=None, burn_frac=0.1, thin=None,
               label="gibbs.pcn", adapt_block=100, max_adapt_blocks=40,
               pilot=500):
-    """Single pCN chain targeting exp(-E) dmu.
+    """pCN chains targeting exp(-E) dmu, run side by side.
 
-    beta None triggers the adaptive warm-up (frozen afterwards); thin None
-    measures the integrated autocorrelation time of the energy on a pilot
-    segment and thins by ceil(iact).  Burn-in discards burn_frac of the
-    collected span before sampling starts.
+    max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS)) chains each start
+    from their own prior draw and advance together, one vectorized sweep
+    at a time.  beta None triggers the adaptive warm-up (frozen afterwards);
+    thin None runs a pilot segment and thins by ceil of the mean per-chain
+    integrated autocorrelation time of the energy.  Burn-in discards
+    burn_frac of each chain's collected span before sampling starts.
+
+    The samples are chain-major, each chain's n_per = ceil(n_samples / C)
+    draws contiguous, trimmed to n_samples rows, so a lag in the returned
+    series is a lag within one chain.  iact is the mean per-chain value and
+    rhat the split-R-hat of the (C, n_per) energy series.
     """
+    n_chains = max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS))
+    n_per = -(-n_samples // n_chains)
     gen = rng_mod.derive_rng(seed, label)
-    state = rng_mod.standard_complex(gen, (1, tensor.n_modes)) / tensor.lam
-    energy = interaction_energy(tensor, state)
+    states, energies = _prior_states(tensor, gen, n_chains)
     if beta is None:
-        beta, _ = _adapt_beta(tensor, state, energy, gen, 0.5,
+        beta, _ = _adapt_beta(tensor, states, energies, gen, 0.5,
                               adapt_block, max_adapt_blocks)
     if thin is None:
-        pilot_e = np.empty(pilot)
+        pilot_e = np.empty((n_chains, pilot))
         for i in range(pilot):
-            _pcn_sweep(tensor, state, energy, beta, gen)
-            pilot_e[i] = energy[0]
-        thin = max(1, int(np.ceil(integrated_autocorr(pilot_e))))
-    burn = int(np.ceil(burn_frac * n_samples * thin))
-    for _ in range(burn):
-        _pcn_sweep(tensor, state, energy, beta, gen)
-    coeffs = np.empty((n_samples, tensor.n_modes), dtype=complex)
-    energies = np.empty(n_samples)
+            _advance(tensor, states, energies, beta, gen, 1)
+            pilot_e[:, i] = energies
+        thin = max(1, int(np.ceil(_mean_iact(pilot_e))))
+    burn = int(np.ceil(burn_frac * n_per * thin))
+    _advance(tensor, states, energies, beta, gen, burn)
+    coeffs = np.empty((n_chains, n_per, tensor.n_modes), dtype=complex)
+    series = np.empty((n_chains, n_per))
     accepted = 0
-    total = 0
-    for i in range(n_samples):
-        for _ in range(thin):
-            accepted += int(_pcn_sweep(tensor, state, energy, beta, gen)[0])
-            total += 1
-        coeffs[i] = state[0]
-        energies[i] = energy[0]
-    iact = integrated_autocorr(energies)
-    return Ensemble(coeffs=coeffs, method="pcn", acc_rate=accepted / total,
-                    beta=beta, thin=thin, burn=burn, iact=iact, seed=seed)
+    for i in range(n_per):
+        accepted += _advance(tensor, states, energies, beta, gen, thin)
+        coeffs[:, i] = states
+        series[:, i] = energies
+    return Ensemble(
+        coeffs=coeffs.reshape(-1, tensor.n_modes)[:n_samples], method="pcn",
+        acc_rate=accepted / (n_per * thin * n_chains), beta=beta, thin=thin,
+        burn=burn, iact=_mean_iact(series), seed=seed, n_chains=n_chains,
+        rhat=split_rhat(series))
+
+
+def _mean_iact(series):
+    """Mean over chains (rows) of the integrated autocorrelation time."""
+    return float(np.mean([integrated_autocorr(row) for row in series]))
 
 
 def pcn_parallel(tensor, n_chains, burn_steps, seed, beta=0.5,
@@ -173,12 +257,8 @@ def pcn_parallel(tensor, n_chains, burn_steps, seed, beta=0.5,
     pcn_chain but with exactly independent members across rows.
     """
     gen = rng_mod.derive_rng(seed, label)
-    states = rng_mod.standard_complex(gen, (n_chains, tensor.n_modes)) \
-        / tensor.lam
-    energies = interaction_energy(tensor, states)
-    accepted = 0
-    for _ in range(burn_steps):
-        accepted += int(_pcn_sweep(tensor, states, energies, beta, gen).sum())
+    states, energies = _prior_states(tensor, gen, n_chains)
+    accepted = _advance(tensor, states, energies, beta, gen, burn_steps)
     rate = accepted / (burn_steps * n_chains) if burn_steps else 0.0
     return Ensemble(coeffs=states, method="pcn-parallel", acc_rate=rate,
                     beta=beta, burn=burn_steps, seed=seed)

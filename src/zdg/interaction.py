@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_TENSOR_BUDGET = 2 * 1024 ** 3  # bytes
+from .config import DEFAULT_TENSOR_BUDGET
 
 SEPARABLE_PROFILES = {
     "one_plus_cos": lambda theta: 1.0 + np.cos(theta),

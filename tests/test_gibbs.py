@@ -1,12 +1,14 @@
+import logging
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zdg.gibbs import (cauchy_decay_study, chain_mean, effective_sample_size,
-                       importance_ensemble, integrated_autocorr,
-                       lr_stability_study, nelson_scan, pcn_chain,
-                       pcn_parallel, weighted_mean)
+from zdg import rng as rng_mod
+from zdg.gibbs import (_adapt_beta, _normal_scores, cauchy_decay_study,
+                       chain_mean, effective_sample_size, importance_ensemble,
+                       integrated_autocorr, lr_stability_study, nelson_scan,
+                       pcn_chain, pcn_parallel, split_rhat, weighted_mean)
 from zdg.interaction import KernelSpec, assemble_interaction, interaction_energy
 from zdg.zonal import build_basis
 
@@ -78,6 +80,150 @@ def test_pcn_chain_basics(tensor_n3):
     assert ens.iact >= 1.0
     again = pcn_chain(tensor_n3, 400, seed=21)
     assert np.array_equal(ens.coeffs, again.coeffs)
+
+
+def test_split_rhat_iid_vs_disagreeing_chains():
+    rng = np.random.default_rng(7)
+    iid = rng.normal(size=(4, 1000))
+    assert split_rhat(iid) == pytest.approx(1.0, abs=0.01)
+    assert split_rhat(iid[:1]) == pytest.approx(1.0, abs=0.01)
+    shifted = iid + np.array([[0.0], [0.0], [0.0], [2.0]])
+    assert split_rhat(shifted) > 1.1
+    # one chain that drifts: its halves disagree
+    assert split_rhat(iid[0] + np.linspace(0.0, 3.0, 1000)) > 1.1
+    # same location, different spread: only the folded (tail) part sees it
+    scaled = iid * np.array([[1.0], [1.0], [1.0], [4.0]])
+    assert split_rhat(scaled) > 1.1
+    assert np.isnan(split_rhat(iid[:, :3]))
+
+
+def test_normal_scores_average_tied_ranks():
+    from scipy.special import ndtri
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(8)
+    # repeated values, as a chain that rejects proposals produces
+    x = np.round(rng.normal(size=(3, 40)), 1)
+    ranks = rankdata(x, axis=None).reshape(x.shape)
+    expected = ndtri((ranks - 0.375) / (x.size + 0.25))
+    assert np.array_equal(_normal_scores(x), expected)
+
+
+def test_adapt_beta_pools_rows_and_handles_no_blocks(tensor_n3, caplog):
+    gen = rng_mod.derive_rng(1, "test.adapt")
+    states = rng_mod.standard_complex(gen, (32, 4)) / tensor_n3.lam
+    energies = interaction_energy(tensor_n3, states)
+    before = states.copy()
+    with caplog.at_level(logging.WARNING, logger="zdg.gibbs"):
+        beta, rate = _adapt_beta(tensor_n3, states, energies, gen, 0.5,
+                                 100, 0)
+    assert beta == 0.5
+    assert np.isnan(rate)
+    assert np.array_equal(states, before)
+    assert "did not settle" in caplog.text
+    # the block rate is a fraction of all rows, so it can settle
+    beta, rate = _adapt_beta(tensor_n3, states, energies, gen, 0.5, 20, 40)
+    assert 0.3 <= rate <= 0.5
+    assert 1e-3 <= beta < 1.0
+
+
+def test_pcn_chain_row_rule_layout_and_seeds(tensor_n3):
+    for n, chains in ((400, 1), (4000, 15), (20000, 64)):
+        ens = pcn_chain(tensor_n3, n, seed=23)
+        assert ens.n_chains == chains
+        assert ens.coeffs.shape == (n, 4)
+        assert 0.0 < ens.acc_rate < 1.0
+        assert ens.iact >= 1.0
+        assert np.isfinite(ens.rhat)
+    # Tiny steps and no thinning: consecutive rows of one chain nearly
+    # coincide, while the first row of the next chain is an independent
+    # draw.  Chain-major storage puts the 14 jumps at the chain borders.
+    ens = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01, thin=1)
+    n_per = 267
+    steps = np.linalg.norm(np.diff(ens.coeffs, axis=0), axis=1)
+    jumps = np.sort(np.argsort(steps)[-14:])
+    assert np.array_equal(jumps, n_per * np.arange(1, 15) - 1)
+    again = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01, thin=1)
+    assert np.array_equal(ens.coeffs, again.coeffs)
+    other = pcn_chain(tensor_n3, 4000, seed=24, beta=0.01, thin=1)
+    assert not np.allclose(ens.coeffs, other.coeffs)
+
+
+def _oracle_sweep(tensor, states, energies, beta, gen):
+    n, j = states.shape
+    xi = rng_mod.standard_complex(gen, (n, j)) / tensor.lam
+    proposal = np.sqrt(1.0 - beta ** 2) * states + beta * xi
+    e_new = interaction_energy(tensor, proposal)
+    logu = np.log(gen.random(n))
+    accept = logu < (energies - e_new)
+    states[accept] = proposal[accept]
+    energies[accept] = e_new[accept]
+    return accept
+
+
+def _oracle_single_chain(tensor, n_samples, seed, burn_frac=0.1,
+                         adapt_block=100, max_adapt_blocks=40, pilot=500):
+    """The scalar one-row loop pcn_chain ran before its chains were batched."""
+    gen = rng_mod.derive_rng(seed, "gibbs.pcn")
+    state = rng_mod.standard_complex(gen, (1, tensor.n_modes)) / tensor.lam
+    energy = interaction_energy(tensor, state)
+    beta = 0.5
+    for _ in range(max_adapt_blocks):
+        acc = 0
+        for _ in range(adapt_block):
+            acc += int(_oracle_sweep(tensor, state, energy, beta, gen)[0])
+        rate = acc / adapt_block
+        if rate < 0.3:
+            beta = max(beta * 0.7, 1e-3)
+        elif rate > 0.5:
+            beta = min(beta * 1.3, 1.0)
+        else:
+            break
+    pilot_e = np.empty(pilot)
+    for i in range(pilot):
+        _oracle_sweep(tensor, state, energy, beta, gen)
+        pilot_e[i] = energy[0]
+    thin = max(1, int(np.ceil(integrated_autocorr(pilot_e))))
+    burn = int(np.ceil(burn_frac * n_samples * thin))
+    for _ in range(burn):
+        _oracle_sweep(tensor, state, energy, beta, gen)
+    coeffs = np.empty((n_samples, tensor.n_modes), dtype=complex)
+    accepted = 0
+    for i in range(n_samples):
+        for _ in range(thin):
+            accepted += int(_oracle_sweep(tensor, state, energy, beta,
+                                          gen)[0])
+        coeffs[i] = state[0]
+    return coeffs, accepted / (n_samples * thin), beta, thin, burn
+
+
+def _oracle_parallel(tensor, n_chains, burn_steps, seed, beta):
+    """pcn_parallel's loop as it stood before the chains shared its core."""
+    gen = rng_mod.derive_rng(seed, "gibbs.pcn.parallel")
+    states = rng_mod.standard_complex(gen, (n_chains, tensor.n_modes)) \
+        / tensor.lam
+    energies = interaction_energy(tensor, states)
+    accepted = 0
+    for _ in range(burn_steps):
+        accepted += int(_oracle_sweep(tensor, states, energies, beta,
+                                      gen).sum())
+    return states, accepted / (burn_steps * n_chains)
+
+
+def test_pcn_chain_single_chain_matches_scalar_loop(tensor_n3):
+    ens = pcn_chain(tensor_n3, 300, seed=25)
+    coeffs, acc_rate, beta, thin, burn = _oracle_single_chain(tensor_n3, 300,
+                                                              25)
+    assert ens.n_chains == 1
+    assert np.array_equal(ens.coeffs, coeffs)
+    assert (ens.acc_rate, ens.beta, ens.thin, ens.burn) \
+        == (acc_rate, beta, thin, burn)
+
+
+def test_pcn_parallel_matches_scalar_loop(tensor_n3):
+    ens = pcn_parallel(tensor_n3, 64, 30, seed=5, beta=0.4)
+    states, rate = _oracle_parallel(tensor_n3, 64, 30, 5, 0.4)
+    assert np.array_equal(ens.coeffs, states)
+    assert ens.acc_rate == rate
 
 
 def test_pcn_parallel_shape_and_rate(tensor_n3):
