@@ -34,15 +34,37 @@ def _build_tensor(cfg, cutoff=None):
     """Basis plus interaction tensor; studies may need a larger cutoff."""
     from .interaction import assemble_interaction
     from .zonal import build_basis
+    own_grid = cfg.effective_grid_size()
     if cutoff is None:
         cutoff = cfg.cutoff
-        grid_size = cfg.effective_grid_size()
+        grid_size = own_grid
     else:
-        grid_size = max(cfg.effective_grid_size(), 2 * cutoff + 16)
+        grid_size = max(own_grid, 2 * cutoff + 16)
+        if cfg.kernel_kind == "file" and grid_size != own_grid:
+            _refuse_file_study(cfg, cutoff, grid_size)
     basis = build_basis(cfg.dim, cutoff, grid_size=grid_size)
     kspec = cfg.kernel_spec(grid=basis.grid)
     return assemble_interaction(basis, kspec,
                                 budget_bytes=cfg.tensor_budget_bytes)
+
+
+def _refuse_file_study(cfg, cutoff, grid_size):
+    """Raise for a study grid the kernel file cannot cover, naming the
+    file's node count, the grid the study needs and the largest study
+    cutoff whose grid is the file's."""
+    from .interaction import kernel_matrix_from_csv
+    nodes = kernel_matrix_from_csv(cfg.kernel_profile_file).shape[0]
+    own_grid = cfg.effective_grid_size()
+    fits = [c for c in range(cutoff)
+            if max(own_grid, 2 * c + 16) == nodes]
+    largest = (f"the largest admissible study cutoff is {fits[-1]}" if fits
+               else "no study cutoff fits it")
+    raise ValueError(
+        f"kernel file nodes do not match the quadrature grid of study "
+        f"cutoff {cutoff}: {cfg.kernel_profile_file} tabulates {nodes} "
+        f"nodes where the study grid has {grid_size}; {largest} "
+        f"(cauchy-study needs 2 * max(cauchy.m_list), nelson-scan "
+        f"max(nelson.n_list))")
 
 
 def _timed(fn, *args, **kwargs):
@@ -327,24 +349,29 @@ def run_gibbs(cfg, rep, out_dir, args):
     write_table(out_dir, "gibbs_moments",
                 ["k", "importance_mean", "importance_se", "pcn_mean",
                  "pcn_se", "pcn_iact", "z"], rows)
-    kcols = range(min(2, tensor.cutoff) + 1)
-    imp_rows = [{"sample": i, "energy": float(-imp.log_weights[i]),
-                 "log_weight": float(imp.log_weights[i]),
-                 **{f"abs2_c{k}": float(np.abs(imp.coeffs[i, k]) ** 2)
-                    for k in kcols}}
-                for i in range(imp.size)]
+    n_abs2 = min(2, tensor.cutoff) + 1
+    abs2_names = [f"abs2_c{k}" for k in range(n_abs2)]
     write_table(out_dir, "gibbs_importance_samples",
-                ["sample", "energy", "log_weight"]
-                + [f"abs2_c{k}" for k in kcols], imp_rows)
+                ["sample", "energy", "log_weight"] + abs2_names,
+                _sample_rows(imp.coeffs, n_abs2, -imp.log_weights,
+                             imp.log_weights))
     chain_e = interaction_energy(tensor, chain.coeffs)
-    pcn_rows = [{"sample": i, "energy": float(chain_e[i]),
-                 **{f"abs2_c{k}": float(np.abs(chain.coeffs[i, k]) ** 2)
-                    for k in kcols}}
-                for i in range(chain.size)]
-    write_table(out_dir, "gibbs_pcn_samples",
-                ["sample", "energy"] + [f"abs2_c{k}" for k in kcols],
-                pcn_rows)
+    write_table(out_dir, "gibbs_pcn_samples", ["sample", "energy"] + abs2_names,
+                _sample_rows(chain.coeffs, n_abs2, chain_e))
     return rep
+
+
+def _sample_rows(coeffs, n_abs2, *columns):
+    """Sidecar rows: sample index, the columns, then |c_k|^2 for k < n_abs2.
+
+    The squares are Python floats raised by pow, bitwise the per-element
+    numpy scalars; the array form ** 2 multiplies and moves last bits.
+    """
+    import numpy as np
+    abs2 = [[x ** 2 for x in np.abs(coeffs[:, k]).tolist()]
+            for k in range(n_abs2)]
+    return list(zip(range(coeffs.shape[0]),
+                    *(col.tolist() for col in columns), *abs2))
 
 
 def _load_initial_state(path, n_modes):

@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .field import hs_norm
 from .gibbs import pcn_parallel
@@ -267,6 +266,55 @@ def vector_field_check(tensor, seed=0, n_states=5, step=1e-6):
 # ---------------------------------------------------------------------------
 # distribution-invariance test
 
+KS_EXACT_MAX = 10000  # scipy's largest sample size for the exact law
+
+
+def ks_two_sample(a, b):
+    """Two-sided two-sample KS statistic and p-value of equal-size samples.
+
+    scipy.stats.ks_2samp's exact path (method "auto"), op for op, so both
+    values are bitwise scipy's: the statistic from the two ECDFs at the
+    pooled points, h = round(d n), and P(D >= h / n) by the Horner form of
+    scipy's _compute_prob_outside_square.  Where scipy leaves that path (n
+    above KS_EXACT_MAX, a probability rounding outside [0, 1], or a nan)
+    the call goes to scipy itself.  Importing scipy.stats costs about 0.9 s
+    and 40 MB, which the exact path does without.
+    """
+    a = np.sort(a)
+    b = np.sort(b)
+    n = a.shape[0]
+    if b.shape[0] != n or n == 0:
+        raise ValueError("the KS test here needs two nonempty samples of "
+                         f"equal size, got {n} and {b.shape[0]}")
+    pooled = np.concatenate([a, b])
+    if n > KS_EXACT_MAX or np.isnan(pooled).any():
+        return _scipy_ks(a, b)
+    diffs = (np.searchsorted(a, pooled, side="right") / n
+             - np.searchsorted(b, pooled, side="right") / n)
+    d_minus = np.clip(-diffs[np.argmin(diffs)], 0, 1)
+    d_plus = diffs[np.argmax(diffs)]
+    h = int(np.round((d_minus if d_minus > d_plus else d_plus) * n))
+    if h == 0:
+        return 0.0, 1.0
+    prob = 0.0
+    k = int(np.floor(n / h))
+    while k >= 0:
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
+        prob = p1 * (1.0 - prob)
+        k -= 1
+    prob = 2 * prob
+    if not 0 <= prob <= 1:
+        return _scipy_ks(a, b)
+    return h * 1.0 / n, prob
+
+
+def _scipy_ks(a, b):
+    from scipy.stats import ks_2samp
+    res = ks_2samp(a, b)
+    return float(res.statistic), float(res.pvalue)
+
 
 def ensemble_observables(tensor, coeffs, kmax=8, sobolev_s=-0.6):
     """Named scalar observables per ensemble member."""
@@ -299,8 +347,9 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha=0.01,
     ens = pcn_parallel(tensor, n_ensemble, burn_steps, seed, beta=beta)
     flow_tensor = tensor
     if disable_counterterms:
+        # a=None: the flow never reads the dense A, so none is built
         flow_tensor = replace(
-            tensor, s_mat=np.zeros_like(tensor.s_mat),
+            tensor, a=None, s_mat=np.zeros_like(tensor.s_mat),
             t_mat=np.zeros_like(tensor.t_mat))
     cfg = FlowConfig(dt=dt, t_final=t_final, integrator=integrator,
                      solver_tol=solver_tol)
@@ -313,7 +362,7 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha=0.01,
     all_pass = True
     for name in names:
         a, b = before[name], after[name]
-        stat, pval = ks_2samp(a, b)
+        stat, pval = ks_two_sample(a, b)
         ks_ok = bool(pval >= alpha / n_tests)
         zs = []
         for xa, xb in ((a, b), (a ** 2, b ** 2)):

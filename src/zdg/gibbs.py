@@ -288,7 +288,8 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed,
         raise ValueError("tensor cutoff must reach 2 * max(m_list)")
     gen = rng_mod.derive_rng(seed, label)
     # slices share the leading lambdas, so their states are prefix views
-    c = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes)) / tensor.lam
+    c = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes))
+    c /= tensor.lam
     rows = []
     for m in m_list:
         hi = tensor.slice(2 * m)
@@ -332,10 +333,11 @@ def nelson_scan(tensor, n_list, n_samples, seed, chunk=100000,
     remaining = n_samples
     while remaining > 0:
         take = min(chunk, remaining)
-        g = rng_mod.standard_complex(gen, (take, tensor.n_modes))
+        c = rng_mod.standard_complex(gen, (take, tensor.n_modes))
+        c /= tensor.lam  # slices share the leading lambdas: prefix views
         for n in n_list:
             t = slices[n]
-            e = interaction_energy(t, g[:, :t.n_modes] / t.lam)
+            e = interaction_energy(t, c[:, :t.n_modes])
             mins[n] = min(mins[n], float(e.min()))
         remaining -= take
     rows = [{

@@ -19,24 +19,26 @@ fully-contracted constants, giving for coefficients c
     e0_const = sum_jl A[j, j, l, l] / (lambda_j lambda_l)^2
     e0_trace = sum_jk A[j, k, k, j] / (lambda_j lambda_k)^2.
 
-The batched E and F never touch A.  They run on factors built once per
-tensor (`FactoredInteraction`): the state on the quadrature nodes for grid
-and file kernels, since A itself is a quadrature sum over node pairs
-(quadrature tensor hypercontraction; Hohenstein, Parrish & Martinez,
-J. Chem. Phys. 137, 044103, 2012), and the rank-one pair factor for
-constant and separable kernels.
+Nothing in the studies or samplers touches A.  The counterterms, the
+batched E and F (`FactoredInteraction`) and the rank-one chaos series are
+computed from factors: the rank-one pair factor V (A = V (x) V) for
+constant and separable kernels, and for grid and file kernels the basis
+values and kernel on the quadrature nodes, since A itself is a quadrature
+sum over node pairs (quadrature tensor hypercontraction; Hohenstein,
+Parrish & Martinez, J. Chem. Phys. 137, 044103, 2012).
 
-The dense A is the oracle for that fast path.  It feeds the counterterm
-contractions, the chaos tail series and the literal Wick route: on raw
-Gaussians g (c = g / lambda) the energy is the integrated fourth Wick
+The dense A is built lazily, on first read of `InteractionTensor.a`, as
+the oracle of that fast path.  It is read by the literal Wick route (on
+raw Gaussians g, c = g / lambda, the energy is the integrated fourth Wick
 monomial, and `wick_energy_literal` contracts that seven-term monomial
-against A directly.  A fully grid-space route (`interaction_energy_grid`)
-never touches the tensor or its factors.
+against A directly), by the chaos tail series of grid kernels and by the
+tests.  A fully grid-space route (`interaction_energy_grid`) never
+touches the tensor or its factors.
 """
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -191,28 +193,48 @@ def pair_density(basis):
     return np.einsum("jia,kia->jki", basis.values, basis.values)
 
 
-@dataclass
+class _DenseOracle:
+    """`InteractionTensor.a`: the dense A, passed in or built on first read.
+
+    A data descriptor, so `a=` stays a constructor keyword; the array lives
+    in the instance dict under the same name, None until it is built.
+    """
+
+    def __get__(self, tensor, owner=None):
+        if tensor is None:
+            return None  # the dataclass default: build on demand
+        a = tensor.__dict__.get("a")
+        if a is None:
+            a = tensor.__dict__["a"] = _dense_tensor(tensor)
+        return a
+
+    def __set__(self, tensor, value):
+        tensor.__dict__["a"] = value
+
+
+@dataclass(repr=False, eq=False)
 class InteractionTensor:
-    """Assembled interaction tensor with counterterm contractions.
+    """Interaction of one cutoff: counterterms plus the factors of A.
 
     factor is the rank-one pair factor V with A = V (x) V when the kernel is
-    constant or separable (None for grid kernels).  The batched E and F run
-    on `factored`, built once per tensor from V or from the basis and kernel
-    node values; the dense A serves the counterterms, the chaos series, the
-    literal Wick route and the tests as their oracle.
+    constant or separable (None for grid kernels, whose factors are the
+    basis values and kernel on the nodes).  The counterterms, the batched E
+    and F (`factored`) and the rank-one chaos series all come from those
+    factors.  The dense A is built only when `a` is read: by the literal
+    Wick route, the grid-kernel chaos series and the tests, as their oracle.
     """
 
     dim: int
     cutoff: int
-    a: np.ndarray
     s_mat: np.ndarray
     t_mat: np.ndarray
     e0_const: float
     e0_trace: float
     lam: np.ndarray
     kernel: KernelSpec
+    a: np.ndarray = _DenseOracle()
     factor: np.ndarray = None
-    basis: object = field(default=None, repr=False)
+    basis: object = None
 
     @property
     def n_modes(self):
@@ -233,28 +255,86 @@ class InteractionTensor:
         if cutoff > self.cutoff:
             raise ValueError("can only slice to a smaller cutoff")
         j = cutoff + 1
-        a = np.ascontiguousarray(self.a[:j, :j, :j, :j])
         factor = None if self.factor is None else self.factor[:j, :j].copy()
-        s, t, e0c, e0t = _contract_counterterms(a, self.lam[:j])
-        return InteractionTensor(dim=self.dim, cutoff=cutoff, a=a,
-                                 s_mat=s, t_mat=t, e0_const=e0c, e0_trace=e0t,
-                                 lam=self.lam[:j].copy(), kernel=self.kernel,
-                                 factor=factor, basis=self.basis)
+        return _contracted(self.dim, self.lam[:j].copy(), self.kernel,
+                           factor, self.basis)
 
 
-def _contract_counterterms(a, lam):
+def _contracted(dim, lam, kernel, factor, basis):
+    """InteractionTensor with its counterterms contracted from the factors."""
+    s, t, e0c, e0t = _counterterms(lam, kernel, factor, basis)
+    return InteractionTensor(dim=dim, cutoff=lam.size - 1, s_mat=s, t_mat=t,
+                             e0_const=e0c, e0_trace=e0t, lam=lam,
+                             kernel=kernel, factor=factor, basis=basis)
+
+
+def _counterterms(lam, kernel, factor, basis):
+    """S, T, e0_const and e0_trace from the factors, never from A.
+
+    With D = diag(1 / lambda^2) and a rank-one A = V (x) V,
+
+        S = V tr(DV),  T = V D V,  e0_const = tr(DV)^2,
+        e0_trace = ||M||_F^2,  M = D^1/2 V D^1/2.
+
+    Otherwise, with B the (J, 2K) node values, C = B^T D B the covariance
+    kernel, sigma its diagonal density per node and W~ tiled over the
+    spinor components,
+
+        S = B diag(W~ sigma) B^T,  T = B (W~ o C) B^T,
+        e0_const = sigma . W~ sigma,  e0_trace = sum W~ o C o C.
+    """
     il2 = 1.0 / lam ** 2
-    s = np.einsum("jkpp,p->jk", a, il2)
-    t = np.einsum("jppk,p->jk", a, il2)
-    e0c = float(np.einsum("jjll,j,l->", a, il2, il2))
-    e0t = float(np.einsum("jkkj,j,k->", a, il2, il2))
-    return s, t, e0c, e0t
+    if factor is not None:
+        trace = float(np.diag(factor) @ il2)
+        m = _weighted(factor, il2)
+        return (factor * trace, (factor * il2) @ factor, trace * trace,
+                float(np.sum(m * m)))
+    b, nodes = _node_factors(basis, kernel, lam.size)
+    k = nodes.shape[0]
+    cov = (b.T * il2) @ b
+    sigma = cov.diagonal()[:k] + cov.diagonal()[k:]
+    pot = nodes @ sigma
+    wcov = np.tile(nodes, (2, 2)) * cov
+    return ((b * np.tile(pot, 2)) @ b.T, b @ wcov @ b.T,
+            float(sigma @ pot), float(np.sum(wcov * cov)))
+
+
+def _weighted(factor, il2):
+    """M = D^1/2 V D^1/2 for D = diag(il2)."""
+    half = np.sqrt(il2)
+    return half[:, None] * factor * half
+
+
+def _node_factors(basis, kernel, j):
+    """B, the (J, 2K) values of the first j modes on the nodes (component 0
+    on every node, then component 1), and W~ = diag(w) W diag(w)."""
+    if basis is None:
+        raise ValueError("a tensor without a pair factor needs its basis")
+    b = basis.values[:j].transpose(0, 2, 1).reshape(j, -1)
+    w = basis.grid.weights
+    return b, w[:, None] * kernel_node_matrix(kernel, basis.grid) * w
+
+
+def _dense_tensor(tensor):
+    """The dense A of a tensor from its factors: J^4 memory, oracle only."""
+    if tensor.factor is not None:
+        return np.einsum("jk,lm->jklm", tensor.factor, tensor.factor)
+    basis = tensor.basis
+    if basis is None:
+        raise ValueError("a tensor without a pair factor needs its basis")
+    j = tensor.n_modes
+    b = pair_density(basis)[:j, :j] * basis.grid.weights
+    half = np.tensordot(b, kernel_node_matrix(tensor.kernel, basis.grid),
+                        axes=(2, 0))  # (J, J, K)
+    a = np.tensordot(half, b, axes=(2, 2))
+    return 0.5 * (a + a.transpose(2, 3, 0, 1))  # exact symmetry to roundoff
 
 
 def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
-    """Assemble the dense interaction tensor on the basis grid.
+    """Interaction tensor of the basis: factors and counterterms.
 
-    Raises ValueError when the dense tensor would exceed budget_bytes.
+    Raises ValueError when the dense tensor would exceed budget_bytes, so
+    every tensor can still build its dense oracle A.
     """
     j = basis.n_modes
     need = 8 * j ** 4
@@ -265,26 +345,13 @@ def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
             f"of {budget_bytes}; the largest admissible cutoff is "
             f"{max_cutoff}")
     kind, payload = kernel_node_values(kspec, basis.grid)
-    rho = pair_density(basis)
     w = basis.grid.weights
+    factor = None
     if kind == "constant":
-        gram = rho @ w
-        factor = math.sqrt(payload) * gram
-        a = np.einsum("jk,lm->jklm", factor, factor)
+        factor = math.sqrt(payload) * (pair_density(basis) @ w)
     elif kind == "separable":
-        factor = rho @ (w * payload)
-        a = np.einsum("jk,lm->jklm", factor, factor)
-    else:
-        b = rho * w
-        half = np.tensordot(b, payload, axes=(2, 0))  # (J, J, K)
-        a = np.tensordot(half, b, axes=(2, 2))
-        a = 0.5 * (a + a.transpose(2, 3, 0, 1))  # exact symmetry to roundoff
-        factor = None
-    s, t, e0c, e0t = _contract_counterterms(a, basis.lam)
-    return InteractionTensor(dim=basis.dim, cutoff=basis.cutoff, a=a,
-                             s_mat=s, t_mat=t, e0_const=e0c, e0_trace=e0t,
-                             lam=basis.lam.copy(), kernel=kspec,
-                             factor=factor, basis=basis)
+        factor = pair_density(basis) @ (w * payload)
+    return _contracted(basis.dim, basis.lam.copy(), kspec, factor, basis)
 
 
 def kernel_node_matrix(spec, grid):
@@ -325,15 +392,7 @@ class FactoredInteraction:
             left = tensor.factor
             self.nodes = None
         else:
-            basis = tensor.basis
-            if basis is None:
-                raise ValueError("a tensor without a pair factor needs its "
-                                 "basis for the batched energy")
-            # (J, 2K): component 0 on every node, then component 1
-            left = basis.values[:j].transpose(0, 2, 1).reshape(j, -1)
-            w = basis.grid.weights
-            self.nodes = (w[:, None] * kernel_node_matrix(tensor.kernel,
-                                                          basis.grid) * w)
+            left, self.nodes = _node_factors(tensor.basis, tensor.kernel, j)
             self.synth_t = left.T.astype(complex)
         self.rank = left.shape[1]
         self.mat = np.concatenate([left, st], axis=1).astype(complex)
@@ -619,12 +678,22 @@ def wick_quartic_cov_enumerated(idx, idx2):
 # chaos tail series
 
 
-def _abs_term_sum(a, il2):
-    return float(np.einsum("jklm,jklm,j,k,l,m->", a, a, il2, il2, il2, il2,
-                           optimize=True))
+def _rank_one_series(factor, il2):
+    """(full series, bound) over the box [0, J)^4 for A = V (x) V.
+
+    With M = D^1/2 V D^1/2 the squared term sums to ||M||_F^4, the shuffle
+    that swaps whole pairs to ||M||_F^4 and the two that swap one index
+    to tr M^4 = ||M^2||_F^2 each.
+    """
+    m = _weighted(factor, il2)
+    frob2 = float(np.sum(m * m))
+    m2 = m @ m
+    return 2.0 * frob2 * frob2 + 2.0 * float(np.sum(m2 * m2)), \
+        4.0 * frob2 * frob2
 
 
-def _full_series(a, il2):
+def _dense_series(a, il2):
+    """(full series, bound) over the box [0, J)^4 of the dense A."""
     # the two bar pairings times the two unbar pairings give the identity
     # permutation (squared term) plus these three index shuffles
     p1 = a.transpose(0, 3, 2, 1)
@@ -635,7 +704,7 @@ def _full_series(a, il2):
                          optimize=True))
     cr = float(np.einsum("jklm,j,k,l,m->", cross, il2, il2, il2, il2,
                          optimize=True))
-    return sq + cr
+    return sq + cr, 4.0 * sq
 
 
 def chaos_tail_series(tensor, low_cutoff):
@@ -643,16 +712,20 @@ def chaos_tail_series(tensor, low_cutoff):
 
     The tail sum runs over index boxes [0, N]^4 minus [0, M]^4; evaluated as
     the difference of the two full-box sums.  Returns (exact, bound) with
-    bound = 4 * sum |A|^2 / lambda-weights over the same set.
+    bound = 4 * sum |A|^2 / lambda-weights over the same set.  Rank-one
+    kernels sum from the factor in O(J^3); grid kernels from the dense A.
     """
     n_hi = tensor.n_modes
     n_lo = low_cutoff + 1
     if n_lo > n_hi:
         raise ValueError("low cutoff exceeds tensor cutoff")
     il2 = tensor.inv_lam2
-    exact = _full_series(tensor.a, il2)
-    bound = 4.0 * _abs_term_sum(tensor.a, il2)
-    a_lo = tensor.a[:n_lo, :n_lo, :n_lo, :n_lo]
-    exact -= _full_series(a_lo, il2[:n_lo])
-    bound -= 4.0 * _abs_term_sum(a_lo, il2[:n_lo])
-    return exact, bound
+    if tensor.factor is not None:
+        v = tensor.factor
+        full = _rank_one_series(v, il2)
+        low = _rank_one_series(v[:n_lo, :n_lo], il2[:n_lo])
+    else:
+        a = tensor.a
+        full = _dense_series(a, il2)
+        low = _dense_series(a[:n_lo, :n_lo, :n_lo, :n_lo], il2[:n_lo])
+    return full[0] - low[0], full[1] - low[1]

@@ -41,4 +41,7 @@ def standard_complex(rng, size):
     """Standard complex Gaussians: E g = 0, E |g|^2 = 1, E g^2 = 0."""
     xy = rng.standard_normal(size=size + (2,) if isinstance(size, tuple)
                              else (size, 2))
-    return (xy[..., 0] + 1j * xy[..., 1]) / np.sqrt(2.0)
+    # bitwise (x + 1j y) / sqrt(2): complex / real multiplies both parts by
+    # the reciprocal; scaled in place, no complex temporaries
+    xy *= 1.0 / np.sqrt(2.0)
+    return xy.view(complex)[..., 0]

@@ -221,3 +221,52 @@ def test_midpoint_counters_in_trajectory_meta(tensor_sep, monkeypatch,
     else:
         # eight iterations cannot reach the tolerance at this step size
         assert traj.meta["halvings"] > 0
+
+
+def _ks_cases(n, rng):
+    a = rng.normal(size=n)
+    yield a, rng.normal(size=n)  # random
+    yield a, rng.normal(0.4, 1.0, size=n)  # shifted
+    yield (rng.integers(0, 3, size=n).astype(float),
+           rng.integers(0, 3, size=n).astype(float))  # tied
+    yield a, a.copy()  # identical
+    yield a, a * (1.0 + 1e-15 * rng.normal(size=n))  # D = 1/n at most
+
+
+# 5 and 30: P(D >= 1/n) rounds above 1 and scipy leaves the exact path;
+# 10001: above the exact-path size
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 30, 256, 1024, 10001])
+def test_ks_two_sample_is_bitwise_scipy(n):
+    import warnings
+
+    from scipy.stats import ks_2samp
+
+    from zdg.dynamics import ks_two_sample
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        for a, b in _ks_cases(n, rng):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = ks_2samp(a, b)
+                got = ks_two_sample(a, b)
+            assert got == (float(want.statistic), float(want.pvalue))
+
+
+def test_ks_two_sample_refuses_unequal_sizes():
+    from zdg.dynamics import ks_two_sample
+    with pytest.raises(ValueError, match="equal size"):
+        ks_two_sample(np.zeros(3), np.zeros(4))
+
+
+def test_importing_dynamics_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys, zdg.dynamics, zdg.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

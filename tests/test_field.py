@@ -97,3 +97,17 @@ def test_seed_validation():
         rng_mod.derive_rng(-1, "bad")
     with pytest.raises(ValueError):
         rng_mod.derive_rng(2 ** 64, "bad")
+
+
+def test_standard_complex_is_bitwise_the_complex_quotient():
+    shape = (3000, 17)
+    xy = np.random.Generator(np.random.Philox(7)).standard_normal(
+        size=shape + (2,))
+    want = (xy[..., 0] + 1j * xy[..., 1]) / np.sqrt(2.0)
+    got = rng_mod.standard_complex(np.random.Generator(np.random.Philox(7)),
+                                   shape)
+    assert got.shape == shape and got.flags["C_CONTIGUOUS"]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    one = rng_mod.standard_complex(np.random.Generator(np.random.Philox(7)),
+                                   17)
+    assert np.array_equal(one.view(np.uint64), want[0].view(np.uint64))

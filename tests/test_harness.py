@@ -370,3 +370,62 @@ def test_full_suite_isolates_an_aborted_section(tmp_path, monkeypatch):
                        if name.endswith(".csv")})
     assert "gibbs_moments.csv" in tables[0]
     assert tables[0] == tables[1]
+
+
+def _old_sample_rows(coeffs, energy, log_weights, kcols):
+    """The per-row builder the gibbs sidecars used before _sample_rows."""
+    rows = []
+    for i in range(coeffs.shape[0]):
+        row = {"sample": i, "energy": float(energy[i])}
+        if log_weights is not None:
+            row["log_weight"] = float(log_weights[i])
+        row.update({f"abs2_c{k}": float(np.abs(coeffs[i, k]) ** 2)
+                    for k in kcols})
+        rows.append(row)
+    return rows
+
+
+def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
+    from zdg.cli import _sample_rows
+    rng = np.random.default_rng(4)
+    n = 20000
+    scale = np.exp(rng.normal(scale=4.0, size=(n, 3)))
+    coeffs = scale * (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+    lw = rng.normal(scale=30.0, size=n)
+    names = [f"abs2_c{k}" for k in range(3)]
+    head = ["sample", "energy", "log_weight"] + names
+    old = write_table(str(tmp_path / "old"), "imp", head,
+                      _old_sample_rows(coeffs, -lw, lw, range(3)))
+    new = write_table(str(tmp_path / "new"), "imp", head,
+                      _sample_rows(coeffs, 3, -lw, lw))
+    assert open(old, "rb").read() == open(new, "rb").read()
+    head = ["sample", "energy"] + names[:2]
+    old = write_table(str(tmp_path / "old"), "pcn", head,
+                      _old_sample_rows(coeffs, lw, None, range(2)))
+    new = write_table(str(tmp_path / "new"), "pcn", head,
+                      _sample_rows(coeffs, 2, lw))
+    assert open(old, "rb").read() == open(new, "rb").read()
+
+
+def test_file_kernel_study_refusal_names_nodes_grid_and_cutoff(tmp_path):
+    from zdg.cli import _build_tensor
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    kernel = os.path.join(root, "configs", "sample_kernel.csv")
+    cfg_path = _write(tmp_path / "file.cfg",
+                      f"kernel.kind = file\nkernel.profile_file = {kernel}\n")
+    cfg, _ = load_config(cfg_path, {})
+    assert _build_tensor(cfg, cutoff=8).n_modes == 9  # still the file grid
+    with pytest.raises(ValueError) as info:
+        _build_tensor(cfg, cutoff=64)
+    detail = str(info.value)
+    assert detail.startswith("kernel file nodes do not match")
+    assert "tabulates 32 nodes" in detail
+    assert "study grid has 144" in detail
+    assert "largest admissible study cutoff is 8" in detail
+    out = str(tmp_path / "r")
+    assert main(["nelson-scan", "--config", cfg_path, "--out", out]) == 1
+    with open(os.path.join(out, "nelson_scan.json")) as fh:
+        doc = json.load(fh)
+    aborted = next(r for r in doc["records"] if r["name"] == "aborted")
+    assert "tabulates 32 nodes" in aborted["detail"]
+    assert "study grid has 80" in aborted["detail"]

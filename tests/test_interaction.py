@@ -393,3 +393,90 @@ def test_pair_density_shape(basis):
     rho = pair_density(basis)
     assert rho.shape == (basis.n_modes, basis.n_modes, basis.grid.size)
     assert np.allclose(rho, rho.transpose(1, 0, 2))
+
+
+# --- counterterms and chaos series from the factors vs the dense A ---------
+
+
+def dense_counterterms(a, lam):
+    """S, T, e0_const, e0_trace contracted straight from the dense A."""
+    il2 = 1.0 / lam ** 2
+    return (np.einsum("jkpp,p->jk", a, il2), np.einsum("jppk,p->jk", a, il2),
+            float(np.einsum("jjll,j,l->", a, il2, il2)),
+            float(np.einsum("jkkj,j,k->", a, il2, il2)))
+
+
+def dense_box_series(a, il2):
+    """Full-box chaos series and bound: every pairing written out."""
+    w4 = np.einsum("j,k,l,m->jklm", il2, il2, il2, il2)
+    cross = a.transpose(0, 3, 2, 1) + a.transpose(2, 1, 0, 3) \
+        + a.transpose(2, 3, 0, 1)
+    sq = float(np.sum(a * a * w4))
+    return sq + float(np.sum(a * cross * w4)), 4.0 * sq
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 4, 6]), kind=st.sampled_from(ORACLE_KINDS),
+       cutoff=st.integers(0, 24), low=st.integers(0, 24))
+def test_factored_counterterms_and_series_match_dense_oracle(dim, kind,
+                                                             cutoff, low):
+    t = oracle_tensor(dim, cutoff, kind)
+    s, tt, e0c, e0t = dense_counterterms(t.a, t.lam)
+    assert np.max(np.abs(t.s_mat - s)) <= 1e-12 * np.max(np.abs(s))
+    assert np.max(np.abs(t.t_mat - tt)) <= 1e-12 * np.max(np.abs(tt))
+    assert t.e0_const == pytest.approx(e0c, rel=1e-12)
+    assert t.e0_trace == pytest.approx(e0t, rel=1e-12)
+    low = min(low, cutoff)
+    il2 = t.inv_lam2
+    full = dense_box_series(t.a, il2)
+    box = dense_box_series(t.a[:low + 1, :low + 1, :low + 1, :low + 1],
+                           il2[:low + 1])
+    exact, bound = chaos_tail_series(t, low)
+    assert abs(exact - (full[0] - box[0])) <= 1e-12 * full[0]
+    assert abs(bound - (full[1] - box[1])) <= 1e-12 * full[1]
+
+
+def test_dense_a_is_lazy_and_kept_through_slice_replace_and_keyword():
+    t = assemble_interaction(build_basis(2, 6, grid_size=28), GRIDK)
+    assert t.__dict__["a"] is None  # nothing built by the assembly
+    interaction_energy(t, random_coeffs(t.n_modes, size=3))
+    nonlinearity(t, random_coeffs(t.n_modes, size=3))
+    assert t.__dict__["a"] is None  # nor by the batched E and F
+    a = t.a
+    assert t.a is a  # built once, then cached
+    low = t.slice(3)
+    assert low.__dict__["a"] is None
+    assert np.allclose(low.a, a[:4, :4, :4, :4], rtol=0, atol=1e-14)
+    bare = replace(t, s_mat=0, t_mat=0)
+    assert bare.a is a
+    given_a = np.ones_like(a)
+    keyed = type(t)(dim=t.dim, cutoff=t.cutoff, a=given_a, s_mat=t.s_mat,
+                    t_mat=t.t_mat, e0_const=t.e0_const, e0_trace=t.e0_trace,
+                    lam=t.lam, kernel=t.kernel, basis=t.basis)
+    assert keyed.a is given_a
+
+
+def test_assembly_at_cutoff_64_allocates_no_dense_tensor():
+    import tracemalloc
+    basis = build_basis(2, 64, grid_size=144)
+    tracemalloc.start()
+    try:
+        t = assemble_interaction(basis, CONSTANT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * t.n_modes ** 4 > 140e6  # what the dense A would take
+    assert peak < 20e6
+    assert t.__dict__["a"] is None
+
+
+@pytest.mark.parametrize("spec", [CONSTANT, SEPARABLE])
+def test_studies_on_rank_one_kernels_never_build_the_dense_tensor(spec):
+    from zdg.gibbs import cauchy_decay_study, nelson_scan
+    t = assemble_interaction(build_basis(2, 16, grid_size=48), spec)
+    with mock.patch.object(interaction, "_dense_tensor",
+                           side_effect=AssertionError("dense A built")):
+        out = cauchy_decay_study(t, [2, 4, 8], 500, seed=3)
+        nelson_scan(t, [4, 8, 16], 500, seed=3, chunk=200)
+    for row in out["rows"]:
+        assert 0 < row["exact"] <= row["bound"]
