@@ -193,7 +193,7 @@ def run_energy(cfg, rep, out_dir, args):
     from .field import GaussianSampleSpec, gaussian_coeffs, sample_field
     from .interaction import (KernelSpec, assemble_interaction,
                               grid_energy_context, interaction_energy,
-                              interaction_energy_grid, kernel_node_matrix,
+                              interaction_energy_grid, kernel_node_values,
                               nonlinearity, nonlinearity_grid,
                               wick_energy_literal)
     from .zonal import analyze, build_basis, synthesize
@@ -245,7 +245,7 @@ def run_energy(cfg, rep, out_dir, args):
     r0 = float(np.exp(-interaction_energy(anchor, zero)))
     rep.add_check("vacuum_anchor_weight", abs(r0 - np.exp(-2.0)), 1e-12,
                   detail="Gibbs weight exp(-E(0)) at the same anchor")
-    mat = kernel_node_matrix(tensor.kernel, basis.grid)
+    mat = kernel_node_values(tensor.kernel, basis.grid)[0]
     w = basis.grid.weights
     inner = (mat ** (cfg.q / 2)) @ w
     mixed = float((w @ inner ** 2) ** (1.0 / cfg.q))

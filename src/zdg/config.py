@@ -11,7 +11,7 @@ cap thread pools before any numerical library loads.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -20,7 +20,7 @@ _FALSE = {"false", "no", "off", "0"}
 DEFAULT_TENSOR_BUDGET = 2 * 1024 ** 3
 
 # (config key, attribute, type tag, default); the single source of truth
-# for parsing, validation scaffolding, and the report's config echo.
+# for parsing, the ExperimentConfig fields, and the report's config echo.
 SCHEMA = [
     ("dim", "dim", "int", 2),
     ("cutoff", "cutoff", "int", 8),
@@ -68,55 +68,16 @@ SCHEMA = [
 ]
 
 _BY_KEY = {key: (attr, tag) for key, attr, tag, _ in SCHEMA}
-_KEY_BY_ATTR = {attr: key for key, attr, _, _ in SCHEMA}
 
 KERNEL_KINDS = ("constant", "separable", "grid", "file")
 INTEGRATORS = ("midpoint", "lawson-rk4")
 
+_TYPE_BY_TAG = {"int": int, "float": float, "str": str, "bool": bool,
+                "int_list": tuple}
 
-@dataclass
-class ExperimentConfig:
-    dim: int = 2
-    cutoff: int = 8
-    grid_size: int = 0
-    q: float = 25.0
-    nu: float = 0.4
-    hs_s: float = -0.6
-    seed: int = 2026
-    threads: int = 0
-    tensor_budget_bytes: int = DEFAULT_TENSOR_BUDGET
-    out_dir: str = "reports"
-    kernel_kind: str = "constant"
-    kernel_kappa: float = 1.0
-    kernel_profile: str = "one_plus_cos"
-    kernel_amplitude: float = 1.0
-    kernel_name: str = "gaussian_angle"
-    kernel_width: float = 0.7
-    kernel_profile_file: str = ""
-    gibbs_ensemble_size: int = 20000
-    gibbs_beta: float = 0.0
-    gibbs_kmax: int = 8
-    flow_dt: float = 1e-3
-    flow_t_final: float = 1.0
-    flow_integrator: str = "midpoint"
-    flow_solver_tol: float = 1e-13
-    flow_sample_every: int = 0
-    flow_compare_cutoff: int = 0
-    invariance_ensemble_size: int = 1024
-    invariance_t_final: float = 1.0
-    invariance_dt: float = 5e-3
-    invariance_alpha: float = 0.01
-    invariance_kmax: int = 8
-    invariance_burn_steps: int = 300
-    invariance_beta: float = 0.4
-    invariance_negative_control: bool = False
-    cauchy_m_list: tuple = (4, 8, 16, 32)
-    cauchy_ensemble_size: int = 100000
-    nelson_n_list: tuple = (4, 8, 16, 32)
-    nelson_ensemble_size: int = 200000
-    lr_n_list: tuple = (4, 8, 16, 32, 64)
-    lr_r_list: tuple = (2, 4)
-    lr_ensemble_size: int = 200000
+
+class _ConfigMethods:
+    """Methods of `ExperimentConfig`, whose fields come from SCHEMA."""
 
     def to_mapping(self):
         """Config echo as an ordered {dotted key: value} mapping."""
@@ -148,6 +109,12 @@ class ExperimentConfig:
         matrix = kernel_matrix_from_csv(self.kernel_profile_file,
                                         theta=grid.theta)
         return KernelSpec(kind="matrix", matrix=matrix)
+
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(attr, _TYPE_BY_TAG[tag], default) for _, attr, tag, default in SCHEMA],
+    bases=(_ConfigMethods,), namespace={"__module__": __name__})
 
 
 def _parse_value(key, tag, raw, errors):

@@ -19,21 +19,25 @@ fully-contracted constants, giving for coefficients c
     e0_const = sum_jl A[j, j, l, l] / (lambda_j lambda_l)^2
     e0_trace = sum_jk A[j, k, k, j] / (lambda_j lambda_k)^2.
 
-Nothing in the studies or samplers touches A.  The counterterms, the
-batched E and F (`FactoredInteraction`) and the rank-one chaos series are
-computed from factors: the rank-one pair factor V (A = V (x) V) for
-constant and separable kernels, and for grid and file kernels the basis
-values and kernel on the quadrature nodes, since A itself is a quadrature
-sum over node pairs (quadrature tensor hypercontraction; Hohenstein,
-Parrish & Martinez, J. Chem. Phys. 137, 044103, 2012).
+The kernel is discretized once, as one value (W, v) for every kernel kind
+(`kernel_node_values`): W is the (K, K) matrix of w on the quadrature
+nodes, and v the rank-one node vector with W = v v^T, or None when w has
+no such form (grid and file kernels).  Nothing in the studies or samplers
+touches A.  The counterterms, the batched E and F (`FactoredInteraction`)
+and the rank-one chaos series are computed from factors: the pair factor
+V = rho diag(w) v (A = V (x) V) when v exists, and otherwise the basis
+values and W on the nodes, since A itself is a quadrature sum over node
+pairs (quadrature tensor hypercontraction; Hohenstein, Parrish &
+Martinez, J. Chem. Phys. 137, 044103, 2012).
 
 The dense A is built lazily, on first read of `InteractionTensor.a`, as
 the oracle of that fast path.  It is read by the literal Wick route (on
 raw Gaussians g, c = g / lambda, the energy is the integrated fourth Wick
 monomial, and `wick_energy_literal` contracts that seven-term monomial
 against A directly), by the chaos tail series of grid kernels and by the
-tests.  A fully grid-space route (`interaction_energy_grid`) never
-touches the tensor or its factors.
+tests.  The grid-space routes (`interaction_energy_grid`,
+`nonlinearity_grid`) never touch the tensor or its factors: they work on
+W and renormalize with the covariance tables of `zdg.field`.
 """
 
 import csv
@@ -77,28 +81,22 @@ class KernelSpec:
     width: float = 0.7
     matrix: np.ndarray = None
 
-    def describe(self):
-        if self.kind == "constant":
-            return f"constant(kappa={self.kappa})"
-        if self.kind == "separable":
-            return f"separable({self.profile}, amplitude={self.amplitude})"
-        if self.kind == "matrix":
-            shape = None if self.matrix is None else self.matrix.shape
-            return f"matrix(shape={shape})"
-        return f"grid({self.name}, width={self.width})"
-
 
 def kernel_node_values(spec, grid):
-    """Discretize the kernel on the grid.
+    """Discretize the kernel on the grid as one value (W, v).
 
-    Returns ("constant", kappa) or ("separable", v nodes) or ("grid", matrix).
-    Nonnegativity is enforced here; grid kernels are also checked to be
-    symmetric and positive semidefinite in the quadrature inner product.
+    W is the (K, K) node matrix W(x_i, x_j).  v is the rank-one node vector
+    with W = v v^T (sqrt(kappa) for constant kernels, the profile for
+    separable ones), or None for grid and matrix kernels.  Nonnegativity is
+    enforced here; grid kernels are also checked to be symmetric and
+    positive semidefinite in the quadrature inner product.
     """
     if spec.kind == "constant":
         if spec.kappa < 0:
             raise ValueError("constant kernel needs kappa >= 0")
-        return "constant", float(spec.kappa)
+        kappa = float(spec.kappa)
+        return (np.full((grid.size, grid.size), kappa),
+                np.full(grid.size, math.sqrt(kappa)))
     if spec.kind == "separable":
         try:
             prof = SEPARABLE_PROFILES[spec.profile]
@@ -109,7 +107,8 @@ def kernel_node_values(spec, grid):
         v = spec.amplitude * prof(grid.theta)
         if np.any(v < -1e-12):
             raise ValueError("separable profile must be nonnegative")
-        return "separable", np.maximum(v, 0.0)
+        v = np.maximum(v, 0.0)
+        return np.outer(v, v), v
     if spec.kind == "grid":
         try:
             fam = GRID_KERNELS[spec.name]
@@ -118,7 +117,7 @@ def kernel_node_values(spec, grid):
         if spec.width <= 0:
             raise ValueError("grid kernel needs width > 0")
         mat = fam(grid.theta, grid.theta, spec.width)
-        return "grid", _check_kernel_matrix(mat, grid)
+        return _check_kernel_matrix(mat, grid), None
     if spec.kind == "matrix":
         if spec.matrix is None:
             raise ValueError("matrix kernel needs node values")
@@ -127,7 +126,7 @@ def kernel_node_values(spec, grid):
             raise ValueError(
                 f"kernel matrix shape {mat.shape} does not match the "
                 f"{grid.size}-node grid")
-        return "grid", _check_kernel_matrix(mat, grid)
+        return _check_kernel_matrix(mat, grid), None
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
@@ -312,7 +311,8 @@ def _node_factors(basis, kernel, j):
         raise ValueError("a tensor without a pair factor needs its basis")
     b = basis.values[:j].transpose(0, 2, 1).reshape(j, -1)
     w = basis.grid.weights
-    return b, w[:, None] * kernel_node_matrix(kernel, basis.grid) * w
+    wmat = kernel_node_values(kernel, basis.grid)[0]
+    return b, w[:, None] * wmat * w
 
 
 def _dense_tensor(tensor):
@@ -324,8 +324,8 @@ def _dense_tensor(tensor):
         raise ValueError("a tensor without a pair factor needs its basis")
     j = tensor.n_modes
     b = pair_density(basis)[:j, :j] * basis.grid.weights
-    half = np.tensordot(b, kernel_node_matrix(tensor.kernel, basis.grid),
-                        axes=(2, 0))  # (J, J, K)
+    wmat = kernel_node_values(tensor.kernel, basis.grid)[0]
+    half = np.tensordot(b, wmat, axes=(2, 0))  # (J, J, K)
     a = np.tensordot(half, b, axes=(2, 2))
     return 0.5 * (a + a.transpose(2, 3, 0, 1))  # exact symmetry to roundoff
 
@@ -344,24 +344,10 @@ def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
             f"dense interaction tensor needs {need} bytes, over the budget "
             f"of {budget_bytes}; the largest admissible cutoff is "
             f"{max_cutoff}")
-    kind, payload = kernel_node_values(kspec, basis.grid)
-    w = basis.grid.weights
-    factor = None
-    if kind == "constant":
-        factor = math.sqrt(payload) * (pair_density(basis) @ w)
-    elif kind == "separable":
-        factor = pair_density(basis) @ (w * payload)
+    v = kernel_node_values(kspec, basis.grid)[1]
+    factor = None if v is None else \
+        pair_density(basis) @ (basis.grid.weights * v)
     return _contracted(basis.dim, basis.lam.copy(), kspec, factor, basis)
-
-
-def kernel_node_matrix(spec, grid):
-    """Kernel values W(x_i, x_j) on the grid nodes, for every kernel kind."""
-    kind, payload = kernel_node_values(spec, grid)
-    if kind == "constant":
-        return np.full((grid.size, grid.size), payload)
-    if kind == "separable":
-        return np.outer(payload, payload)
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -479,27 +465,14 @@ def nonlinearity(tensor, coeffs):
 
 
 def grid_energy_context(basis, kspec):
-    """Precompute covariance tables and kernel values for the grid routes."""
+    """Precompute covariance tables and the node matrix W for grid routes."""
     from .field import covariance_diag, covariance_kernel
-    kind, payload = kernel_node_values(kspec, basis.grid)
     return {
-        "kind": kind,
-        "payload": payload,
+        "W": kernel_node_values(kspec, basis.grid)[0],
         "sigma": covariance_diag(basis),
         "sigma_kernel": covariance_kernel(basis),
         "weights": basis.grid.weights,
     }
-
-
-def _pair_integral(ctx, f, g):
-    """intint f(x) w(x, y) g(y) over the zonal measure (f, g node vectors)."""
-    w = ctx["weights"]
-    if ctx["kind"] == "constant":
-        return ctx["payload"] * (f @ w) * (g @ w)
-    if ctx["kind"] == "separable":
-        v = ctx["payload"]
-        return (f @ (w * v)) * (g @ (w * v))
-    return (f * w) @ ctx["payload"] @ (g * w)
 
 
 def interaction_energy_grid(basis, ctx, values):
@@ -512,24 +485,13 @@ def interaction_energy_grid(basis, ctx, values):
     psi = np.asarray(values)
     q = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
     centered = q - ctx["sigma"]
-    direct = _pair_integral(ctx, centered, centered)
+    w = ctx["weights"]
+    wt = w[:, None] * ctx["W"] * w  # W~ = diag(w) W diag(w)
     sk = ctx["sigma_kernel"]
     cross = np.einsum("ia,ijab,jb->ij", np.conj(psi), sk, psi)
     trace_sq = np.einsum("ijab,ijab->ij", sk, sk)
-    w = ctx["weights"]
-    if ctx["kind"] == "constant":
-        kappa = ctx["payload"]
-        exch = kappa * np.einsum("i,ij,j->", w, cross, w)
-        const = kappa * np.einsum("i,ij,j->", w, trace_sq, w)
-    elif ctx["kind"] == "separable":
-        v = ctx["payload"] * w
-        exch = np.einsum("i,ij,j->", v, cross, v)
-        const = np.einsum("i,ij,j->", v, trace_sq, v)
-    else:
-        wmat = ctx["payload"] * w[:, None] * w[None, :]
-        exch = np.sum(wmat * cross)
-        const = np.sum(wmat * trace_sq)
-    return float(direct - 2.0 * exch.real + const)
+    return float(centered @ wt @ centered - 2.0 * np.sum(wt * cross).real
+                 + np.sum(wt * trace_sq))
 
 
 def nonlinearity_grid(basis, ctx, values):
@@ -539,24 +501,9 @@ def nonlinearity_grid(basis, ctx, values):
     """
     psi = np.asarray(values)
     q = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
-    centered = q - ctx["sigma"]
-    w = ctx["weights"]
-    if ctx["kind"] == "constant":
-        pot = ctx["payload"] * (centered @ w) * np.ones_like(q)
-    elif ctx["kind"] == "separable":
-        v = ctx["payload"]
-        pot = v * ((centered * v) @ w)
-    else:
-        pot = ctx["payload"] @ (centered * w)
-    sk = ctx["sigma_kernel"]
-    if ctx["kind"] == "constant":
-        exch = ctx["payload"] * np.einsum("ijab,j,jb->ia", sk, w, psi)
-    elif ctx["kind"] == "separable":
-        v = ctx["payload"]
-        exch = np.einsum("i,ijab,j,jb->ia", v, sk, v * w, psi)
-    else:
-        wk = ctx["payload"] * w[None, :]
-        exch = np.einsum("ij,ijab,jb->ia", wk, sk, psi)
+    ww = ctx["W"] * ctx["weights"]  # W diag(w)
+    pot = ww @ (q - ctx["sigma"])
+    exch = np.einsum("ij,ijab,jb->ia", ww, ctx["sigma_kernel"], psi)
     return pot[:, None] * psi - exch
 
 

@@ -43,6 +43,17 @@ def test_schema_defaults_match_dataclass_defaults():
         assert getattr(cfg, attr) == default, key
 
 
+def test_config_dataclass_is_generated_from_schema():
+    types = {"int": int, "float": float, "str": str, "bool": bool,
+             "int_list": tuple}
+    fields = dataclasses.fields(ExperimentConfig)
+    assert [(f.name, f.type) for f in fields] \
+        == [(attr, types[tag]) for _, attr, tag, _ in SCHEMA]
+    assert ExperimentConfig.__module__ == "zdg.config"
+    assert list(ExperimentConfig().to_mapping()) \
+        == [key for key, _, _, _ in SCHEMA]
+
+
 def test_invalid_config_lists_every_violation():
     mapping = {"dim": "2", "q": "25", "nu": "0.9", "hs_s": "0.0",
                "mystery": "1"}

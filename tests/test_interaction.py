@@ -117,6 +117,46 @@ def test_kernel_validation(basis):
         kernel_node_values(KernelSpec(kind="wat"), basis.grid)
 
 
+def listed_node_matrix(spec, grid):
+    """W(x_i, x_j) written out per kernel kind, independently of (W, v)."""
+    if spec.kind == "constant":
+        return np.full((grid.size, grid.size), float(spec.kappa))
+    if spec.kind == "separable":
+        prof = interaction.SEPARABLE_PROFILES[spec.profile]
+        v = np.maximum(spec.amplitude * prof(grid.theta), 0.0)
+        return np.outer(v, v)
+    if spec.kind == "grid":
+        fam = interaction.GRID_KERNELS[spec.name]
+        return fam(grid.theta, grid.theta, spec.width)
+    return np.asarray(spec.matrix, dtype=float)
+
+
+def matrix_kernel(grid):
+    """The grid kernel GRIDK handed over as node values, like a file."""
+    return KernelSpec(kind="matrix",
+                      matrix=listed_node_matrix(GRIDK, grid).copy())
+
+
+@pytest.mark.parametrize("name", ["constant1", "constant2", "separable",
+                                  "grid", "matrix"])
+def test_kernel_node_values_is_one_value(basis, name):
+    grid = basis.grid
+    spec = {"constant1": CONSTANT,
+            "constant2": KernelSpec(kind="constant", kappa=2.0),
+            "separable": SEPARABLE, "grid": GRIDK,
+            "matrix": matrix_kernel(grid)}[name]
+    wmat, v = kernel_node_values(spec, grid)
+    expected = listed_node_matrix(spec, grid)
+    assert wmat.shape == expected.shape
+    assert np.array_equal(wmat, expected)  # bitwise
+    if spec.kind in ("grid", "matrix"):
+        assert v is None
+    else:
+        assert v.shape == (grid.size,)
+        outer = np.outer(v, v)
+        assert np.max(np.abs(outer - wmat)) <= 1e-15 * np.max(np.abs(wmat))
+
+
 # --- energies: three routes agree ------------------------------------------
 
 
@@ -272,6 +312,26 @@ def test_nonlinearity_grid_route_agrees(basis, tensors, kind):
         state = synthesize(basis, coeffs[i])
         f_grid = analyze(basis, nonlinearity_grid(basis, ctx, state))
         assert np.allclose(f_grid, f_coeff[i], rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["constant2", "matrix"])
+def test_grid_routes_on_matrix_and_scaled_constant_kernels(basis, name):
+    spec = KernelSpec(kind="constant", kappa=2.0) if name == "constant2" \
+        else matrix_kernel(basis.grid)
+    t = assemble_interaction(basis, spec)
+    ctx = grid_energy_context(basis, spec)
+    coeffs = random_coeffs(basis.n_modes, size=6, seed=11)
+    states = [synthesize(basis, ci) for ci in coeffs]
+    e_coeff = interaction_energy(t, coeffs)
+    e_grid = np.array([interaction_energy_grid(basis, ctx, s)
+                       for s in states])
+    assert np.max(np.abs(e_grid - e_coeff)) \
+        <= 1e-10 * np.max(np.abs(e_coeff))
+    f_coeff = nonlinearity(t, coeffs)
+    f_grid = np.array([analyze(basis, nonlinearity_grid(basis, ctx, s))
+                       for s in states])
+    assert np.max(np.abs(f_grid - f_coeff)) \
+        <= 1e-10 * np.max(np.abs(f_coeff))
 
 
 @pytest.mark.parametrize("kind", ["constant", "separable", "grid"])
