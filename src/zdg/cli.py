@@ -67,6 +67,25 @@ def _refuse_file_study(cfg, cutoff, grid_size):
         f"max(nelson.n_list))")
 
 
+def _add_process_record(rep):
+    """Info record of the process's peak RSS (MiB) and whether any scipy
+    module got imported, so a slow or heavy start-up shows in the report."""
+    try:
+        import resource
+    except ImportError:  # resource is Unix-only
+        peak_mb = None
+    else:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # ru_maxrss is in bytes on macOS and in KiB on Linux
+        peak_mb = round(peak / (2 ** 20 if sys.platform == "darwin"
+                                else 1024), 1)
+    rep.add("process", "info",
+            value={"peak_rss_mb": peak_mb,
+                   "scipy_loaded": "scipy" in sys.modules},
+            detail="peak resident set size of this process in MiB, and "
+                   "whether any scipy module was imported")
+
+
 def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
@@ -643,6 +662,7 @@ def main(argv=None):
     except ValueError as exc:
         rep.add("aborted", "fail", detail=str(exc))
         log.error("%s", exc)
+    _add_process_record(rep)
     path = rep.write(out_dir)
     log.info("wrote %s (%d records, all_pass=%s)", path, len(rep.records),
              rep.all_pass)

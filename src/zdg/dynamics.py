@@ -347,10 +347,8 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha=0.01,
     ens = pcn_parallel(tensor, n_ensemble, burn_steps, seed, beta=beta)
     flow_tensor = tensor
     if disable_counterterms:
-        # a=None: the flow never reads the dense A, so none is built
-        flow_tensor = replace(
-            tensor, a=None, s_mat=np.zeros_like(tensor.s_mat),
-            t_mat=np.zeros_like(tensor.t_mat))
+        flow_tensor = tensor.with_counterterms(np.zeros_like(tensor.s_mat),
+                                               np.zeros_like(tensor.t_mat))
     cfg = FlowConfig(dt=dt, t_final=t_final, integrator=integrator,
                      solver_tol=solver_tol)
     traj = flow(flow_tensor, ens.coeffs, cfg)

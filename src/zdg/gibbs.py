@@ -6,17 +6,18 @@ reweighting of prior draws, and preconditioned Crank-Nicolson chains whose
 proposal c' = sqrt(1 - beta^2) c + beta xi (xi a fresh prior draw) preserves
 the prior, leaving the simple acceptance ratio exp(E(c) - E(c')).  Every
 chain sampler advances all of its chains together, one vectorized sweep
-over the rows at a time.
+over the rows at a time.  The module needs numpy and the standard library
+only: its log-sum-exp and normal scores come from `zdg.special`.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
 
 from . import rng as rng_mod
 from .interaction import chaos_tail_series, interaction_energy
+from .special import logsumexp, ndtri
 
 log = logging.getLogger(__name__)
 

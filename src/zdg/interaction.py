@@ -42,7 +42,7 @@ W and renormalize with the covariance tables of `zdg.field`.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -246,8 +246,18 @@ class InteractionTensor:
     @cached_property
     def factored(self):
         """Factors of the batched E and F; built on first use, per instance,
-        so `slice` and `dataclasses.replace` never see stale counterterms."""
+        so `slice` and `with_counterterms` never see stale counterterms."""
         return FactoredInteraction(self)
+
+    def with_counterterms(self, s_mat, t_mat):
+        """Copy with the quadratic counterterms S and T replaced.
+
+        The copy shares the dense A only if it is already built; passing it
+        explicitly keeps `dataclasses.replace` from reading `a`, which
+        would build it.
+        """
+        return replace(self, a=self.__dict__.get("a"), s_mat=s_mat,
+                       t_mat=t_mat)
 
     def slice(self, cutoff):
         """Tensor for a lower cutoff; counterterms recomputed at that cutoff."""

@@ -7,13 +7,18 @@ Golub-Welsch tridiagonal eigenproblem assembled from the exact three-term
 recurrence coefficients; for d = 2 this reduces to Gauss-Legendre.
 Polynomials are evaluated by the recurrence itself, never through series
 expansions, so tables up to degree a few hundred stay well conditioned.
+Only numpy and the standard library are used: the eigenproblem goes to
+numpy's dense symmetric solver, which on these matrices gives the same
+bits as scipy's tridiagonal one (the tests check it), and the gamma
+functions to `math`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln, gammaln
+
+_log_gamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def jacobi_table(nmax, alpha, beta, z):
@@ -63,10 +68,22 @@ def jacobi_norm_squared(n, alpha, beta):
     """L^2 norm^2 of P_n^{(alpha, beta)} under (1-z)^alpha (1+z)^beta dz."""
     n = np.asarray(n, dtype=float)
     logh = ((alpha + beta + 1) * np.log(2.0)
-            + gammaln(n + alpha + 1) + gammaln(n + beta + 1)
+            + _log_gamma(n + alpha + 1) + _log_gamma(n + beta + 1)
             - np.log(2 * n + alpha + beta + 1)
-            - gammaln(n + alpha + beta + 1) - gammaln(n + 1))
+            - _log_gamma(n + alpha + beta + 1) - _log_gamma(n + 1))
     return np.exp(logh)
+
+
+def _log_beta_sym(a):
+    """log B(a, a) from math.gamma, or from math.lgamma where Gamma(2a)
+    overflows.
+
+    At every even dim up to 42 (a = dim / 2) the value is bitwise scipy's
+    betaln(a, a); at other dims it can differ in the last bits.
+    """
+    if 2 * a > 171.6:
+        return math.lgamma(a) + (math.lgamma(a) - math.lgamma(2 * a))
+    return math.log(math.gamma(a) / math.gamma(2 * a) * math.gamma(a))
 
 
 @dataclass
@@ -107,14 +124,13 @@ def quad_grid(dim, size):
     num = 4.0 * k * (k + c) * (k + c) * (k + 2 * c)
     den = (2 * k + 2 * c) ** 2 * (2 * k + 2 * c + 1) * (2 * k + 2 * c - 1)
     offdiag = np.sqrt(num / den)
-    diag = np.zeros(size)
-    mu0 = np.exp((2 * c + 1) * np.log(2.0) + betaln(c + 1, c + 1))
+    mu0 = np.exp((2 * c + 1) * np.log(2.0) + _log_beta_sym(c + 1))
     if size == 1:
         z = np.array([0.0])
         w = np.array([mu0])
     else:
-        vals, vecs = eigh_tridiagonal(diag, offdiag)
-        z = vals
+        # eigh reads the lower triangle only
+        z, vecs = np.linalg.eigh(np.diag(offdiag, -1))
         w = mu0 * vecs[0] ** 2
     order = np.argsort(-z)  # theta ascending
     z = z[order]

@@ -440,3 +440,117 @@ def test_file_kernel_study_refusal_names_nodes_grid_and_cutoff(tmp_path):
     aborted = next(r for r in doc["records"] if r["name"] == "aborted")
     assert "tabulates 32 nodes" in aborted["detail"]
     assert "study grid has 80" in aborted["detail"]
+
+
+def _old_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if hasattr(value, "item"):
+        return _old_cell(value.item())
+    return str(value)
+
+
+def _old_write_table(out_dir, stem, header, rows):
+    """The cell-by-cell writer write_table replaced, verbatim."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{stem}.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(header))
+        for row in rows:
+            if isinstance(row, dict):
+                row = [row.get(name) for name in header]
+            writer.writerow([_old_cell(v) for v in row])
+    return path
+
+
+def _same_table(tmp_path, header, rows):
+    old = _old_write_table(str(tmp_path / "old"), "t", header, rows)
+    new = write_table(str(tmp_path / "new"), "t", header, rows)
+    return open(old, "rb").read() == open(new, "rb").read()
+
+
+def test_write_table_is_bytewise_the_cell_writer_on_mixed_rows(tmp_path):
+    header = ["name", "x", "k", "flag", "np", "gap"]
+    rows = [
+        ["a,b", 0.1, 3, True, np.float64(1.5), None],
+        {"name": 'q"q', "x": float("nan"), "k": -7, "flag": False,
+         "np": np.int64(4)},
+        ("line\nbreak", -0.0, 0, np.bool_(True), np.float32(0.1), 2.5),
+        ["", 1e300, 10 ** 20, None, np.float64("inf"), "text"],
+    ]
+    assert _same_table(tmp_path, header, rows)
+    assert _same_table(tmp_path, ["x", "k"], [[0.5, 1], [1e-310, -2]])
+    assert _same_table(tmp_path, ["only"], [[None], [""], [1.0]])
+    assert _same_table(tmp_path, ["x", "y"], [])
+    assert _same_table(tmp_path, ["b", "f"], [[True, 1.0], [1, 2.0]])
+
+
+def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
+        tmp_path):
+    from zdg.cli import _sample_rows
+    rng = np.random.default_rng(9)
+    n = 20000
+    scale = np.exp(rng.normal(scale=4.0, size=(n, 3)))
+    coeffs = scale * (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+    lw = rng.normal(scale=30.0, size=n)
+    names = [f"abs2_c{k}" for k in range(3)]
+    assert _same_table(tmp_path, ["sample", "energy", "log_weight"] + names,
+                       _sample_rows(coeffs, 3, -lw, lw))
+    assert _same_table(tmp_path, ["sample", "energy"] + names[:2],
+                       _sample_rows(coeffs, 2, lw))
+
+
+def test_write_table_refuses_rows_that_miss_the_header_width(tmp_path):
+    with pytest.raises(ValueError, match="every row needs 2 cells"):
+        write_table(str(tmp_path), "t", ["a", "b"], [[1, 2], [3]])
+
+
+def _small_run_config(tmp_path):
+    return _write(tmp_path / "small.cfg", "\n".join([
+        "cutoff = 4", "gibbs.ensemble_size = 512", "gibbs.kmax = 2",
+        "cauchy.m_list = 2, 4", "cauchy.ensemble_size = 2000", ""]))
+
+
+def test_reports_end_with_a_process_record(tmp_path):
+    out = str(tmp_path / "r")
+    assert main(["gibbs-sample", "--config", _small_run_config(tmp_path),
+                 "--out", out, "--seed", "5"]) == 0
+    with open(os.path.join(out, "gibbs_sample.json")) as fh:
+        records = json.load(fh)["records"]
+    names = [r["name"] for r in records]
+    assert names.count("process") == 1 and names[-1] == "process"
+    process = records[-1]
+    assert process["status"] == "info"
+    assert set(process["value"]) == {"peak_rss_mb", "scipy_loaded"}
+    assert process["value"]["peak_rss_mb"] > 10
+    assert isinstance(process["value"]["scipy_loaded"], bool)
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    cfg = _small_run_config(tmp_path)
+    out = str(tmp_path / "r")
+    code = (
+        "import sys\n"
+        "import zdg.cli, zdg.gibbs, zdg.dynamics, zdg.interaction, "
+        "zdg.zonal\n"
+        "from zdg.cli import main\n"
+        f"for cmd in ('gibbs-sample', 'cauchy-study'):\n"
+        f"    assert main([cmd, '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "[]"
+    for stem in ("gibbs_sample", "cauchy_study"):
+        with open(os.path.join(out, f"{stem}.json")) as fh:
+            process = json.load(fh)["records"][-1]
+        assert process["value"]["scipy_loaded"] is False

@@ -540,3 +540,27 @@ def test_studies_on_rank_one_kernels_never_build_the_dense_tensor(spec):
         nelson_scan(t, [4, 8, 16], 500, seed=3, chunk=200)
     for row in out["rows"]:
         assert 0 < row["exact"] <= row["bound"]
+
+
+def test_with_counterterms_copies_without_building_the_dense_tensor():
+    t = assemble_interaction(build_basis(2, 20, grid_size=56), GRIDK)
+    s, tt = np.zeros_like(t.s_mat), np.ones_like(t.t_mat)
+    with mock.patch.object(interaction, "_dense_tensor",
+                           side_effect=AssertionError("dense A built")):
+        bare = t.with_counterterms(s, tt)
+    assert bare.s_mat is s and bare.t_mat is tt
+    assert bare.lam is t.lam and bare.kernel is t.kernel
+    assert (bare.e0_const, bare.e0_trace) == (t.e0_const, t.e0_trace)
+    assert t.__dict__["a"] is None and bare.__dict__["a"] is None
+    a = t.a  # once built, the copy shares it
+    assert t.with_counterterms(s, tt).a is a
+
+
+def test_counterterm_free_invariance_flow_builds_no_dense_tensor():
+    from zdg.dynamics import invariance_test
+    t = assemble_interaction(build_basis(2, 6, grid_size=24), GRIDK)
+    with mock.patch.object(interaction, "_dense_tensor",
+                           side_effect=AssertionError("dense A built")):
+        res = invariance_test(t, 64, 0.05, 0.01, seed=2, burn_steps=20,
+                              disable_counterterms=True)
+    assert res["rows"]

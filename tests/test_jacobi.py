@@ -126,3 +126,64 @@ def test_bad_arguments():
         quad_grid(1, 5)
     with pytest.raises(ValueError):
         quad_grid(2, 0)
+
+
+def _scipy_quad_grid(dim, size):
+    """quad_grid as it was with scipy's tridiagonal solver and betaln."""
+    from scipy.linalg import eigh_tridiagonal
+    c = (dim - 2) / 2.0
+    k = np.arange(1, size)
+    num = 4.0 * k * (k + c) * (k + c) * (k + 2 * c)
+    den = (2 * k + 2 * c) ** 2 * (2 * k + 2 * c + 1) * (2 * k + 2 * c - 1)
+    offdiag = np.sqrt(num / den)
+    diag = np.zeros(size)
+    mu0 = np.exp((2 * c + 1) * np.log(2.0) + betaln(c + 1, c + 1))
+    if size == 1:
+        z = np.array([0.0])
+        w = np.array([mu0])
+    else:
+        vals, vecs = eigh_tridiagonal(diag, offdiag)
+        z = vals
+        w = mu0 * vecs[0] ** 2
+    order = np.argsort(-z)
+    z = z[order]
+    w = w[order]
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    return QuadratureGrid(dim=dim, size=size, theta=theta, z=z, weights=w)
+
+
+# every size to 128, then a spread up to the 528 nodes of cutoff 256 (all
+# 528 sizes would take about 10 s per dim)
+SIZES = (list(range(1, 129)) + list(range(131, 529, 23))
+         + [144, 256, 512, 528])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_quad_grid_is_bitwise_the_scipy_tridiagonal_solver(dim):
+    for size in SIZES:
+        ours, ref = quad_grid(dim, size), _scipy_quad_grid(dim, size)
+        assert np.array_equal(ours.z, ref.z), size
+        assert np.array_equal(ours.theta, ref.theta), size
+        if dim % 2 == 0:  # every dim a config accepts
+            assert np.array_equal(ours.weights, ref.weights), size
+        else:  # math.gamma and scipy's betaln part in the last bit
+            assert np.allclose(ours.weights, ref.weights, rtol=4e-15,
+                               atol=0), size
+
+
+def test_norm_squared_matches_scipy_gammaln_to_its_conditioning():
+    # exp of a sum of log-gammas: each term is good to a few ulps of its
+    # own size, so the two routes agree to eps times the terms' total
+    import math
+    from scipy.special import gammaln
+    n = np.arange(65.0)
+    for dim in range(2, 9):
+        for a, b in [(dim / 2 - 1, dim / 2), (1.0, 2.0), (0.5, 0.5)]:
+            terms = [(a + b + 1) * np.log(2.0) + 0 * n,
+                     gammaln(n + a + 1), gammaln(n + b + 1),
+                     -np.log(2 * n + a + b + 1),
+                     -gammaln(n + a + b + 1), -gammaln(n + 1)]
+            ref = np.exp(sum(terms))
+            scale = sum(np.abs(t) for t in terms) * math.ulp(1.0)
+            got = jacobi_norm_squared(n, a, b)
+            assert np.all(np.abs(got / ref - 1) <= 4 * scale), (dim, a, b)
