@@ -156,15 +156,11 @@ def _cell(value):
 
 
 def _column(values):
-    """(cells, plain) for one column.  A column of only floats or only ints
-    is formatted in one pass, and its cells are plain: they never need CSV
-    quoting.  Anything else is formatted cell by cell."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map(float.__repr__, values)), True
-    if kinds == {int}:
-        return list(map(int.__repr__, values)), True
-    return [_cell(v) for v in values], False
+    """The cells of one column: a column of only floats is formatted in one
+    pass, anything else cell by cell."""
+    if set(map(type, values)) == {float}:
+        return list(map(float.__repr__, values))
+    return [_cell(v) for v in values]
 
 
 def write_table(out_dir, stem, header, rows):
@@ -173,8 +169,7 @@ def write_table(out_dir, stem, header, rows):
     rows may be sequences or mappings keyed by the header names, and every
     row must have one cell per header name; floats are written with full
     repr precision so reruns diff exactly.  Cells are formatted a column
-    at a time, and a table whose cells are all plain numbers is joined
-    directly, without the csv module's per-cell quoting checks.
+    at a time.
     """
     header = list(header)
     table = [[row.get(name) for name in header] if isinstance(row, dict)
@@ -182,15 +177,11 @@ def write_table(out_dir, stem, header, rows):
     if any(len(row) != len(header) for row in table):
         raise ValueError(f"table {stem}: every row needs {len(header)} "
                          f"cells, one per header name")
-    columns = [_column(col) for col in zip(*table)]
-    lines = zip(*(cells for cells, _ in columns))
+    lines = zip(*(_column(col) for col in zip(*table)))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if all(plain for _, plain in columns):
-            fh.writelines(",".join(line) + "\r\n" for line in lines)
-        else:
-            writer.writerows(lines)
+        writer.writerows(lines)
     return path
