@@ -68,22 +68,25 @@ def _refuse_file_study(cfg, cutoff, grid_size):
 
 
 def _add_process_record(rep):
-    """Info record of the process's peak RSS (MiB) and whether any scipy
-    module got imported, so a slow or heavy start-up shows in the report."""
+    """Info record of the process's peak RSS (MiB), its minor page faults and
+    whether any scipy module got imported, so a slow or heavy start-up or a
+    run that keeps faulting fresh memory in shows in the report."""
     try:
         import resource
     except ImportError:  # resource is Unix-only
-        peak_mb = None
+        peak_mb = faults = None
     else:
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         # ru_maxrss is in bytes on macOS and in KiB on Linux
-        peak_mb = round(peak / (2 ** 20 if sys.platform == "darwin"
-                                else 1024), 1)
+        peak_mb = round(usage.ru_maxrss / (2 ** 20 if sys.platform == "darwin"
+                                           else 1024), 1)
+        faults = usage.ru_minflt
     rep.add("process", "info",
-            value={"peak_rss_mb": peak_mb,
+            value={"peak_rss_mb": peak_mb, "minor_faults": faults,
                    "scipy_loaded": "scipy" in sys.modules},
-            detail="peak resident set size of this process in MiB, and "
-                   "whether any scipy module was imported")
+            detail="peak resident set size of this process in MiB, its "
+                   "minor page faults, and whether any scipy module was "
+                   "imported")
 
 
 def _timed(fn, *args, **kwargs):

@@ -291,13 +291,15 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed,
     # slices share the leading lambdas, so their states are prefix views
     c = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes))
     c /= tensor.lam
+    energies = {}  # by cutoff: the 2M energy of one row is the M of the next
     rows = []
     for m in m_list:
         hi = tensor.slice(2 * m)
-        lo = tensor.slice(m)
         exact, bound = chaos_tail_series(hi, m)
-        e_hi = interaction_energy(hi, c[:, :hi.n_modes])
-        e_lo = interaction_energy(lo, c[:, :lo.n_modes])
+        e_lo = energies.pop(m, None)
+        if e_lo is None:
+            e_lo = interaction_energy(tensor.slice(m), c[:, :m + 1])
+        e_hi = energies[2 * m] = interaction_energy(hi, c[:, :hi.n_modes])
         adiff = np.abs(e_hi - e_lo)
         diff2 = adiff ** 2
         mc = float(diff2.mean())

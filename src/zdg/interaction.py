@@ -30,6 +30,17 @@ values and W on the nodes, since A itself is a quadrature sum over node
 pairs (quadrature tensor hypercontraction; Hohenstein, Parrish &
 Martinez, J. Chem. Phys. 137, 044103, 2012).
 
+On the node path (grid and file kernels) the batched E and F write their
+temporaries (P = c @ [B | S + T], the squares of psi, q, u = q W~ and the
+cubic's u psi) into work buffers that the tensor's `FactoredInteraction`
+owns.  The buffers are kept per thread, so concurrent callers of one
+tensor stay correct, and sized to the largest block a thread has passed
+(at most BLOCK_ROWS rows); smaller blocks use their leading rows.  A warm
+call therefore allocates only its result, and every result is a fresh
+array, never a view of a buffer.  The arithmetic is op for op that of the
+allocating kernels, so the results are bitwise the same.  The rank-one
+path, a few columns wide, allocates as before.
+
 The dense A is built lazily, on first read of `InteractionTensor.a`, as
 the oracle of that fast path.  It is read by the literal Wick route (on
 raw Gaussians g, c = g / lambda, the energy is the integrated fourth Wick
@@ -42,6 +53,7 @@ W and renormalize with the covariance tables of `zdg.field`.
 
 import csv
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -366,6 +378,18 @@ def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
 BLOCK_ROWS = 1024  # rows per pass: bounds the temporaries of large batches
 
 
+class _NodeWork:
+    """One thread's work buffers for node-path blocks of up to `rows` rows."""
+
+    def __init__(self, rows, width, k):
+        self.p = np.empty((rows, width), dtype=complex)
+        self.sq = np.empty((rows, 2 * k))
+        self.sq_imag = np.empty((rows, 2 * k))
+        self.q = np.empty((rows, k))
+        self.u = np.empty((rows, k))
+        self.pot = np.empty((rows, 2, k), dtype=complex)
+
+
 class FactoredInteraction:
     """E and F of a tensor from factors; never touches the dense A.
 
@@ -378,6 +402,9 @@ class FactoredInteraction:
         quartic = q . W~ q,    cubic = ((W~ q) psi) B^T,
 
     because A[j, k, l, m] = sum_xy rho_jk(x) W~(x, y) rho_lm(y).
+
+    The node path works in this object's per-thread buffers (`_NodeWork`;
+    the module docstring says how); every returned array is fresh.
     """
 
     def __init__(self, tensor):
@@ -390,41 +417,58 @@ class FactoredInteraction:
         else:
             left, self.nodes = _node_factors(tensor.basis, tensor.kernel, j)
             self.synth_t = left.T.astype(complex)
+            self._local = threading.local()
         self.rank = left.shape[1]
         self.mat = np.concatenate([left, st], axis=1).astype(complex)
 
-    def _density(self, psi):
-        """q = |psi|^2 summed over the two spinor components, per node."""
-        sq = psi.real ** 2 + psi.imag ** 2
-        return sq[:, :self.nodes.shape[0]] + sq[:, self.nodes.shape[0]:]
+    def _node_pass(self, c):
+        """(P, q, u) of one block on the node path, as views of this
+        thread's work buffers."""
+        n = c.shape[0]
+        work = getattr(self._local, "work", None)
+        if work is None or work.p.shape[0] < n:
+            work = self._local.work = _NodeWork(n, self.mat.shape[1],
+                                                self.nodes.shape[0])
+        p = np.matmul(c, self.mat, out=work.p[:n])
+        psi = p[:, :self.rank]
+        sq = np.multiply(psi.real, psi.real, out=work.sq[:n])
+        np.add(sq, np.multiply(psi.imag, psi.imag, out=work.sq_imag[:n]),
+               out=sq)
+        k = self.nodes.shape[0]
+        q = np.add(sq[:, :k], sq[:, k:], out=work.q[:n])
+        return p, q, np.matmul(q, self.nodes, out=work.u[:n])
 
     def quartic(self, c):
-        p = c @ self.mat
         if self.nodes is None:
+            p = c @ self.mat
             q = np.vecdot(c, p[:, :self.rank]).real
             return q * q
-        q = self._density(p[:, :self.rank])
-        return np.vecdot(q, q @ self.nodes)
+        _, q, u = self._node_pass(c)
+        return np.vecdot(q, u)
 
     def energy(self, c):
-        p = c @ self.mat
         if self.nodes is None:
+            p = c @ self.mat
             q, lin = np.vecdot(c[:, None, :],
                                p.reshape(-1, 2, self.rank)).real.T
             return q * q - 2.0 * lin + self.e0
+        p, q, u = self._node_pass(c)
         lin = np.vecdot(c, p[:, self.rank:]).real
-        q = self._density(p[:, :self.rank])
-        return np.vecdot(q, q @ self.nodes) - 2.0 * lin + self.e0
+        return np.vecdot(q, u) - 2.0 * lin + self.e0
 
     def cubic(self, c):
-        p = c @ self.mat
-        left, counter = p[:, :self.rank], p[:, self.rank:]
         if self.nodes is None:
+            p = c @ self.mat
+            left, counter = p[:, :self.rank], p[:, self.rank:]
             q = np.vecdot(c, left).real
             return q[:, None] * left - counter
-        u = self._density(left) @ self.nodes
-        pot = left.reshape(c.shape[0], 2, -1) * u[:, None, :]
-        return pot.reshape(c.shape[0], -1) @ self.synth_t - counter
+        n = c.shape[0]
+        p, _, u = self._node_pass(c)
+        pot = np.multiply(p[:, :self.rank].reshape(n, 2, -1), u[:, None, :],
+                          out=self._local.work.pot[:n])
+        out = pot.reshape(n, -1) @ self.synth_t
+        out -= p[:, self.rank:]
+        return out
 
 
 def _as_batch(coeffs):

@@ -148,8 +148,8 @@ def _cell(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy float64 too, without its type name
+        return float.__repr__(value)
     if hasattr(value, "item"):
         return _cell(value.item())
     return str(value)

@@ -1,9 +1,11 @@
 import logging
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from zdg import gibbs
 from zdg import rng as rng_mod
 from zdg.gibbs import (_adapt_beta, _normal_scores, cauchy_decay_study,
                        chain_mean, effective_sample_size, importance_ensemble,
@@ -264,6 +266,27 @@ def test_cauchy_decay_study(tensor_n16):
         assert abs(row["z"]) < 3.5
     with pytest.raises(ValueError):
         cauchy_decay_study(tensor_n16, [16], 10, seed=1)
+
+
+def test_cauchy_decay_study_evaluates_each_cutoff_once(tensor_n16):
+    seen = []
+
+    def counted(tensor, coeffs):
+        seen.append(tensor.cutoff)
+        return interaction_energy(tensor, coeffs)
+
+    with mock.patch.object(gibbs, "interaction_energy", counted):
+        out = cauchy_decay_study(tensor_n16, [2, 4, 8], 3000, seed=51)
+    assert sorted(seen) == [2, 4, 8, 16]
+    gen = rng_mod.derive_rng(51, "cauchy.mc")
+    c = rng_mod.standard_complex(gen, (3000, tensor_n16.n_modes))
+    c /= tensor_n16.lam
+    for row in out["rows"]:
+        m = row["m"]
+        diff2 = np.abs(
+            interaction_energy(tensor_n16.slice(2 * m), c[:, :2 * m + 1])
+            - interaction_energy(tensor_n16.slice(m), c[:, :m + 1])) ** 2
+        assert row["mc"] == float(diff2.mean())
 
 
 def test_nelson_scan_constant_kernel_closed_form(tensor_n16):

@@ -468,8 +468,19 @@ def _old_write_table(out_dir, stem, header, rows):
     return path
 
 
+def _plain_floats(rows):
+    """rows with float subclasses (numpy float64) as plain floats: the one
+    cell format write_table changed from the cell writer, which wrote
+    `np.float64(1.5)` for them."""
+    def plain(v):
+        return float(v) if isinstance(v, float) else v
+    return [{k: plain(v) for k, v in row.items()} if isinstance(row, dict)
+            else [plain(v) for v in row] for row in rows]
+
+
 def _same_table(tmp_path, header, rows):
-    old = _old_write_table(str(tmp_path / "old"), "t", header, rows)
+    old = _old_write_table(str(tmp_path / "old"), "t", header,
+                           _plain_floats(rows))
     new = write_table(str(tmp_path / "new"), "t", header, rows)
     return open(old, "rb").read() == open(new, "rb").read()
 
@@ -505,6 +516,18 @@ def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
                        _sample_rows(coeffs, 2, lw))
 
 
+def test_write_table_writes_numpy_floats_as_plain_floats(tmp_path):
+    path = write_table(str(tmp_path), "t", ["k", "mixed", "np"], [
+        [0, np.float64(1.4500000000000002), np.float64(0.1)],
+        [1, 2.5, np.float64("nan")],
+        [2, np.float64(-0.0), np.float64(1e300)],
+    ])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [["0", "1.4500000000000002", "0.1"],
+                        ["1", "2.5", "nan"], ["2", "-0.0", "1e+300"]]
+
+
 def test_write_table_refuses_rows_that_miss_the_header_width(tmp_path):
     with pytest.raises(ValueError, match="every row needs 2 cells"):
         write_table(str(tmp_path), "t", ["a", "b"], [[1, 2], [3]])
@@ -526,7 +549,8 @@ def test_reports_end_with_a_process_record(tmp_path):
     assert names.count("process") == 1 and names[-1] == "process"
     process = records[-1]
     assert process["status"] == "info"
-    assert set(process["value"]) == {"peak_rss_mb", "scipy_loaded"}
+    assert set(process["value"]) == {"peak_rss_mb", "minor_faults",
+                                     "scipy_loaded"}
     assert process["value"]["peak_rss_mb"] > 10
     assert isinstance(process["value"]["scipy_loaded"], bool)
 

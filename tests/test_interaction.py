@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -287,6 +290,143 @@ def test_slice_and_replace_rebuild_cached_factors(kind):
     e_bare = interaction_energy(bare, c)
     assert np.allclose(e_bare, quartic_form(t, c) + t.e0_const + t.e0_trace,
                        rtol=1e-12)
+
+
+# --- node-path work buffers ------------------------------------------------
+
+
+class _AllocatingNodeKernels:
+    """The node-path quartic, energy and cubic as they were before the work
+    buffers, verbatim: every call allocates its temporaries."""
+
+    def __init__(self, factored):
+        self.mat, self.rank, self.e0 = (factored.mat, factored.rank,
+                                        factored.e0)
+        self.nodes, self.synth_t = factored.nodes, factored.synth_t
+
+    def _density(self, psi):
+        sq = psi.real ** 2 + psi.imag ** 2
+        return sq[:, :self.nodes.shape[0]] + sq[:, self.nodes.shape[0]:]
+
+    def quartic(self, c):
+        p = c @ self.mat
+        q = self._density(p[:, :self.rank])
+        return np.vecdot(q, q @ self.nodes)
+
+    def energy(self, c):
+        p = c @ self.mat
+        lin = np.vecdot(c, p[:, self.rank:]).real
+        q = self._density(p[:, :self.rank])
+        return np.vecdot(q, q @ self.nodes) - 2.0 * lin + self.e0
+
+    def cubic(self, c):
+        p = c @ self.mat
+        left, counter = p[:, :self.rank], p[:, self.rank:]
+        u = self._density(left) @ self.nodes
+        pot = left.reshape(c.shape[0], 2, -1) * u[:, None, :]
+        return pot.reshape(c.shape[0], -1) @ self.synth_t - counter
+
+
+def fresh_node_tensor(kind="grid", dim=4, cutoff=10):
+    """A node-path tensor of its own, so no other test has sized its
+    buffers."""
+    t = oracle_tensor(dim, cutoff, kind)
+    return t.with_counterterms(t.s_mat, t.t_mat)
+
+
+NODE_ROUTES = ((interaction_energy, "energy"), (nonlinearity, "cubic"),
+               (quartic_form, "quartic"))
+
+
+def _blockwise(kernel, c, block):
+    rows = np.atleast_2d(c)
+    out = np.concatenate([kernel(rows[lo:lo + block])
+                          for lo in range(0, rows.shape[0], block)])
+    return out[0] if c.ndim == 1 else out
+
+
+@pytest.mark.parametrize("kind", ["grid", "matrix"])
+def test_node_path_buffers_are_bitwise_the_allocating_kernels(kind):
+    t = fresh_node_tensor(kind)
+    ref = _AllocatingNodeKernels(t.factored)
+    wide = random_coeffs(t.n_modes + 3, size=1500, seed=17)
+    wide[:, :t.n_modes] /= t.lam
+    # row counts that grow, shrink and then run in blocks with a short
+    # tail; a prefix view of a wider array is strided, as the studies pass
+    for rows, block in ((1, 1024), (7, 1024), (256, 1024), (7, 1024),
+                        (1500, 256)):
+        c = wide[:rows, :t.n_modes]
+        for batch in (c, c[0], np.ascontiguousarray(c)):
+            with mock.patch.object(interaction, "BLOCK_ROWS", block):
+                for route, name in NODE_ROUTES:
+                    want = _blockwise(getattr(ref, name), batch, block)
+                    got = route(t, batch)
+                    assert got.dtype == want.dtype
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (rows, name)
+
+
+def test_node_path_results_are_fresh_arrays():
+    t = fresh_node_tensor()
+    c1 = random_coeffs(t.n_modes, size=64, seed=3) / t.lam
+    c2 = random_coeffs(t.n_modes, size=64, seed=4) / t.lam
+    first = [route(t, c1) for route, _ in NODE_ROUTES]
+    kept = [x.copy() for x in first]
+    second = [route(t, c2) for route, _ in NODE_ROUTES]
+    for route, _ in NODE_ROUTES:  # a smaller block reuses leading rows
+        route(t, c2[:5])
+    for a, b, k in zip(first, second, kept):
+        assert a.tobytes() == k.tobytes()
+        assert not np.shares_memory(a, b)
+
+
+def test_node_path_is_thread_safe_on_one_tensor():
+    t = fresh_node_tensor()
+    inputs = [random_coeffs(t.n_modes, size=rows, seed=rows) / t.lam
+              for rows in (1, 7, 64, 256, 300)]
+    serial = [(interaction_energy(t, c).tobytes(),
+               nonlinearity(t, c).tobytes()) for c in inputs]
+    mismatches = []
+
+    def hammer(offset):
+        for i in range(60):
+            k = (offset + i) % len(inputs)
+            got = (interaction_energy(t, inputs[k]).tobytes(),
+                   nonlinearity(t, inputs[k]).tobytes())
+            if got != serial[k]:
+                mismatches.append(k)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert mismatches == []
+
+
+def test_node_path_warm_calls_allocate_only_their_results():
+    t = fresh_node_tensor(dim=2, cutoff=8)  # 32 nodes, as invariance-grid
+    c = random_coeffs(t.n_modes, size=256, seed=8) / t.lam
+    nonlinearity(t, c)
+    interaction_energy(t, c)
+    tracemalloc.start()
+    try:
+        f = nonlinearity(t, c)
+        e = interaction_energy(t, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # allocating kernels peak at about 890 KB here; what is left is the
+    # results (39 KB) and numpy's ufunc buffers for strided operands
+    assert f.nbytes + e.nbytes < 40_000
+    assert peak < 400_000
 
 
 def test_wick_monomial_is_centered(basis, tensors):
