@@ -6,8 +6,11 @@ reweighting of prior draws, and preconditioned Crank-Nicolson chains whose
 proposal c' = sqrt(1 - beta^2) c + beta xi (xi a fresh prior draw) preserves
 the prior, leaving the simple acceptance ratio exp(E(c) - E(c')).  Every
 chain sampler advances all of its chains together, one vectorized sweep
-over the rows at a time.  The module needs numpy and the standard library
-only: its log-sum-exp and normal scores come from `zdg.special`.
+over the rows at a time.  The three studies stream their common prior
+draws in BLOCK_ROWS chunks through one core, `_study_energies`, so their
+state memory does not grow with the number of draws.  The module needs
+numpy and the standard library only: its log-sum-exp and normal scores
+come from `zdg.special`.
 """
 
 import logging
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import interaction
 from . import rng as rng_mod
 from .interaction import chaos_tail_series, interaction_energy
 from .special import logsumexp, ndtri
@@ -61,9 +65,8 @@ def effective_sample_size(log_weights):
 def importance_ensemble(tensor, n_samples, seed, label="gibbs.importance"):
     """Prior draws with log weights -E(c)."""
     gen = rng_mod.derive_rng(seed, label)
-    g = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes))
-    coeffs = g / tensor.lam
-    lw = -interaction_energy(tensor, coeffs)
+    coeffs, energies = _prior_states(tensor, gen, n_samples)
+    lw = -energies
     return Ensemble(coeffs=coeffs, method="importance", log_weights=lw,
                     ess=effective_sample_size(lw), seed=seed)
 
@@ -274,33 +277,48 @@ def chain_mean(values, iact=None):
     return mean, se, tau
 
 
+def _study_energies(tensor, slices, n_samples, seed, label):
+    """{cutoff: energies} of n_samples common prior draws on every slice.
+
+    The draws come BLOCK_ROWS rows at a time, one energy block each, and
+    every slice takes a prefix view of each chunk (they share the leading
+    lambdas), so the rows fall into the blocks of one all-at-once call.
+    """
+    gen = rng_mod.derive_rng(seed, label)
+    energies = {n: np.empty(n_samples) for n in slices}
+    block = interaction.BLOCK_ROWS
+    for lo in range(0, n_samples, block):
+        c = rng_mod.standard_complex(
+            gen, (min(block, n_samples - lo), tensor.n_modes))
+        c /= tensor.lam
+        for n, t in slices.items():
+            energies[n][lo:lo + block] = interaction_energy(
+                t, c[:, :t.n_modes])
+    return energies
+
+
 def cauchy_decay_study(tensor, m_list, n_samples, seed,
                        label="cauchy.mc"):
     """Dyadic Cauchy increments of the energy chaos, exact vs Monte Carlo.
 
     For each M the study compares E |G_{2M} - G_M|^2 against the exact
     four-fold contraction series over the tail index box, using one common
-    Gaussian ensemble across all M (prefix slicing), and fits the log-log
-    slope of D(M) = sqrt(series) against M.  Rows also carry empirical
-    quantiles of |G_{2M} - G_M| (tail curves reported, not asserted).
+    Gaussian ensemble across all M (streamed by `_study_energies`, each
+    cutoff evaluated once), and fits the log-log slope of D(M) =
+    sqrt(series) against M.  Rows also carry empirical quantiles of
+    |G_{2M} - G_M| (tail curves reported, not asserted).
     """
     m_list = sorted(int(m) for m in m_list)
     if 2 * m_list[-1] > tensor.cutoff:
         raise ValueError("tensor cutoff must reach 2 * max(m_list)")
-    gen = rng_mod.derive_rng(seed, label)
-    # slices share the leading lambdas, so their states are prefix views
-    c = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes))
-    c /= tensor.lam
-    energies = {}  # by cutoff: the 2M energy of one row is the M of the next
+    slices = {n: tensor.slice(n)
+              for n in sorted(set(m_list) | {2 * m for m in m_list})}
+    energies = _study_energies(tensor, slices, n_samples, seed, label)
     rows = []
     for m in m_list:
-        hi = tensor.slice(2 * m)
-        exact, bound = chaos_tail_series(hi, m)
-        e_lo = energies.pop(m, None)
-        if e_lo is None:
-            e_lo = interaction_energy(tensor.slice(m), c[:, :m + 1])
-        e_hi = energies[2 * m] = interaction_energy(hi, c[:, :hi.n_modes])
-        adiff = np.abs(e_hi - e_lo)
+        # popped: the dense A a grid kernel's series builds goes with it
+        exact, bound = chaos_tail_series(slices.pop(2 * m), m)
+        adiff = np.abs(energies[2 * m] - energies[m])
         diff2 = adiff ** 2
         mc = float(diff2.mean())
         se = float(diff2.std(ddof=1) / np.sqrt(n_samples))
@@ -318,37 +336,25 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed,
     return {"rows": rows, "slope": slope}
 
 
-def nelson_scan(tensor, n_list, n_samples, seed, chunk=100000,
-                label="nelson.scan"):
+def nelson_scan(tensor, n_list, n_samples, seed, label="nelson.scan"):
     """Deterministic lower bounds -3 e0_const vs the sampled minimum of E.
 
-    One master Gaussian stream is shared across cutoffs (prefix slicing), so
-    minima across N are comparable.  Also fits the log-log growth slope of
-    the bound magnitude against N.
+    One master Gaussian stream is shared across cutoffs (streamed by
+    `_study_energies`), so minima across N are comparable.  Also fits the
+    log-log growth slope of the bound magnitude against N.
     """
     n_list = sorted(int(n) for n in n_list)
     if n_list[-1] > tensor.cutoff:
         raise ValueError("tensor cutoff must reach max(n_list)")
     slices = {n: tensor.slice(n) for n in n_list}
-    bounds = {n: -3.0 * slices[n].e0_const for n in n_list}
-    mins = {n: np.inf for n in n_list}
-    gen = rng_mod.derive_rng(seed, label)
-    remaining = n_samples
-    while remaining > 0:
-        take = min(chunk, remaining)
-        c = rng_mod.standard_complex(gen, (take, tensor.n_modes))
-        c /= tensor.lam  # slices share the leading lambdas: prefix views
-        for n in n_list:
-            t = slices[n]
-            e = interaction_energy(t, c[:, :t.n_modes])
-            mins[n] = min(mins[n], float(e.min()))
-        remaining -= take
-    rows = [{
-        "n": n, "bound": bounds[n], "min": mins[n],
-        "respects_bound": bool(mins[n] >= bounds[n] - 1e-9 * abs(bounds[n])),
-    } for n in n_list]
+    energies = _study_energies(tensor, slices, n_samples, seed, label)
+    rows = []
+    for n in n_list:
+        bound, low = -3.0 * slices[n].e0_const, float(energies[n].min())
+        rows.append({"n": n, "bound": bound, "min": low,
+                     "respects_bound": bool(low >= bound - 1e-9 * abs(bound))})
     logn = np.log(n_list)
-    logb = np.log([abs(bounds[n]) for n in n_list])
+    logb = np.log([abs(row["bound"]) for row in rows])
     slope = float(np.polyfit(logn, logb, 1)[0])
     return {"rows": rows, "growth_slope": slope}
 
@@ -357,22 +363,19 @@ def lr_stability_study(tensor, n_list, r_list, n_samples, seed,
                        label="lr.stability"):
     """L^r norms of the Gibbs weight across cutoffs, common random numbers.
 
-    log ||R_N||_r = (logsumexp(-r E_N) - log n) / r per cutoff.  For each r
-    the study reports the per-cutoff values, their consecutive increments,
-    and a fitted log-log slope.  Uniform integrability shows up as
-    saturation: the increments shrink as the cutoff doubles, so the norms
-    approach a finite limit.  Divergence would show up as increments that
-    grow (or fail to decay) with the cutoff.
+    log ||R_N||_r = (logsumexp(-r E_N) - log n) / r per cutoff, all on one
+    stream (`_study_energies`).  For each r the study reports the
+    per-cutoff values, their consecutive increments, and a fitted log-log
+    slope.  Uniform integrability shows up as saturation: the increments
+    shrink as the cutoff doubles, so the norms approach a finite limit.
+    Divergence would show up as increments that grow (or fail to decay)
+    with the cutoff.
     """
     n_list = sorted(int(n) for n in n_list)
     if n_list[-1] > tensor.cutoff:
         raise ValueError("tensor cutoff must reach max(n_list)")
-    gen = rng_mod.derive_rng(seed, label)
-    g = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes))
-    energies = {}
-    for n in n_list:
-        t = tensor.slice(n)
-        energies[n] = interaction_energy(t, g[:, :t.n_modes] / t.lam)
+    slices = {n: tensor.slice(n) for n in n_list}
+    energies = _study_energies(tensor, slices, n_samples, seed, label)
     out = {}
     for r in r_list:
         rows = []

@@ -32,14 +32,14 @@ Martinez, J. Chem. Phys. 137, 044103, 2012).
 
 On the node path (grid and file kernels) the batched E and F write their
 temporaries (P = c @ [B | S + T], the squares of psi, q, u = q W~ and the
-cubic's u psi) into work buffers that the tensor's `FactoredInteraction`
-owns.  The buffers are kept per thread, so concurrent callers of one
-tensor stay correct, and sized to the largest block a thread has passed
-(at most BLOCK_ROWS rows); smaller blocks use their leading rows.  A warm
-call therefore allocates only its result, and every result is a fresh
-array, never a view of a buffer.  The arithmetic is op for op that of the
-allocating kernels, so the results are bitwise the same.  The rank-one
-path, a few columns wide, allocates as before.
+cubic's u psi) into work buffers: one set per thread, shared by every
+tensor, so concurrent callers stay correct.  Each buffer grows to the
+largest rows x width a call on the thread has needed (at most BLOCK_ROWS
+rows) and is handed out as a C-contiguous leading view that lives only
+for that call.  A warm call allocates only its result, and every result is
+a fresh array, never a view of a buffer.  The arithmetic is op for op that
+of the allocating kernels, so the results are bitwise the same.  The
+rank-one path, a few columns wide, allocates as before.
 
 The dense A is built lazily, on first read of `InteractionTensor.a`, as
 the oracle of that fast path.  It is read by the literal Wick route (on
@@ -378,16 +378,17 @@ def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
 BLOCK_ROWS = 1024  # rows per pass: bounds the temporaries of large batches
 
 
-class _NodeWork:
-    """One thread's work buffers for node-path blocks of up to `rows` rows."""
+_WORK = threading.local()  # node-path work buffers: one set per thread
 
-    def __init__(self, rows, width, k):
-        self.p = np.empty((rows, width), dtype=complex)
-        self.sq = np.empty((rows, 2 * k))
-        self.sq_imag = np.empty((rows, 2 * k))
-        self.q = np.empty((rows, k))
-        self.u = np.empty((rows, k))
-        self.pot = np.empty((rows, 2, k), dtype=complex)
+
+def _work(name, shape, dtype=float):
+    """This thread's buffer `name` as a C-contiguous leading view."""
+    size = math.prod(shape)
+    buf = getattr(_WORK, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_WORK, name, buf)
+    return buf[:size].reshape(shape)
 
 
 class FactoredInteraction:
@@ -403,8 +404,8 @@ class FactoredInteraction:
 
     because A[j, k, l, m] = sum_xy rho_jk(x) W~(x, y) rho_lm(y).
 
-    The node path works in this object's per-thread buffers (`_NodeWork`;
-    the module docstring says how); every returned array is fresh.
+    The node path works in the per-thread buffers of `_work` (the module
+    docstring says how); every returned array is fresh.
     """
 
     def __init__(self, tensor):
@@ -417,26 +418,21 @@ class FactoredInteraction:
         else:
             left, self.nodes = _node_factors(tensor.basis, tensor.kernel, j)
             self.synth_t = left.T.astype(complex)
-            self._local = threading.local()
         self.rank = left.shape[1]
         self.mat = np.concatenate([left, st], axis=1).astype(complex)
 
     def _node_pass(self, c):
         """(P, q, u) of one block on the node path, as views of this
         thread's work buffers."""
-        n = c.shape[0]
-        work = getattr(self._local, "work", None)
-        if work is None or work.p.shape[0] < n:
-            work = self._local.work = _NodeWork(n, self.mat.shape[1],
-                                                self.nodes.shape[0])
-        p = np.matmul(c, self.mat, out=work.p[:n])
+        n, k = c.shape[0], self.nodes.shape[0]
+        p = np.matmul(c, self.mat, out=_work("p", (n, self.mat.shape[1]),
+                                             complex))
         psi = p[:, :self.rank]
-        sq = np.multiply(psi.real, psi.real, out=work.sq[:n])
-        np.add(sq, np.multiply(psi.imag, psi.imag, out=work.sq_imag[:n]),
-               out=sq)
-        k = self.nodes.shape[0]
-        q = np.add(sq[:, :k], sq[:, k:], out=work.q[:n])
-        return p, q, np.matmul(q, self.nodes, out=work.u[:n])
+        sq = np.multiply(psi.real, psi.real, out=_work("sq", (n, 2 * k)))
+        np.add(sq, np.multiply(psi.imag, psi.imag,
+                               out=_work("sq_imag", (n, 2 * k))), out=sq)
+        q = np.add(sq[:, :k], sq[:, k:], out=_work("q", (n, k)))
+        return p, q, np.matmul(q, self.nodes, out=_work("u", (n, k)))
 
     def quartic(self, c):
         if self.nodes is None:
@@ -465,7 +461,7 @@ class FactoredInteraction:
         n = c.shape[0]
         p, _, u = self._node_pass(c)
         pot = np.multiply(p[:, :self.rank].reshape(n, 2, -1), u[:, None, :],
-                          out=self._local.work.pot[:n])
+                          out=_work("pot", (n, 2, u.shape[1]), complex))
         out = pot.reshape(n, -1) @ self.synth_t
         out -= p[:, self.rank:]
         return out

@@ -1,20 +1,24 @@
 import logging
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from zdg import gibbs
+from zdg import gibbs, interaction
 from zdg import rng as rng_mod
 from zdg.gibbs import (_adapt_beta, _normal_scores, cauchy_decay_study,
                        chain_mean, effective_sample_size, importance_ensemble,
                        integrated_autocorr, lr_stability_study, nelson_scan,
                        pcn_chain, pcn_parallel, split_rhat, weighted_mean)
-from zdg.interaction import KernelSpec, assemble_interaction, interaction_energy
+from zdg.interaction import (KernelSpec, assemble_interaction,
+                             chaos_tail_series, interaction_energy)
+from zdg.special import logsumexp
 from zdg.zonal import build_basis
 
 CONSTANT = KernelSpec(kind="constant", kappa=1.0)
+GRIDK = KernelSpec(kind="grid", name="gaussian_angle", width=0.7)
 
 
 @pytest.fixture(scope="module")
@@ -269,15 +273,15 @@ def test_cauchy_decay_study(tensor_n16):
 
 
 def test_cauchy_decay_study_evaluates_each_cutoff_once(tensor_n16):
-    seen = []
+    rows = {}
 
     def counted(tensor, coeffs):
-        seen.append(tensor.cutoff)
+        rows[tensor.cutoff] = rows.get(tensor.cutoff, 0) + coeffs.shape[0]
         return interaction_energy(tensor, coeffs)
 
     with mock.patch.object(gibbs, "interaction_energy", counted):
         out = cauchy_decay_study(tensor_n16, [2, 4, 8], 3000, seed=51)
-    assert sorted(seen) == [2, 4, 8, 16]
+    assert rows == {2: 3000, 4: 3000, 8: 3000, 16: 3000}
     gen = rng_mod.derive_rng(51, "cauchy.mc")
     c = rng_mod.standard_complex(gen, (3000, tensor_n16.n_modes))
     c /= tensor_n16.lam
@@ -317,6 +321,146 @@ def test_lr_stability_study(tensor_n16):
         assert all(d < 0.5 for d in deltas)
         for prev, nxt in zip(deltas, deltas[1:]):
             assert nxt < prev + 0.02
+
+
+# --- the streaming study core -----------------------------------------------
+
+
+def _all_at_once_cauchy(tensor, m_list, n_samples, seed, label="cauchy.mc"):
+    """cauchy_decay_study as it was before streaming, verbatim: all states
+    drawn at once, the 2M energy of one row kept as the M of the next."""
+    m_list = sorted(int(m) for m in m_list)
+    gen = rng_mod.derive_rng(seed, label)
+    c = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes))
+    c /= tensor.lam
+    energies = {}
+    rows = []
+    for m in m_list:
+        hi = tensor.slice(2 * m)
+        exact, bound = chaos_tail_series(hi, m)
+        e_lo = energies.pop(m, None)
+        if e_lo is None:
+            e_lo = interaction_energy(tensor.slice(m), c[:, :m + 1])
+        e_hi = energies[2 * m] = interaction_energy(hi, c[:, :hi.n_modes])
+        adiff = np.abs(e_hi - e_lo)
+        diff2 = adiff ** 2
+        mc = float(diff2.mean())
+        se = float(diff2.std(ddof=1) / np.sqrt(n_samples))
+        q50, q90, q99 = np.quantile(adiff, [0.5, 0.9, 0.99])
+        rows.append({
+            "m": m, "n": 2 * m, "exact": exact, "bound": bound,
+            "mc": mc, "mc_se": se,
+            "z": (mc - exact) / se if se > 0 else 0.0,
+            "tail_q50": float(q50), "tail_q90": float(q90),
+            "tail_q99": float(q99),
+        })
+    logm = np.log([r["m"] for r in rows])
+    logd = np.log([np.sqrt(r["exact"]) for r in rows])
+    slope = float(np.polyfit(logm, logd, 1)[0])
+    return {"rows": rows, "slope": slope}
+
+
+def _all_at_once_nelson(tensor, n_list, n_samples, seed, chunk=100000,
+                        label="nelson.scan"):
+    """nelson_scan as it was before streaming, verbatim."""
+    n_list = sorted(int(n) for n in n_list)
+    slices = {n: tensor.slice(n) for n in n_list}
+    bounds = {n: -3.0 * slices[n].e0_const for n in n_list}
+    mins = {n: np.inf for n in n_list}
+    gen = rng_mod.derive_rng(seed, label)
+    remaining = n_samples
+    while remaining > 0:
+        take = min(chunk, remaining)
+        c = rng_mod.standard_complex(gen, (take, tensor.n_modes))
+        c /= tensor.lam  # slices share the leading lambdas: prefix views
+        for n in n_list:
+            t = slices[n]
+            e = interaction_energy(t, c[:, :t.n_modes])
+            mins[n] = min(mins[n], float(e.min()))
+        remaining -= take
+    rows = [{
+        "n": n, "bound": bounds[n], "min": mins[n],
+        "respects_bound": bool(mins[n] >= bounds[n] - 1e-9 * abs(bounds[n])),
+    } for n in n_list]
+    logn = np.log(n_list)
+    logb = np.log([abs(bounds[n]) for n in n_list])
+    slope = float(np.polyfit(logn, logb, 1)[0])
+    return {"rows": rows, "growth_slope": slope}
+
+
+def _all_at_once_lr(tensor, n_list, r_list, n_samples, seed,
+                    label="lr.stability"):
+    """lr_stability_study as it was before streaming, verbatim."""
+    n_list = sorted(int(n) for n in n_list)
+    gen = rng_mod.derive_rng(seed, label)
+    g = rng_mod.standard_complex(gen, (n_samples, tensor.n_modes))
+    energies = {}
+    for n in n_list:
+        t = tensor.slice(n)
+        energies[n] = interaction_energy(t, g[:, :t.n_modes] / t.lam)
+    out = {}
+    for r in r_list:
+        rows = []
+        for n in n_list:
+            lognorm = float((logsumexp(-r * energies[n])
+                             - np.log(n_samples)) / r)
+            rows.append({"n": n, "log_norm": lognorm})
+        slope = float(np.polyfit(np.log(n_list),
+                                 [row["log_norm"] for row in rows], 1)[0])
+        increments = [{
+            "from_n": rows[i]["n"], "to_n": rows[i + 1]["n"],
+            "delta": rows[i + 1]["log_norm"] - rows[i]["log_norm"],
+        } for i in range(len(rows) - 1)]
+        out[r] = {"rows": rows, "slope": slope, "increments": increments}
+    return out
+
+
+@pytest.fixture(scope="module")
+def study_tensors():
+    basis = build_basis(2, 16, grid_size=48)
+    return {spec.kind: assemble_interaction(basis, spec)
+            for spec in (CONSTANT, GRIDK)}
+
+
+@pytest.mark.parametrize("kind", ["constant", "grid"])
+@pytest.mark.parametrize("block, draws", [(256, 1000), (None, 2500)])
+def test_streamed_studies_are_bitwise_the_all_at_once_studies(
+        study_tensors, kind, block, draws):
+    # 1000 draws in 256-row chunks end on a short tail chunk; None keeps
+    # the default BLOCK_ROWS
+    t = study_tensors[kind]
+    runs = (
+        (cauchy_decay_study, _all_at_once_cauchy, ([2, 4, 8],)),
+        (nelson_scan, _all_at_once_nelson, ([4, 8, 16],)),
+        (lr_stability_study, _all_at_once_lr, ([2, 4, 8, 16], [2, 4])),
+    )
+    block = interaction.BLOCK_ROWS if block is None else block
+    with mock.patch.object(interaction, "BLOCK_ROWS", block):
+        for study, reference, lists in runs:
+            got = study(t, *lists, draws, seed=7)
+            assert repr(got) == repr(reference(t, *lists, draws, seed=7))
+
+
+def test_grid_nelson_scan_state_memory_is_bounded():
+    t = assemble_interaction(build_basis(2, 32), GRIDK)
+    tracemalloc.start()
+    try:
+        nelson_scan(t, [4, 8, 16, 32], 20000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all states at once: 10.6 MB of them and a buffer set per slice
+    assert peak < 25e6
+
+
+def test_constant_cauchy_study_state_memory_is_bounded(tensor_n16):
+    tracemalloc.start()
+    try:
+        cauchy_decay_study(tensor_n16, [2, 4, 8], 20000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # all states at once take 5.4 MB
 
 
 def test_hypercontractivity_of_chaos_increment(tensor_n16):

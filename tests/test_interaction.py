@@ -380,6 +380,29 @@ def test_node_path_results_are_fresh_arrays():
         assert not np.shares_memory(a, b)
 
 
+def test_node_tensors_of_different_widths_share_one_buffer_set():
+    # the buffers belong to the thread, not the tensor: calls that switch
+    # between node counts, mode counts and row counts reuse and regrow them
+    tensors = (fresh_node_tensor("grid", dim=4, cutoff=10),
+               fresh_node_tensor("matrix", dim=2, cutoff=16))
+    assert tensors[0].factored.nodes.shape != tensors[1].factored.nodes.shape
+    assert tensors[0].n_modes != tensors[1].n_modes
+    refs = [_AllocatingNodeKernels(t.factored) for t in tensors]
+    results = []
+    for which, rows in ((0, 300), (1, 7), (0, 5), (1, 1024), (0, 64),
+                        (1, 2)):
+        t, ref = tensors[which], refs[which]
+        c = random_coeffs(t.n_modes, size=rows, seed=rows) / t.lam
+        for route, name in NODE_ROUTES:
+            got = route(t, c)
+            assert got.tobytes() == getattr(ref, name)(c).tobytes()
+            results.append((got, got.copy()))
+    for i, (got, kept) in enumerate(results):
+        assert got.tobytes() == kept.tobytes()
+        for other, _ in results[i + 1:]:
+            assert not np.shares_memory(got, other)
+
+
 def test_node_path_is_thread_safe_on_one_tensor():
     t = fresh_node_tensor()
     inputs = [random_coeffs(t.n_modes, size=rows, seed=rows) / t.lam
@@ -675,9 +698,10 @@ def test_studies_on_rank_one_kernels_never_build_the_dense_tensor(spec):
     from zdg.gibbs import cauchy_decay_study, nelson_scan
     t = assemble_interaction(build_basis(2, 16, grid_size=48), spec)
     with mock.patch.object(interaction, "_dense_tensor",
-                           side_effect=AssertionError("dense A built")):
+                           side_effect=AssertionError("dense A built")), \
+            mock.patch.object(interaction, "BLOCK_ROWS", 200):
         out = cauchy_decay_study(t, [2, 4, 8], 500, seed=3)
-        nelson_scan(t, [4, 8, 16], 500, seed=3, chunk=200)
+        nelson_scan(t, [4, 8, 16], 500, seed=3)
     for row in out["rows"]:
         assert 0 < row["exact"] <= row["bound"]
 
