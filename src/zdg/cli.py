@@ -306,7 +306,9 @@ def run_cauchy(cfg, rep, out_dir, args):
 def run_nelson(cfg, rep, out_dir, args):
     from .gibbs import nelson_scan
     need = max(cfg.nelson_n_list)
-    tensor = _build_tensor(cfg, cutoff=need)
+    tensor, seconds = _timed(_build_tensor, cfg, cutoff=need)
+    rep.add("tensor_built", "info", value=need,
+            detail=f"study cutoff max(n_list) = {need}", seconds=seconds)
     out, seconds = _timed(nelson_scan, tensor, cfg.nelson_n_list,
                           cfg.nelson_ensemble_size, cfg.seed)
     for row in out["rows"]:
@@ -334,7 +336,10 @@ def run_gibbs(cfg, rep, out_dir, args):
     from .gibbs import (chain_mean, importance_ensemble, pcn_chain,
                         weighted_mean)
     from .interaction import interaction_energy
-    tensor = _build_tensor(cfg)
+    tensor, seconds = _timed(_build_tensor, cfg)
+    rep.add("tensor_built", "info", value=tensor.cutoff,
+            detail=f"cutoff {tensor.cutoff} of the sampled measure",
+            seconds=seconds)
     imp, sec_imp = _timed(importance_ensemble, tensor,
                           cfg.gibbs_ensemble_size, cfg.seed)
     rep.add("importance_ess", "info", value=imp.ess,
@@ -354,6 +359,10 @@ def run_gibbs(cfg, rep, out_dir, args):
             detail=f"rank-normalized split-R-hat of the energy over "
                    f"{chain.n_chains} chain(s), each split in halves; "
                    f"near 1 when the halves agree")
+    rep.add("pcn_energy_ess_bulk", "info", value=chain.ess_bulk,
+            detail="bulk effective sample size of the energy series after "
+                   "thinning, from the rank-normalized split chains of "
+                   "pcn_energy_rhat and Geyer's initial monotone sequence")
     rows = []
     for k in range(min(cfg.gibbs_kmax, tensor.cutoff) + 1):
         x_imp = np.abs(imp.coeffs[:, k]) ** 2

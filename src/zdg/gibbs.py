@@ -50,6 +50,7 @@ class Ensemble:
     seed: int = None
     n_chains: int = 1
     rhat: float = None
+    ess_bulk: float = None
 
     @property
     def size(self):
@@ -109,15 +110,21 @@ def integrated_autocorr(series, window_factor=6.0):
 
 
 def _pcn_sweep(tensor, states, energies, beta, gen):
-    """One vectorized pCN step over all rows of states (in place)."""
+    """One vectorized pCN step over all rows of states (in place).
+
+    Bitwise c' = sqrt(1 - beta^2) c + beta (xi / lam): the same operations
+    in the same order, written into the draw and the proposal.
+    """
     n, j = states.shape
-    xi = rng_mod.standard_complex(gen, (n, j)) / tensor.lam
-    proposal = np.sqrt(1.0 - beta ** 2) * states + beta * xi
+    xi = rng_mod.standard_complex(gen, (n, j))
+    xi /= tensor.lam
+    xi *= beta
+    proposal = np.sqrt(1.0 - beta ** 2) * states
+    proposal += xi
     e_new = interaction_energy(tensor, proposal)
-    logu = np.log(gen.random(n))
-    accept = logu < (energies - e_new)
-    states[accept] = proposal[accept]
-    energies[accept] = e_new[accept]
+    accept = np.log(gen.random(n)) < energies - e_new
+    np.copyto(states, proposal, where=accept[:, None])
+    np.copyto(energies, e_new, where=accept)
     return accept
 
 
@@ -170,13 +177,52 @@ def split_rhat(series):
     compared with itself, half against half.  nan when a half has fewer
     than two draws.
     """
+    halves = _split_halves(series)
+    if halves is None:
+        return float("nan")
+    folded = np.abs(halves - np.median(halves))
+    return max(_rhat(_normal_scores(halves)), _rhat(_normal_scores(folded)))
+
+
+def bulk_ess(series):
+    """Bulk effective sample size of a (chains, draws) series.
+
+    Vehtari et al. 2021: the rank-normalized split chains of split_rhat,
+    combined autocorrelations rho_t = 1 - (W - mean autocovariance_t) / var+,
+    truncated by Geyer's initial monotone sequence (pair sums
+    rho_2k + rho_2k+1 kept up to the first negative one, then made
+    non-increasing), tau = -1 + 2 sum of the pairs, ESS = draws / tau.
+    tau is floored at 1 / log10(draws), as in Stan.  nan when a half has
+    fewer than two draws.
+    """
+    halves = _split_halves(series)
+    if halves is None:
+        return float("nan")
+    z = _normal_scores(halves)
+    m, n = z.shape
+    means = z.mean(axis=1, keepdims=True)
+    spec = np.abs(np.fft.rfft(z - means, n=2 * n, axis=1)) ** 2
+    acov = np.fft.irfft(spec, axis=1)[:, :n].mean(axis=0) / n
+    within = acov[0] * n / (n - 1)
+    var_plus = acov[0] + means.var(ddof=1)
+    rho = 1.0 - (within - acov) / var_plus
+    rho[0] = 1.0
+    pairs = rho[:n - n % 2].reshape(-1, 2).sum(axis=1)
+    negative = np.flatnonzero(pairs < 0)
+    pairs = np.minimum.accumulate(pairs[:negative[0] if negative.size
+                                        else pairs.size])
+    tau = max(-1.0 + 2.0 * pairs.sum(), 1.0 / np.log10(m * n))
+    return float(m * n / tau)
+
+
+def _split_halves(series):
+    """The (2 * chains, half) split chains of a (chains, draws) series (the
+    middle draw of an odd length dropped); None below two draws a half."""
     x = np.atleast_2d(np.asarray(series, dtype=float))
     half = x.shape[1] // 2
     if half < 2:
-        return float("nan")
-    halves = np.concatenate([x[:, :half], x[:, -half:]])
-    folded = np.abs(halves - np.median(halves))
-    return max(_rhat(_normal_scores(halves)), _rhat(_normal_scores(folded)))
+        return None
+    return np.concatenate([x[:, :half], x[:, -half:]])
 
 
 def _normal_scores(x):
@@ -215,8 +261,9 @@ def pcn_chain(tensor, n_samples, seed, beta=None, burn_frac=0.1, thin=None,
 
     The samples are chain-major, each chain's n_per = ceil(n_samples / C)
     draws contiguous, trimmed to n_samples rows, so a lag in the returned
-    series is a lag within one chain.  iact is the mean per-chain value and
-    rhat the split-R-hat of the (C, n_per) energy series.
+    series is a lag within one chain.  iact is the mean per-chain value;
+    rhat and ess_bulk are the split-R-hat and the bulk ESS of the
+    (C, n_per) energy series.
     """
     n_chains = max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS))
     n_per = -(-n_samples // n_chains)
@@ -244,7 +291,7 @@ def pcn_chain(tensor, n_samples, seed, beta=None, burn_frac=0.1, thin=None,
         coeffs=coeffs.reshape(-1, tensor.n_modes)[:n_samples], method="pcn",
         acc_rate=accepted / (n_per * thin * n_chains), beta=beta, thin=thin,
         burn=burn, iact=_mean_iact(series), seed=seed, n_chains=n_chains,
-        rhat=split_rhat(series))
+        rhat=split_rhat(series), ess_bulk=bulk_ess(series))
 
 
 def _mean_iact(series):

@@ -4,14 +4,19 @@ A report is a flat list of check records, each carrying a status in
 {pass, fail, info}; "info" marks measurements that are reported rather
 than adjudicated.  Field order in the JSON is fixed so reports diff
 cleanly across runs.  Large numeric tables never go inline; they are
-written as CSV sidecars next to the JSON file.
+written as CSV sidecars next to the JSON file.  A sidecar is streamed in
+blocks of rows, formatted a column at a time, and written atomically: it
+appears under its name only once its last row is written.  The bytes are
+those csv.writer would write for the same cells.
 """
 
-import csv
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -155,33 +160,66 @@ def _cell(value):
     return str(value)
 
 
-def _column(values):
-    """The cells of one column: a column of only floats is formatted in one
-    pass, anything else cell by cell."""
-    if set(map(type, values)) == {float}:
-        return list(map(float.__repr__, values))
-    return [_cell(v) for v in values]
+_BLOCK_ROWS = 2048  # rows formatted and written per step of write_table
+
+
+def _field(text, lone):
+    """A cell as csv.writer's minimal quoting writes it; a row's lone empty
+    cell is quoted so the row is not read back as blank."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return '""' if lone and not text else text
+
+
+def _column(values, lone):
+    """The written cells of one column of a block: a column of only floats
+    or only ints is formatted in one pass (no quoting can apply), anything
+    else cell by cell."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return map(repr, values)
+    if kinds == {int}:
+        return map(str, values)
+    return [_field(_cell(v), lone) for v in values]
+
+
+def _blocks(stem, header, rows):
+    """The CSV text of header and rows, one string per block of rows."""
+    width, lone = len(header), len(header) == 1
+    yield ",".join(_field(str(name), lone) for name in header) + "\r\n"
+    rows = iter(rows)
+    while block := [[row.get(name) for name in header]
+                    if isinstance(row, dict) else row
+                    for row in itertools.islice(rows, _BLOCK_ROWS)]:
+        if set(map(len, block)) != {width}:
+            raise ValueError(f"table {stem}: every row needs {width} "
+                             f"cells, one per header name")
+        columns = [_column(col, lone) for col in zip(*block)]
+        lines = map(",".join, zip(*columns)) if columns else [""] * len(block)
+        yield "\r\n".join(lines) + "\r\n"
 
 
 def write_table(out_dir, stem, header, rows):
     """Write one CSV sidecar (RFC-4180 quoting); returns its path.
 
-    rows may be sequences or mappings keyed by the header names, and every
-    row must have one cell per header name; floats are written with full
-    repr precision so reruns diff exactly.  Cells are formatted a column
-    at a time.
+    rows may be any iterable of sequences or of mappings keyed by the
+    header names, and every row must have one cell per header name; floats
+    are written with full repr precision so reruns diff exactly.  Rows are
+    taken _BLOCK_ROWS at a time into a temporary file that replaces
+    <stem>.csv only after the last one, so a refused row or a crash leaves
+    no partial sidecar; a refusal or any other exception also removes the
+    temporary file.
     """
     header = list(header)
-    table = [[row.get(name) for name in header] if isinstance(row, dict)
-             else row for row in rows]
-    if any(len(row) != len(header) for row in table):
-        raise ValueError(f"table {stem}: every row needs {len(header)} "
-                         f"cells, one per header name")
-    lines = zip(*(_column(col) for col in zip(*table)))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(lines)
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(_blocks(stem, header, rows))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return path

@@ -8,10 +8,11 @@ import pytest
 
 from zdg import gibbs, interaction
 from zdg import rng as rng_mod
-from zdg.gibbs import (_adapt_beta, _normal_scores, cauchy_decay_study,
-                       chain_mean, effective_sample_size, importance_ensemble,
-                       integrated_autocorr, lr_stability_study, nelson_scan,
-                       pcn_chain, pcn_parallel, split_rhat, weighted_mean)
+from zdg.gibbs import (_adapt_beta, _normal_scores, bulk_ess,
+                       cauchy_decay_study, chain_mean, effective_sample_size,
+                       importance_ensemble, integrated_autocorr,
+                       lr_stability_study, nelson_scan, pcn_chain,
+                       pcn_parallel, split_rhat, weighted_mean)
 from zdg.interaction import (KernelSpec, assemble_interaction,
                              chaos_tail_series, interaction_energy)
 from zdg.special import logsumexp
@@ -101,6 +102,22 @@ def test_split_rhat_iid_vs_disagreeing_chains():
     scaled = iid * np.array([[1.0], [1.0], [1.0], [4.0]])
     assert split_rhat(scaled) > 1.1
     assert np.isnan(split_rhat(iid[:, :3]))
+
+
+def test_bulk_ess_iid_and_ar1_chains():
+    rng = np.random.default_rng(11)
+    chains, n = 8, 1000
+    assert bulk_ess(rng.normal(size=(chains, n))) \
+        == pytest.approx(chains * n, rel=0.25)
+    # AR(1) at rho = 0.5: tau = (1 + rho) / (1 - rho) = 3
+    noise = rng.normal(size=(chains, n))
+    ar = np.empty_like(noise)
+    ar[:, 0] = noise[:, 0] / np.sqrt(0.75)
+    for t in range(1, n):
+        ar[:, t] = 0.5 * ar[:, t - 1] + noise[:, t]
+    assert bulk_ess(ar) == pytest.approx(chains * n / 3, rel=0.25)
+    assert bulk_ess(ar[:1]) == pytest.approx(n / 3, rel=0.25)
+    assert np.isnan(bulk_ess(ar[:, :3]))
 
 
 def test_normal_scores_average_tied_ranks():
@@ -230,6 +247,50 @@ def test_pcn_parallel_matches_scalar_loop(tensor_n3):
     states, rate = _oracle_parallel(tensor_n3, 64, 30, 5, 0.4)
     assert np.array_equal(ens.coeffs, states)
     assert ens.acc_rate == rate
+
+
+@pytest.fixture(scope="module")
+def grid_tensor_n3():
+    return assemble_interaction(build_basis(2, 3, grid_size=24), GRIDK)
+
+
+@pytest.mark.parametrize("kernel", ["constant", "grid"])
+def test_in_place_sweep_is_bitwise_the_oracle_sweep(tensor_n3,
+                                                    grid_tensor_n3, kernel):
+    """pcn_chain on 8 chains and pcn_parallel on more rows than one energy
+    block, each against the same driver looping over _oracle_sweep."""
+    tensor = tensor_n3 if kernel == "constant" else grid_tensor_n3
+    ens = pcn_chain(tensor, 8 * gibbs.MIN_CHAIN_DRAWS, seed=3)
+    assert ens.n_chains == 8
+    with mock.patch.object(gibbs, "_pcn_sweep", _oracle_sweep):
+        ref = pcn_chain(tensor, 8 * gibbs.MIN_CHAIN_DRAWS, seed=3)
+    assert np.array_equal(ens.coeffs, ref.coeffs)
+    assert (ens.acc_rate, ens.beta, ens.thin, ens.rhat, ens.ess_bulk) \
+        == (ref.acc_rate, ref.beta, ref.thin, ref.rhat, ref.ess_bulk)
+    assert 1500 > interaction.BLOCK_ROWS
+    ens = pcn_parallel(tensor, 1500, 20, seed=4, beta=0.4)
+    states, rate = _oracle_parallel(tensor, 1500, 20, 4, 0.4)
+    assert np.array_equal(ens.coeffs, states)
+    assert ens.acc_rate == rate
+
+
+def test_sweep_calls_the_energy_and_the_draw_once_each(tensor_n3):
+    """One interaction_energy and one standard_complex call per sweep, both
+    looked up on their modules, where callers and tracers patch them."""
+    calls = {"energy": 0, "draw": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(gibbs, "interaction_energy",
+                           counted("energy", gibbs.interaction_energy)), \
+            mock.patch.object(rng_mod, "standard_complex",
+                              counted("draw", rng_mod.standard_complex)):
+        pcn_parallel(tensor_n3, 1500, 7, seed=4)
+    assert calls == {"energy": 8, "draw": 8}  # the prior draw, then 7 sweeps
 
 
 def test_pcn_parallel_shape_and_rate(tensor_n3):

@@ -4,10 +4,12 @@ import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zdg import report
 from zdg.cli import main
 from zdg.config import (SCHEMA, ExperimentConfig, config_from_mapping,
                         load_config, parse_config_text, resolve_threads,
@@ -485,16 +487,19 @@ def _same_table(tmp_path, header, rows):
     return open(old, "rb").read() == open(new, "rb").read()
 
 
+_MIXED_HEADER = ["name", "x", "k", "flag", "np", "gap"]
+_MIXED_ROWS = [
+    ["a,b", 0.1, 3, True, np.float64(1.5), None],
+    {"name": 'q"q', "x": float("nan"), "k": -7, "flag": False,
+     "np": np.int64(4)},
+    ("line\nbreak", -0.0, 0, np.bool_(True), np.float32(0.1), 2.5),
+    ["", 1e300, 10 ** 20, None, np.float64("inf"), "text"],
+    ["cr\rhere", 2.0, 5, False, 0.25, 1],
+]
+
+
 def test_write_table_is_bytewise_the_cell_writer_on_mixed_rows(tmp_path):
-    header = ["name", "x", "k", "flag", "np", "gap"]
-    rows = [
-        ["a,b", 0.1, 3, True, np.float64(1.5), None],
-        {"name": 'q"q', "x": float("nan"), "k": -7, "flag": False,
-         "np": np.int64(4)},
-        ("line\nbreak", -0.0, 0, np.bool_(True), np.float32(0.1), 2.5),
-        ["", 1e300, 10 ** 20, None, np.float64("inf"), "text"],
-    ]
-    assert _same_table(tmp_path, header, rows)
+    assert _same_table(tmp_path, _MIXED_HEADER, _MIXED_ROWS)
     assert _same_table(tmp_path, ["x", "k"], [[0.5, 1], [1e-310, -2]])
     assert _same_table(tmp_path, ["only"], [[None], [""], [1.0]])
     assert _same_table(tmp_path, ["x", "y"], [])
@@ -514,6 +519,76 @@ def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
                        _sample_rows(coeffs, 3, -lw, lw))
     assert _same_table(tmp_path, ["sample", "energy"] + names[:2],
                        _sample_rows(coeffs, 2, lw))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 10])
+def test_streamed_blocks_are_bytewise_the_cell_writer(tmp_path, monkeypatch,
+                                                      n):
+    """0, 1, B-1, B, B+1 and 2.5 B rows with the block size B patched to 4:
+    each block picks its own fast or cell-by-cell columns."""
+    monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
+    mixed = [_MIXED_ROWS[i % len(_MIXED_ROWS)] for i in range(n)]
+    assert _same_table(tmp_path, _MIXED_HEADER, mixed)
+    lone = [[(None, "", 1.0, "")[i % 4]] for i in range(n)]
+    assert _same_table(tmp_path, ["only"], lone)
+    assert _same_table(tmp_path, ["x", "k"],
+                       [[i / 7, i] for i in range(n)])
+    assert _same_table(tmp_path, [], [[]] * n)
+    old = _old_write_table(str(tmp_path / "old"), "g", _MIXED_HEADER,
+                           _plain_floats(mixed))
+    new = write_table(str(tmp_path / "new"), "g", _MIXED_HEADER,
+                      (row for row in mixed))
+    assert open(old, "rb").read() == open(new, "rb").read()
+
+
+def test_write_table_refusal_in_a_later_block_leaves_no_file(tmp_path,
+                                                             monkeypatch):
+    monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
+    rows = [[i, i / 3] for i in range(12)]
+    rows[9] = [9]  # third block
+    out = tmp_path / "r"
+    with pytest.raises(ValueError,
+                       match="table t: every row needs 2 cells, one per "
+                             "header name"):
+        write_table(str(out), "t", ["a", "b"], rows)
+    assert os.listdir(out) == []
+
+
+def test_write_table_failing_mid_stream_keeps_the_previous_sidecar(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
+    path = write_table(str(tmp_path), "t", ["a"], [[1], [2]])
+    before = open(path, "rb").read()
+
+    def rows():
+        for i in range(10):
+            if i == 9:
+                raise RuntimeError("source failed")
+            yield [i]
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_table(str(tmp_path), "t", ["a"], rows())
+    assert os.listdir(tmp_path) == ["t.csv"]
+    assert open(path, "rb").read() == before
+
+
+def test_gibbs_sidecar_write_memory_is_bounded(tmp_path):
+    """A 20k x 6 gibbs sidecar, rows built and written, peaks under 8 MB
+    traced: the writer holds one block of cells, never the whole table."""
+    from zdg.cli import _sample_rows
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
+    lw = rng.normal(scale=30.0, size=20000)
+    head = ["sample", "energy", "log_weight", "abs2_c0", "abs2_c1",
+            "abs2_c2"]
+    tracemalloc.start()
+    try:
+        write_table(str(tmp_path), "imp", head,
+                    _sample_rows(coeffs, 3, -lw, lw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_write_table_writes_numpy_floats_as_plain_floats(tmp_path):
@@ -553,6 +628,23 @@ def test_reports_end_with_a_process_record(tmp_path):
                                      "scipy_loaded"}
     assert process["value"]["peak_rss_mb"] > 10
     assert isinstance(process["value"]["scipy_loaded"], bool)
+
+
+def test_gibbs_and_nelson_reports_time_the_tensor_build(tmp_path):
+    cfg = _write(tmp_path / "small.cfg", "\n".join([
+        "cutoff = 4", "gibbs.ensemble_size = 512", "gibbs.kmax = 2",
+        "nelson.n_list = 4, 8", "nelson.ensemble_size = 2000", ""]))
+    out = str(tmp_path / "r")
+    for cmd, cutoff in (("gibbs-sample", 4), ("nelson-scan", 8)):
+        assert main([cmd, "--config", cfg, "--out", out, "--seed", "5"]) == 0
+        with open(os.path.join(out, cmd.replace("-", "_") + ".json")) as fh:
+            records = {r["name"]: r for r in json.load(fh)["records"]}
+        built = records["tensor_built"]
+        assert (built["status"], built["value"]) == ("info", cutoff)
+        assert built["seconds"] > 0
+        if cmd == "gibbs-sample":
+            ess = records["pcn_energy_ess_bulk"]
+            assert ess["status"] == "info" and 0 < ess["value"] < 5120
 
 
 def test_run_path_imports_no_scipy(tmp_path):
