@@ -212,7 +212,7 @@ def run_wick(cfg, rep, out_dir, args):
 def run_energy(cfg, rep, out_dir, args):
     import numpy as np
 
-    from .field import GaussianSampleSpec, gaussian_coeffs, sample_field
+    from .field import GaussianSampleSpec, gaussian_coeffs
     from .interaction import (KernelSpec, assemble_interaction,
                               grid_energy_context, interaction_energy,
                               interaction_energy_grid, kernel_node_values,

@@ -16,7 +16,7 @@ from dataclasses import make_dataclass
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
 
-# dense-tensor budget in bytes, for the config and assemble_interaction
+# byte budget of the dense oracle A and of assemble_interaction's arrays
 DEFAULT_TENSOR_BUDGET = 2 * 1024 ** 3
 
 # (config key, attribute, type tag, default); the single source of truth

@@ -73,12 +73,6 @@ def flow_energy(tensor, coeffs):
         + 0.5 * interaction_energy(tensor, coeffs)
 
 
-def vector_field(tensor, coeffs):
-    """Right-hand side of c' = -i (omega c + 2 F(c))."""
-    c = np.asarray(coeffs, dtype=complex)
-    return -1j * (tensor.lam ** 2 * c + 2.0 * nonlinearity(tensor, c))
-
-
 def _nl_part(tensor, c):
     return -2j * nonlinearity(tensor, c)
 
@@ -266,19 +260,16 @@ def vector_field_check(tensor, seed=0, n_states=5, step=1e-6):
 # ---------------------------------------------------------------------------
 # distribution-invariance test
 
-KS_EXACT_MAX = 10000  # scipy's largest sample size for the exact law
-
-
 def ks_two_sample(a, b):
-    """Two-sided two-sample KS statistic and p-value of equal-size samples.
+    """Two-sided two-sample KS statistic and exact p-value, equal sizes.
 
-    scipy.stats.ks_2samp's exact path (method "auto"), op for op, so both
-    values are bitwise scipy's: the statistic from the two ECDFs at the
-    pooled points, h = round(d n), and P(D >= h / n) by the Horner form of
-    scipy's _compute_prob_outside_square.  Where scipy leaves that path (n
-    above KS_EXACT_MAX, a probability rounding outside [0, 1], or a nan)
-    the call goes to scipy itself.  Importing scipy.stats costs about 0.9 s
-    and 40 MB, which the exact path does without.
+    scipy.stats.ks_2samp's exact path (method "exact"), op for op, at
+    every n: the statistic from the two ECDFs at the pooled points,
+    h = round(d n), and P(D >= h / n) by the Horner form of scipy's
+    _compute_prob_outside_square.  At h = 1 the Horner form can round that
+    probability, exactly 1, just above 1 (n = 5, 7, 13, 30); it is clipped
+    to 1 where scipy switches to its asymptotic law.  Otherwise both values
+    are bitwise scipy's.  NaN input is refused.
     """
     a = np.sort(a)
     b = np.sort(b)
@@ -287,8 +278,8 @@ def ks_two_sample(a, b):
         raise ValueError("the KS test here needs two nonempty samples of "
                          f"equal size, got {n} and {b.shape[0]}")
     pooled = np.concatenate([a, b])
-    if n > KS_EXACT_MAX or np.isnan(pooled).any():
-        return _scipy_ks(a, b)
+    if np.isnan(pooled).any():
+        raise ValueError("the KS test got NaN in its samples")
     diffs = (np.searchsorted(a, pooled, side="right") / n
              - np.searchsorted(b, pooled, side="right") / n)
     d_minus = np.clip(-diffs[np.argmin(diffs)], 0, 1)
@@ -304,16 +295,7 @@ def ks_two_sample(a, b):
             p1 = (n - k * h - j) * p1 / (n + k * h + j + 1)
         prob = p1 * (1.0 - prob)
         k -= 1
-    prob = 2 * prob
-    if not 0 <= prob <= 1:
-        return _scipy_ks(a, b)
-    return h * 1.0 / n, prob
-
-
-def _scipy_ks(a, b):
-    from scipy.stats import ks_2samp
-    res = ks_2samp(a, b)
-    return float(res.statistic), float(res.pvalue)
+    return h * 1.0 / n, min(2 * prob, 1.0)
 
 
 def ensemble_observables(tensor, coeffs, kmax=8, sobolev_s=-0.6):

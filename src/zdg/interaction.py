@@ -24,7 +24,7 @@ The kernel is discretized once, as one value (W, v) for every kernel kind
 nodes, and v the rank-one node vector with W = v v^T, or None when w has
 no such form (grid and file kernels).  Nothing in the studies or samplers
 touches A.  The counterterms, the batched E and F (`FactoredInteraction`)
-and the rank-one chaos series are computed from factors: the pair factor
+and the chaos series are computed from factors: the pair factor
 V = rho diag(w) v (A = V (x) V) when v exists, and otherwise the basis
 values and W on the nodes, since A itself is a quadrature sum over node
 pairs (quadrature tensor hypercontraction; Hohenstein, Parrish &
@@ -42,13 +42,14 @@ of the allocating kernels, so the results are bitwise the same.  The
 rank-one path, a few columns wide, allocates as before.
 
 The dense A is built lazily, on first read of `InteractionTensor.a`, as
-the oracle of that fast path.  It is read by the literal Wick route (on
-raw Gaussians g, c = g / lambda, the energy is the integrated fourth Wick
-monomial, and `wick_energy_literal` contracts that seven-term monomial
-against A directly), by the chaos tail series of grid kernels and by the
-tests.  The grid-space routes (`interaction_energy_grid`,
-`nonlinearity_grid`) never touch the tensor or its factors: they work on
-W and renormalize with the covariance tables of `zdg.field`.
+the oracle of the factored paths, and refused before it is allocated when
+its 8 J^4 bytes exceed the tensor's `budget_bytes`.  It is read only by the
+literal Wick route (on raw Gaussians g, c = g / lambda, the energy is the
+integrated fourth Wick monomial, and `wick_energy_literal` contracts that
+seven-term monomial against A directly) and by the tests.  The grid-space
+routes (`interaction_energy_grid`, `nonlinearity_grid`) never touch the
+tensor or its factors: they work on W and renormalize with the covariance
+tables of `zdg.field`.
 """
 
 import csv
@@ -230,9 +231,10 @@ class InteractionTensor:
     factor is the rank-one pair factor V with A = V (x) V when the kernel is
     constant or separable (None for grid kernels, whose factors are the
     basis values and kernel on the nodes).  The counterterms, the batched E
-    and F (`factored`) and the rank-one chaos series all come from those
-    factors.  The dense A is built only when `a` is read: by the literal
-    Wick route, the grid-kernel chaos series and the tests, as their oracle.
+    and F (`factored`) and the chaos series all come from those factors.
+    The dense A is built only when `a` is read, by the literal Wick route
+    and the tests, as their oracle; budget_bytes caps it, and `slice` and
+    `with_counterterms` carry the cap over.
     """
 
     dim: int
@@ -246,6 +248,7 @@ class InteractionTensor:
     a: np.ndarray = _DenseOracle()
     factor: np.ndarray = None
     basis: object = None
+    budget_bytes: int = DEFAULT_TENSOR_BUDGET
 
     @property
     def n_modes(self):
@@ -278,15 +281,16 @@ class InteractionTensor:
         j = cutoff + 1
         factor = None if self.factor is None else self.factor[:j, :j].copy()
         return _contracted(self.dim, self.lam[:j].copy(), self.kernel,
-                           factor, self.basis)
+                           factor, self.basis, self.budget_bytes)
 
 
-def _contracted(dim, lam, kernel, factor, basis):
+def _contracted(dim, lam, kernel, factor, basis, budget_bytes):
     """InteractionTensor with its counterterms contracted from the factors."""
     s, t, e0c, e0t = _counterterms(lam, kernel, factor, basis)
     return InteractionTensor(dim=dim, cutoff=lam.size - 1, s_mat=s, t_mat=t,
                              e0_const=e0c, e0_trace=e0t, lam=lam,
-                             kernel=kernel, factor=factor, basis=basis)
+                             kernel=kernel, factor=factor, basis=basis,
+                             budget_bytes=budget_bytes)
 
 
 def _counterterms(lam, kernel, factor, basis):
@@ -338,7 +342,15 @@ def _node_factors(basis, kernel, j):
 
 
 def _dense_tensor(tensor):
-    """The dense A of a tensor from its factors: J^4 memory, oracle only."""
+    """The dense A of a tensor from its factors: J^4 memory, oracle only;
+    refused before it is allocated when over the tensor's budget_bytes."""
+    need = 8 * tensor.n_modes ** 4
+    if need > tensor.budget_bytes:
+        max_cutoff = int((tensor.budget_bytes / 8) ** 0.25) - 1
+        raise ValueError(
+            f"dense interaction tensor needs {need} bytes, over the budget "
+            f"of {tensor.budget_bytes}; the largest admissible cutoff is "
+            f"{max_cutoff}")
     if tensor.factor is not None:
         return np.einsum("jk,lm->jklm", tensor.factor, tensor.factor)
     basis = tensor.basis
@@ -355,21 +367,24 @@ def _dense_tensor(tensor):
 def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
     """Interaction tensor of the basis: factors and counterterms.
 
-    Raises ValueError when the dense tensor would exceed budget_bytes, so
-    every tensor can still build its dense oracle A.
+    Raises ValueError when the largest array built here, the (K, K) node
+    kernel (tiled to (2K, 2K) by the node-path counterterms; K > J), would
+    exceed budget_bytes.  The tensor carries budget_bytes to its oracle A.
     """
-    j = basis.n_modes
-    need = 8 * j ** 4
-    if need > budget_bytes:
-        max_cutoff = int((budget_bytes / 8) ** 0.25) - 1
-        raise ValueError(
-            f"dense interaction tensor needs {need} bytes, over the budget "
-            f"of {budget_bytes}; the largest admissible cutoff is "
-            f"{max_cutoff}")
+    k = basis.grid.size
     v = kernel_node_values(kspec, basis.grid)[1]
-    factor = None if v is None else \
-        pair_density(basis) @ (basis.grid.weights * v)
-    return _contracted(basis.dim, basis.lam.copy(), kspec, factor, basis)
+    need = 8 * k * k * (1 if v is not None else 4)
+    if need > budget_bytes:
+        raise ValueError(
+            f"interaction assembly needs {need} bytes, over the budget of "
+            f"{budget_bytes}")
+    factor = None
+    if v is not None:  # one (J, K) row of the pair density at a time
+        wv = basis.grid.weights * v
+        factor = np.stack([np.einsum("ia,kia->ki", row, basis.values) @ wv
+                           for row in basis.values])
+    return _contracted(basis.dim, basis.lam.copy(), kspec, factor, basis,
+                       budget_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +509,6 @@ def quartic_form(tensor, coeffs):
 def interaction_energy(tensor, coeffs):
     """Renormalized interaction energy E(c); batched over leading axis."""
     return _by_blocks(tensor.factored.energy, coeffs)
-
-
-def log_gibbs_weight(tensor, coeffs):
-    """log of the Gibbs reweighting factor, -E(c)."""
-    return -interaction_energy(tensor, coeffs)
 
 
 def nonlinearity(tensor, coeffs):
@@ -689,19 +699,25 @@ def _rank_one_series(factor, il2):
         4.0 * frob2 * frob2
 
 
-def _dense_series(a, il2):
-    """(full series, bound) over the box [0, J)^4 of the dense A."""
-    # the two bar pairings times the two unbar pairings give the identity
-    # permutation (squared term) plus these three index shuffles
-    p1 = a.transpose(0, 3, 2, 1)
-    p2 = a.transpose(2, 1, 0, 3)
-    p3 = a.transpose(2, 3, 0, 1)
-    cross = a * (p1 + p2 + p3)
-    sq = float(np.einsum("jklm,jklm,j,k,l,m->", a, a, il2, il2, il2, il2,
-                         optimize=True))
-    cr = float(np.einsum("jklm,j,k,l,m->", cross, il2, il2, il2, il2,
-                         optimize=True))
-    return sq + cr, 4.0 * sq
+def _node_series(tensor, n):
+    """(full series, bound) over the box [0, n)^4 on the node path.
+
+    Of the three index shuffles the pairings add to the squared term, the
+    symmetries of rho and W make one the squared term and the other two
+    equal: with A scaled by 1 / lambda on every index the series is
+    2 sum A^2 + 2 sum A[j, k, l, m] A[j, m, l, k].  Both split over j; the
+    slab A[j] = rho_j W~ rho^T takes J^3 K flops in J^2 K memory.
+    """
+    b, nodes = _node_factors(tensor.basis, tensor.kernel, n)
+    b = (b / tensor.lam[:n, None]).reshape(n, 2, -1)
+    rho = np.einsum("jax,kax->jkx", b, b)  # pair density, scaled
+    q = nodes @ rho.reshape(n * n, -1).T
+    sq = cross = 0.0
+    for row in rho:
+        slab = (row @ q).reshape(n, n, n)
+        sq += float(np.sum(slab * slab))
+        cross += float(np.sum(slab * slab.T))
+    return 2.0 * (sq + cross), 4.0 * sq
 
 
 def chaos_tail_series(tensor, low_cutoff):
@@ -710,7 +726,8 @@ def chaos_tail_series(tensor, low_cutoff):
     The tail sum runs over index boxes [0, N]^4 minus [0, M]^4; evaluated as
     the difference of the two full-box sums.  Returns (exact, bound) with
     bound = 4 * sum |A|^2 / lambda-weights over the same set.  Rank-one
-    kernels sum from the factor in O(J^3); grid kernels from the dense A.
+    kernels sum from the factor in O(J^3); grid and file kernels from the
+    node factors, one slab of A at a time (`_node_series`).
     """
     n_hi = tensor.n_modes
     n_lo = low_cutoff + 1
@@ -722,7 +739,6 @@ def chaos_tail_series(tensor, low_cutoff):
         full = _rank_one_series(v, il2)
         low = _rank_one_series(v[:n_lo, :n_lo], il2[:n_lo])
     else:
-        a = tensor.a
-        full = _dense_series(a, il2)
-        low = _dense_series(a[:n_lo, :n_lo, :n_lo, :n_lo], il2[:n_lo])
+        full = _node_series(tensor, n_hi)
+        low = _node_series(tensor, n_lo)
     return full[0] - low[0], full[1] - low[1]

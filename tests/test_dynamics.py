@@ -3,7 +3,7 @@ import pytest
 
 from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
                           hamiltonian, invariance_test, mass, reversal_error,
-                          vector_field, vector_field_check)
+                          vector_field_check)
 from zdg.field import GaussianSampleSpec, gaussian_coeffs
 from zdg.interaction import KernelSpec, assemble_interaction
 from zdg.zonal import build_basis
@@ -233,8 +233,9 @@ def _ks_cases(n, rng):
     yield a, a * (1.0 + 1e-15 * rng.normal(size=n))  # D = 1/n at most
 
 
-# 5 and 30: P(D >= 1/n) rounds above 1 and scipy leaves the exact path;
-# 10001: above the exact-path size
+# 5 and 30: P(D >= 1/n) rounds above 1, where ks_two_sample clips it and
+# scipy falls back to its asymptotic law, which is 1.0 there too;
+# 10001: above the largest size scipy's method "auto" runs exactly
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 30, 256, 1024, 10001])
 def test_ks_two_sample_is_bitwise_scipy(n):
     import warnings
@@ -247,7 +248,7 @@ def test_ks_two_sample_is_bitwise_scipy(n):
         for a, b in _ks_cases(n, rng):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                want = ks_2samp(a, b)
+                want = ks_2samp(a, b, method="exact")
                 got = ks_two_sample(a, b)
             assert got == (float(want.statistic), float(want.pvalue))
 
@@ -256,6 +257,20 @@ def test_ks_two_sample_refuses_unequal_sizes():
     from zdg.dynamics import ks_two_sample
     with pytest.raises(ValueError, match="equal size"):
         ks_two_sample(np.zeros(3), np.zeros(4))
+
+
+def test_ks_two_sample_refuses_nan():
+    from zdg.dynamics import ks_two_sample
+    a = np.arange(5.0)
+    with pytest.raises(ValueError, match="NaN"):
+        ks_two_sample(a, np.where(a == 2.0, np.nan, a))
+
+
+def test_ks_two_sample_clips_the_h_one_probability_to_one():
+    from zdg.dynamics import ks_two_sample
+    for n in (5, 7, 13, 30):
+        a = np.arange(float(n))
+        assert ks_two_sample(a, a + 0.5) == (1.0 / n, 1.0)
 
 
 def test_importing_dynamics_leaves_scipy_stats_unloaded():

@@ -647,6 +647,26 @@ def test_gibbs_and_nelson_reports_time_the_tensor_build(tmp_path):
             assert ess["status"] == "info" and 0 < ess["value"] < 5120
 
 
+def test_grid_kernel_subcommands_never_build_the_dense_tensor(tmp_path):
+    from unittest import mock
+
+    from zdg import interaction
+    cfg = _write(tmp_path / "grid.cfg", "\n".join([
+        "cutoff = 4", "kernel.kind = grid", "gibbs.ensemble_size = 512",
+        "gibbs.kmax = 2", "cauchy.m_list = 2, 4",
+        "cauchy.ensemble_size = 2000", "nelson.n_list = 4, 8",
+        "nelson.ensemble_size = 2000", "flow.t_final = 0.05",
+        "invariance.ensemble_size = 64", "invariance.t_final = 0.05",
+        "invariance.dt = 0.01", "invariance.burn_steps = 20", ""]))
+    out = str(tmp_path / "r")
+    with mock.patch.object(interaction, "_dense_tensor",
+                           side_effect=AssertionError("dense A built")):
+        for cmd in ("cauchy-study", "nelson-scan", "gibbs-sample", "flow",
+                    "invariance-test"):
+            assert main([cmd, "--config", cfg, "--out", out,
+                         "--seed", "5"]) == 0, cmd
+
+
 def test_run_path_imports_no_scipy(tmp_path):
     import subprocess
     import sys

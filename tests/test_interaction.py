@@ -16,8 +16,8 @@ from zdg.field import GaussianSampleSpec, gaussian_coeffs
 from zdg.interaction import (KernelSpec, assemble_interaction,
                              chaos_tail_series, grid_energy_context,
                              interaction_energy, interaction_energy_grid,
-                             kernel_node_values, log_gibbs_weight,
-                             nonlinearity, nonlinearity_grid, pair_density,
+                             kernel_node_values, nonlinearity,
+                             nonlinearity_grid, pair_density,
                              quartic_form, wick_energy_literal,
                              wick_quartic_cov, wick_quartic_cov_enumerated)
 from zdg.zonal import analyze, build_basis, synthesize
@@ -168,8 +168,6 @@ def test_energy_offsets_at_zero_state(tensors):
     t0 = tensors["constant"].slice(0)
     assert interaction_energy(t0, np.zeros(1, dtype=complex)) \
         == pytest.approx(2.0, abs=1e-12)
-    assert log_gibbs_weight(t0, np.zeros(1, dtype=complex)) \
-        == pytest.approx(-2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["constant", "separable", "grid"])
@@ -693,10 +691,10 @@ def test_assembly_at_cutoff_64_allocates_no_dense_tensor():
     assert t.__dict__["a"] is None
 
 
-@pytest.mark.parametrize("spec", [CONSTANT, SEPARABLE])
-def test_studies_on_rank_one_kernels_never_build_the_dense_tensor(spec):
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_studies_never_build_the_dense_tensor(kind):
     from zdg.gibbs import cauchy_decay_study, nelson_scan
-    t = assemble_interaction(build_basis(2, 16, grid_size=48), spec)
+    t = oracle_tensor(2, 16, kind)
     with mock.patch.object(interaction, "_dense_tensor",
                            side_effect=AssertionError("dense A built")), \
             mock.patch.object(interaction, "BLOCK_ROWS", 200):
@@ -704,6 +702,33 @@ def test_studies_on_rank_one_kernels_never_build_the_dense_tensor(spec):
         nelson_scan(t, [4, 8, 16], 500, seed=3)
     for row in out["rows"]:
         assert 0 < row["exact"] <= row["bound"]
+
+
+def test_budget_caps_the_dense_oracle_not_the_factored_tensor():
+    from zdg.gibbs import cauchy_decay_study
+    basis = build_basis(2, 20, grid_size=56)
+    budget = 8 * 12 ** 4  # the dense A fits up to cutoff 11
+    for spec in (CONSTANT, GRIDK):
+        t = assemble_interaction(basis, spec, budget_bytes=budget)
+        out = cauchy_decay_study(t, [5, 10], 400, seed=4)
+        assert all(0 < row["exact"] <= row["bound"] for row in out["rows"])
+        g = random_coeffs(t.n_modes, seed=5)
+        for u in (t, t.slice(15), t.with_counterterms(t.s_mat, t.t_mat)):
+            with pytest.raises(ValueError,
+                               match="largest admissible cutoff is 11"):
+                u.a
+            with pytest.raises(ValueError,
+                               match="largest admissible cutoff is 11"):
+                wick_energy_literal(u, g[:u.n_modes])
+        assert t.slice(11).a.shape == (12,) * 4
+
+
+def test_assembly_refuses_what_it_would_build_over_the_budget():
+    basis = build_basis(2, 10, grid_size=44)
+    for spec, need in ((CONSTANT, 8 * 44 ** 2), (GRIDK, 32 * 44 ** 2)):
+        assemble_interaction(basis, spec, budget_bytes=need)
+        with pytest.raises(ValueError, match=f"needs {need} bytes"):
+            assemble_interaction(basis, spec, budget_bytes=need - 1)
 
 
 def test_with_counterterms_copies_without_building_the_dense_tensor():
