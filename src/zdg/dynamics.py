@@ -16,6 +16,20 @@ Integrators: an implicit midpoint rule (fixed-point iteration with the
 linear part solved exactly, preserving mass and time symmetry) and a
 Lawson exponential RK4 (exact linear phases, so the free flow is
 reproduced to roundoff).
+
+The midpoint iteration for the step midpoint m = (c + dt/2 N(m)) / denom,
+N = -2i F and denom = 1 + i dt omega / 2, starts from an extrapolated
+guess (c + dt/2 N~) / denom.  N~ extrapolates the converged nonlinear
+parts of the last steps, which their final iterations already computed:
+3 N_1 - 3 N_2 + N_3 with three kept, 2 N_1 - N_2 with two, N_1 with one
+(newest first).  With three kept, N~ is within O(dt^3) of N at the new
+midpoint, so the start is within O(dt^4) of it, against O(dt) for the
+free guess c / denom (the starting approximations of Hairer, Lubich &
+Wanner, Geometric Numerical Integration, 2nd ed., VIII.6), and a step
+needs fewer cubic-term calls.  The first step, every half step and the
+first step after a halving start free: a halving clears the history.
+The stopping test is unchanged, so the result moves only within the
+solver tolerance.
 """
 
 import logging
@@ -77,23 +91,45 @@ def _nl_part(tensor, c):
     return -2j * nonlinearity(tensor, c)
 
 
-def _midpoint_step(tensor, c, dt, cfg, counters, depth=0):
+def _extrapolated(history):
+    """Polynomial extrapolation of the last converged nonlinear parts
+    (newest first, equal steps) one step ahead."""
+    if len(history) == 3:
+        return 3.0 * history[0] - 3.0 * history[1] + history[2]
+    if len(history) == 2:
+        return 2.0 * history[0] - history[1]
+    return history[0]
+
+
+def _midpoint_step(tensor, c, dt, cfg, counters, history=None, depth=0):
     """One implicit midpoint step; splits the step on solver failure.
 
-    counters["f_evals"] and counters["halvings"] count the cubic-term
-    evaluations and the step splits.
+    The iteration starts from the extrapolated midpoint (c + dt/2 N~)/denom
+    when `history` holds the converged nonlinear parts of earlier steps,
+    and from the free guess c/denom otherwise.  A converged step pushes its
+    last nonlinear part into `history` (at most three kept); a split clears
+    it, and the half steps start free.  counters["f_evals"] and
+    counters["halvings"] count the cubic-term evaluations and the step
+    splits.
     """
     omega = tensor.lam ** 2
     denom = 1.0 + 0.5j * dt * omega
-    mid = c / denom
+    if history:
+        mid = (c + 0.5 * dt * _extrapolated(history)) / denom
+    else:
+        mid = c / denom
     scale = max(1.0, float(np.max(np.abs(c))))
     for _ in range(cfg.max_iter):
         counters["f_evals"] += 1
-        rhs = c + 0.5 * dt * _nl_part(tensor, mid)
+        nl = _nl_part(tensor, mid)
+        rhs = c + 0.5 * dt * nl
         new_mid = rhs / denom
         delta = float(np.max(np.abs(new_mid - mid)))
         mid = new_mid
         if delta <= cfg.solver_tol * scale:
+            if history is not None:
+                history.insert(0, nl)
+                del history[3:]
             return 2.0 * mid - c
     if depth >= cfg.max_halvings:
         raise RuntimeError(
@@ -101,8 +137,11 @@ def _midpoint_step(tensor, c, dt, cfg, counters, depth=0):
             f"{cfg.max_halvings} step halvings (dt={dt})")
     log.debug("midpoint solver stalled at dt=%g; halving", dt)
     counters["halvings"] += 1
-    half = _midpoint_step(tensor, c, dt / 2, cfg, counters, depth + 1)
-    return _midpoint_step(tensor, half, dt / 2, cfg, counters, depth + 1)
+    if history is not None:
+        history.clear()
+    half = _midpoint_step(tensor, c, dt / 2, cfg, counters, depth=depth + 1)
+    return _midpoint_step(tensor, half, dt / 2, cfg, counters,
+                          depth=depth + 1)
 
 
 def _lawson_rk4_step(tensor, c, dt):
@@ -137,8 +176,9 @@ def flow(tensor, coeffs0, cfg):
         raise ValueError("t_final must be an integer number of dt steps")
     counters = {"f_evals": 0, "halvings": 0}
     if cfg.integrator == "midpoint":
+        history = []
         step = lambda state, dt: _midpoint_step(tensor, state, dt, cfg,
-                                                counters)
+                                                counters, history)
     elif cfg.integrator == "lawson-rk4":
         counters["f_evals"] = 4 * n_steps
         step = lambda state, dt: _lawson_rk4_step(tensor, state, dt)
@@ -182,7 +222,11 @@ def reversal_error(tensor, coeffs0, cfg):
 
     The backward integration uses the conjugation symmetry of the flow:
     conj(c) evolved forward by t equals the conjugate of c evolved backward
-    by t, exactly, step by step, for both integrators (the tensor is real).
+    by t (the tensor is real), and both integrators keep it step by step.
+    The midpoint rule is also time-symmetric, so its round trip returns to
+    the start to solver tolerance (its iteration stops short of the exact
+    implicit step); Lawson RK4 is not, and returns only within its own
+    global error.
     """
     fwd = flow(tensor, coeffs0, cfg)
     back_cfg = replace(cfg, sample_every=0)

@@ -109,6 +109,19 @@ def integrated_autocorr(series, window_factor=6.0):
     return max(tau, 1.0)
 
 
+def _divide_by_lam(states, lam):
+    """states /= lam in place, for C-contiguous complex rows and real lam.
+
+    Bitwise numpy's complex division by lam + 0j, whose Smith branch
+    multiplies both parts by 1 / lam (the two differ only in the sign of a
+    zero part, or where a part is inf or nan): here the float view is
+    scaled by 1 / lam repeated per part, with no complex cast of lam.
+    """
+    parts = states.view(float)
+    parts *= np.repeat(1.0 / lam, 2)
+    return states
+
+
 def _pcn_sweep(tensor, states, energies, beta, gen):
     """One vectorized pCN step over all rows of states (in place).
 
@@ -116,8 +129,7 @@ def _pcn_sweep(tensor, states, energies, beta, gen):
     in the same order, written into the draw and the proposal.
     """
     n, j = states.shape
-    xi = rng_mod.standard_complex(gen, (n, j))
-    xi /= tensor.lam
+    xi = _divide_by_lam(rng_mod.standard_complex(gen, (n, j)), tensor.lam)
     xi *= beta
     proposal = np.sqrt(1.0 - beta ** 2) * states
     proposal += xi
@@ -138,8 +150,8 @@ def _advance(tensor, states, energies, beta, gen, sweeps):
 
 def _prior_states(tensor, gen, n_rows):
     """n_rows independent prior draws and their energies."""
-    states = rng_mod.standard_complex(gen, (n_rows, tensor.n_modes)) \
-        / tensor.lam
+    states = _divide_by_lam(
+        rng_mod.standard_complex(gen, (n_rows, tensor.n_modes)), tensor.lam)
     return states, interaction_energy(tensor, states)
 
 
@@ -335,9 +347,8 @@ def _study_energies(tensor, slices, n_samples, seed, label):
     energies = {n: np.empty(n_samples) for n in slices}
     block = interaction.BLOCK_ROWS
     for lo in range(0, n_samples, block):
-        c = rng_mod.standard_complex(
-            gen, (min(block, n_samples - lo), tensor.n_modes))
-        c /= tensor.lam
+        c = _divide_by_lam(rng_mod.standard_complex(
+            gen, (min(block, n_samples - lo), tensor.n_modes)), tensor.lam)
         for n, t in slices.items():
             energies[n][lo:lo + block] = interaction_energy(
                 t, c[:, :t.n_modes])

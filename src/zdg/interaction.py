@@ -31,15 +31,19 @@ pairs (quadrature tensor hypercontraction; Hohenstein, Parrish &
 Martinez, J. Chem. Phys. 137, 044103, 2012).
 
 On the node path (grid and file kernels) the batched E and F write their
-temporaries (P = c @ [B | S + T], the squares of psi, q, u = q W~ and the
-cubic's u psi) into work buffers: one set per thread, shared by every
-tensor, so concurrent callers stay correct.  Each buffer grows to the
-largest rows x width a call on the thread has needed (at most BLOCK_ROWS
-rows) and is handed out as a C-contiguous leading view that lives only
-for that call.  A warm call allocates only its result, and every result is
-a fresh array, never a view of a buffer.  The arithmetic is op for op that
-of the allocating kernels, so the results are bitwise the same.  The
-rank-one path, a few columns wide, allocates as before.
+temporaries into work buffers: psi = c B and the counterterm product
+c (S + T), each from its own matmul; the squares of psi, q and u = q W~;
+and the complex copy of u by which the cubic scales psi in place.  There
+is one set per thread, shared by every tensor, so concurrent callers stay
+correct.  Each buffer grows to the largest rows x width a call on the
+thread has needed (at most BLOCK_ROWS rows) and is handed out as a
+C-contiguous leading view that lives only for that call.  A warm call
+allocates its result and, beside it, only the iterator buffers numpy
+takes to add the two strided spinor halves of |psi|^2 into q (about
+128 KiB); every result is a fresh array, never a view of a buffer.  The
+arithmetic is op for op that of the allocating kernels, so the results
+are bitwise the same.  The rank-one path, a few columns wide, allocates
+as before.
 
 The dense A is built lazily, on first read of `InteractionTensor.a`, as
 the oracle of the factored paths, and refused before it is allocated when
@@ -409,11 +413,12 @@ def _work(name, shape, dtype=float):
 class FactoredInteraction:
     """E and F of a tensor from factors; never touches the dense A.
 
-    Both routes start from one matmul P = c @ [L | S + T].  With a rank-one
-    pair factor (L = V, A = V (x) V) the quartic form is (c~ V c)^2 and the
-    cubic term (c~ V c) V c.  Otherwise L = B, the basis values on the
-    nodes as a (J, 2K) matrix, so psi = c B is the state on the grid and,
-    with q = |psi|^2 per node and W~ = diag(w) W diag(w),
+    With a rank-one pair factor V (A = V (x) V) every route starts from one
+    matmul P = c @ [V | S + T]; the quartic form is (c~ V c)^2 and the
+    cubic term (c~ V c) V c.  Otherwise B, the basis values on the nodes as
+    a (J, 2K) matrix, gives psi = c B, the state on the grid, and the
+    counterterm product c (S + T) is a second matmul.  With q = |psi|^2 per
+    node and W~ = diag(w) W diag(w),
 
         quartic = q . W~ q,    cubic = ((W~ q) psi) B^T,
 
@@ -428,26 +433,32 @@ class FactoredInteraction:
         st = np.zeros((j, j)) + tensor.s_mat + tensor.t_mat
         self.e0 = tensor.e0_const + tensor.e0_trace
         if tensor.factor is not None:
-            left = tensor.factor
             self.nodes = None
+            self.rank = tensor.factor.shape[1]
+            self.mat = np.concatenate([tensor.factor, st],
+                                      axis=1).astype(complex)
         else:
-            left, self.nodes = _node_factors(tensor.basis, tensor.kernel, j)
-            self.synth_t = left.T.astype(complex)
-        self.rank = left.shape[1]
-        self.mat = np.concatenate([left, st], axis=1).astype(complex)
+            b, self.nodes = _node_factors(tensor.basis, tensor.kernel, j)
+            self.synth = b.astype(complex)
+            self.synth_t = b.T.astype(complex)
+            self.counter = st.astype(complex)
 
     def _node_pass(self, c):
-        """(P, q, u) of one block on the node path, as views of this
+        """(psi, q, u) of one block on the node path, as views of this
         thread's work buffers."""
         n, k = c.shape[0], self.nodes.shape[0]
-        p = np.matmul(c, self.mat, out=_work("p", (n, self.mat.shape[1]),
-                                             complex))
-        psi = p[:, :self.rank]
+        psi = np.matmul(c, self.synth, out=_work("psi", (n, 2 * k), complex))
         sq = np.multiply(psi.real, psi.real, out=_work("sq", (n, 2 * k)))
         np.add(sq, np.multiply(psi.imag, psi.imag,
                                out=_work("sq_imag", (n, 2 * k))), out=sq)
         q = np.add(sq[:, :k], sq[:, k:], out=_work("q", (n, k)))
-        return p, q, np.matmul(q, self.nodes, out=_work("u", (n, k)))
+        return psi, q, np.matmul(q, self.nodes, out=_work("u", (n, k)))
+
+    def _counter(self, c):
+        """c (S + T) of one block, in this thread's work buffer."""
+        return np.matmul(c, self.counter,
+                         out=_work("counter", (c.shape[0], c.shape[1]),
+                                   complex))
 
     def quartic(self, c):
         if self.nodes is None:
@@ -463,8 +474,8 @@ class FactoredInteraction:
             q, lin = np.vecdot(c[:, None, :],
                                p.reshape(-1, 2, self.rank)).real.T
             return q * q - 2.0 * lin + self.e0
-        p, q, u = self._node_pass(c)
-        lin = np.vecdot(c, p[:, self.rank:]).real
+        _, q, u = self._node_pass(c)
+        lin = np.vecdot(c, self._counter(c)).real
         return np.vecdot(q, u) - 2.0 * lin + self.e0
 
     def cubic(self, c):
@@ -474,11 +485,15 @@ class FactoredInteraction:
             q = np.vecdot(c, left).real
             return q[:, None] * left - counter
         n = c.shape[0]
-        p, _, u = self._node_pass(c)
-        pot = np.multiply(p[:, :self.rank].reshape(n, 2, -1), u[:, None, :],
-                          out=_work("pot", (n, 2, u.shape[1]), complex))
-        out = pot.reshape(n, -1) @ self.synth_t
-        out -= p[:, self.rank:]
+        psi, _, u = self._node_pass(c)
+        # u psi in place, times a complex copy of u on both components:
+        # operands of one shape take numpy's loop without a cast or a
+        # buffer
+        u_c = _work("u_complex", (n, 2, u.shape[1]), complex)
+        u_c[...] = u[:, None, :]
+        np.multiply(psi, u_c.reshape(n, -1), out=psi)
+        out = psi @ self.synth_t
+        out -= self._counter(c)
         return out
 
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import zdg.dynamics as dynamics
 from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
                           hamiltonian, invariance_test, mass, reversal_error,
                           vector_field_check)
 from zdg.field import GaussianSampleSpec, gaussian_coeffs
-from zdg.interaction import KernelSpec, assemble_interaction
+from zdg.interaction import KernelSpec, assemble_interaction, nonlinearity
 from zdg.zonal import build_basis
 
 CONSTANT = KernelSpec(kind="constant", kappa=1.0)
 SEPARABLE = KernelSpec(kind="separable", profile="one_plus_cos", amplitude=1.0)
+GRIDK = KernelSpec(kind="grid", name="gaussian_angle", width=0.7)
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +22,11 @@ def tensor_const():
 @pytest.fixture(scope="module")
 def tensor_sep():
     return assemble_interaction(build_basis(2, 5, grid_size=28), SEPARABLE)
+
+
+@pytest.fixture(scope="module")
+def tensor_grid():
+    return assemble_interaction(build_basis(2, 5, grid_size=28), GRIDK)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +228,108 @@ def test_midpoint_counters_in_trajectory_meta(tensor_sep, monkeypatch,
     else:
         # eight iterations cannot reach the tolerance at this step size
         assert traj.meta["halvings"] > 0
+
+
+# --- the extrapolated midpoint start ----------------------------------------
+
+
+def _free_start_flow(tensor, c0, cfg):
+    """The midpoint flow with every step started from the free guess."""
+    counters = {"f_evals": 0, "halvings": 0}
+    c = np.asarray(c0, dtype=complex)
+    for _ in range(int(round(cfg.t_final / cfg.dt))):
+        c = dynamics._midpoint_step(tensor, c, cfg.dt, cfg, counters)
+    return c, counters
+
+
+def test_extrapolation_is_exact_on_quadratics():
+    rng = np.random.default_rng(0)
+    a, b, q = (rng.normal(size=5) for _ in range(3))
+
+    def p(k):
+        return a + b * k + q * k * k
+
+    ahead = dynamics._extrapolated([p(0.0), p(-1.0), p(-2.0)])
+    assert np.allclose(ahead, p(1.0), rtol=0, atol=1e-13)
+    assert np.allclose(dynamics._extrapolated([b, 0.0 * b]), 2.0 * b)
+    assert dynamics._extrapolated([a]) is a
+
+
+@pytest.mark.parametrize("kind", ["separable", "grid"])
+def test_extrapolated_start_matches_free_start_flows(tensor_sep, tensor_grid,
+                                                     kind):
+    tensor = {"separable": tensor_sep, "grid": tensor_grid}[kind]
+    c0 = sample_state(tensor, seed=27, size=8)
+    cfg = FlowConfig(dt=5e-3, t_final=0.5)
+    traj = flow(tensor, c0, cfg)
+    free, counters = _free_start_flow(tensor, c0, cfg)
+    assert np.max(np.abs(traj.states[-1] - free)) <= 1e-10
+    assert traj.meta["halvings"] == counters["halvings"] == 0
+    # the start saves cubic-term calls: about 8 per step become 5 or 6
+    assert traj.meta["f_evals"] < 0.8 * counters["f_evals"]
+
+
+def test_halving_clears_the_history(tensor_sep):
+    c = sample_state(tensor_sep, seed=29, size=4)
+    cfg = FlowConfig(dt=0.01, max_iter=8)  # eight iterations cannot converge
+    # a history that points the wrong way: the split must discard it
+    history = [-dynamics._nl_part(tensor_sep, c)] * 3
+    counters = {"f_evals": 0, "halvings": 0}
+    got = dynamics._midpoint_step(tensor_sep, c, cfg.dt, cfg, counters,
+                                  history)
+    assert counters["halvings"] > 0
+    assert history == []
+    free_counters = {"f_evals": 0, "halvings": 0}
+    want = dynamics._midpoint_step(tensor_sep, c, cfg.dt, cfg, free_counters)
+    # the half steps start free, so only the failed full step differs
+    assert got.tobytes() == want.tobytes()
+    assert counters["halvings"] == free_counters["halvings"]
+    # the next step starts free too, and a converged step keeps its part
+    nxt = dynamics._midpoint_step(tensor_sep, got, 1e-3, cfg, counters,
+                                  history)
+    free_nxt = dynamics._midpoint_step(tensor_sep, got, 1e-3, cfg,
+                                       free_counters)
+    assert nxt.tobytes() == free_nxt.tobytes()
+    assert len(history) == 1
+
+
+# --- an exact flow: the constant kernel -------------------------------------
+# With w = kappa, F_n = kappa (|c|^2 - tau - 1/lambda_n^2) c_n, tau the sum
+# of 1/lambda_p^2, is a diagonal phase and |c|^2 is conserved, so
+# c_n(t) = c_n(0) exp(-i t (lambda_n^2 + 2 kappa (|c|^2 - tau - 1/lambda_n^2)))
+
+KAPPA = 1.0
+
+
+def _closed_form_phase(tensor, c):
+    il2 = 1.0 / tensor.lam ** 2
+    m = np.sum(np.abs(c) ** 2, axis=-1, keepdims=True)
+    return KAPPA * (m - il2.sum() - il2)
+
+
+@pytest.mark.parametrize("cutoff", [8, 64])
+def test_constant_kernel_cubic_term_is_the_closed_form(cutoff):
+    t = assemble_interaction(build_basis(2, cutoff),
+                             KernelSpec(kind="constant", kappa=KAPPA))
+    c = sample_state(t, seed=31, size=16)
+    exact = _closed_form_phase(t, c) * c
+    got = nonlinearity(t, c)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_midpoint_converges_at_second_order_to_the_exact_flow():
+    t = assemble_interaction(build_basis(2, 8),
+                             KernelSpec(kind="constant", kappa=KAPPA))
+    c0 = sample_state(t, seed=33, size=4)
+    exact = c0 * np.exp(-1j * (t.lam ** 2 + 2.0 * _closed_form_phase(t, c0)))
+    errors = []
+    for dt in (1e-3, 5e-4):
+        cfg = FlowConfig(dt=dt, t_final=1.0)
+        err = np.max(np.abs(flow(t, c0, cfg).states[-1] - exact))
+        free, _ = _free_start_flow(t, c0, cfg)
+        assert abs(err - np.max(np.abs(free - exact))) <= 1e-10
+        errors.append(err)
+    assert 3.8 < errors[0] / errors[1] < 4.2
 
 
 def _ks_cases(n, rng):

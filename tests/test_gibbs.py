@@ -274,6 +274,18 @@ def test_in_place_sweep_is_bitwise_the_oracle_sweep(tensor_n3,
     assert ens.acc_rate == rate
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_division_by_lam_is_bitwise_numpys_complex_division(dim):
+    lam = np.arange(65) + dim / 2.0  # the zonal eigenvalues n + dim / 2
+    gen = rng_mod.derive_rng(5, "test.divide_by_lam")
+    for rows, j in ((1024, 65), (64, 9), (1, 4)):
+        g = rng_mod.standard_complex(gen, (rows, j))
+        want = g / lam[:j]
+        got = gibbs._divide_by_lam(g, lam[:j])
+        assert got is g
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sweep_calls_the_energy_and_the_draw_once_each(tensor_n3):
     """One interaction_energy and one standard_complex call per sweep, both
     looked up on their modules, where callers and tracers patch them."""

@@ -298,8 +298,9 @@ class _AllocatingNodeKernels:
     buffers, verbatim: every call allocates its temporaries."""
 
     def __init__(self, factored):
-        self.mat, self.rank, self.e0 = (factored.mat, factored.rank,
-                                        factored.e0)
+        # P = c @ [B | S + T] was one matmul then
+        self.mat = np.concatenate([factored.synth, factored.counter], axis=1)
+        self.rank, self.e0 = factored.synth.shape[1], factored.e0
         self.nodes, self.synth_t = factored.nodes, factored.synth_t
 
     def _density(self, psi):
@@ -362,6 +363,58 @@ def test_node_path_buffers_are_bitwise_the_allocating_kernels(kind):
                     assert got.dtype == want.dtype
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes(), (rows, name)
+
+
+_work = interaction._work  # the per-thread buffers the kernels share
+
+
+class _SingleMatmulNodeKernels(_AllocatingNodeKernels):
+    """The buffered node-path kernels as they were while psi and the
+    counterterm product came from one matmul P = c @ [B | S + T] and the
+    cubic multiplied psi by the real u, verbatim."""
+
+    def _node_pass(self, c):
+        n, k = c.shape[0], self.nodes.shape[0]
+        p = np.matmul(c, self.mat, out=_work("p", (n, self.mat.shape[1]),
+                                             complex))
+        psi = p[:, :self.rank]
+        sq = np.multiply(psi.real, psi.real, out=_work("sq", (n, 2 * k)))
+        np.add(sq, np.multiply(psi.imag, psi.imag,
+                               out=_work("sq_imag", (n, 2 * k))), out=sq)
+        q = np.add(sq[:, :k], sq[:, k:], out=_work("q", (n, k)))
+        return p, q, np.matmul(q, self.nodes, out=_work("u", (n, k)))
+
+    def quartic(self, c):
+        _, q, u = self._node_pass(c)
+        return np.vecdot(q, u)
+
+    def energy(self, c):
+        p, q, u = self._node_pass(c)
+        lin = np.vecdot(c, p[:, self.rank:]).real
+        return np.vecdot(q, u) - 2.0 * lin + self.e0
+
+    def cubic(self, c):
+        n = c.shape[0]
+        p, _, u = self._node_pass(c)
+        pot = np.multiply(p[:, :self.rank].reshape(n, 2, -1), u[:, None, :],
+                          out=_work("pot", (n, 2, u.shape[1]), complex))
+        out = pot.reshape(n, -1) @ self.synth_t
+        out -= p[:, self.rank:]
+        return out
+
+
+@pytest.mark.parametrize("kind", ["grid", "matrix"])
+@pytest.mark.parametrize("rows", [256, 1024, 2500])
+def test_two_matmul_node_kernels_are_bitwise_the_single_matmul_ones(kind,
+                                                                   rows):
+    t = fresh_node_tensor(kind, dim=2, cutoff=8)
+    ref = _SingleMatmulNodeKernels(t.factored)
+    c = random_coeffs(t.n_modes, size=rows, seed=rows) / t.lam
+    for route, name in NODE_ROUTES:
+        want = _blockwise(getattr(ref, name), c, interaction.BLOCK_ROWS)
+        got = route(t, c)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (rows, name)
 
 
 def test_node_path_results_are_fresh_arrays():
@@ -448,6 +501,32 @@ def test_node_path_warm_calls_allocate_only_their_results():
     # results (39 KB) and numpy's ufunc buffers for strided operands
     assert f.nbytes + e.nbytes < 40_000
     assert peak < 400_000
+
+
+def _warm_peak(route, t, c):
+    """Traced peak bytes of a warm call, and its result."""
+    route(t, c)
+    tracemalloc.start()
+    try:
+        out = route(t, c)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows", [64, 256])
+def test_node_path_warm_cubic_term_casts_nothing(rows):
+    # psi is scaled by a complex copy of u held in a work buffer.  Casting
+    # the real u on every call took numpy scratch as large as psi, and a
+    # warm 256-row call peaked at about 264 KB.  Beyond the node pass the
+    # quartic form shares (its largest scratch is the iterator buffers of
+    # the strided q sum) the cubic term may allocate only its result.
+    t = fresh_node_tensor(dim=2, cutoff=8)  # 32 nodes, as invariance-grid
+    c = random_coeffs(t.n_modes, size=rows, seed=9) / t.lam
+    peak, f = _warm_peak(nonlinearity, t, c)
+    shared, _ = _warm_peak(quartic_form, t, c)
+    assert peak <= shared + f.nbytes
+    assert peak <= 160_000
 
 
 def test_wick_monomial_is_centered(basis, tensors):
