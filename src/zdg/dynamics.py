@@ -208,8 +208,13 @@ def flow(tensor, coeffs0, cfg):
         for i in range(len(times)):
             hi[i] = hi0 * phases[i]
         states = np.concatenate([states, hi], axis=-1)
-    ham = np.stack([hamiltonian(tensor, s[..., :n_low]) for s in states])
-    fen = np.stack([flow_energy(tensor, s[..., :n_low]) for s in states])
+    # K and E once per record; the same operations as `hamiltonian` and
+    # `flow_energy`, so the records are bitwise theirs
+    kin = np.stack([quadratic_energy(tensor, s[..., :n_low]) for s in states])
+    pot = np.stack([interaction_energy(tensor, s[..., :n_low])
+                    for s in states])
+    ham = 0.5 * kin + 0.25 * pot
+    fen = 0.5 * kin + 0.5 * pot
     mss = np.stack([mass(s) for s in states])
     return Trajectory(times=times, states=states, hamiltonian=ham,
                       flow_energy=fen, mass=mss,

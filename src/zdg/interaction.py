@@ -42,18 +42,29 @@ allocates its result and, beside it, only the iterator buffers numpy
 takes to add the two strided spinor halves of |psi|^2 into q (about
 128 KiB); every result is a fresh array, never a view of a buffer.  The
 arithmetic is op for op that of the allocating kernels, so the results
-are bitwise the same.  The rank-one path, a few columns wide, allocates
-as before.
+are bitwise the same.
+
+On the rank-one path (constant and separable kernels) E and the quartic
+form run in the eigenbasis of M = D^1/2 V D^1/2, with D = diag(1 /
+lambda^2): c~ V c is the weighted sum e . mu of the squared moduli e of
+w = c diag(lambda) U, and the counterterm form c~ (S + T) c is e . h.
+For the tensor's own counterterms h = tau mu + mu^2 (tau = tr M), so on
+raw Gaussians E = X^2 - 2 Y - tr M^2 with X = sum mu (e - 1) and
+Y = sum mu^2 (e - 1), e i.i.d. Exp(1) under the prior.  w is one real
+matmul of the interleaved float view of c, half the flops of a complex
+product; the temporaries are the (rows, 2J) real w and its two-column
+contraction, allocated per call.  The cubic term stays one complex matmul
+c @ [V | S + T]: in the eigenbasis it would need two J x J products.
 
 The dense A is built lazily, on first read of `InteractionTensor.a`, as
 the oracle of the factored paths, and refused before it is allocated when
 its 8 J^4 bytes exceed the tensor's `budget_bytes`.  It is read only by the
 literal Wick route (on raw Gaussians g, c = g / lambda, the energy is the
 integrated fourth Wick monomial, and `wick_energy_literal` contracts that
-seven-term monomial against A directly) and by the tests.  The grid-space
-routes (`interaction_energy_grid`, `nonlinearity_grid`) never touch the
-tensor or its factors: they work on W and renormalize with the covariance
-tables of `zdg.field`.
+seven-term monomial against A directly, one j-slab at a time) and by the
+tests.  The grid-space routes (`interaction_energy_grid`,
+`nonlinearity_grid`) never touch the tensor or its factors: they work on
+W and renormalize with the covariance tables of `zdg.field`.
 """
 
 import csv
@@ -413,12 +424,22 @@ def _work(name, shape, dtype=float):
 class FactoredInteraction:
     """E and F of a tensor from factors; never touches the dense A.
 
-    With a rank-one pair factor V (A = V (x) V) every route starts from one
-    matmul P = c @ [V | S + T]; the quartic form is (c~ V c)^2 and the
-    cubic term (c~ V c) V c.  Otherwise B, the basis values on the nodes as
-    a (J, 2K) matrix, gives psi = c B, the state on the grid, and the
-    counterterm product c (S + T) is a second matmul.  With q = |psi|^2 per
-    node and W~ = diag(w) W diag(w),
+    With a rank-one pair factor V (A = V (x) V), E and the quartic form run
+    in the eigenbasis of M = U diag(mu) U^T (`eigenbasis`, built on first
+    use): with L = diag(lambda) U, w = c L and e = |w|^2,
+
+        quartic = (e . mu)^2,    E = (e . mu)^2 - 2 e . h + e0,
+
+    h the diagonal of G = U^T D^1/2 (S + T) D^1/2 U.  A G that is not
+    diagonal is refused.  w is the interleaved float view of c times
+    kron(L, I_2), squared in place and contracted with [mu | -2 h]
+    repeated per real and imaginary part.  The cubic term
+    (c~ V c) V c - (S + T) c comes from one matmul P = c @ [V | S + T].
+
+    Otherwise B, the basis values on the nodes as a (J, 2K) matrix, gives
+    psi = c B, the state on the grid, and the counterterm product
+    c (S + T) is a second matmul.  With q = |psi|^2 per node and
+    W~ = diag(w) W diag(w),
 
         quartic = q . W~ q,    cubic = ((W~ q) psi) B^T,
 
@@ -437,11 +458,48 @@ class FactoredInteraction:
             self.rank = tensor.factor.shape[1]
             self.mat = np.concatenate([tensor.factor, st],
                                       axis=1).astype(complex)
+            self._rank_one = (tensor.factor, st, tensor.lam)
         else:
             b, self.nodes = _node_factors(tensor.basis, tensor.kernel, j)
             self.synth = b.astype(complex)
             self.synth_t = b.T.astype(complex)
             self.counter = st.astype(complex)
+
+    @cached_property
+    def eigenbasis(self):
+        """(mu, U, h) of a rank-one tensor: M = U diag(mu) U^T and h the
+        diagonal of G = U^T D^1/2 (S + T) D^1/2 U, refused when G is not
+        diagonal to 1e-12 of its largest entry."""
+        factor, st, lam = self._rank_one
+        il2 = 1.0 / lam ** 2
+        mu, u = np.linalg.eigh(_weighted(factor, il2))
+        g = u.T @ _weighted(st, il2) @ u
+        h = g.diagonal().copy()
+        top = np.max(np.abs(g))
+        off = np.max(np.abs(g - np.diag(h)))
+        if off > 1e-12 * top:
+            raise ValueError(
+                f"S + T is not diagonal in the eigenbasis of M: off-diagonal "
+                f"{off:.3g} against {top:.3g}; the rank-one energy needs "
+                f"counterterms that commute with M")
+        return mu, u, h
+
+    @cached_property
+    def _lifted(self):
+        """kron(L, I_2), L = diag(lambda) U, and [mu | -2 h] repeated per
+        real and imaginary part: the operands of the rank-one E."""
+        mu, u, h = self.eigenbasis
+        lam = self._rank_one[2]
+        return (np.kron(lam[:, None] * u, np.eye(2)),
+                np.repeat(np.stack([mu, -2.0 * h], axis=1), 2, axis=0))
+
+    def _squares(self, c):
+        """|w|^2 per real and imaginary part, (rows, 2J), for w = c L."""
+        if c.strides[-1] != c.itemsize:  # the float view needs unit stride
+            c = np.ascontiguousarray(c)
+        w = c.view(float) @ self._lifted[0]
+        w *= w
+        return w
 
     def _node_pass(self, c):
         """(psi, q, u) of one block on the node path, as views of this
@@ -462,18 +520,16 @@ class FactoredInteraction:
 
     def quartic(self, c):
         if self.nodes is None:
-            p = c @ self.mat
-            q = np.vecdot(c, p[:, :self.rank]).real
+            q = self._squares(c) @ self._lifted[1][:, 0]
             return q * q
         _, q, u = self._node_pass(c)
         return np.vecdot(q, u)
 
     def energy(self, c):
         if self.nodes is None:
-            p = c @ self.mat
-            q, lin = np.vecdot(c[:, None, :],
-                               p.reshape(-1, 2, self.rank)).real.T
-            return q * q - 2.0 * lin + self.e0
+            # -2 h is exact, so this is bitwise q^2 - 2 e.h + e0
+            q, lin = (self._squares(c) @ self._lifted[1]).T
+            return q * q + lin + self.e0
         _, q, u = self._node_pass(c)
         lin = np.vecdot(c, self._counter(c)).real
         return np.vecdot(q, u) - 2.0 * lin + self.e0
@@ -589,28 +645,35 @@ def nonlinearity_grid(basis, ctx, values):
 def wick_energy_literal(tensor, g):
     """Integrated fourth Wick monomial on raw Gaussians, term by term.
 
-    Builds the seven-term monomial :g~_j g_k g~_l g_m: as a dense rank-4
-    array and contracts it against A / (lambda_j lambda_k lambda_l lambda_m).
-    Oracle route: independent of the counterterm contractions.
+    Builds the seven-term monomial :g~_j g_k g~_l g_m: one j-slab at a time
+    as a dense rank-3 array and contracts it against the slab of
+    A / (lambda_j lambda_k lambda_l lambda_m), so beside A the route holds
+    a few J^3 arrays.  Oracle route: independent of the counterterm
+    contractions.
     """
     g = np.asarray(g, dtype=complex)
     j = g.shape[0]
     if j != tensor.n_modes:
         raise ValueError("sample length does not match tensor cutoff")
+    a = tensor.a
     gc = np.conj(g)
     eye = np.eye(j)
     pair = np.outer(gc, g)
-    mono = np.einsum("j,k,l,m->jklm", gc, g, gc, g)
-    mono -= np.einsum("jk,lm->jklm", pair, eye)
-    mono -= np.einsum("jk,lm->jklm", eye, pair)
-    mono -= np.einsum("jm,kl->jklm", eye, np.outer(g, gc))
-    mono -= np.einsum("kl,jm->jklm", eye, pair)
-    mono += np.einsum("jk,lm->jklm", eye, eye)
-    mono += np.einsum("jm,kl->jklm", eye, eye)
     il = 1.0 / tensor.lam
-    scaled = tensor.a * il[:, None, None, None] * il[None, :, None, None] \
-        * il[None, None, :, None] * il[None, None, None, :]
-    val = np.sum(scaled * mono)
+    il3 = np.einsum("k,l,m->klm", il, il, il)
+    val = 0.0
+    for i in range(j):  # the slab of the first index
+        mono = np.einsum("k,l,m->klm", gc[i] * g, gc, g)
+        mono -= np.einsum("k,lm->klm", pair[i], eye)
+        mono -= np.einsum("k,lm->klm", eye[i], pair)
+        mono -= np.einsum("m,kl->klm", eye[i], pair.T)
+        mono -= np.einsum("kl,m->klm", eye, pair[i])
+        mono += np.einsum("k,lm->klm", eye[i], eye)
+        mono += np.einsum("m,kl->klm", eye[i], eye)
+        scaled = a[i] * il3
+        scaled *= il[i]
+        mono *= scaled
+        val += np.sum(mono)
     return complex(val)
 
 

@@ -18,9 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_log_gamma = np.vectorize(math.lgamma, otypes=[float])
-
-
 def jacobi_table(nmax, alpha, beta, z):
     """Values P_n^{(alpha, beta)}(z) for n = 0..nmax, shape (nmax+1, len(z)).
 
@@ -43,12 +40,6 @@ def jacobi_table(nmax, alpha, beta, z):
     return table
 
 
-def jacobi_eval(n, alpha, beta, z):
-    """P_n^{(alpha, beta)} at z (scalar or array)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return jacobi_table(n, alpha, beta, z)[n]
-
-
 def jacobi_deriv_table(nmax, alpha, beta, z):
     """Derivatives d/dz P_n^{(alpha, beta)}(z) for n = 0..nmax.
 
@@ -62,16 +53,6 @@ def jacobi_deriv_table(nmax, alpha, beta, z):
     n = np.arange(1, nmax + 1)
     out[1:] = 0.5 * (n + alpha + beta + 1)[:, None] * shifted
     return out
-
-
-def jacobi_norm_squared(n, alpha, beta):
-    """L^2 norm^2 of P_n^{(alpha, beta)} under (1-z)^alpha (1+z)^beta dz."""
-    n = np.asarray(n, dtype=float)
-    logh = ((alpha + beta + 1) * np.log(2.0)
-            + _log_gamma(n + alpha + 1) + _log_gamma(n + beta + 1)
-            - np.log(2 * n + alpha + beta + 1)
-            - _log_gamma(n + alpha + beta + 1) - _log_gamma(n + 1))
-    return np.exp(logh)
 
 
 def _log_beta_sym(a):

@@ -136,12 +136,6 @@ def gram_matrix(basis):
     return np.tensordot(basis.values, weighted, axes=([1, 2], [1, 2]))
 
 
-def dirac_apply_spectral(basis, values):
-    """Dirac action through the eigen decomposition: multipliers -i omega_n."""
-    coeffs = analyze(basis, values)
-    return synthesize(basis, coeffs * (-1j) * basis.omega)
-
-
 def dirac_apply_grid(basis, values):
     """Dirac action in grid space, division-free.
 

@@ -190,6 +190,25 @@ def test_trajectory_sampling_grid(tensor_const):
     assert np.allclose(traj.times, [0.0, 0.04, 0.08, 0.1])
 
 
+@pytest.mark.parametrize("size", [None, 5])
+def test_flow_evaluates_the_energy_once_per_record(tensor_sep, monkeypatch,
+                                                   size):
+    calls = []
+    real = dynamics.interaction_energy
+    monkeypatch.setattr(dynamics, "interaction_energy",
+                        lambda t, c: calls.append(1) or real(t, c))
+    cfg = FlowConfig(dt=0.01, t_final=0.1, sample_every=4)
+    traj = flow(tensor_sep, sample_state(tensor_sep, seed=4, size=size), cfg)
+    assert len(calls) == len(traj.times) == 4
+    monkeypatch.undo()
+    # the records are bitwise the two observables evaluated per state
+    for i, state in enumerate(traj.states):
+        assert np.array_equal(traj.hamiltonian[i],
+                              hamiltonian(tensor_sep, state))
+        assert np.array_equal(traj.flow_energy[i],
+                              flow_energy(tensor_sep, state))
+
+
 def test_observables_table(tensor_const):
     coeffs = sample_state(tensor_const, seed=25, size=64)
     obs = ensemble_observables(tensor_const, coeffs, kmax=3, sobolev_s=-0.6)

@@ -272,7 +272,7 @@ def test_factored_path_at_default_block_size(kind):
                           / t.lam)
 
 
-@pytest.mark.parametrize("kind", ["constant", "grid"])
+@pytest.mark.parametrize("kind", ["constant", "separable", "grid"])
 def test_slice_and_replace_rebuild_cached_factors(kind):
     t = oracle_tensor(4, 10, kind)
     c = random_coeffs(t.n_modes, size=7, seed=13) / t.lam
@@ -285,9 +285,69 @@ def test_slice_and_replace_rebuild_cached_factors(kind):
     bare = replace(t, s_mat=0, t_mat=0)
     assert bare.factored is not t.factored
     assert_matches_oracle(bare, c)
+    if t.factor is not None:  # the rank-one energy runs with h = 0
+        assert not np.any(bare.factored.eigenbasis[2])
     e_bare = interaction_energy(bare, c)
     assert np.allclose(e_bare, quartic_form(t, c) + t.e0_const + t.e0_trace,
                        rtol=1e-12)
+
+
+# --- the rank-one energy in the eigenbasis of M -----------------------------
+
+
+@pytest.mark.parametrize("kind", ["constant", "separable"])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("cutoff", [8, 24])
+def test_rank_one_energy_is_the_pathwise_eigenbasis_identity(kind, dim,
+                                                             cutoff):
+    # on raw Gaussians g (c = g / lambda), e = |g U|^2 and
+    # E = X^2 - 2 Y - tr M^2, X = sum mu (e - 1), Y = sum mu^2 (e - 1)
+    t = oracle_tensor(dim, cutoff, kind)
+    mu, u, h = t.factored.eigenbasis
+    g = random_coeffs(t.n_modes, size=16, seed=cutoff + dim)
+    e = np.abs(g @ u) ** 2
+    x = (e - 1.0) @ mu
+    y = (e - 1.0) @ mu ** 2
+    identity = x * x - 2.0 * y - np.sum(mu ** 2)
+    energy, _, e_scale, _ = dense_oracle(t, g / t.lam)
+    assert np.max(np.abs(identity - energy)) <= 1e-12 * e_scale
+    assert np.max(np.abs(interaction_energy(t, g / t.lam) - energy)) \
+        <= 1e-12 * e_scale
+    assert np.allclose(h, np.sum(mu) * mu + mu ** 2, rtol=1e-12,
+                       atol=1e-12 * np.max(np.abs(h)))
+    if kind == "separable":  # the harder case: V is not diagonal
+        assert np.max(np.abs(t.factor - np.diag(np.diag(t.factor)))) > 1e-3
+
+
+@pytest.mark.parametrize("kind", ["constant", "separable"])
+def test_rank_one_energy_is_bitwise_the_same_on_strided_states(kind):
+    # prefix views (the studies' layout) go to BLAS as they are; states
+    # without a unit last stride are copied first
+    t = oracle_tensor(2, 8, kind)
+    wide = random_coeffs(2 * t.n_modes, size=40, seed=6)
+    for view in (wide[:, :t.n_modes], wide[:, ::2], wide[:t.n_modes].T):
+        for route in (interaction_energy, quartic_form):
+            assert np.array_equal(route(t, view),
+                                  route(t, np.ascontiguousarray(view)))
+
+
+@pytest.mark.parametrize("kind", ["constant", "separable"])
+def test_rank_one_energy_refuses_counterterms_off_the_eigenbasis(kind):
+    t = oracle_tensor(2, 8, kind)
+    c = random_coeffs(t.n_modes, size=3, seed=1) / t.lam
+    s = np.asarray(t.s_mat).copy()
+    s[0, 1] += 1e-9 * np.max(np.abs(s))  # off-diagonal in G above 1e-12
+    s[1, 0] = s[0, 1]
+    skewed = t.with_counterterms(s, t.t_mat)
+    with pytest.raises(ValueError,
+                       match="not diagonal in the eigenbasis of M"):
+        interaction_energy(skewed, c)
+    with pytest.raises(ValueError,
+                       match="not diagonal in the eigenbasis of M"):
+        skewed.factored.eigenbasis
+    # the cubic term takes S + T as given and needs no eigenbasis
+    _, cubic, _, f_scale = dense_oracle(skewed, c)
+    assert np.max(np.abs(nonlinearity(skewed, c) - cubic)) <= 1e-12 * f_scale
 
 
 # --- node-path work buffers ------------------------------------------------
@@ -800,6 +860,24 @@ def test_budget_caps_the_dense_oracle_not_the_factored_tensor():
                                match="largest admissible cutoff is 11"):
                 wick_energy_literal(u, g[:u.n_modes])
         assert t.slice(11).a.shape == (12,) * 4
+
+
+def test_wick_literal_route_stays_within_the_dense_budget():
+    # the monomial is contracted one j-slab at a time, so at the largest
+    # admissible cutoff the route peaks near A itself, not at six times it
+    budget = 8 * 25 ** 4
+    t = assemble_interaction(build_basis(2, 24), CONSTANT,
+                             budget_bytes=budget)
+    g = random_coeffs(t.n_modes, seed=9)
+    tracemalloc.start()
+    try:
+        lit = wick_energy_literal(t, g)  # builds A inside the trace
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * budget
+    assert lit.real == pytest.approx(interaction_energy(t, g / t.lam),
+                                     rel=1e-11, abs=1e-9)
 
 
 def test_assembly_refuses_what_it_would_build_over_the_budget():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import comb
 
@@ -6,8 +7,26 @@ import pytest
 from scipy.special import eval_jacobi, roots_jacobi, betaln
 
 from zdg.jacobi import (QuadratureGrid, integrate, jacobi_deriv_table,
-                        jacobi_eval, jacobi_norm_squared, jacobi_table,
-                        quad_grid)
+                        jacobi_table, quad_grid)
+
+_log_gamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def jacobi_eval(n, alpha, beta, z):
+    """P_n^{(alpha, beta)} at z (scalar or array), from the table."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    return jacobi_table(n, alpha, beta, z)[n]
+
+
+def jacobi_norm_squared(n, alpha, beta):
+    """L^2 norm^2 of P_n^{(alpha, beta)} under (1-z)^alpha (1+z)^beta dz,
+    the closed form in log-gammas."""
+    n = np.asarray(n, dtype=float)
+    logh = ((alpha + beta + 1) * np.log(2.0)
+            + _log_gamma(n + alpha + 1) + _log_gamma(n + beta + 1)
+            - np.log(2 * n + alpha + beta + 1)
+            - _log_gamma(n + alpha + beta + 1) - _log_gamma(n + 1))
+    return np.exp(logh)
 
 
 def exact_jacobi_fraction(n, alpha, beta, z):
@@ -178,7 +197,6 @@ def test_quad_grid_matches_the_scipy_tridiagonal_solver(dim):
 def test_norm_squared_matches_scipy_gammaln_to_its_conditioning():
     # exp of a sum of log-gammas: each term is good to a few ulps of its
     # own size, so the two routes agree to eps times the terms' total
-    import math
     from scipy.special import gammaln
     n = np.arange(65.0)
     for dim in range(2, 9):

@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdg.jacobi import jacobi_deriv_table, jacobi_norm_squared, jacobi_table
-from zdg.zonal import (analyze, build_basis, dirac_apply_grid,
-                       dirac_apply_spectral, gram_matrix, inner, lp_norm,
-                       synthesize)
+from test_jacobi import jacobi_norm_squared
+from zdg.jacobi import jacobi_deriv_table, jacobi_table
+from zdg.zonal import (analyze, build_basis, dirac_apply_grid, gram_matrix,
+                       inner, lp_norm, synthesize)
+
+
+def dirac_apply_spectral(basis, values):
+    """Dirac action through the eigen decomposition: multipliers -i omega_n."""
+    coeffs = analyze(basis, values)
+    return synthesize(basis, coeffs * (-1j) * basis.omega)
 
 
 @pytest.fixture(scope="module")
