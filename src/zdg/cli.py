@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from . import __version__
+from . import __version__, report
 from .config import load_config, resolve_threads
 from .report import Report, write_table
 
@@ -392,17 +392,38 @@ def run_gibbs(cfg, rep, out_dir, args):
     return rep
 
 
+class _SampleRows:
+    """Sized, lazy sidecar rows; see _sample_rows."""
+
+    def __init__(self, coeffs, n_abs2, columns):
+        self.coeffs, self.n_abs2, self.columns = coeffs, n_abs2, columns
+
+    def __len__(self):
+        return self.coeffs.shape[0]
+
+    def __iter__(self):
+        import numpy as np
+        step = report._BLOCK_ROWS
+        for lo in range(0, len(self), step):
+            block = slice(lo, lo + step)
+            abs2 = [[x ** 2 for x in np.abs(self.coeffs[block, k]).tolist()]
+                    for k in range(self.n_abs2)]
+            yield from zip(range(lo, len(self)),
+                           *(col[block].tolist() for col in self.columns),
+                           *abs2)
+
+
 def _sample_rows(coeffs, n_abs2, *columns):
     """Sidecar rows: sample index, the columns, then |c_k|^2 for k < n_abs2.
 
+    The rows are sized (len is the sample count) and lazy: each pass over
+    them converts the arrays to Python floats one block of
+    report._BLOCK_ROWS rows at a time, so write_table holds one block of
+    tuples, never the whole table, and a second pass gives the same rows.
     The squares are Python floats raised by pow, bitwise the per-element
     numpy scalars; the array form ** 2 multiplies and moves last bits.
     """
-    import numpy as np
-    abs2 = [[x ** 2 for x in np.abs(coeffs[:, k]).tolist()]
-            for k in range(n_abs2)]
-    return list(zip(range(coeffs.shape[0]),
-                    *(col.tolist() for col in columns), *abs2))
+    return _SampleRows(coeffs, n_abs2, columns)
 
 
 def _load_initial_state(path, n_modes):

@@ -187,12 +187,14 @@ def split_rhat(series):
     the ranks of the distance to the median (tail).  Values near 1 mean the
     halves agree; above about 1.01 they disagree.  A single chain is
     compared with itself, half against half.  nan when a half has fewer
-    than two draws.
+    than two draws.  The median of the tail term is taken from np.partition
+    (the middle order statistic, or the mean of the two middle ones), as
+    np.median does on finite input, bitwise, without importing numpy.ma.
     """
     halves = _split_halves(series)
     if halves is None:
         return float("nan")
-    folded = np.abs(halves - np.median(halves))
+    folded = np.abs(halves - _median(halves))
     return max(_rhat(_normal_scores(halves)), _rhat(_normal_scores(folded)))
 
 
@@ -225,6 +227,16 @@ def bulk_ess(series):
                                         else pairs.size])
     tau = max(-1.0 + 2.0 * pairs.sum(), 1.0 / np.log10(m * n))
     return float(m * n / tau)
+
+
+def _median(x):
+    """np.median of a finite array: the middle order statistic, or the mean
+    of the two middle ones, from one partition."""
+    mid = x.size // 2
+    if x.size % 2:
+        return np.partition(x, mid, axis=None)[mid]
+    part = np.partition(x, [mid - 1, mid], axis=None)
+    return (part[mid - 1] + part[mid]) / 2
 
 
 def _split_halves(series):

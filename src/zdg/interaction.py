@@ -376,7 +376,15 @@ def _dense_tensor(tensor):
     wmat = kernel_node_values(tensor.kernel, basis.grid)[0]
     half = np.tensordot(b, wmat, axes=(2, 0))  # (J, J, K)
     a = np.tensordot(half, b, axes=(2, 2))
-    return 0.5 * (a + a.transpose(2, 3, 0, 1))  # exact symmetry to roundoff
+    del half
+    # exact symmetry A[p,q,r,s] = A[r,s,p,q] to roundoff, in place one slab
+    # pair at a time, so the peak stays near the 8 J^4 bytes of A
+    for p in range(j):
+        for r in range(p, j):
+            sym = 0.5 * (a[p, :, r, :] + a[r, :, p, :].T)
+            a[p, :, r, :] = sym
+            a[r, :, p, :] = sym.T
+    return a
 
 
 def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):

@@ -104,6 +104,54 @@ def test_split_rhat_iid_vs_disagreeing_chains():
     assert np.isnan(split_rhat(iid[:, :3]))
 
 
+def _old_split_rhat(series):
+    """split_rhat with its np.median tail centre, verbatim."""
+    halves = gibbs._split_halves(series)
+    if halves is None:
+        return float("nan")
+    folded = np.abs(halves - np.median(halves))
+    return max(gibbs._rhat(_normal_scores(halves)),
+               gibbs._rhat(_normal_scores(folded)))
+
+
+@pytest.mark.parametrize("draws", [1000, 1001, 1002, 1003])
+def test_split_rhat_is_bitwise_the_np_median_version(draws):
+    # draws // 2 runs over odd and even half lengths
+    rng = np.random.default_rng(draws)
+    iid = rng.normal(size=(4, draws))
+    # rejected pCN proposals repeat the previous state
+    repeats = np.repeat(rng.normal(size=(3, draws // 4 + 1)), 4,
+                        axis=1)[:, :draws]
+    drift = iid[0] + np.linspace(0.0, 3.0, draws)
+    for series in (iid, iid[:1], iid[:3], repeats, drift):
+        assert split_rhat(series) == _old_split_rhat(series)
+    for x in (iid, repeats, iid[:, :7], iid[:1, :1]):  # odd and even sizes
+        assert gibbs._median(x) == np.median(x)
+
+
+def test_pcn_chain_and_split_rhat_leave_numpy_ma_unloaded():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "from zdg.gibbs import pcn_chain, split_rhat\n"
+        "from zdg.interaction import KernelSpec, assemble_interaction\n"
+        "from zdg.zonal import build_basis\n"
+        "t = assemble_interaction(build_basis(2, 3), "
+        "KernelSpec(kind='constant', kappa=1.0))\n"
+        "ens = pcn_chain(t, 600, seed=2)\n"
+        "assert ens.rhat == ens.rhat\n"
+        "split_rhat(ens.coeffs.real.T)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"
+
+
 def test_bulk_ess_iid_and_ar1_chains():
     rng = np.random.default_rng(11)
     chains, n = 8, 1000

@@ -506,6 +506,17 @@ def test_write_table_is_bytewise_the_cell_writer_on_mixed_rows(tmp_path):
     assert _same_table(tmp_path, ["b", "f"], [[True, 1.0], [1, 2.0]])
 
 
+def test_number_tuples_with_edge_values_are_bytewise_the_cell_writer(
+        tmp_path):
+    """Rows as the gibbs sidecars give them, tuples of exact ints and
+    floats, through the all-int and all-float column formats."""
+    edge = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e16,
+            1e-05, 5e-324, -1.5e300, 0.1]
+    rows = [(i, x, -x, 10 ** 30 * (-1) ** i, i / 7)
+            for i, x in enumerate(edge)]
+    assert _same_table(tmp_path, ["i", "x", "neg", "big", "frac"], rows)
+
+
 def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
         tmp_path):
     from zdg.cli import _sample_rows
@@ -572,23 +583,50 @@ def test_write_table_failing_mid_stream_keeps_the_previous_sidecar(
     assert open(path, "rb").read() == before
 
 
-def test_gibbs_sidecar_write_memory_is_bounded(tmp_path):
-    """A 20k x 6 gibbs sidecar, rows built and written, peaks under 8 MB
-    traced: the writer holds one block of cells, never the whole table."""
+def _sidecar_peak(tmp_path, n):
+    """Traced peak bytes of building and writing an n x 6 gibbs sidecar
+    from its arrays, which are allocated before the trace."""
     from zdg.cli import _sample_rows
     rng = np.random.default_rng(3)
-    coeffs = rng.normal(size=(20000, 3)) + 1j * rng.normal(size=(20000, 3))
-    lw = rng.normal(scale=30.0, size=20000)
+    coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    lw = rng.normal(scale=30.0, size=n)
+    energy = -lw
     head = ["sample", "energy", "log_weight", "abs2_c0", "abs2_c1",
             "abs2_c2"]
     tracemalloc.start()
     try:
         write_table(str(tmp_path), "imp", head,
-                    _sample_rows(coeffs, 3, -lw, lw))
-        peak = tracemalloc.get_traced_memory()[1]
+                    _sample_rows(coeffs, 3, energy, lw))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_gibbs_sidecar_write_memory_is_bounded(tmp_path):
+    """A 20k x 6 gibbs sidecar, rows built and written, peaks under 2 MB
+    traced, and an 80k one within 0.5 MB of that: the rows are built and
+    written one block at a time, never the whole table."""
+    peak = _sidecar_peak(tmp_path, 20000)
+    assert peak < 2 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
+    big = _sidecar_peak(tmp_path, 80000)
+    assert big < peak + 2 ** 19, \
+        f"traced peak {big / 2 ** 20:.2f} MB at 80k rows, " \
+        f"{peak / 2 ** 20:.2f} MB at 20k"
+
+
+def test_sample_rows_are_sized_and_repeatable(monkeypatch):
+    from zdg.cli import _sample_rows
+    monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(6)
+    for n in (0, 3, 4, 10):
+        coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        lw = rng.normal(size=n)
+        rows = _sample_rows(coeffs, 2, -lw, lw)
+        assert len(rows) == n
+        first = list(rows)
+        assert len(first) == n
+        assert [row[0] for row in first] == list(range(n))
+        assert list(rows) == first
 
 
 def test_write_table_writes_numpy_floats_as_plain_floats(tmp_path):

@@ -880,6 +880,33 @@ def test_wick_literal_route_stays_within_the_dense_budget():
                                      rel=1e-11, abs=1e-9)
 
 
+def _old_node_dense_tensor(tensor):
+    """The node-path dense A before its in-place symmetrization, verbatim."""
+    basis = tensor.basis
+    j = tensor.n_modes
+    b = pair_density(basis)[:j, :j] * basis.grid.weights
+    wmat = kernel_node_values(tensor.kernel, basis.grid)[0]
+    half = np.tensordot(b, wmat, axes=(2, 0))  # (J, J, K)
+    a = np.tensordot(half, b, axes=(2, 2))
+    return 0.5 * (a + a.transpose(2, 3, 0, 1))  # exact symmetry to roundoff
+
+
+def test_node_path_dense_oracle_stays_within_its_budget():
+    # the half-contraction is freed and A symmetrized one slab pair at a
+    # time; with a + a.transpose alive together it peaked at 2.24 budgets
+    budget = 8 * 25 ** 4
+    t = assemble_interaction(build_basis(2, 24), GRIDK, budget_bytes=budget)
+    tracemalloc.start()
+    try:
+        a = t.a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * budget, f"peak {peak / budget:.2f} budgets"
+    assert np.array_equal(a, _old_node_dense_tensor(t))
+    assert np.array_equal(a, a.transpose(2, 3, 0, 1))
+
+
 def test_assembly_refuses_what_it_would_build_over_the_budget():
     basis = build_basis(2, 10, grid_size=44)
     for spec, need in ((CONSTANT, 8 * 44 ** 2), (GRIDK, 32 * 44 ** 2)):
