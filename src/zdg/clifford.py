@@ -47,9 +47,6 @@ class GaussianIntMatrix:
         return (np.array_equal(self.re, other.re)
                 and np.array_equal(self.im, other.im))
 
-    def to_complex(self):
-        return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-
 
 def _gi_eye(n):
     return GaussianIntMatrix(np.eye(n, dtype=np.int64),

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .zonal import synthesize
 
 
 @dataclass
@@ -33,20 +32,6 @@ def gaussian_coeffs(spec, n_modes, size=None):
 def coeffs_from_gaussians(basis, g):
     """Scale raw Gaussians to free-field coefficients c = g / lambda."""
     return np.asarray(g) / basis.lam
-
-
-def sample_field(basis, spec, size=None, return_gaussians=False):
-    """Draw free-field samples; returns grid values (..., K, 2).
-
-    With return_gaussians=True also returns (coeffs, gaussians) so callers
-    can couple estimates across cutoffs through common random numbers.
-    """
-    g = gaussian_coeffs(spec, basis.n_modes, size)
-    coeffs = coeffs_from_gaussians(basis, g)
-    values = synthesize(basis, coeffs)
-    if return_gaussians:
-        return values, coeffs, g
-    return values
 
 
 def covariance_diag(basis):

@@ -6,11 +6,11 @@ reweighting of prior draws, and preconditioned Crank-Nicolson chains whose
 proposal c' = sqrt(1 - beta^2) c + beta xi (xi a fresh prior draw) preserves
 the prior, leaving the simple acceptance ratio exp(E(c) - E(c')).  Every
 chain sampler advances all of its chains together, one vectorized sweep
-over the rows at a time.  The three studies stream their common prior
-draws in BLOCK_ROWS chunks through one core, `_study_energies`, so their
-state memory does not grow with the number of draws.  The module needs
-numpy and the standard library only: its log-sum-exp and normal scores
-come from `zdg.special`.
+over the rows at a time.  The studies stream their common prior draws
+in BLOCK_ROWS chunks and hold what they report: Nelson one block, Cauchy
+one column per M, the weight-norm study one column per cutoff.  The
+module needs numpy and the standard library only: its log-sum-exp and
+normal scores come from `zdg.special`.
 """
 
 import logging
@@ -348,23 +348,50 @@ def chain_mean(values, iact=None):
     return mean, se, tau
 
 
-def _study_energies(tensor, slices, n_samples, seed, label):
-    """{cutoff: energies} of n_samples common prior draws on every slice.
+def _study_blocks(tensor, slices, n_samples, seed, label):
+    """Energies of n_samples common prior draws on every slice, by block.
 
-    The draws come BLOCK_ROWS rows at a time, one energy block each, and
-    every slice takes a prefix view of each chunk (they share the leading
+    Yields (rows, {cutoff: energies of those rows}) for each chunk of
+    BLOCK_ROWS draws, rows being the chunk's slice of the whole stream.
+    Every slice takes a prefix view of the chunk (they share the leading
     lambdas), so the rows fall into the blocks of one all-at-once call.
     """
     gen = rng_mod.derive_rng(seed, label)
-    energies = {n: np.empty(n_samples) for n in slices}
     block = interaction.BLOCK_ROWS
     for lo in range(0, n_samples, block):
         c = _divide_by_lam(rng_mod.standard_complex(
             gen, (min(block, n_samples - lo), tensor.n_modes)), tensor.lam)
-        for n, t in slices.items():
-            energies[n][lo:lo + block] = interaction_energy(
-                t, c[:, :t.n_modes])
+        yield slice(lo, lo + block), {
+            n: interaction_energy(t, c[:, :t.n_modes])
+            for n, t in slices.items()}
+
+
+def _study_energies(tensor, slices, n_samples, seed, label):
+    """{cutoff: energies} of n_samples common prior draws on every slice."""
+    energies = {n: np.empty(n_samples) for n in slices}
+    for rows, block in _study_blocks(tensor, slices, n_samples, seed, label):
+        for n, e in block.items():
+            energies[n][rows] = e
     return energies
+
+
+def _quantiles(x, qs):
+    """np.quantile(x, qs) of a finite 1-d array, bitwise, partitioning x.
+
+    numpy's default linear method: virtual index (n - 1) q, its floor and
+    the next order statistic (both the largest from n - 1 on), and its
+    _lerp, which interpolates from the upper value where the weight is at
+    least 0.5.  x is partitioned in place, so nothing is copied, and
+    numpy.ma, which np.quantile imports, is not.
+    """
+    virtual = (x.size - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(virtual)
+    lo[virtual >= x.size - 1] = -1
+    lo = lo.astype(np.intp)
+    hi = np.where(lo == -1, -1, lo + 1)
+    x.partition(np.concatenate([lo, hi]))
+    a, b, t = x[lo], x[hi], virtual - lo
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def cauchy_decay_study(tensor, m_list, n_samples, seed,
@@ -373,25 +400,30 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed,
 
     For each M the study compares E |G_{2M} - G_M|^2 against the exact
     four-fold contraction series over the tail index box, using one common
-    Gaussian ensemble across all M (streamed by `_study_energies`, each
-    cutoff evaluated once), and fits the log-log slope of D(M) =
-    sqrt(series) against M.  Rows also carry empirical quantiles of
-    |G_{2M} - G_M| (tail curves reported, not asserted).
+    Gaussian ensemble across all M (streamed by `_study_blocks`, each
+    cutoff evaluated once, and only the |G_{2M} - G_M| column of each M
+    kept), and fits the log-log slope of D(M) = sqrt(series) against M.
+    Rows also carry empirical quantiles of |G_{2M} - G_M| (tail curves
+    reported, not asserted).
     """
     m_list = sorted(int(m) for m in m_list)
     if 2 * m_list[-1] > tensor.cutoff:
         raise ValueError("tensor cutoff must reach 2 * max(m_list)")
     slices = {n: tensor.slice(n)
               for n in sorted(set(m_list) | {2 * m for m in m_list})}
-    energies = _study_energies(tensor, slices, n_samples, seed, label)
+    adiffs = {m: np.empty(n_samples) for m in m_list}
+    for span, block in _study_blocks(tensor, slices, n_samples, seed, label):
+        for m, adiff in adiffs.items():
+            np.abs(np.subtract(block[2 * m], block[m], out=adiff[span]),
+                   out=adiff[span])
     rows = []
-    for m in m_list:
+    for m, adiff in adiffs.items():
         exact, bound = chaos_tail_series(slices[2 * m], m)
-        adiff = np.abs(energies[2 * m] - energies[m])
         diff2 = adiff ** 2
         mc = float(diff2.mean())
         se = float(diff2.std(ddof=1) / np.sqrt(n_samples))
-        q50, q90, q99 = np.quantile(adiff, [0.5, 0.9, 0.99])
+        del diff2
+        q50, q90, q99 = _quantiles(adiff, [0.5, 0.9, 0.99])
         rows.append({
             "m": m, "n": 2 * m, "exact": exact, "bound": bound,
             "mc": mc, "mc_se": se,
@@ -409,17 +441,21 @@ def nelson_scan(tensor, n_list, n_samples, seed, label="nelson.scan"):
     """Deterministic lower bounds -3 e0_const vs the sampled minimum of E.
 
     One master Gaussian stream is shared across cutoffs (streamed by
-    `_study_energies`), so minima across N are comparable.  Also fits the
-    log-log growth slope of the bound magnitude against N.
+    `_study_blocks`, one running minimum kept per cutoff), so minima
+    across N are comparable.  Also fits the log-log growth slope of the
+    bound magnitude against N.
     """
     n_list = sorted(int(n) for n in n_list)
     if n_list[-1] > tensor.cutoff:
         raise ValueError("tensor cutoff must reach max(n_list)")
     slices = {n: tensor.slice(n) for n in n_list}
-    energies = _study_energies(tensor, slices, n_samples, seed, label)
+    lows = dict.fromkeys(n_list, np.inf)
+    for _, block in _study_blocks(tensor, slices, n_samples, seed, label):
+        for n, e in block.items():
+            lows[n] = np.minimum(lows[n], e.min())
     rows = []
     for n in n_list:
-        bound, low = -3.0 * slices[n].e0_const, float(energies[n].min())
+        bound, low = -3.0 * slices[n].e0_const, float(lows[n])
         rows.append({"n": n, "bound": bound, "min": low,
                      "respects_bound": bool(low >= bound - 1e-9 * abs(bound))})
     logn = np.log(n_list)

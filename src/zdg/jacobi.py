@@ -83,10 +83,6 @@ class QuadratureGrid:
     z: np.ndarray
     weights: np.ndarray
 
-    @property
-    def degree_exact(self):
-        return 2 * self.size - 1
-
 
 def quad_grid(dim, size):
     """Golub-Welsch nodes/weights for the weight (1 - z^2)^{(dim-2)/2}.

@@ -584,6 +584,50 @@ def test_constant_cauchy_study_state_memory_is_bounded(tensor_n16):
     assert peak < 4e6  # all states at once take 5.4 MB
 
 
+@pytest.mark.parametrize("kind", ["constant", "grid"])
+def test_nelson_scan_memory_does_not_grow_with_the_draws(study_tensors,
+                                                          kind):
+    t = study_tensors[kind]
+    nelson_scan(t, [4, 8, 16], 2000, seed=3)  # the thread's node buffers
+    peaks = []
+    for draws in (20000, 80000):
+        tracemalloc.start()
+        try:
+            nelson_scan(t, [4, 8, 16], draws, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # energy arrays per cutoff would add 1.4 MB from 20k to 80k draws
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.7]),
+    np.array([2.0, 0.5]),
+    np.array([0.25, 3.0, 1.5]),
+    np.repeat([0.0, 1.0, 1.0, 2.5], 7),  # tied values
+    np.random.default_rng(9).exponential(size=100000),
+], ids=["n1", "n2", "n3", "ties", "n100000"])
+def test_partition_quantiles_are_bitwise_np_quantile(x):
+    _assert_quantiles_bitwise(x)
+
+
+def test_partition_quantiles_interpolate_down_from_above_as_numpy_does():
+    # numpy's _lerp takes b - (b - a)(1 - t) for t >= 0.5; a + (b - a) t
+    # misses its last bit on about a quarter of these arrays
+    rng = np.random.default_rng(3)
+    for size in rng.integers(1, 60, size=200):
+        _assert_quantiles_bitwise(rng.exponential(size=size))
+
+
+def _assert_quantiles_bitwise(x):
+    for qs in ([0.5, 0.9, 0.99], np.linspace(0.0, 1.0, 21)):
+        want = np.quantile(x, qs)
+        work = x.copy()
+        assert gibbs._quantiles(work, qs).tobytes() == want.tobytes()
+        assert np.array_equal(np.sort(work), np.sort(x))  # x only reordered
+
+
 def test_hypercontractivity_of_chaos_increment(tensor_n16):
     # degree-4 chaos: ||X||_4 <= 3^2 ||X||_2
     from zdg.field import GaussianSampleSpec, gaussian_coeffs

@@ -649,7 +649,8 @@ def test_write_table_refuses_rows_that_miss_the_header_width(tmp_path):
 def _small_run_config(tmp_path):
     return _write(tmp_path / "small.cfg", "\n".join([
         "cutoff = 4", "gibbs.ensemble_size = 512", "gibbs.kmax = 2",
-        "cauchy.m_list = 2, 4", "cauchy.ensemble_size = 2000", ""]))
+        "cauchy.m_list = 2, 4", "cauchy.ensemble_size = 2000",
+        "nelson.n_list = 4, 8", "nelson.ensemble_size = 2000", ""]))
 
 
 def test_reports_end_with_a_process_record(tmp_path):
@@ -706,6 +707,7 @@ def test_grid_kernel_subcommands_never_build_the_dense_tensor(tmp_path):
 
 
 def test_run_path_imports_no_scipy(tmp_path):
+    # nor numpy.ma, which np.median, np.quantile and np.unique import
     import subprocess
     import sys
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -717,14 +719,16 @@ def test_run_path_imports_no_scipy(tmp_path):
         "import zdg.cli, zdg.gibbs, zdg.dynamics, zdg.interaction, "
         "zdg.zonal\n"
         "from zdg.cli import main\n"
-        f"for cmd in ('gibbs-sample', 'cauchy-study'):\n"
+        f"for cmd in ('gibbs-sample', 'cauchy-study', 'nelson-scan'):\n"
         f"    assert main([cmd, '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy.ma' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip() == "[]"
-    for stem in ("gibbs_sample", "cauchy_study"):
+    assert run.stdout.split() == ["[]", "False"]
+    for stem in ("gibbs_sample", "cauchy_study", "nelson_scan"):
         with open(os.path.join(out, f"{stem}.json")) as fh:
             process = json.load(fh)["records"][-1]
         assert process["value"]["scipy_loaded"] is False
+
