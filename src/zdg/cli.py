@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, report
-from .config import load_config, resolve_threads
+from .config import auto_grid_size, load_config, resolve_threads
 from .report import Report, write_table
 
 log = logging.getLogger("zdg.cli")
@@ -39,7 +39,7 @@ def _build_tensor(cfg, cutoff=None):
         cutoff = cfg.cutoff
         grid_size = own_grid
     else:
-        grid_size = max(own_grid, 2 * cutoff + 16)
+        grid_size = max(own_grid, auto_grid_size(cutoff))
         if cfg.kernel_kind == "file" and grid_size != own_grid:
             _refuse_file_study(cfg, cutoff, grid_size)
     basis = build_basis(cfg.dim, cutoff, grid_size=grid_size)
@@ -56,7 +56,7 @@ def _refuse_file_study(cfg, cutoff, grid_size):
     nodes = kernel_matrix_from_csv(cfg.kernel_profile_file).shape[0]
     own_grid = cfg.effective_grid_size()
     fits = [c for c in range(cutoff)
-            if max(own_grid, 2 * c + 16) == nodes]
+            if max(own_grid, auto_grid_size(c)) == nodes]
     largest = (f"the largest admissible study cutoff is {fits[-1]}" if fits
                else "no study cutoff fits it")
     raise ValueError(
@@ -200,7 +200,7 @@ def run_wick(cfg, rep, out_dir, args):
     tensor = _build_tensor(cfg)
     g = gaussian_coeffs(GaussianSampleSpec(seed=cfg.seed, label="wick.check"),
                         tensor.n_modes, 20)
-    lit = np.array([wick_energy_literal(tensor, gi) for gi in g])
+    lit = wick_energy_literal(tensor, g)
     con = interaction_energy(tensor, g / tensor.lam)
     rel = float(np.max(np.abs(lit - con)) / max(1.0, np.max(np.abs(lit))))
     rep.add_check("energy_literal_vs_contraction", rel, 1e-9,
@@ -215,13 +215,12 @@ def run_energy(cfg, rep, out_dir, args):
     from .field import GaussianSampleSpec, gaussian_coeffs
     from .interaction import (KernelSpec, assemble_interaction,
                               grid_energy_context, interaction_energy,
-                              interaction_energy_grid, kernel_node_values,
-                              nonlinearity, nonlinearity_grid,
-                              wick_energy_literal)
+                              interaction_energy_grid, nonlinearity,
+                              nonlinearity_grid, wick_energy_literal)
     from .zonal import analyze, build_basis, synthesize
     tensor = _build_tensor(cfg)
     basis = tensor.basis
-    ctx = grid_energy_context(basis, tensor.kernel)
+    ctx = grid_energy_context(basis, tensor.wmat)
     g = gaussian_coeffs(GaussianSampleSpec(seed=cfg.seed,
                                            label="energy.states"),
                         tensor.n_modes, 50)
@@ -246,7 +245,7 @@ def run_energy(cfg, rep, out_dir, args):
                                             label="energy.pathwise"),
                          tensor.n_modes, 100)
     e_field = interaction_energy(tensor, gg / tensor.lam)
-    e_wick = np.array([wick_energy_literal(tensor, gi).real for gi in gg])
+    e_wick = wick_energy_literal(tensor, gg).real
     wscale = max(1.0, float(np.max(np.abs(e_wick))))
     rep.add_check("pathwise_energy_identity",
                   float(np.max(np.abs(e_field - e_wick))) / wscale, 1e-9,
@@ -267,9 +266,8 @@ def run_energy(cfg, rep, out_dir, args):
     r0 = float(np.exp(-interaction_energy(anchor, zero)))
     rep.add_check("vacuum_anchor_weight", abs(r0 - np.exp(-2.0)), 1e-12,
                   detail="Gibbs weight exp(-E(0)) at the same anchor")
-    mat = kernel_node_values(tensor.kernel, basis.grid)[0]
     w = basis.grid.weights
-    inner = (mat ** (cfg.q / 2)) @ w
+    inner = (tensor.wmat ** (cfg.q / 2)) @ w
     mixed = float((w @ inner ** 2) ** (1.0 / cfg.q))
     rep.add("kernel_mixed_norm", "info", value=mixed,
             detail=f"quadrature L^q_x(L^(q/2)_y) norm at q = {cfg.q}; "

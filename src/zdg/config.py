@@ -19,6 +19,12 @@ _FALSE = {"false", "no", "off", "0"}
 # byte budget of the dense oracle A and of assemble_interaction's arrays
 DEFAULT_TENSOR_BUDGET = 2 * 1024 ** 3
 
+
+def auto_grid_size(cutoff):
+    """Quadrature nodes of the automatic grid (grid_size = 0) at a cutoff."""
+    return 2 * cutoff + 16
+
+
 # (config key, attribute, type tag, default); the single source of truth
 # for parsing, the ExperimentConfig fields, and the report's config echo.
 SCHEMA = [
@@ -89,7 +95,7 @@ class _ConfigMethods:
 
     def effective_grid_size(self):
         return self.grid_size if self.grid_size > 0 \
-            else 2 * self.cutoff + 16
+            else auto_grid_size(self.cutoff)
 
     def kernel_spec(self, grid=None):
         """Build the kernel description; file kernels need the grid."""

@@ -43,6 +43,11 @@ from .interaction import interaction_energy, nonlinearity
 
 log = logging.getLogger(__name__)
 
+MAX_HALVINGS = 8  # step splits a midpoint step may take before it fails
+FD_STATES = 5  # random states of the finite-difference audit
+FD_STEP = 1e-6  # its central-difference step
+MOMENT_Z_MAX = 4.0  # the invariance test's bound on paired moment z-scores
+
 
 @dataclass
 class FlowConfig:
@@ -51,7 +56,6 @@ class FlowConfig:
     integrator: str = "midpoint"
     solver_tol: float = 1e-13
     max_iter: int = 100
-    max_halvings: int = 8
     sample_every: int = 0  # 0: record initial and final states only
 
 
@@ -131,10 +135,10 @@ def _midpoint_step(tensor, c, dt, cfg, counters, history=None, depth=0):
                 history.insert(0, nl)
                 del history[3:]
             return 2.0 * mid - c
-    if depth >= cfg.max_halvings:
+    if depth >= MAX_HALVINGS:
         raise RuntimeError(
             f"midpoint solver failed to reach {cfg.solver_tol} after "
-            f"{cfg.max_halvings} step halvings (dt={dt})")
+            f"{MAX_HALVINGS} step halvings (dt={dt})")
     log.debug("midpoint solver stalled at dt=%g; halving", dt)
     counters["halvings"] += 1
     if history is not None:
@@ -269,18 +273,19 @@ def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, kmax=8,
             "t_final": cfg.t_final, "rows": rows}
 
 
-def vector_field_check(tensor, seed=0, n_states=5, step=1e-6):
+def vector_field_check(tensor, seed=0):
     """Finite-difference audit of the cubic term against the energy.
 
     Checks per coefficient that F_m = (1/4)(d/dx_m + i d/dy_m) E (the packed
     Wirtinger gradient of E/4) and that directional derivatives satisfy
-    dE(h) = 2 Re <2F, h>.  Returns the maximal relative deviations.
+    dE(h) = 2 Re <2F, h>, on FD_STATES random states with central
+    differences of step FD_STEP.  Returns the maximal relative deviations.
     """
     gen = np.random.default_rng(seed)
     j = tensor.n_modes
     worst_grad = 0.0
     worst_dir = 0.0
-    for _ in range(n_states):
+    for _ in range(FD_STATES):
         c = (gen.normal(size=j) + 1j * gen.normal(size=j)) / tensor.lam
         f = nonlinearity(tensor, c)
         scale = max(1.0, float(np.max(np.abs(f))))
@@ -288,18 +293,18 @@ def vector_field_check(tensor, seed=0, n_states=5, step=1e-6):
         for m in range(j):
             for unit in (1.0, 1j):
                 up = c.copy()
-                up[m] += unit * step
+                up[m] += unit * FD_STEP
                 dn = c.copy()
-                dn[m] -= unit * step
+                dn[m] -= unit * FD_STEP
                 diff = (interaction_energy(tensor, up)
-                        - interaction_energy(tensor, dn)) / (2 * step)
+                        - interaction_energy(tensor, dn)) / (2 * FD_STEP)
                 packed[m] += unit * diff
         worst_grad = max(worst_grad,
                          float(np.max(np.abs(packed / 4.0 - f))) / scale)
         h = gen.normal(size=j) + 1j * gen.normal(size=j)
-        up = interaction_energy(tensor, c + step * h)
-        dn = interaction_energy(tensor, c - step * h)
-        direct = (up - dn) / (2 * step)
+        up = interaction_energy(tensor, c + FD_STEP * h)
+        dn = interaction_energy(tensor, c - FD_STEP * h)
+        direct = (up - dn) / (2 * FD_STEP)
         pairing = 2.0 * np.real(np.vdot(2.0 * f, h))
         worst_dir = max(worst_dir,
                         abs(direct - pairing) / max(1.0, abs(direct)))
@@ -363,13 +368,14 @@ def ensemble_observables(tensor, coeffs, kmax=8, sobolev_s=-0.6):
 def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha=0.01,
                     kmax=8, burn_steps=400, beta=0.4, integrator="midpoint",
                     solver_tol=1e-12, disable_counterterms=False,
-                    sobolev_s=-0.6, moment_z_max=4.0):
+                    sobolev_s=-0.6):
     """Evolve a Gibbs ensemble and compare observable laws at t=0 and t_final.
 
     The ensemble targets exp(-E) dmu via parallel pCN chains.  Each
     observable is compared with a two-sample KS test (paired members make
     the test conservative under exact invariance) at Bonferroni level
-    alpha / n_tests, plus paired z-scores for the first two moments.  With
+    alpha / n_tests, plus paired z-scores for the first two moments, each
+    at most MOMENT_Z_MAX.  With
     disable_counterterms=True the flow drops the quadratic counterterms
     (S and T) from the vector field only; the measure and the recorded
     energy observable stay those of the full model, so a detectable drift
@@ -378,8 +384,8 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha=0.01,
     ens = pcn_parallel(tensor, n_ensemble, burn_steps, seed, beta=beta)
     flow_tensor = tensor
     if disable_counterterms:
-        flow_tensor = tensor.with_counterterms(np.zeros_like(tensor.s_mat),
-                                               np.zeros_like(tensor.t_mat))
+        flow_tensor = replace(tensor, s_mat=np.zeros_like(tensor.s_mat),
+                              t_mat=np.zeros_like(tensor.t_mat))
     cfg = FlowConfig(dt=dt, t_final=t_final, integrator=integrator,
                      solver_tol=solver_tol)
     traj = flow(flow_tensor, ens.coeffs, cfg)
@@ -399,7 +405,7 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha=0.01,
             se = d.std(ddof=1) / np.sqrt(d.size)
             floor = 1e-9 * (np.std(xa) + 1e-30)
             zs.append(float(d.mean() / max(se, floor)))
-        mom_ok = bool(max(abs(z) for z in zs) <= moment_z_max)
+        mom_ok = bool(max(abs(z) for z in zs) <= MOMENT_Z_MAX)
         ok = ks_ok and mom_ok
         all_pass = all_pass and ok
         rows.append({"observable": name, "ks_stat": float(stat),

@@ -33,6 +33,18 @@ log = logging.getLogger(__name__)
 MAX_CHAINS = 64
 MIN_CHAIN_DRAWS = 256
 
+# pcn_chain's schedule: at most MAX_ADAPT_BLOCKS warm-up blocks of
+# ADAPT_BLOCK sweeps, until the block acceptance lies in ACCEPT_WINDOW; a
+# pilot of PILOT_SWEEPS sweeps for the thinning; BURN_FRAC of each chain's
+# collected span burned
+ADAPT_BLOCK = 100
+MAX_ADAPT_BLOCKS = 40
+ACCEPT_WINDOW = (0.3, 0.5)
+PILOT_SWEEPS = 500
+BURN_FRAC = 0.1
+
+SOKAL_WINDOW = 6.0  # integrated_autocorr stops once the lag k >= this * tau
+
 
 @dataclass
 class Ensemble:
@@ -63,9 +75,9 @@ def effective_sample_size(log_weights):
     return float(np.exp(2 * logsumexp(lw) - logsumexp(2 * lw)))
 
 
-def importance_ensemble(tensor, n_samples, seed, label="gibbs.importance"):
+def importance_ensemble(tensor, n_samples, seed):
     """Prior draws with log weights -E(c)."""
-    gen = rng_mod.derive_rng(seed, label)
+    gen = rng_mod.derive_rng(seed, "gibbs.importance")
     coeffs, energies = _prior_states(tensor, gen, n_samples)
     lw = -energies
     return Ensemble(coeffs=coeffs, method="importance", log_weights=lw,
@@ -83,7 +95,7 @@ def weighted_mean(values, log_weights):
     return mean, se
 
 
-def integrated_autocorr(series, window_factor=6.0):
+def integrated_autocorr(series):
     """Integrated autocorrelation time tau >= 1 (Sokal adaptive window).
 
     Convention tau = 1 + 2 sum_k rho_k, so the effective sample count of n
@@ -104,7 +116,7 @@ def integrated_autocorr(series, window_factor=6.0):
     tau = 1.0
     for k in range(1, n):
         tau += 2.0 * acf[k]
-        if k >= window_factor * tau:
+        if k >= SOKAL_WINDOW * tau:
             break
     return max(tau, 1.0)
 
@@ -155,13 +167,14 @@ def _prior_states(tensor, gen, n_rows):
     return states, interaction_energy(tensor, states)
 
 
-def _adapt_beta(tensor, states, energies, gen, beta, block, max_blocks,
-                lo=0.3, hi=0.5):
-    """Warm-up: scale beta until the block acceptance rate is in [lo, hi].
+def _adapt_beta(tensor, states, energies, gen, beta, block, max_blocks):
+    """Warm-up: scale beta until the block acceptance rate is in
+    ACCEPT_WINDOW = [lo, hi].
 
     The rate pools every row: accepted / (block * rows).  With no block run
     the rate is nan.
     """
+    lo, hi = ACCEPT_WINDOW
     rate = float("nan")
     for _ in range(max_blocks):
         accepted = _advance(tensor, states, energies, beta, gen, block)
@@ -271,9 +284,7 @@ def _rhat(chains):
     return float(np.sqrt(((n - 1) / n * within + between / n) / within))
 
 
-def pcn_chain(tensor, n_samples, seed, beta=None, burn_frac=0.1, thin=None,
-              label="gibbs.pcn", adapt_block=100, max_adapt_blocks=40,
-              pilot=500):
+def pcn_chain(tensor, n_samples, seed, beta=None, thin=None):
     """pCN chains targeting exp(-E) dmu, run side by side.
 
     max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS)) chains each start
@@ -281,7 +292,7 @@ def pcn_chain(tensor, n_samples, seed, beta=None, burn_frac=0.1, thin=None,
     at a time.  beta None triggers the adaptive warm-up (frozen afterwards);
     thin None runs a pilot segment and thins by ceil of the mean per-chain
     integrated autocorrelation time of the energy.  Burn-in discards
-    burn_frac of each chain's collected span before sampling starts.
+    BURN_FRAC of each chain's collected span before sampling starts.
 
     The samples are chain-major, each chain's n_per = ceil(n_samples / C)
     draws contiguous, trimmed to n_samples rows, so a lag in the returned
@@ -291,18 +302,18 @@ def pcn_chain(tensor, n_samples, seed, beta=None, burn_frac=0.1, thin=None,
     """
     n_chains = max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS))
     n_per = -(-n_samples // n_chains)
-    gen = rng_mod.derive_rng(seed, label)
+    gen = rng_mod.derive_rng(seed, "gibbs.pcn")
     states, energies = _prior_states(tensor, gen, n_chains)
     if beta is None:
         beta, _ = _adapt_beta(tensor, states, energies, gen, 0.5,
-                              adapt_block, max_adapt_blocks)
+                              ADAPT_BLOCK, MAX_ADAPT_BLOCKS)
     if thin is None:
-        pilot_e = np.empty((n_chains, pilot))
-        for i in range(pilot):
+        pilot_e = np.empty((n_chains, PILOT_SWEEPS))
+        for i in range(PILOT_SWEEPS):
             _advance(tensor, states, energies, beta, gen, 1)
             pilot_e[:, i] = energies
         thin = max(1, int(np.ceil(_mean_iact(pilot_e))))
-    burn = int(np.ceil(burn_frac * n_per * thin))
+    burn = int(np.ceil(BURN_FRAC * n_per * thin))
     _advance(tensor, states, energies, beta, gen, burn)
     coeffs = np.empty((n_chains, n_per, tensor.n_modes), dtype=complex)
     series = np.empty((n_chains, n_per))
@@ -323,15 +334,14 @@ def _mean_iact(series):
     return float(np.mean([integrated_autocorr(row) for row in series]))
 
 
-def pcn_parallel(tensor, n_chains, burn_steps, seed, beta=0.5,
-                 label="gibbs.pcn.parallel"):
+def pcn_parallel(tensor, n_chains, burn_steps, seed, beta=0.5):
     """Independent-members ensemble: many chains, one sample per chain.
 
     Every chain starts from its own prior draw and is burned burn_steps
     vectorized sweeps; the final states are returned.  Identical target as
     pcn_chain but with exactly independent members across rows.
     """
-    gen = rng_mod.derive_rng(seed, label)
+    gen = rng_mod.derive_rng(seed, "gibbs.pcn.parallel")
     states, energies = _prior_states(tensor, gen, n_chains)
     accepted = _advance(tensor, states, energies, beta, gen, burn_steps)
     rate = accepted / (burn_steps * n_chains) if burn_steps else 0.0
@@ -394,8 +404,7 @@ def _quantiles(x, qs):
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def cauchy_decay_study(tensor, m_list, n_samples, seed,
-                       label="cauchy.mc"):
+def cauchy_decay_study(tensor, m_list, n_samples, seed):
     """Dyadic Cauchy increments of the energy chaos, exact vs Monte Carlo.
 
     For each M the study compares E |G_{2M} - G_M|^2 against the exact
@@ -412,7 +421,8 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed,
     slices = {n: tensor.slice(n)
               for n in sorted(set(m_list) | {2 * m for m in m_list})}
     adiffs = {m: np.empty(n_samples) for m in m_list}
-    for span, block in _study_blocks(tensor, slices, n_samples, seed, label):
+    for span, block in _study_blocks(tensor, slices, n_samples, seed,
+                                     "cauchy.mc"):
         for m, adiff in adiffs.items():
             np.abs(np.subtract(block[2 * m], block[m], out=adiff[span]),
                    out=adiff[span])
@@ -437,7 +447,7 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed,
     return {"rows": rows, "slope": slope}
 
 
-def nelson_scan(tensor, n_list, n_samples, seed, label="nelson.scan"):
+def nelson_scan(tensor, n_list, n_samples, seed):
     """Deterministic lower bounds -3 e0_const vs the sampled minimum of E.
 
     One master Gaussian stream is shared across cutoffs (streamed by
@@ -450,7 +460,8 @@ def nelson_scan(tensor, n_list, n_samples, seed, label="nelson.scan"):
         raise ValueError("tensor cutoff must reach max(n_list)")
     slices = {n: tensor.slice(n) for n in n_list}
     lows = dict.fromkeys(n_list, np.inf)
-    for _, block in _study_blocks(tensor, slices, n_samples, seed, label):
+    for _, block in _study_blocks(tensor, slices, n_samples, seed,
+                                  "nelson.scan"):
         for n, e in block.items():
             lows[n] = np.minimum(lows[n], e.min())
     rows = []
@@ -464,8 +475,7 @@ def nelson_scan(tensor, n_list, n_samples, seed, label="nelson.scan"):
     return {"rows": rows, "growth_slope": slope}
 
 
-def lr_stability_study(tensor, n_list, r_list, n_samples, seed,
-                       label="lr.stability"):
+def lr_stability_study(tensor, n_list, r_list, n_samples, seed):
     """L^r norms of the Gibbs weight across cutoffs, common random numbers.
 
     log ||R_N||_r = (logsumexp(-r E_N) - log n) / r per cutoff, all on one
@@ -480,7 +490,8 @@ def lr_stability_study(tensor, n_list, r_list, n_samples, seed,
     if n_list[-1] > tensor.cutoff:
         raise ValueError("tensor cutoff must reach max(n_list)")
     slices = {n: tensor.slice(n) for n in n_list}
-    energies = _study_energies(tensor, slices, n_samples, seed, label)
+    energies = _study_energies(tensor, slices, n_samples, seed,
+                               "lr.stability")
     out = {}
     for r in r_list:
         rows = []

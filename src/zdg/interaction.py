@@ -19,16 +19,16 @@ fully-contracted constants, giving for coefficients c
     e0_const = sum_jl A[j, j, l, l] / (lambda_j lambda_l)^2
     e0_trace = sum_jk A[j, k, k, j] / (lambda_j lambda_k)^2.
 
-The kernel is discretized once, as one value (W, v) for every kernel kind
-(`kernel_node_values`): W is the (K, K) matrix of w on the quadrature
-nodes, and v the rank-one node vector with W = v v^T, or None when w has
-no such form (grid and file kernels).  Nothing in the studies or samplers
-touches A.  The counterterms, the batched E and F (`FactoredInteraction`)
-and the chaos series are computed from factors: the pair factor
-V = rho diag(w) v (A = V (x) V) when v exists, and otherwise the basis
-values and W on the nodes, since A itself is a quadrature sum over node
-pairs (quadrature tensor hypercontraction; Hohenstein, Parrish &
-Martinez, J. Chem. Phys. 137, 044103, 2012).
+The kernel is discretized once, by `assemble_interaction`, as one value
+(W, v) for every kernel kind (`kernel_node_values`): W is the (K, K)
+matrix of w on the quadrature nodes, kept on the tensor, and v the
+rank-one node vector with W = v v^T, or None (grid and file kernels).
+Nothing in the studies or samplers touches A.  The counterterms, the
+batched E and F (`FactoredInteraction`) and the chaos series are computed
+from factors: the pair factor V = rho diag(w) v (A = V (x) V) when v
+exists, and otherwise the basis values and W on the nodes, since A itself
+is a quadrature sum over node pairs (quadrature tensor hypercontraction;
+Hohenstein, Parrish & Martinez, J. Chem. Phys. 137, 044103, 2012).
 
 On the node path (grid and file kernels) the batched E and F write their
 temporaries into work buffers: psi = c B and the counterterm product
@@ -56,21 +56,21 @@ product; the temporaries are the (rows, 2J) real w and its two-column
 contraction, allocated per call.  The cubic term stays one complex matmul
 c @ [V | S + T]: in the eigenbasis it would need two J x J products.
 
-The dense A is built lazily, on first read of `InteractionTensor.a`, as
-the oracle of the factored paths, and refused before it is allocated when
-its 8 J^4 bytes exceed the tensor's `budget_bytes`.  It is read only by the
-literal Wick route (on raw Gaussians g, c = g / lambda, the energy is the
-integrated fourth Wick monomial, and `wick_energy_literal` contracts that
-seven-term monomial against A directly, one j-slab at a time) and by the
-tests.  The grid-space routes (`interaction_energy_grid`,
-`nonlinearity_grid`) never touch the tensor or its factors: they work on
-W and renormalize with the covariance tables of `zdg.field`.
+The tensor holds W and, for rank-one kernels, V; the dense A, the oracle
+of the factored paths, is built only by an explicit `dense_tensor`, and
+refused before it is allocated when its 8 J^4 bytes exceed the tensor's
+`budget_bytes`.  The literal Wick route builds it once per batch (on raw
+Gaussians g, c = g / lambda, the energy is the integrated fourth Wick
+monomial, and `wick_energy_literal` contracts it against A one j-slab at a
+time), and so do the tests.  The grid-space routes (`interaction_energy_grid`,
+`nonlinearity_grid`) never touch the tensor's factors: they work on W and
+renormalize with the covariance tables of `zdg.field`.
 """
 
 import csv
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -184,11 +184,14 @@ def kernel_matrix_to_csv(path, theta, matrix):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def kernel_matrix_from_csv(path, theta=None, rtol=1e-8):
+NODE_RTOL = 1e-8  # a kernel file's nodes against the quadrature grid
+
+
+def kernel_matrix_from_csv(path, theta=None):
     """Read a kernel file (header row of theta nodes, then K rows of K values).
 
     When theta is given the header nodes must match it to relative
-    tolerance rtol, so a file tabulated on one quadrature grid cannot be
+    tolerance NODE_RTOL, so a file tabulated on one quadrature grid cannot be
     applied silently to another.
     """
     with open(path, newline="") as fh:
@@ -208,7 +211,7 @@ def kernel_matrix_from_csv(path, theta=None, rtol=1e-8):
         mat[i] = [float(v) for v in row]
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
-        if theta.size != k or not np.allclose(nodes, theta, rtol=rtol,
+        if theta.size != k or not np.allclose(nodes, theta, rtol=NODE_RTOL,
                                               atol=1e-12):
             raise ValueError(
                 "kernel file nodes do not match the quadrature grid")
@@ -220,36 +223,17 @@ def pair_density(basis):
     return np.einsum("jia,kia->jki", basis.values, basis.values)
 
 
-class _DenseOracle:
-    """`InteractionTensor.a`: the dense A, passed in or built on first read.
-
-    A data descriptor, so `a=` stays a constructor keyword; the array lives
-    in the instance dict under the same name, None until it is built.
-    """
-
-    def __get__(self, tensor, owner=None):
-        if tensor is None:
-            return None  # the dataclass default: build on demand
-        a = tensor.__dict__.get("a")
-        if a is None:
-            a = tensor.__dict__["a"] = _dense_tensor(tensor)
-        return a
-
-    def __set__(self, tensor, value):
-        tensor.__dict__["a"] = value
-
-
 @dataclass(repr=False, eq=False)
 class InteractionTensor:
-    """Interaction of one cutoff: counterterms plus the factors of A.
+    """Interaction of one cutoff: node kernel, counterterms, factors of A.
 
-    factor is the rank-one pair factor V with A = V (x) V when the kernel is
-    constant or separable (None for grid kernels, whose factors are the
-    basis values and kernel on the nodes).  The counterterms, the batched E
-    and F (`factored`) and the chaos series all come from those factors.
-    The dense A is built only when `a` is read, by the literal Wick route
-    and the tests, as their oracle; budget_bytes caps it, and `slice` and
-    `with_counterterms` carry the cap over.
+    wmat is the (K, K) node matrix W of the kernel, discretized once by
+    `assemble_interaction` and shared by every slice.  factor is the
+    rank-one pair factor V with A = V (x) V when the kernel is constant or
+    separable (None for grid and file kernels, whose factors are the basis
+    values and W on the nodes).  The counterterms, the batched E and F
+    (`factored`) and the chaos series all come from those factors.  Plain
+    data: `dense_tensor` builds A on request, capped by budget_bytes.
     """
 
     dim: int
@@ -259,10 +243,9 @@ class InteractionTensor:
     e0_const: float
     e0_trace: float
     lam: np.ndarray
-    kernel: KernelSpec
-    a: np.ndarray = _DenseOracle()
+    wmat: np.ndarray
+    basis: object
     factor: np.ndarray = None
-    basis: object = None
     budget_bytes: int = DEFAULT_TENSOR_BUDGET
 
     @property
@@ -276,18 +259,8 @@ class InteractionTensor:
     @cached_property
     def factored(self):
         """Factors of the batched E and F; built on first use, per instance,
-        so `slice` and `with_counterterms` never see stale counterterms."""
+        so `slice` and `dataclasses.replace` never see stale counterterms."""
         return FactoredInteraction(self)
-
-    def with_counterterms(self, s_mat, t_mat):
-        """Copy with the quadratic counterterms S and T replaced.
-
-        The copy shares the dense A only if it is already built; passing it
-        explicitly keeps `dataclasses.replace` from reading `a`, which
-        would build it.
-        """
-        return replace(self, a=self.__dict__.get("a"), s_mat=s_mat,
-                       t_mat=t_mat)
 
     def slice(self, cutoff):
         """Tensor for a lower cutoff; counterterms recomputed at that cutoff."""
@@ -295,20 +268,20 @@ class InteractionTensor:
             raise ValueError("can only slice to a smaller cutoff")
         j = cutoff + 1
         factor = None if self.factor is None else self.factor[:j, :j].copy()
-        return _contracted(self.dim, self.lam[:j].copy(), self.kernel,
-                           factor, self.basis, self.budget_bytes)
+        return _contracted(self.dim, self.lam[:j].copy(), self.wmat, factor,
+                           self.basis, self.budget_bytes)
 
 
-def _contracted(dim, lam, kernel, factor, basis, budget_bytes):
+def _contracted(dim, lam, wmat, factor, basis, budget_bytes):
     """InteractionTensor with its counterterms contracted from the factors."""
-    s, t, e0c, e0t = _counterterms(lam, kernel, factor, basis)
+    s, t, e0c, e0t = _counterterms(lam, wmat, factor, basis)
     return InteractionTensor(dim=dim, cutoff=lam.size - 1, s_mat=s, t_mat=t,
-                             e0_const=e0c, e0_trace=e0t, lam=lam,
-                             kernel=kernel, factor=factor, basis=basis,
+                             e0_const=e0c, e0_trace=e0t, lam=lam, wmat=wmat,
+                             factor=factor, basis=basis,
                              budget_bytes=budget_bytes)
 
 
-def _counterterms(lam, kernel, factor, basis):
+def _counterterms(lam, wmat, factor, basis):
     """S, T, e0_const and e0_trace from the factors, never from A.
 
     With D = diag(1 / lambda^2) and a rank-one A = V (x) V,
@@ -329,7 +302,7 @@ def _counterterms(lam, kernel, factor, basis):
         m = _weighted(factor, il2)
         return (factor * trace, (factor * il2) @ factor, trace * trace,
                 float(np.sum(m * m)))
-    b, nodes = _node_factors(basis, kernel, lam.size)
+    b, nodes = _node_factors(basis, wmat, lam.size)
     k = nodes.shape[0]
     cov = (b.T * il2) @ b
     sigma = cov.diagonal()[:k] + cov.diagonal()[k:]
@@ -345,18 +318,15 @@ def _weighted(factor, il2):
     return half[:, None] * factor * half
 
 
-def _node_factors(basis, kernel, j):
+def _node_factors(basis, wmat, j):
     """B, the (J, 2K) values of the first j modes on the nodes (component 0
     on every node, then component 1), and W~ = diag(w) W diag(w)."""
-    if basis is None:
-        raise ValueError("a tensor without a pair factor needs its basis")
     b = basis.values[:j].transpose(0, 2, 1).reshape(j, -1)
     w = basis.grid.weights
-    wmat = kernel_node_values(kernel, basis.grid)[0]
     return b, w[:, None] * wmat * w
 
 
-def _dense_tensor(tensor):
+def dense_tensor(tensor):
     """The dense A of a tensor from its factors: J^4 memory, oracle only;
     refused before it is allocated when over the tensor's budget_bytes."""
     need = 8 * tensor.n_modes ** 4
@@ -369,12 +339,9 @@ def _dense_tensor(tensor):
     if tensor.factor is not None:
         return np.einsum("jk,lm->jklm", tensor.factor, tensor.factor)
     basis = tensor.basis
-    if basis is None:
-        raise ValueError("a tensor without a pair factor needs its basis")
     j = tensor.n_modes
     b = pair_density(basis)[:j, :j] * basis.grid.weights
-    wmat = kernel_node_values(tensor.kernel, basis.grid)[0]
-    half = np.tensordot(b, wmat, axes=(2, 0))  # (J, J, K)
+    half = np.tensordot(b, tensor.wmat, axes=(2, 0))  # (J, J, K)
     a = np.tensordot(half, b, axes=(2, 2))
     del half
     # exact symmetry A[p,q,r,s] = A[r,s,p,q] to roundoff, in place one slab
@@ -388,14 +355,16 @@ def _dense_tensor(tensor):
 
 
 def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
-    """Interaction tensor of the basis: factors and counterterms.
+    """Interaction tensor of the basis: the node kernel W, the factors and
+    the counterterms.
 
-    Raises ValueError when the largest array built here, the (K, K) node
-    kernel (tiled to (2K, 2K) by the node-path counterterms; K > J), would
-    exceed budget_bytes.  The tensor carries budget_bytes to its oracle A.
+    The kernel is discretized here, once (`kernel_node_values`).  Raises
+    ValueError when the largest array built here, the (K, K) node kernel
+    (tiled to (2K, 2K) by the node-path counterterms; K > J), would exceed
+    budget_bytes.  The tensor carries budget_bytes to its oracle A.
     """
     k = basis.grid.size
-    v = kernel_node_values(kspec, basis.grid)[1]
+    wmat, v = kernel_node_values(kspec, basis.grid)
     need = 8 * k * k * (1 if v is not None else 4)
     if need > budget_bytes:
         raise ValueError(
@@ -406,7 +375,7 @@ def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
         wv = basis.grid.weights * v
         factor = np.stack([np.einsum("ia,kia->ki", row, basis.values) @ wv
                            for row in basis.values])
-    return _contracted(basis.dim, basis.lam.copy(), kspec, factor, basis,
+    return _contracted(basis.dim, basis.lam.copy(), wmat, factor, basis,
                        budget_bytes)
 
 
@@ -468,7 +437,7 @@ class FactoredInteraction:
                                       axis=1).astype(complex)
             self._rank_one = (tensor.factor, st, tensor.lam)
         else:
-            b, self.nodes = _node_factors(tensor.basis, tensor.kernel, j)
+            b, self.nodes = _node_factors(tensor.basis, tensor.wmat, j)
             self.synth = b.astype(complex)
             self.synth_t = b.T.astype(complex)
             self.counter = st.astype(complex)
@@ -603,11 +572,12 @@ def nonlinearity(tensor, coeffs):
 # grid-space (tensor-free) routes
 
 
-def grid_energy_context(basis, kspec):
-    """Precompute covariance tables and the node matrix W for grid routes."""
+def grid_energy_context(basis, wmat):
+    """Covariance tables and the node matrix W (a tensor's `wmat`) for the
+    grid routes."""
     from .field import covariance_diag, covariance_kernel
     return {
-        "W": kernel_node_values(kspec, basis.grid)[0],
+        "W": wmat,
         "sigma": covariance_diag(basis),
         "sigma_kernel": covariance_kernel(basis),
         "weights": basis.grid.weights,
@@ -651,38 +621,43 @@ def nonlinearity_grid(basis, ctx, values):
 
 
 def wick_energy_literal(tensor, g):
-    """Integrated fourth Wick monomial on raw Gaussians, term by term.
+    """Integrated fourth Wick monomial on raw Gaussians, term by term;
+    batched over the leading axis.
 
-    Builds the seven-term monomial :g~_j g_k g~_l g_m: one j-slab at a time
-    as a dense rank-3 array and contracts it against the slab of
+    Builds the dense A once per call.  For each row it builds the
+    seven-term monomial :g~_j g_k g~_l g_m: one j-slab at a time as a dense
+    rank-3 array and contracts it against the slab of
     A / (lambda_j lambda_k lambda_l lambda_m), so beside A the route holds
     a few J^3 arrays.  Oracle route: independent of the counterterm
     contractions.
     """
     g = np.asarray(g, dtype=complex)
-    j = g.shape[0]
+    j = g.shape[-1]
     if j != tensor.n_modes:
         raise ValueError("sample length does not match tensor cutoff")
-    a = tensor.a
-    gc = np.conj(g)
+    a = dense_tensor(tensor)
     eye = np.eye(j)
-    pair = np.outer(gc, g)
     il = 1.0 / tensor.lam
     il3 = np.einsum("k,l,m->klm", il, il, il)
-    val = 0.0
-    for i in range(j):  # the slab of the first index
-        mono = np.einsum("k,l,m->klm", gc[i] * g, gc, g)
-        mono -= np.einsum("k,lm->klm", pair[i], eye)
-        mono -= np.einsum("k,lm->klm", eye[i], pair)
-        mono -= np.einsum("m,kl->klm", eye[i], pair.T)
-        mono -= np.einsum("kl,m->klm", eye, pair[i])
-        mono += np.einsum("k,lm->klm", eye[i], eye)
-        mono += np.einsum("m,kl->klm", eye[i], eye)
-        scaled = a[i] * il3
-        scaled *= il[i]
-        mono *= scaled
-        val += np.sum(mono)
-    return complex(val)
+    vals = []
+    for row in np.atleast_2d(g):
+        gc = np.conj(row)
+        pair = np.outer(gc, row)
+        val = 0.0
+        for i in range(j):  # the slab of the first index
+            mono = np.einsum("k,l,m->klm", gc[i] * row, gc, row)
+            mono -= np.einsum("k,lm->klm", pair[i], eye)
+            mono -= np.einsum("k,lm->klm", eye[i], pair)
+            mono -= np.einsum("m,kl->klm", eye[i], pair.T)
+            mono -= np.einsum("kl,m->klm", eye, pair[i])
+            mono += np.einsum("k,lm->klm", eye[i], eye)
+            mono += np.einsum("m,kl->klm", eye[i], eye)
+            scaled = a[i] * il3
+            scaled *= il[i]
+            mono *= scaled
+            val += np.sum(mono)
+        vals.append(val)
+    return complex(vals[0]) if g.ndim == 1 else np.array(vals)
 
 
 def wick_quartic_cov(idx, idx2):
@@ -794,7 +769,7 @@ def _node_series(tensor, n):
     2 sum A^2 + 2 sum A[j, k, l, m] A[j, m, l, k].  Both split over j; the
     slab A[j] = rho_j W~ rho^T takes J^3 K flops in J^2 K memory.
     """
-    b, nodes = _node_factors(tensor.basis, tensor.kernel, n)
+    b, nodes = _node_factors(tensor.basis, tensor.wmat, n)
     b = (b / tensor.lam[:n, None]).reshape(n, 2, -1)
     rho = np.einsum("jax,kax->jkx", b, b)  # pair density, scaled
     q = nodes @ rho.reshape(n * n, -1).T

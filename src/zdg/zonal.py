@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import auto_grid_size
 from .jacobi import jacobi_deriv_table, jacobi_table, quad_grid
 
 
@@ -68,7 +69,7 @@ def build_basis(dim, cutoff, grid_size=None, grid=None):
     cutoff : int
         Highest mode index N.
     grid_size : int, optional
-        Number of quadrature nodes; defaults to 2*cutoff + 16.  Must give
+        Quadrature nodes, by default auto_grid_size(cutoff).  Must give
         grid_size >= cutoff + dim so all norms and Gram entries below the
         cutoff are quadrature-exact.
     grid : QuadratureGrid, optional
@@ -80,7 +81,7 @@ def build_basis(dim, cutoff, grid_size=None, grid=None):
         raise ValueError("cutoff must be >= 0")
     if grid is None:
         if grid_size is None:
-            grid_size = 2 * cutoff + 16
+            grid_size = auto_grid_size(cutoff)
         grid = quad_grid(dim, grid_size)
     if grid.size < cutoff + dim:
         raise ValueError(

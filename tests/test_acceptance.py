@@ -122,7 +122,7 @@ def test_pathwise_energy_identity_both_kernel_families(t16_const, t16_sep):
 
 
 def test_energy_and_nonlinearity_match_grid_quadrature(t16_sep, basis16):
-    ctx = grid_energy_context(basis16, t16_sep.kernel)
+    ctx = grid_energy_context(basis16, t16_sep.wmat)
     g = gaussian_coeffs(GaussianSampleSpec(seed=SEED, label="acc.grid"),
                         17, 50)
     c = g / t16_sep.lam

@@ -698,7 +698,7 @@ def test_grid_kernel_subcommands_never_build_the_dense_tensor(tmp_path):
         "invariance.ensemble_size = 64", "invariance.t_final = 0.05",
         "invariance.dt = 0.01", "invariance.burn_steps = 20", ""]))
     out = str(tmp_path / "r")
-    with mock.patch.object(interaction, "_dense_tensor",
+    with mock.patch.object(interaction, "dense_tensor",
                            side_effect=AssertionError("dense A built")):
         for cmd in ("cauchy-study", "nelson-scan", "gibbs-sample", "flow",
                     "invariance-test"):

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from zdg import interaction
 from zdg.field import GaussianSampleSpec, gaussian_coeffs
 from zdg.interaction import (KernelSpec, assemble_interaction,
-                             chaos_tail_series, grid_energy_context,
-                             interaction_energy, interaction_energy_grid,
-                             kernel_node_values, nonlinearity,
-                             nonlinearity_grid, pair_density,
+                             chaos_tail_series, dense_tensor,
+                             grid_energy_context, interaction_energy,
+                             interaction_energy_grid, kernel_node_values,
+                             nonlinearity, nonlinearity_grid, pair_density,
                              quartic_form, wick_energy_literal,
                              wick_quartic_cov, wick_quartic_cov_enumerated)
 from zdg.zonal import analyze, build_basis, synthesize
@@ -49,7 +49,7 @@ def random_coeffs(n_modes, size=None, seed=0):
 
 def test_constant_kernel_tensor_is_orthonormality_product(basis, tensors):
     # with an orthonormal basis, A = kappa * delta_jk delta_lm
-    a = tensors["constant"].a
+    a = dense_tensor(tensors["constant"])
     j = basis.n_modes
     expected = np.einsum("jk,lm->jklm", np.eye(j), np.eye(j))
     assert np.allclose(a, expected, atol=1e-12)
@@ -72,7 +72,7 @@ def test_constant_kernel_counterterms_closed_form(basis, tensors):
 
 def test_tensor_symmetries(tensors):
     for t in tensors.values():
-        a = t.a
+        a = dense_tensor(t)
         assert np.allclose(a, a.transpose(1, 0, 2, 3), atol=1e-12)
         assert np.allclose(a, a.transpose(0, 1, 3, 2), atol=1e-12)
         assert np.allclose(a, a.transpose(2, 3, 0, 1), atol=1e-12)
@@ -84,7 +84,8 @@ def test_tensor_symmetries(tensors):
 def test_separable_factor_reproduces_tensor(basis, tensors):
     t = tensors["separable"]
     assert t.factor is not None
-    assert np.allclose(t.a, np.einsum("jk,lm->jklm", t.factor, t.factor),
+    assert np.allclose(dense_tensor(t),
+                       np.einsum("jk,lm->jklm", t.factor, t.factor),
                        atol=1e-12)
 
 
@@ -93,7 +94,8 @@ def test_slice_matches_smaller_assembly(basis, tensors):
     for kind, spec in (("constant", CONSTANT), ("grid", GRIDK)):
         direct = assemble_interaction(small_basis, spec)
         sliced = tensors[kind].slice(6)
-        assert np.allclose(direct.a, sliced.a, atol=1e-12)
+        assert np.allclose(dense_tensor(direct), dense_tensor(sliced),
+                           atol=1e-12)
         assert np.allclose(direct.s_mat, sliced.s_mat, atol=1e-12)
         assert np.allclose(direct.t_mat, sliced.t_mat, atol=1e-12)
         assert direct.e0_const == pytest.approx(sliced.e0_const, rel=1e-12)
@@ -173,8 +175,7 @@ def test_energy_offsets_at_zero_state(tensors):
 @pytest.mark.parametrize("kind", ["constant", "separable", "grid"])
 def test_coefficient_and_grid_energies_agree(basis, tensors, kind):
     t = tensors[kind]
-    spec = {"constant": CONSTANT, "separable": SEPARABLE, "grid": GRIDK}[kind]
-    ctx = grid_energy_context(basis, spec)
+    ctx = grid_energy_context(basis, t.wmat)
     coeffs = random_coeffs(basis.n_modes, size=12, seed=3)
     e_coeff = interaction_energy(t, coeffs)
     for i in range(coeffs.shape[0]):
@@ -196,9 +197,7 @@ def test_wick_literal_route_matches_energy(basis, tensors, kind):
 
 def test_quartic_form_dense_vs_factor_paths(basis, tensors):
     t = tensors["separable"]
-    dense = type(t)(dim=t.dim, cutoff=t.cutoff, a=t.a, s_mat=t.s_mat,
-                    t_mat=t.t_mat, e0_const=t.e0_const, e0_trace=t.e0_trace,
-                    lam=t.lam, kernel=t.kernel, factor=None, basis=t.basis)
+    dense = replace(t, factor=None)  # the node path on the same kernel
     coeffs = random_coeffs(basis.n_modes, size=6, seed=21)
     assert np.allclose(quartic_form(t, coeffs), quartic_form(dense, coeffs),
                        rtol=1e-11)
@@ -215,11 +214,12 @@ def dense_oracle(tensor, c):
     """E, F and their term scales straight from the dense A (no factors)."""
     cc = np.conj(c)
     st_ = np.zeros((tensor.n_modes,) * 2) + tensor.s_mat + tensor.t_mat
-    quartic = np.einsum("jklm,sj,sk,sl,sm->s", tensor.a, cc, c, cc, c,
+    a = dense_tensor(tensor)
+    quartic = np.einsum("jklm,sj,sk,sl,sm->s", a, cc, c, cc, c,
                         optimize=True).real
     lin = np.einsum("sj,jk,sk->s", cc, st_, c).real
     e0 = tensor.e0_const + tensor.e0_trace
-    cubic = np.einsum("mkjl,sj,sk,sl->sm", tensor.a, cc, c, c,
+    cubic = np.einsum("mkjl,sj,sk,sl->sm", a, cc, c, c,
                       optimize=True)
     counter = c @ st_
     e_scale = max(1.0, np.abs(quartic).max() + 2 * np.abs(lin).max()
@@ -338,7 +338,7 @@ def test_rank_one_energy_refuses_counterterms_off_the_eigenbasis(kind):
     s = np.asarray(t.s_mat).copy()
     s[0, 1] += 1e-9 * np.max(np.abs(s))  # off-diagonal in G above 1e-12
     s[1, 0] = s[0, 1]
-    skewed = t.with_counterterms(s, t.t_mat)
+    skewed = replace(t, s_mat=s)
     with pytest.raises(ValueError,
                        match="not diagonal in the eigenbasis of M"):
         interaction_energy(skewed, c)
@@ -390,7 +390,7 @@ def fresh_node_tensor(kind="grid", dim=4, cutoff=10):
     """A node-path tensor of its own, so no other test has sized its
     buffers."""
     t = oracle_tensor(dim, cutoff, kind)
-    return t.with_counterterms(t.s_mat, t.t_mat)
+    return replace(t)
 
 
 NODE_ROUTES = ((interaction_energy, "energy"), (nonlinearity, "cubic"),
@@ -604,8 +604,7 @@ def test_wick_monomial_is_centered(basis, tensors):
 @pytest.mark.parametrize("kind", ["constant", "separable", "grid"])
 def test_nonlinearity_grid_route_agrees(basis, tensors, kind):
     t = tensors[kind]
-    spec = {"constant": CONSTANT, "separable": SEPARABLE, "grid": GRIDK}[kind]
-    ctx = grid_energy_context(basis, spec)
+    ctx = grid_energy_context(basis, t.wmat)
     coeffs = random_coeffs(basis.n_modes, size=6, seed=5)
     f_coeff = nonlinearity(t, coeffs)
     for i in range(coeffs.shape[0]):
@@ -619,7 +618,7 @@ def test_grid_routes_on_matrix_and_scaled_constant_kernels(basis, name):
     spec = KernelSpec(kind="constant", kappa=2.0) if name == "constant2" \
         else matrix_kernel(basis.grid)
     t = assemble_interaction(basis, spec)
-    ctx = grid_energy_context(basis, spec)
+    ctx = grid_energy_context(basis, t.wmat)
     coeffs = random_coeffs(basis.n_modes, size=6, seed=11)
     states = [synthesize(basis, ci) for ci in coeffs]
     e_coeff = interaction_energy(t, coeffs)
@@ -707,7 +706,7 @@ def test_wick_covariance_montecarlo_spotcheck():
 def brute_tail_series(tensor, m_low):
     j = tensor.n_modes
     il2 = tensor.inv_lam2
-    a = tensor.a
+    a = dense_tensor(tensor)
     exact = 0.0
     bound = 0.0
     for jj in range(j):
@@ -781,39 +780,20 @@ def dense_box_series(a, il2):
 def test_factored_counterterms_and_series_match_dense_oracle(dim, kind,
                                                              cutoff, low):
     t = oracle_tensor(dim, cutoff, kind)
-    s, tt, e0c, e0t = dense_counterterms(t.a, t.lam)
+    a = dense_tensor(t)
+    s, tt, e0c, e0t = dense_counterterms(a, t.lam)
     assert np.max(np.abs(t.s_mat - s)) <= 1e-12 * np.max(np.abs(s))
     assert np.max(np.abs(t.t_mat - tt)) <= 1e-12 * np.max(np.abs(tt))
     assert t.e0_const == pytest.approx(e0c, rel=1e-12)
     assert t.e0_trace == pytest.approx(e0t, rel=1e-12)
     low = min(low, cutoff)
     il2 = t.inv_lam2
-    full = dense_box_series(t.a, il2)
-    box = dense_box_series(t.a[:low + 1, :low + 1, :low + 1, :low + 1],
+    full = dense_box_series(a, il2)
+    box = dense_box_series(a[:low + 1, :low + 1, :low + 1, :low + 1],
                            il2[:low + 1])
     exact, bound = chaos_tail_series(t, low)
     assert abs(exact - (full[0] - box[0])) <= 1e-12 * full[0]
     assert abs(bound - (full[1] - box[1])) <= 1e-12 * full[1]
-
-
-def test_dense_a_is_lazy_and_kept_through_slice_replace_and_keyword():
-    t = assemble_interaction(build_basis(2, 6, grid_size=28), GRIDK)
-    assert t.__dict__["a"] is None  # nothing built by the assembly
-    interaction_energy(t, random_coeffs(t.n_modes, size=3))
-    nonlinearity(t, random_coeffs(t.n_modes, size=3))
-    assert t.__dict__["a"] is None  # nor by the batched E and F
-    a = t.a
-    assert t.a is a  # built once, then cached
-    low = t.slice(3)
-    assert low.__dict__["a"] is None
-    assert np.allclose(low.a, a[:4, :4, :4, :4], rtol=0, atol=1e-14)
-    bare = replace(t, s_mat=0, t_mat=0)
-    assert bare.a is a
-    given_a = np.ones_like(a)
-    keyed = type(t)(dim=t.dim, cutoff=t.cutoff, a=given_a, s_mat=t.s_mat,
-                    t_mat=t.t_mat, e0_const=t.e0_const, e0_trace=t.e0_trace,
-                    lam=t.lam, kernel=t.kernel, basis=t.basis)
-    assert keyed.a is given_a
 
 
 def test_assembly_at_cutoff_64_allocates_no_dense_tensor():
@@ -827,14 +807,15 @@ def test_assembly_at_cutoff_64_allocates_no_dense_tensor():
         tracemalloc.stop()
     assert 8 * t.n_modes ** 4 > 140e6  # what the dense A would take
     assert peak < 20e6
-    assert t.__dict__["a"] is None
+    assert all(v.ndim <= 2 for v in vars(t).values()
+               if isinstance(v, np.ndarray))
 
 
 @pytest.mark.parametrize("kind", ORACLE_KINDS)
 def test_studies_never_build_the_dense_tensor(kind):
     from zdg.gibbs import cauchy_decay_study, nelson_scan
     t = oracle_tensor(2, 16, kind)
-    with mock.patch.object(interaction, "_dense_tensor",
+    with mock.patch.object(interaction, "dense_tensor",
                            side_effect=AssertionError("dense A built")), \
             mock.patch.object(interaction, "BLOCK_ROWS", 200):
         out = cauchy_decay_study(t, [2, 4, 8], 500, seed=3)
@@ -852,14 +833,14 @@ def test_budget_caps_the_dense_oracle_not_the_factored_tensor():
         out = cauchy_decay_study(t, [5, 10], 400, seed=4)
         assert all(0 < row["exact"] <= row["bound"] for row in out["rows"])
         g = random_coeffs(t.n_modes, seed=5)
-        for u in (t, t.slice(15), t.with_counterterms(t.s_mat, t.t_mat)):
+        for u in (t, t.slice(15), replace(t, s_mat=0, t_mat=0)):
             with pytest.raises(ValueError,
                                match="largest admissible cutoff is 11"):
-                u.a
+                dense_tensor(u)
             with pytest.raises(ValueError,
                                match="largest admissible cutoff is 11"):
                 wick_energy_literal(u, g[:u.n_modes])
-        assert t.slice(11).a.shape == (12,) * 4
+        assert dense_tensor(t.slice(11)).shape == (12,) * 4
 
 
 def test_wick_literal_route_stays_within_the_dense_budget():
@@ -885,8 +866,7 @@ def _old_node_dense_tensor(tensor):
     basis = tensor.basis
     j = tensor.n_modes
     b = pair_density(basis)[:j, :j] * basis.grid.weights
-    wmat = kernel_node_values(tensor.kernel, basis.grid)[0]
-    half = np.tensordot(b, wmat, axes=(2, 0))  # (J, J, K)
+    half = np.tensordot(b, tensor.wmat, axes=(2, 0))  # (J, J, K)
     a = np.tensordot(half, b, axes=(2, 2))
     return 0.5 * (a + a.transpose(2, 3, 0, 1))  # exact symmetry to roundoff
 
@@ -898,7 +878,7 @@ def test_node_path_dense_oracle_stays_within_its_budget():
     t = assemble_interaction(build_basis(2, 24), GRIDK, budget_bytes=budget)
     tracemalloc.start()
     try:
-        a = t.a
+        a = dense_tensor(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -915,25 +895,40 @@ def test_assembly_refuses_what_it_would_build_over_the_budget():
             assemble_interaction(basis, spec, budget_bytes=need - 1)
 
 
-def test_with_counterterms_copies_without_building_the_dense_tensor():
-    t = assemble_interaction(build_basis(2, 20, grid_size=56), GRIDK)
-    s, tt = np.zeros_like(t.s_mat), np.ones_like(t.t_mat)
-    with mock.patch.object(interaction, "_dense_tensor",
-                           side_effect=AssertionError("dense A built")):
-        bare = t.with_counterterms(s, tt)
-    assert bare.s_mat is s and bare.t_mat is tt
-    assert bare.lam is t.lam and bare.kernel is t.kernel
-    assert (bare.e0_const, bare.e0_trace) == (t.e0_const, t.e0_trace)
-    assert t.__dict__["a"] is None and bare.__dict__["a"] is None
-    a = t.a  # once built, the copy shares it
-    assert t.with_counterterms(s, tt).a is a
-
-
 def test_counterterm_free_invariance_flow_builds_no_dense_tensor():
     from zdg.dynamics import invariance_test
     t = assemble_interaction(build_basis(2, 6, grid_size=24), GRIDK)
-    with mock.patch.object(interaction, "_dense_tensor",
+    with mock.patch.object(interaction, "dense_tensor",
                            side_effect=AssertionError("dense A built")):
         res = invariance_test(t, 64, 0.05, 0.01, seed=2, burn_steps=20,
                               disable_counterterms=True)
     assert res["rows"]
+
+
+def test_grid_kernel_is_discretized_once():
+    # assembly, E, F, a slice and the chaos series all read the tensor's W
+    basis = build_basis(2, 8, grid_size=32)
+    c = random_coeffs(9, size=4, seed=8)
+    with mock.patch.object(interaction, "kernel_node_values",
+                           wraps=interaction.kernel_node_values) as spy:
+        t = assemble_interaction(basis, GRIDK)
+        interaction_energy(t, c)
+        nonlinearity(t, c)
+        low = t.slice(4)
+        interaction_energy(low, c[:, :low.n_modes])
+        chaos_tail_series(t, 4)
+    assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("kind", ["separable", "grid"])
+def test_batched_wick_literal_is_bitwise_the_per_row_calls(tensors, kind):
+    t = tensors[kind]
+    g = random_coeffs(t.n_modes, size=5, seed=12)
+    rows = [wick_energy_literal(t, gi) for gi in g]
+    assert all(isinstance(row, complex) for row in rows)
+    with mock.patch.object(interaction, "dense_tensor",
+                           wraps=interaction.dense_tensor) as spy:
+        batch = wick_energy_literal(t, g)
+    assert spy.call_count == 1  # A is built once for the whole batch
+    assert batch.shape == (5,)
+    assert np.array_equal(batch, np.array(rows))
