@@ -329,20 +329,39 @@ def run_nelson(cfg, rep, out_dir, args):
 
 
 def run_gibbs(cfg, rep, out_dir, args):
+    """gibbs-sample: importance reweighting against pCN chains.
+
+    The importance side finishes first: its ESS record, its weighted means
+    of |c_k|^2 for k <= gibbs.kmax and its sample sidecar.  Its states are
+    released before pcn_chain allocates the chain's, so the process holds
+    one sampler's samples at a time, and a failing chain leaves the
+    importance records and sidecar in place.  The pCN sidecar's energies
+    are those the chain's sweeps accepted.  The records keep the order
+    tensor, importance, pCN, moment cross-validation.
+    """
     import numpy as np
 
     from .gibbs import (chain_mean, importance_ensemble, pcn_chain,
                         weighted_mean)
-    from .interaction import interaction_energy
     tensor, seconds = _timed(_build_tensor, cfg)
     rep.add("tensor_built", "info", value=tensor.cutoff,
             detail=f"cutoff {tensor.cutoff} of the sampled measure",
             seconds=seconds)
+    ks = range(min(cfg.gibbs_kmax, tensor.cutoff) + 1)
+    n_abs2 = min(2, tensor.cutoff) + 1
+    abs2_names = [f"abs2_c{k}" for k in range(n_abs2)]
     imp, sec_imp = _timed(importance_ensemble, tensor,
                           cfg.gibbs_ensemble_size, cfg.seed)
     rep.add("importance_ess", "info", value=imp.ess,
             detail=f"effective size of {imp.size} weighted draws",
             seconds=sec_imp)
+    imp_means = [weighted_mean(np.abs(imp.coeffs[:, k]) ** 2,
+                               imp.log_weights) for k in ks]
+    write_table(out_dir, "gibbs_importance_samples",
+                ["sample", "energy", "log_weight"] + abs2_names,
+                _SampleRows(imp.coeffs, n_abs2, -imp.log_weights,
+                            imp.log_weights))
+    del imp
     beta = None if cfg.gibbs_beta == 0 else cfg.gibbs_beta
     chain, sec_chain = _timed(pcn_chain, tensor, cfg.gibbs_ensemble_size,
                               cfg.seed, beta=beta)
@@ -350,6 +369,9 @@ def run_gibbs(cfg, rep, out_dir, args):
             detail=f"beta={chain.beta:.3f}, thin={chain.thin}, "
                    f"burn={chain.burn}, chains={chain.n_chains}",
             seconds=sec_chain)
+    rep.add("pcn_warmup", "info", value=chain.warmup,
+            detail="[beta, acceptance rate] of each warm-up block, pooled "
+                   "over the chains; empty when gibbs.beta fixes beta")
     rep.add("pcn_energy_iact", "info", value=chain.iact,
             detail="integrated autocorrelation time of the energy series "
                    "after thinning, mean over chains")
@@ -362,11 +384,8 @@ def run_gibbs(cfg, rep, out_dir, args):
                    "thinning, from the rank-normalized split chains of "
                    "pcn_energy_rhat and Geyer's initial monotone sequence")
     rows = []
-    for k in range(min(cfg.gibbs_kmax, tensor.cutoff) + 1):
-        x_imp = np.abs(imp.coeffs[:, k]) ** 2
-        x_pcn = np.abs(chain.coeffs[:, k]) ** 2
-        m1, se1 = weighted_mean(x_imp, imp.log_weights)
-        m2, se2, tau = chain_mean(x_pcn)
+    for k, (m1, se1) in zip(ks, imp_means):
+        m2, se2, tau = chain_mean(np.abs(chain.coeffs[:, k]) ** 2)
         se = float(np.hypot(se1, se2))
         z = (m1 - m2) / se if se > 0 else 0.0
         rows.append({"k": k, "importance_mean": m1, "importance_se": se1,
@@ -378,22 +397,23 @@ def run_gibbs(cfg, rep, out_dir, args):
     write_table(out_dir, "gibbs_moments",
                 ["k", "importance_mean", "importance_se", "pcn_mean",
                  "pcn_se", "pcn_iact", "z"], rows)
-    n_abs2 = min(2, tensor.cutoff) + 1
-    abs2_names = [f"abs2_c{k}" for k in range(n_abs2)]
-    write_table(out_dir, "gibbs_importance_samples",
-                ["sample", "energy", "log_weight"] + abs2_names,
-                _sample_rows(imp.coeffs, n_abs2, -imp.log_weights,
-                             imp.log_weights))
-    chain_e = interaction_energy(tensor, chain.coeffs)
     write_table(out_dir, "gibbs_pcn_samples", ["sample", "energy"] + abs2_names,
-                _sample_rows(chain.coeffs, n_abs2, chain_e))
+                _SampleRows(chain.coeffs, n_abs2, chain.energies))
     return rep
 
 
 class _SampleRows:
-    """Sized, lazy sidecar rows; see _sample_rows."""
+    """Sidecar rows: sample index, the columns, then |c_k|^2 for k < n_abs2.
 
-    def __init__(self, coeffs, n_abs2, columns):
+    The rows are sized (len is the sample count) and lazy: each pass over
+    them converts the arrays to Python floats one block of
+    report._BLOCK_ROWS rows at a time, so write_table holds one block of
+    tuples, never the whole table, and a second pass gives the same rows.
+    The squares are Python floats raised by pow, bitwise the per-element
+    numpy scalars; the array form ** 2 multiplies and moves last bits.
+    """
+
+    def __init__(self, coeffs, n_abs2, *columns):
         self.coeffs, self.n_abs2, self.columns = coeffs, n_abs2, columns
 
     def __len__(self):
@@ -409,19 +429,6 @@ class _SampleRows:
             yield from zip(range(lo, len(self)),
                            *(col[block].tolist() for col in self.columns),
                            *abs2)
-
-
-def _sample_rows(coeffs, n_abs2, *columns):
-    """Sidecar rows: sample index, the columns, then |c_k|^2 for k < n_abs2.
-
-    The rows are sized (len is the sample count) and lazy: each pass over
-    them converts the arrays to Python floats one block of
-    report._BLOCK_ROWS rows at a time, so write_table holds one block of
-    tuples, never the whole table, and a second pass gives the same rows.
-    The squares are Python floats raised by pow, bitwise the per-element
-    numpy scalars; the array form ** 2 multiplies and moves last bits.
-    """
-    return _SampleRows(coeffs, n_abs2, columns)
 
 
 def _load_initial_state(path, n_modes):

@@ -44,15 +44,25 @@ PILOT_SWEEPS = 500
 BURN_FRAC = 0.1
 
 SOKAL_WINDOW = 6.0  # integrated_autocorr stops once the lag k >= this * tau
+# _normal_scores evaluates ndtri, which is elementwise, this many values at
+# a time: its temporaries are then a fixed size, whatever the series
+NDTRI_CHUNK = 4096
 
 
 @dataclass
 class Ensemble:
-    """Samples of the truncated Gibbs measure with sampler metadata."""
+    """Samples of the truncated Gibbs measure with sampler metadata.
+
+    coeffs holds one sample per row.  Importance ensembles carry their log
+    weights -E; pCN ensembles carry energies, the energy of each row as
+    the chain's sweeps accepted it, and warmup, the (beta, acceptance
+    rate) pair of each warm-up block (empty when beta was given).
+    """
 
     coeffs: np.ndarray
     method: str
     log_weights: np.ndarray = None
+    energies: np.ndarray = None
     ess: float = None
     acc_rate: float = None
     beta: float = None
@@ -63,6 +73,7 @@ class Ensemble:
     n_chains: int = 1
     rhat: float = None
     ess_bulk: float = None
+    warmup: tuple = ()
 
     @property
     def size(self):
@@ -171,23 +182,25 @@ def _adapt_beta(tensor, states, energies, gen, beta, block, max_blocks):
     """Warm-up: scale beta until the block acceptance rate is in
     ACCEPT_WINDOW = [lo, hi].
 
-    The rate pools every row: accepted / (block * rows).  With no block run
-    the rate is nan.
+    Returns the tuned beta and the (beta, rate) pair of every block run, in
+    order.  The rate pools every row: accepted / (block * rows).
     """
     lo, hi = ACCEPT_WINDOW
+    blocks = []
     rate = float("nan")
     for _ in range(max_blocks):
         accepted = _advance(tensor, states, energies, beta, gen, block)
         rate = accepted / (block * states.shape[0])
+        blocks.append((beta, rate))
         if rate < lo:
             beta = max(beta * 0.7, 1e-3)
         elif rate > hi:
             beta = min(beta * 1.3, 1.0)
         else:
-            return beta, rate
+            return beta, blocks
     log.warning("pCN warm-up did not settle in the target window; "
                 "continuing with beta=%.4g (last rate %.3f)", beta, rate)
-    return beta, rate
+    return beta, blocks
 
 
 def split_rhat(series):
@@ -204,11 +217,7 @@ def split_rhat(series):
     (the middle order statistic, or the mean of the two middle ones), as
     np.median does on finite input, bitwise, without importing numpy.ma.
     """
-    halves = _split_halves(series)
-    if halves is None:
-        return float("nan")
-    folded = np.abs(halves - _median(halves))
-    return max(_rhat(_normal_scores(halves)), _rhat(_normal_scores(folded)))
+    return _rank_diagnostics(series)[0]
 
 
 def bulk_ess(series):
@@ -222,13 +231,36 @@ def bulk_ess(series):
     tau is floored at 1 / log10(draws), as in Stan.  nan when a half has
     fewer than two draws.
     """
+    return _rank_diagnostics(series)[1]
+
+
+def _rank_diagnostics(series):
+    """(split_rhat, bulk_ess) of a series from one rank normalization.
+
+    The folding reuses the split chains' own copy, which is released before
+    the bulk scores go through the FFT of _bulk_ess.
+    """
     halves = _split_halves(series)
     if halves is None:
-        return float("nan")
+        return float("nan"), float("nan")
     z = _normal_scores(halves)
+    halves -= _median(halves)
+    rhat = max(_rhat(z), _rhat(_normal_scores(np.abs(halves, out=halves))))
+    del halves
+    return rhat, _bulk_ess(z)
+
+
+def _bulk_ess(z):
+    """bulk_ess of the normal scores z of the split chains, centred in
+    place.  The power spectrum takes the place of the transform, so the
+    inverse transform gets the complex input it would otherwise copy."""
     m, n = z.shape
     means = z.mean(axis=1, keepdims=True)
-    spec = np.abs(np.fft.rfft(z - means, n=2 * n, axis=1)) ** 2
+    z -= means
+    spec = np.fft.rfft(z, n=2 * n, axis=1)
+    np.abs(spec, out=spec.real)
+    spec.imag = 0.0
+    spec.real **= 2
     acov = np.fft.irfft(spec, axis=1)[:, :n].mean(axis=0) / n
     within = acov[0] * n / (n - 1)
     var_plus = acov[0] + means.var(ddof=1)
@@ -254,7 +286,8 @@ def _median(x):
 
 def _split_halves(series):
     """The (2 * chains, half) split chains of a (chains, draws) series (the
-    middle draw of an odd length dropped); None below two draws a half."""
+    middle draw of an odd length dropped), a new array; None below two
+    draws a half."""
     x = np.atleast_2d(np.asarray(series, dtype=float))
     half = x.shape[1] // 2
     if half < 2:
@@ -265,15 +298,37 @@ def _split_halves(series):
 def _normal_scores(x):
     """Blom normal scores of the pooled ranks (average ranks for ties).
 
-    Rejected pCN proposals repeat a state, so equal values occur.
+    Rejected pCN proposals repeat a state, so equal values occur.  The
+    ranks come from the sorted values: a tie group's average rank is the
+    mean of its first and last sorted positions, plus one.  ndtri runs on
+    NDTRI_CHUNK ranks at a time, so the temporaries stay a few times the
+    size of x.
     """
     flat = x.ravel()
+    n = flat.size
     order = np.argsort(flat, kind="stable")
-    _, first, counts = np.unique(flat[order], return_index=True,
-                                 return_counts=True)
-    ranks = np.empty(flat.size)
-    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
-    return ndtri((ranks.reshape(x.shape) - 0.375) / (x.size + 0.25))
+    sorted_x = flat[order]
+    starts = np.empty(n, dtype=bool)  # a tie group starts at this position
+    starts[0] = True
+    np.not_equal(sorted_x[1:], sorted_x[:-1], out=starts[1:])
+    del sorted_x
+    ranks = np.arange(n, dtype=float)  # first position of the group
+    ranks *= starts
+    np.maximum.accumulate(ranks, out=ranks)
+    last = np.arange(n, dtype=float)  # last position of the group
+    np.copyto(last[:-1], n, where=~starts[1:])
+    np.minimum.accumulate(last[::-1], out=last[::-1])
+    # (first + last) / 2 + 1 is a half-integer, exact in floats, so it is
+    # bitwise first + (count + 1) / 2 whatever the order of the steps
+    ranks += last
+    ranks /= 2
+    ranks += 1
+    ranks -= 0.375
+    ranks /= n + 0.25
+    scores = last
+    for lo in range(0, n, NDTRI_CHUNK):
+        scores[order[lo:lo + NDTRI_CHUNK]] = ndtri(ranks[lo:lo + NDTRI_CHUNK])
+    return scores.reshape(x.shape)
 
 
 def _rhat(chains):
@@ -289,24 +344,27 @@ def pcn_chain(tensor, n_samples, seed, beta=None, thin=None):
 
     max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS)) chains each start
     from their own prior draw and advance together, one vectorized sweep
-    at a time.  beta None triggers the adaptive warm-up (frozen afterwards);
-    thin None runs a pilot segment and thins by ceil of the mean per-chain
-    integrated autocorrelation time of the energy.  Burn-in discards
-    BURN_FRAC of each chain's collected span before sampling starts.
+    at a time.  beta None triggers the adaptive warm-up (frozen afterwards,
+    its (beta, rate) per block kept as warmup); thin None runs a pilot
+    segment and thins by ceil of the mean per-chain integrated
+    autocorrelation time of the energy.  Burn-in discards BURN_FRAC of each
+    chain's collected span before sampling starts.
 
     The samples are chain-major, each chain's n_per = ceil(n_samples / C)
     draws contiguous, trimmed to n_samples rows, so a lag in the returned
-    series is a lag within one chain.  iact is the mean per-chain value;
-    rhat and ess_bulk are the split-R-hat and the bulk ESS of the
-    (C, n_per) energy series.
+    series is a lag within one chain.  energies are the rows' energies as
+    the sweeps accepted them, not recomputed.  iact is the mean per-chain
+    value; rhat and ess_bulk are the split-R-hat and the bulk ESS of the
+    (C, n_per) energy series, from one rank normalization.
     """
     n_chains = max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS))
     n_per = -(-n_samples // n_chains)
     gen = rng_mod.derive_rng(seed, "gibbs.pcn")
     states, energies = _prior_states(tensor, gen, n_chains)
+    warmup = []
     if beta is None:
-        beta, _ = _adapt_beta(tensor, states, energies, gen, 0.5,
-                              ADAPT_BLOCK, MAX_ADAPT_BLOCKS)
+        beta, warmup = _adapt_beta(tensor, states, energies, gen, 0.5,
+                                   ADAPT_BLOCK, MAX_ADAPT_BLOCKS)
     if thin is None:
         pilot_e = np.empty((n_chains, PILOT_SWEEPS))
         for i in range(PILOT_SWEEPS):
@@ -322,11 +380,13 @@ def pcn_chain(tensor, n_samples, seed, beta=None, thin=None):
         accepted += _advance(tensor, states, energies, beta, gen, thin)
         coeffs[:, i] = states
         series[:, i] = energies
+    rhat, ess_bulk = _rank_diagnostics(series)
     return Ensemble(
         coeffs=coeffs.reshape(-1, tensor.n_modes)[:n_samples], method="pcn",
+        energies=series.reshape(-1)[:n_samples],
         acc_rate=accepted / (n_per * thin * n_chains), beta=beta, thin=thin,
         burn=burn, iact=_mean_iact(series), seed=seed, n_chains=n_chains,
-        rhat=split_rhat(series), ess_bulk=bulk_ess(series))
+        rhat=rhat, ess_bulk=ess_bulk, warmup=tuple(warmup))
 
 
 def _mean_iact(series):

@@ -386,7 +386,7 @@ def test_full_suite_isolates_an_aborted_section(tmp_path, monkeypatch):
 
 
 def _old_sample_rows(coeffs, energy, log_weights, kcols):
-    """The per-row builder the gibbs sidecars used before _sample_rows."""
+    """The per-row builder the gibbs sidecars used before _SampleRows."""
     rows = []
     for i in range(coeffs.shape[0]):
         row = {"sample": i, "energy": float(energy[i])}
@@ -399,7 +399,7 @@ def _old_sample_rows(coeffs, energy, log_weights, kcols):
 
 
 def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
-    from zdg.cli import _sample_rows
+    from zdg.cli import _SampleRows
     rng = np.random.default_rng(4)
     n = 20000
     scale = np.exp(rng.normal(scale=4.0, size=(n, 3)))
@@ -410,13 +410,13 @@ def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
     old = write_table(str(tmp_path / "old"), "imp", head,
                       _old_sample_rows(coeffs, -lw, lw, range(3)))
     new = write_table(str(tmp_path / "new"), "imp", head,
-                      _sample_rows(coeffs, 3, -lw, lw))
+                      _SampleRows(coeffs, 3, -lw, lw))
     assert open(old, "rb").read() == open(new, "rb").read()
     head = ["sample", "energy"] + names[:2]
     old = write_table(str(tmp_path / "old"), "pcn", head,
                       _old_sample_rows(coeffs, lw, None, range(2)))
     new = write_table(str(tmp_path / "new"), "pcn", head,
-                      _sample_rows(coeffs, 2, lw))
+                      _SampleRows(coeffs, 2, lw))
     assert open(old, "rb").read() == open(new, "rb").read()
 
 
@@ -519,7 +519,7 @@ def test_number_tuples_with_edge_values_are_bytewise_the_cell_writer(
 
 def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
         tmp_path):
-    from zdg.cli import _sample_rows
+    from zdg.cli import _SampleRows
     rng = np.random.default_rng(9)
     n = 20000
     scale = np.exp(rng.normal(scale=4.0, size=(n, 3)))
@@ -527,9 +527,9 @@ def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
     lw = rng.normal(scale=30.0, size=n)
     names = [f"abs2_c{k}" for k in range(3)]
     assert _same_table(tmp_path, ["sample", "energy", "log_weight"] + names,
-                       _sample_rows(coeffs, 3, -lw, lw))
+                       _SampleRows(coeffs, 3, -lw, lw))
     assert _same_table(tmp_path, ["sample", "energy"] + names[:2],
-                       _sample_rows(coeffs, 2, lw))
+                       _SampleRows(coeffs, 2, lw))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 10])
@@ -586,7 +586,7 @@ def test_write_table_failing_mid_stream_keeps_the_previous_sidecar(
 def _sidecar_peak(tmp_path, n):
     """Traced peak bytes of building and writing an n x 6 gibbs sidecar
     from its arrays, which are allocated before the trace."""
-    from zdg.cli import _sample_rows
+    from zdg.cli import _SampleRows
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     lw = rng.normal(scale=30.0, size=n)
@@ -596,7 +596,7 @@ def _sidecar_peak(tmp_path, n):
     tracemalloc.start()
     try:
         write_table(str(tmp_path), "imp", head,
-                    _sample_rows(coeffs, 3, energy, lw))
+                    _SampleRows(coeffs, 3, energy, lw))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -615,13 +615,13 @@ def test_gibbs_sidecar_write_memory_is_bounded(tmp_path):
 
 
 def test_sample_rows_are_sized_and_repeatable(monkeypatch):
-    from zdg.cli import _sample_rows
+    from zdg.cli import _SampleRows
     monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
     rng = np.random.default_rng(6)
     for n in (0, 3, 4, 10):
         coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         lw = rng.normal(size=n)
-        rows = _sample_rows(coeffs, 2, -lw, lw)
+        rows = _SampleRows(coeffs, 2, -lw, lw)
         assert len(rows) == n
         first = list(rows)
         assert len(first) == n
@@ -684,6 +684,109 @@ def test_gibbs_and_nelson_reports_time_the_tensor_build(tmp_path):
         if cmd == "gibbs-sample":
             ess = records["pcn_energy_ess_bulk"]
             assert ess["status"] == "info" and 0 < ess["value"] < 5120
+
+
+def _recording_pcn_chain(monkeypatch):
+    """Wrap gibbs.pcn_chain; the returned list gets (tensor, ensemble) of
+    every call."""
+    from zdg import gibbs
+    calls, real = [], gibbs.pcn_chain
+
+    def recording(tensor, *args, **kwargs):
+        calls.append((tensor, real(tensor, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gibbs, "pcn_chain", recording)
+    return calls
+
+
+@pytest.mark.parametrize("chains", [5, 19, 64])
+@pytest.mark.parametrize("config", ["default.cfg", "coupling_invariance.cfg"])
+def test_pcn_sidecar_energies_are_the_chains_accepted_energies(
+        tmp_path, monkeypatch, config, chains):
+    from zdg.gibbs import MIN_CHAIN_DRAWS
+    from zdg.interaction import interaction_energy
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", config)) as fh:
+        lines = [line for line in fh
+                 if not line.startswith("gibbs.ensemble_size")]
+    cfg = _write(tmp_path / config, "".join(lines) +
+                 f"\ngibbs.ensemble_size = {chains * MIN_CHAIN_DRAWS}\n")
+    calls = _recording_pcn_chain(monkeypatch)
+    out = str(tmp_path / "r")
+    main(["gibbs-sample", "--config", cfg, "--out", out, "--seed", "5"])
+    (tensor, chain), = calls
+    assert chain.n_chains == chains
+    with open(os.path.join(out, "gibbs_pcn_samples.csv"), newline="") as fh:
+        sidecar = np.array([float(row["energy"])
+                            for row in csv.DictReader(fh)])
+    assert sidecar.tobytes() == chain.energies.tobytes()
+    again = interaction_energy(tensor, chain.coeffs)
+    if chains % 4 == 0:
+        assert again.tobytes() == chain.energies.tobytes()
+    else:
+        # the sweeps' matmuls of `chains` rows put the rows past the last
+        # 4-row tile into BLAS edge kernels, which round differently
+        scale = np.max(np.abs(again))
+        assert np.max(np.abs(chain.energies - again)) <= 1e-12 * scale
+
+
+def test_gibbs_sample_keeps_the_importance_side_when_the_chain_fails(
+        tmp_path, monkeypatch):
+    from zdg import gibbs
+    cfg = _small_run_config(tmp_path)
+    whole, cut = str(tmp_path / "whole"), str(tmp_path / "cut")
+    assert main(["gibbs-sample", "--config", cfg, "--out", whole,
+                 "--seed", "5"]) == 0
+
+    def failing(*args, **kwargs):
+        raise ValueError("chain failed")
+
+    monkeypatch.setattr(gibbs, "pcn_chain", failing)
+    assert main(["gibbs-sample", "--config", cfg, "--out", cut,
+                 "--seed", "5"]) == 1
+    with open(os.path.join(cut, "gibbs_sample.json")) as fh:
+        records = [r for r in json.load(fh)["records"]
+                   if r["name"] != "config_warning"]
+    assert [r["name"] for r in records] == [
+        "tensor_built", "importance_ess", "aborted", "process"]
+    assert records[2]["status"] == "fail"
+    assert records[2]["detail"] == "chain failed"
+    with open(os.path.join(whole, "gibbs_sample.json")) as fh:
+        ess = next(r for r in json.load(fh)["records"]
+                   if r["name"] == "importance_ess")
+    assert records[1]["value"] == ess["value"]
+    name = "gibbs_importance_samples.csv"
+    with open(os.path.join(whole, name), "rb") as a, \
+            open(os.path.join(cut, name), "rb") as b:
+        assert a.read() == b.read()
+    assert sorted(os.listdir(cut)) == [name, "gibbs_sample.json"]
+
+
+def test_gibbs_sample_reports_the_pcn_warmup_blocks(tmp_path, monkeypatch):
+    cfg = _small_run_config(tmp_path)
+    calls = _recording_pcn_chain(monkeypatch)
+    out = str(tmp_path / "r")
+    assert main(["gibbs-sample", "--config", cfg, "--out", out,
+                 "--seed", "5"]) == 0
+    with open(os.path.join(out, "gibbs_sample.json")) as fh:
+        records = json.load(fh)["records"]
+    names = [r["name"] for r in records]
+    assert names.index("pcn_warmup") == \
+        names.index("pcn_acceptance_rate") + 1
+    warmup = records[names.index("pcn_warmup")]
+    chain = calls[0][1]
+    assert warmup["status"] == "info"
+    assert warmup["value"] == [list(pair) for pair in chain.warmup]
+    assert warmup["value"] and warmup["value"][-1][0] == chain.beta
+    assert 0.3 <= warmup["value"][-1][1] <= 0.5  # settled
+    fixed = _write(tmp_path / "fixed.cfg", open(cfg).read()
+                   + "gibbs.beta = 0.4\n")
+    assert main(["gibbs-sample", "--config", fixed, "--out", out,
+                 "--seed", "5"]) == 0
+    with open(os.path.join(out, "gibbs_sample.json")) as fh:
+        records = {r["name"]: r for r in json.load(fh)["records"]}
+    assert records["pcn_warmup"]["value"] == []
 
 
 def test_grid_kernel_subcommands_never_build_the_dense_tensor(tmp_path):
