@@ -42,10 +42,8 @@ def _build_tensor(cfg, cutoff=None):
         grid_size = max(own_grid, auto_grid_size(cutoff))
         if cfg.kernel_kind == "file" and grid_size != own_grid:
             _refuse_file_study(cfg, cutoff, grid_size)
-    basis = build_basis(cfg.dim, cutoff, grid_size=grid_size)
-    kspec = cfg.kernel_spec(grid=basis.grid)
-    return assemble_interaction(basis, kspec,
-                                budget_bytes=cfg.tensor_budget_bytes)
+    return assemble_interaction(
+        build_basis(cfg.dim, cutoff, grid_size=grid_size), cfg)
 
 
 def _refuse_file_study(cfg, cutoff, grid_size):
@@ -184,7 +182,7 @@ def run_spectral(cfg, rep, out_dir, args):
 def run_wick(cfg, rep, out_dir, args):
     import numpy as np
 
-    from .field import GaussianSampleSpec, gaussian_coeffs
+    from .field import gaussian_coeffs
     from .interaction import (interaction_energy, wick_energy_literal,
                               wick_quartic_cov, wick_quartic_cov_enumerated)
     tuples = np.indices((4,) * 8).reshape(8, -1).T
@@ -198,8 +196,7 @@ def run_wick(cfg, rep, out_dir, args):
                    "index tuples over {0,1,2,3}",
             seconds=time.perf_counter() - t0)
     tensor = _build_tensor(cfg)
-    g = gaussian_coeffs(GaussianSampleSpec(seed=cfg.seed, label="wick.check"),
-                        tensor.n_modes, 20)
+    g = gaussian_coeffs(cfg.seed, "wick.check", tensor.n_modes, 20)
     lit = wick_energy_literal(tensor, g)
     con = interaction_energy(tensor, g / tensor.lam)
     rel = float(np.max(np.abs(lit - con)) / max(1.0, np.max(np.abs(lit))))
@@ -212,18 +209,17 @@ def run_wick(cfg, rep, out_dir, args):
 def run_energy(cfg, rep, out_dir, args):
     import numpy as np
 
-    from .field import GaussianSampleSpec, gaussian_coeffs
-    from .interaction import (KernelSpec, assemble_interaction,
-                              grid_energy_context, interaction_energy,
-                              interaction_energy_grid, nonlinearity,
-                              nonlinearity_grid, wick_energy_literal)
+    from .config import ExperimentConfig
+    from .field import gaussian_coeffs
+    from .interaction import (assemble_interaction, grid_energy_context,
+                              interaction_energy, interaction_energy_grid,
+                              nonlinearity, nonlinearity_grid,
+                              wick_energy_literal)
     from .zonal import analyze, build_basis, synthesize
     tensor = _build_tensor(cfg)
     basis = tensor.basis
     ctx = grid_energy_context(basis, tensor.wmat)
-    g = gaussian_coeffs(GaussianSampleSpec(seed=cfg.seed,
-                                           label="energy.states"),
-                        tensor.n_modes, 50)
+    g = gaussian_coeffs(cfg.seed, "energy.states", tensor.n_modes, 50)
     c = g / tensor.lam
     e_coeff = interaction_energy(tensor, c)
     e_grid = np.array([interaction_energy_grid(basis, ctx,
@@ -241,9 +237,7 @@ def run_energy(cfg, rep, out_dir, args):
     rep.add_check("coeff_vs_grid_nonlinearity",
                   float(np.max(np.abs(f_coeff - f_grid))) / fscale, 1e-8,
                   detail="cubic term, both routes, 50 states")
-    gg = gaussian_coeffs(GaussianSampleSpec(seed=cfg.seed,
-                                            label="energy.pathwise"),
-                         tensor.n_modes, 100)
+    gg = gaussian_coeffs(cfg.seed, "energy.pathwise", tensor.n_modes, 100)
     e_field = interaction_energy(tensor, gg / tensor.lam)
     e_wick = wick_energy_literal(tensor, gg).real
     wscale = max(1.0, float(np.max(np.abs(e_wick))))
@@ -256,8 +250,9 @@ def run_energy(cfg, rep, out_dir, args):
     write_table(out_dir, "energy_samples", ["sample", "e_coeff", "e_wick"],
                 rows)
     anchor_basis = build_basis(2, 0, grid_size=8)
-    anchor = assemble_interaction(anchor_basis,
-                                  KernelSpec(kind="constant", kappa=1.0))
+    anchor = assemble_interaction(
+        anchor_basis, ExperimentConfig(kernel_kind="constant",
+                                       kernel_kappa=1.0))
     zero = np.zeros(1, dtype=complex)
     e0 = float(interaction_energy(anchor, zero))
     rep.add_check("vacuum_anchor_energy", abs(e0 - 2.0), 1e-12,
@@ -465,13 +460,11 @@ def run_flow(cfg, rep, out_dir, args):
 
     from .dynamics import (FlowConfig, flow, reversal_error,
                            truncation_comparison, vector_field_check)
-    from .field import GaussianSampleSpec, gaussian_coeffs
+    from .field import gaussian_coeffs
     tensor = _build_tensor(cfg)
     init = getattr(args, "init", "seed")
     if init == "seed":
-        g = gaussian_coeffs(GaussianSampleSpec(seed=cfg.seed,
-                                               label="flow.init"),
-                            tensor.n_modes)
+        g = gaussian_coeffs(cfg.seed, "flow.init", tensor.n_modes)
         c0 = g / tensor.lam
         rep.add("initial_state", "info", value="seed",
                 detail=f"free-measure draw from seed {cfg.seed}")
@@ -579,6 +572,23 @@ def run_invariance(cfg, rep, out_dir, args):
     return rep
 
 
+def _guarded(runner, cfg, rep, out_dir, args):
+    """Run one runner; any exception becomes a failing `aborted` record, so
+    the records and sidecars it wrote before it failed stay in the report.
+
+    A ValueError is a refusal and its message is the detail; any other
+    exception also names its type, and its traceback goes to the log.
+    """
+    try:
+        runner(cfg, rep, out_dir, args)
+    except Exception as exc:
+        refusal = isinstance(exc, ValueError)
+        detail = str(exc) if refusal else f"{type(exc).__name__}: {exc}"
+        rep.add("aborted", "fail", detail=detail)
+        log.error("%s aborted: %s", rep.command, detail,
+                  exc_info=not refusal)
+
+
 _SECTIONS = (
     ("clifford", run_clifford),
     ("spectral", run_spectral),
@@ -599,11 +609,7 @@ def run_full(cfg, rep, out_dir, args):
         name, runner = item
         log.info("running %s", name)
         sub = Report(name, {})
-        try:
-            runner(cfg, sub, out_dir, args)
-        except Exception as exc:  # one section must not erase the others
-            sub.add("aborted", "fail", detail=f"{type(exc).__name__}: {exc}")
-            log.exception("section %s aborted", name)
+        _guarded(runner, cfg, sub, out_dir, args)
         return sub
 
     if threads > 1:
@@ -695,11 +701,7 @@ def main(argv=None):
     for warning in warnings:
         rep.add("config_warning", "info", detail=warning)
     out_dir = cfg.out_dir
-    try:
-        RUNNERS[args.command](cfg, rep, out_dir, args)
-    except ValueError as exc:
-        rep.add("aborted", "fail", detail=str(exc))
-        log.error("%s", exc)
+    _guarded(RUNNERS[args.command], cfg, rep, out_dir, args)
     _add_process_record(rep)
     path = rep.write(out_dir)
     log.info("wrote %s (%d records, all_pass=%s)", path, len(rep.records),

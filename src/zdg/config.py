@@ -16,9 +16,6 @@ from dataclasses import make_dataclass
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
 
-# byte budget of the dense oracle A and of assemble_interaction's arrays
-DEFAULT_TENSOR_BUDGET = 2 * 1024 ** 3
-
 
 def auto_grid_size(cutoff):
     """Quadrature nodes of the automatic grid (grid_size = 0) at a cutoff."""
@@ -36,8 +33,8 @@ SCHEMA = [
     ("hs_s", "hs_s", "float", -0.6),
     ("seed", "seed", "int", 2026),
     ("threads", "threads", "int", 0),
-    ("tensor_budget_bytes", "tensor_budget_bytes", "int",
-     DEFAULT_TENSOR_BUDGET),
+    # byte budget of the dense oracle A and of assemble_interaction's arrays
+    ("tensor_budget_bytes", "tensor_budget_bytes", "int", 2 * 1024 ** 3),
     ("out_dir", "out_dir", "str", "reports"),
     ("kernel.kind", "kernel_kind", "str", "constant"),
     ("kernel.kappa", "kernel_kappa", "float", 1.0),
@@ -76,6 +73,9 @@ SCHEMA = [
 _BY_KEY = {key: (attr, tag) for key, attr, tag, _ in SCHEMA}
 
 KERNEL_KINDS = ("constant", "separable", "grid", "file")
+# the keys of interaction.SEPARABLE_PROFILES and interaction.GRID_KERNELS
+KERNEL_PROFILES = ("one_plus_cos", "gauss_bump")
+KERNEL_NAMES = ("gaussian_angle",)
 INTEGRATORS = ("midpoint", "lawson-rk4")
 
 _TYPE_BY_TAG = {"int": int, "float": float, "str": str, "bool": bool,
@@ -96,25 +96,6 @@ class _ConfigMethods:
     def effective_grid_size(self):
         return self.grid_size if self.grid_size > 0 \
             else auto_grid_size(self.cutoff)
-
-    def kernel_spec(self, grid=None):
-        """Build the kernel description; file kernels need the grid."""
-        from .interaction import KernelSpec, kernel_matrix_from_csv
-        if self.kernel_kind == "constant":
-            return KernelSpec(kind="constant", kappa=self.kernel_kappa)
-        if self.kernel_kind == "separable":
-            return KernelSpec(kind="separable",
-                              profile=self.kernel_profile,
-                              amplitude=self.kernel_amplitude)
-        if self.kernel_kind == "grid":
-            return KernelSpec(kind="grid", name=self.kernel_name,
-                              width=self.kernel_width)
-        if grid is None:
-            raise ValueError("file kernels need the quadrature grid to "
-                             "validate their nodes")
-        matrix = kernel_matrix_from_csv(self.kernel_profile_file,
-                                        theta=grid.theta)
-        return KernelSpec(kind="matrix", matrix=matrix)
 
 
 ExperimentConfig = make_dataclass(
@@ -203,6 +184,12 @@ def validate(cfg):
     if cfg.kernel_kind not in KERNEL_KINDS:
         errors.append(f"kernel.kind must be one of {KERNEL_KINDS}, got "
                       f"{cfg.kernel_kind!r}")
+    if cfg.kernel_profile not in KERNEL_PROFILES:
+        errors.append(f"kernel.profile must be one of {KERNEL_PROFILES}, "
+                      f"got {cfg.kernel_profile!r}")
+    if cfg.kernel_name not in KERNEL_NAMES:
+        errors.append(f"kernel.name must be one of {KERNEL_NAMES}, got "
+                      f"{cfg.kernel_name!r}")
     if cfg.kernel_kappa < 0:
         errors.append(f"kernel.kappa must be >= 0, got {cfg.kernel_kappa}")
     if cfg.kernel_amplitude < 0:

@@ -43,6 +43,7 @@ from .interaction import interaction_energy, nonlinearity
 
 log = logging.getLogger(__name__)
 
+MAX_ITER = 100  # fixed-point iterations of a midpoint step before it splits
 MAX_HALVINGS = 8  # step splits a midpoint step may take before it fails
 FD_STATES = 5  # random states of the finite-difference audit
 FD_STEP = 1e-6  # its central-difference step
@@ -55,7 +56,6 @@ class FlowConfig:
     t_final: float = 1.0
     integrator: str = "midpoint"
     solver_tol: float = 1e-13
-    max_iter: int = 100
     sample_every: int = 0  # 0: record initial and final states only
 
 
@@ -123,7 +123,7 @@ def _midpoint_step(tensor, c, dt, cfg, counters, history=None, depth=0):
     else:
         mid = c / denom
     scale = max(1.0, float(np.max(np.abs(c))))
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         counters["f_evals"] += 1
         nl = _nl_part(tensor, mid)
         rhs = c + 0.5 * dt * nl
@@ -244,8 +244,7 @@ def reversal_error(tensor, coeffs0, cfg):
     return float(np.max(np.abs(final - np.asarray(coeffs0, dtype=complex))))
 
 
-def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, kmax=8,
-                          sobolev_s=-0.6):
+def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, kmax, sobolev_s):
     """Coupled comparison of the flow at two cutoffs from one initial state.
 
     The same state is advanced under the full tensor and under its slice at
@@ -352,7 +351,7 @@ def ks_two_sample(a, b):
     return h * 1.0 / n, min(2 * prob, 1.0)
 
 
-def ensemble_observables(tensor, coeffs, kmax=8, sobolev_s=-0.6):
+def ensemble_observables(tensor, coeffs, kmax, sobolev_s):
     """Named scalar observables per ensemble member."""
     c = np.asarray(coeffs)
     out = {}
@@ -365,10 +364,9 @@ def ensemble_observables(tensor, coeffs, kmax=8, sobolev_s=-0.6):
     return out
 
 
-def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha=0.01,
-                    kmax=8, burn_steps=400, beta=0.4, integrator="midpoint",
-                    solver_tol=1e-12, disable_counterterms=False,
-                    sobolev_s=-0.6):
+def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha, kmax,
+                    burn_steps, beta, integrator, solver_tol, sobolev_s,
+                    disable_counterterms=False):
     """Evolve a Gibbs ensemble and compare observable laws at t=0 and t_final.
 
     The ensemble targets exp(-E) dmu via parallel pCN chains.  Each

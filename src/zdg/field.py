@@ -6,25 +6,15 @@ so the coefficient c_n = g_n / lambda_n has E |c_n|^2 = 1 / omega_n.  Pointwise
 covariance tables follow by summing |e_n|^2 / lambda_n^2 over modes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rng as rng_mod
 
 
-@dataclass
-class GaussianSampleSpec:
-    """Reproducible description of one family of free-field draws."""
-
-    seed: int
-    label: str = "field.sample"
-    counter: int = 0
-
-
-def gaussian_coeffs(spec, n_modes, size=None):
-    """Raw standard complex Gaussians g, shape (size, n_modes) or (n_modes,)."""
-    gen = rng_mod.derive_rng(spec.seed, spec.label, spec.counter)
+def gaussian_coeffs(seed, label, n_modes, size=None):
+    """Raw standard complex Gaussians g, shape (size, n_modes) or (n_modes,),
+    from the stream (seed, label) of `rng.derive_rng`."""
+    gen = rng_mod.derive_rng(seed, label)
     shape = (n_modes,) if size is None else (size, n_modes)
     return rng_mod.standard_complex(gen, shape)
 

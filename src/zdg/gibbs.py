@@ -394,7 +394,7 @@ def _mean_iact(series):
     return float(np.mean([integrated_autocorr(row) for row in series]))
 
 
-def pcn_parallel(tensor, n_chains, burn_steps, seed, beta=0.5):
+def pcn_parallel(tensor, n_chains, burn_steps, seed, beta):
     """Independent-members ensemble: many chains, one sample per chain.
 
     Every chain starts from its own prior draw and is burned burn_steps

@@ -19,10 +19,11 @@ fully-contracted constants, giving for coefficients c
     e0_const = sum_jl A[j, j, l, l] / (lambda_j lambda_l)^2
     e0_trace = sum_jk A[j, k, k, j] / (lambda_j lambda_k)^2.
 
-The kernel is discretized once, by `assemble_interaction`, as one value
-(W, v) for every kernel kind (`kernel_node_values`): W is the (K, K)
-matrix of w on the quadrature nodes, kept on the tensor, and v the
-rank-one node vector with W = v v^T, or None (grid and file kernels).
+The kernel is a config's kernel.* fields, discretized once by
+`assemble_interaction(basis, cfg)` as one value (W, v) for every kernel
+kind (`kernel_node_values`): W is the (K, K) matrix of w on the
+quadrature nodes, kept on the tensor, and v the rank-one node vector with
+W = v v^T, or None (grid and file kernels).
 Nothing in the studies or samplers touches A.  The counterterms, the
 batched E and F (`FactoredInteraction`) and the chaos series are computed
 from factors: the pair factor V = rho diag(w) v (A = V (x) V) when v
@@ -75,8 +76,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TENSOR_BUDGET
-
 SEPARABLE_PROFILES = {
     "one_plus_cos": lambda theta: 1.0 + np.cos(theta),
     "gauss_bump": lambda theta: np.exp(-((theta - np.pi / 2) ** 2)
@@ -89,76 +88,56 @@ GRID_KERNELS = {
 }
 
 
-@dataclass
-class KernelSpec:
-    """Pair-potential description.
-
-    kind "constant": w = kappa (kappa >= 0).
-    kind "separable": w(x, y) = v(x) v(y) with v = amplitude * profile(theta)
-        (profiles are nonnegative, so w >= 0 and rank one).
-    kind "grid": w(x, y) tabulated from a named positive-definite family.
-    kind "matrix": w(x, y) supplied as node values (e.g. loaded from a CSV
-        kernel file); validated like a grid kernel.
-    """
-
-    kind: str = "constant"
-    kappa: float = 1.0
-    profile: str = "one_plus_cos"
-    amplitude: float = 1.0
-    name: str = "gaussian_angle"
-    width: float = 0.7
-    matrix: np.ndarray = None
-
-
-def kernel_node_values(spec, grid):
-    """Discretize the kernel on the grid as one value (W, v).
+def kernel_node_values(cfg, grid):
+    """Discretize a config's kernel (its kernel.* fields) on the grid as one
+    value (W, v).
 
     W is the (K, K) node matrix W(x_i, x_j).  v is the rank-one node vector
-    with W = v v^T (sqrt(kappa) for constant kernels, the profile for
-    separable ones), or None for grid and matrix kernels.  Nonnegativity is
-    enforced here; grid kernels are also checked to be symmetric and
-    positive semidefinite in the quadrature inner product.
+    with W = v v^T, or None for grid and file kernels.  By kernel.kind:
+
+    "constant": w = kappa (kappa >= 0), v = sqrt(kappa).
+    "separable": w(x, y) = v(x) v(y) with v = amplitude * profile(theta)
+        (profiles are nonnegative, so w >= 0 and rank one).
+    "grid": w(x, y) tabulated from a named positive-definite family.
+    "file": w(x, y) read from kernel.profile_file, whose nodes must be the
+        grid's (`kernel_matrix_from_csv`).
+
+    Grid and file kernels are checked to be symmetric, pointwise
+    nonnegative and positive semidefinite in the quadrature inner product.
     """
-    if spec.kind == "constant":
-        if spec.kappa < 0:
+    kind = cfg.kernel_kind
+    if kind == "constant":
+        if cfg.kernel_kappa < 0:
             raise ValueError("constant kernel needs kappa >= 0")
-        kappa = float(spec.kappa)
+        kappa = float(cfg.kernel_kappa)
         return (np.full((grid.size, grid.size), kappa),
                 np.full(grid.size, math.sqrt(kappa)))
-    if spec.kind == "separable":
+    if kind == "separable":
         try:
-            prof = SEPARABLE_PROFILES[spec.profile]
+            prof = SEPARABLE_PROFILES[cfg.kernel_profile]
         except KeyError:
-            raise ValueError(f"unknown separable profile {spec.profile!r}")
-        if spec.amplitude < 0:
+            raise ValueError(
+                f"unknown separable profile {cfg.kernel_profile!r}")
+        if cfg.kernel_amplitude < 0:
             raise ValueError("separable kernel needs amplitude >= 0")
-        v = spec.amplitude * prof(grid.theta)
+        v = cfg.kernel_amplitude * prof(grid.theta)
         if np.any(v < -1e-12):
             raise ValueError("separable profile must be nonnegative")
         v = np.maximum(v, 0.0)
         return np.outer(v, v), v
-    if spec.kind == "grid":
+    if kind == "grid":
         try:
-            fam = GRID_KERNELS[spec.name]
+            fam = GRID_KERNELS[cfg.kernel_name]
         except KeyError:
-            raise ValueError(f"unknown grid kernel {spec.name!r}")
-        if spec.width <= 0:
+            raise ValueError(f"unknown grid kernel {cfg.kernel_name!r}")
+        if cfg.kernel_width <= 0:
             raise ValueError("grid kernel needs width > 0")
-        mat = fam(grid.theta, grid.theta, spec.width)
-        return _check_kernel_matrix(mat, grid), None
-    if spec.kind == "matrix":
-        if spec.matrix is None:
-            raise ValueError("matrix kernel needs node values")
-        mat = np.asarray(spec.matrix, dtype=float)
-        if mat.shape != (grid.size, grid.size):
-            raise ValueError(
-                f"kernel matrix shape {mat.shape} does not match the "
-                f"{grid.size}-node grid")
-        return _check_kernel_matrix(mat, grid), None
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
-
-
-def _check_kernel_matrix(mat, grid):
+        mat = fam(grid.theta, grid.theta, cfg.kernel_width)
+    elif kind == "file":
+        mat = kernel_matrix_from_csv(cfg.kernel_profile_file,
+                                     theta=grid.theta)
+    else:
+        raise ValueError(f"unknown kernel kind {kind!r}")
     if not np.allclose(mat, mat.T, atol=1e-12):
         raise ValueError("grid kernel must be symmetric")
     if np.any(mat < 0):
@@ -168,7 +147,7 @@ def _check_kernel_matrix(mat, grid):
     eigmin = np.linalg.eigvalsh(weighted)[0]
     if eigmin < -1e-10 * max(1.0, np.abs(weighted).max()):
         raise ValueError("grid kernel is not positive semidefinite")
-    return mat
+    return mat, None
 
 
 def kernel_matrix_to_csv(path, theta, matrix):
@@ -245,8 +224,8 @@ class InteractionTensor:
     lam: np.ndarray
     wmat: np.ndarray
     basis: object
-    factor: np.ndarray = None
-    budget_bytes: int = DEFAULT_TENSOR_BUDGET
+    factor: np.ndarray
+    budget_bytes: int
 
     @property
     def n_modes(self):
@@ -354,17 +333,19 @@ def dense_tensor(tensor):
     return a
 
 
-def assemble_interaction(basis, kspec, budget_bytes=DEFAULT_TENSOR_BUDGET):
-    """Interaction tensor of the basis: the node kernel W, the factors and
-    the counterterms.
+def assemble_interaction(basis, cfg):
+    """Interaction tensor of the basis for a config's kernel: the node
+    kernel W, the factors and the counterterms.
 
     The kernel is discretized here, once (`kernel_node_values`).  Raises
     ValueError when the largest array built here, the (K, K) node kernel
     (tiled to (2K, 2K) by the node-path counterterms; K > J), would exceed
-    budget_bytes.  The tensor carries budget_bytes to its oracle A.
+    cfg.tensor_budget_bytes.  The tensor carries that budget to its oracle
+    A.
     """
     k = basis.grid.size
-    wmat, v = kernel_node_values(kspec, basis.grid)
+    budget_bytes = cfg.tensor_budget_bytes
+    wmat, v = kernel_node_values(cfg, basis.grid)
     need = 8 * k * k * (1 if v is not None else 4)
     if need > budget_bytes:
         raise ValueError(

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from zdg.clifford import anticommutator_check, build_gamma_family
+from zdg.config import ExperimentConfig
 from zdg.dynamics import (FlowConfig, flow, invariance_test, reversal_error,
                           vector_field_check)
-from zdg.field import GaussianSampleSpec, gaussian_coeffs
+from zdg.field import gaussian_coeffs
 from zdg.gibbs import (cauchy_decay_study, chain_mean, importance_ensemble,
                        lr_stability_study, nelson_scan, pcn_chain,
                        weighted_mean)
-from zdg.interaction import (KernelSpec, assemble_interaction,
+from zdg.interaction import (assemble_interaction,
                              grid_energy_context, interaction_energy,
                              interaction_energy_grid, nonlinearity,
                              nonlinearity_grid, wick_energy_literal,
@@ -27,7 +28,7 @@ from zdg.interaction import (KernelSpec, assemble_interaction,
 from zdg.zonal import (analyze, build_basis, dirac_apply_grid, gram_matrix,
                        lp_norm, synthesize)
 
-CONST = KernelSpec(kind="constant", kappa=1.0)
+CONST = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
 SEED = 20260817
 
 
@@ -53,9 +54,10 @@ def t16_const(basis16):
 
 @pytest.fixture(scope="module")
 def t16_sep(basis16):
-    spec = KernelSpec(kind="separable", profile="one_plus_cos",
-                      amplitude=1.0)
-    return assemble_interaction(basis16, spec)
+    kernel = ExperimentConfig(kernel_kind="separable",
+                              kernel_profile="one_plus_cos",
+                              kernel_amplitude=1.0)
+    return assemble_interaction(basis16, kernel)
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +113,7 @@ def test_wick_covariance_closed_form_vs_enumeration_exhaustive():
 
 
 def test_pathwise_energy_identity_both_kernel_families(t16_const, t16_sep):
-    g = gaussian_coeffs(GaussianSampleSpec(seed=SEED, label="acc.pathwise"),
-                        17, 100)
+    g = gaussian_coeffs(SEED, "acc.pathwise", 17, 100)
     for tensor in (t16_const, t16_sep):
         e_field = interaction_energy(tensor, g / tensor.lam)
         for i in range(100):
@@ -123,8 +124,7 @@ def test_pathwise_energy_identity_both_kernel_families(t16_const, t16_sep):
 
 def test_energy_and_nonlinearity_match_grid_quadrature(t16_sep, basis16):
     ctx = grid_energy_context(basis16, t16_sep.wmat)
-    g = gaussian_coeffs(GaussianSampleSpec(seed=SEED, label="acc.grid"),
-                        17, 50)
+    g = gaussian_coeffs(SEED, "acc.grid", 17, 50)
     c = g / t16_sep.lam
     e_coeff = interaction_energy(t16_sep, c)
     f_coeff = nonlinearity(t16_sep, c)
@@ -184,9 +184,9 @@ def test_nonlinearity_matches_quarter_energy_gradient(t8_const):
 
 def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
     zero_kernel = assemble_interaction(basis16,
-                                       KernelSpec(kind="constant",
-                                                  kappa=0.0))
-    g = gaussian_coeffs(GaussianSampleSpec(seed=SEED, label="acc.flow"), 17)
+                                       ExperimentConfig(kernel_kind="constant",
+                                                        kernel_kappa=0.0))
+    g = gaussian_coeffs(SEED, "acc.flow", 17)
     c0 = g / basis16.lam
     cfg_lin = FlowConfig(dt=1e-3, t_final=10.0, integrator="lawson-rk4",
                          sample_every=10000)
@@ -205,15 +205,17 @@ def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
 
 
 def test_invariance_ks_suite_and_negative_control(t8_const):
-    res = invariance_test(t8_const, 4096, 5.0, 5e-3, SEED, alpha=0.01)
+    knobs = dict(alpha=0.01, kmax=8, burn_steps=400, beta=0.4,
+                 integrator="midpoint", solver_tol=1e-12, sobolev_s=-0.6)
+    res = invariance_test(t8_const, 4096, 5.0, 5e-3, SEED, **knobs)
     failed = [r["observable"] for r in res["rows"] if not r["pass"]]
     assert res["all_pass"], failed
 
     broken = assemble_interaction(
-        build_basis(2, 8), KernelSpec(kind="separable",
-                                      profile="one_plus_cos",
-                                      amplitude=1.5))
-    res_neg = invariance_test(broken, 4096, 5.0, 5e-3, SEED, alpha=0.01,
+        build_basis(2, 8), ExperimentConfig(kernel_kind="separable",
+                                            kernel_profile="one_plus_cos",
+                                            kernel_amplitude=1.5))
+    res_neg = invariance_test(broken, 4096, 5.0, 5e-3, SEED, **knobs,
                               disable_counterterms=True)
     energy_row = next(r for r in res_neg["rows"]
                       if r["observable"] == "energy")

@@ -5,13 +5,17 @@ import zdg.dynamics as dynamics
 from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
                           hamiltonian, invariance_test, mass, reversal_error,
                           vector_field_check)
-from zdg.field import GaussianSampleSpec, gaussian_coeffs
-from zdg.interaction import KernelSpec, assemble_interaction, nonlinearity
+from zdg.config import ExperimentConfig
+from zdg.field import gaussian_coeffs
+from zdg.interaction import assemble_interaction, nonlinearity
 from zdg.zonal import build_basis
 
-CONSTANT = KernelSpec(kind="constant", kappa=1.0)
-SEPARABLE = KernelSpec(kind="separable", profile="one_plus_cos", amplitude=1.0)
-GRIDK = KernelSpec(kind="grid", name="gaussian_angle", width=0.7)
+CONSTANT = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
+SEPARABLE = ExperimentConfig(kernel_kind="separable",
+                             kernel_profile="one_plus_cos",
+                             kernel_amplitude=1.0)
+GRIDK = ExperimentConfig(kernel_kind="grid", kernel_name="gaussian_angle",
+                         kernel_width=0.7)
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +36,12 @@ def tensor_grid():
 @pytest.fixture(scope="module")
 def tensor_zero():
     return assemble_interaction(build_basis(2, 6, grid_size=30),
-                                KernelSpec(kind="constant", kappa=0.0))
+                                ExperimentConfig(kernel_kind="constant",
+                                                 kernel_kappa=0.0))
 
 
 def sample_state(tensor, seed=1, size=None):
-    g = gaussian_coeffs(GaussianSampleSpec(seed=seed, label="test.dyn"),
-                        tensor.n_modes, size)
+    g = gaussian_coeffs(seed, "test.dyn", tensor.n_modes, size)
     return g / tensor.lam
 
 
@@ -220,7 +224,8 @@ def test_observables_table(tensor_const):
 
 def test_invariance_positive_and_negative_controls(tensor_sep):
     common = dict(n_ensemble=2500, t_final=1.5, dt=0.01, seed=2024,
-                  burn_steps=600, beta=0.35, kmax=4)
+                  alpha=0.01, kmax=4, burn_steps=600, beta=0.35,
+                  integrator="midpoint", solver_tol=1e-12, sobolev_s=-0.6)
     good = invariance_test(tensor_sep, **common)
     assert good["all_pass"], [r for r in good["rows"] if not r["pass"]]
     bad = invariance_test(tensor_sep, disable_counterterms=True, **common)
@@ -232,12 +237,12 @@ def test_invariance_positive_and_negative_controls(tensor_sep):
 @pytest.mark.parametrize("max_iter", [100, 8])
 def test_midpoint_counters_in_trajectory_meta(tensor_sep, monkeypatch,
                                               max_iter):
-    import zdg.dynamics as dynamics
     calls = []
     real = dynamics.nonlinearity
     monkeypatch.setattr(dynamics, "nonlinearity",
                         lambda t, c: calls.append(1) or real(t, c))
-    cfg = FlowConfig(dt=0.01, t_final=0.02, max_iter=max_iter)
+    monkeypatch.setattr(dynamics, "MAX_ITER", max_iter)
+    cfg = FlowConfig(dt=0.01, t_final=0.02)
     traj = flow(tensor_sep, sample_state(tensor_sep, size=4), cfg)
     assert traj.meta["n_steps"] == 2
     assert traj.meta["f_evals"] == len(calls)
@@ -288,9 +293,10 @@ def test_extrapolated_start_matches_free_start_flows(tensor_sep, tensor_grid,
     assert traj.meta["f_evals"] < 0.8 * counters["f_evals"]
 
 
-def test_halving_clears_the_history(tensor_sep):
+def test_halving_clears_the_history(tensor_sep, monkeypatch):
     c = sample_state(tensor_sep, seed=29, size=4)
-    cfg = FlowConfig(dt=0.01, max_iter=8)  # eight iterations cannot converge
+    monkeypatch.setattr(dynamics, "MAX_ITER", 8)  # eight cannot converge
+    cfg = FlowConfig(dt=0.01)
     # a history that points the wrong way: the split must discard it
     history = [-dynamics._nl_part(tensor_sep, c)] * 3
     counters = {"f_evals": 0, "halvings": 0}
@@ -329,7 +335,8 @@ def _closed_form_phase(tensor, c):
 @pytest.mark.parametrize("cutoff", [8, 64])
 def test_constant_kernel_cubic_term_is_the_closed_form(cutoff):
     t = assemble_interaction(build_basis(2, cutoff),
-                             KernelSpec(kind="constant", kappa=KAPPA))
+                             ExperimentConfig(kernel_kind="constant",
+                                              kernel_kappa=KAPPA))
     c = sample_state(t, seed=31, size=16)
     exact = _closed_form_phase(t, c) * c
     got = nonlinearity(t, c)
@@ -338,7 +345,8 @@ def test_constant_kernel_cubic_term_is_the_closed_form(cutoff):
 
 def test_midpoint_converges_at_second_order_to_the_exact_flow():
     t = assemble_interaction(build_basis(2, 8),
-                             KernelSpec(kind="constant", kappa=KAPPA))
+                             ExperimentConfig(kernel_kind="constant",
+                                              kernel_kappa=KAPPA))
     c0 = sample_state(t, seed=33, size=4)
     exact = c0 * np.exp(-1j * (t.lam ** 2 + 2.0 * _closed_form_phase(t, c0)))
     errors = []

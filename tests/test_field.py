@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from zdg.field import (GaussianSampleSpec, coeffs_from_gaussians,
-                       covariance_diag, covariance_kernel, gaussian_coeffs,
-                       hs_norm)
+from zdg.field import (coeffs_from_gaussians, covariance_diag,
+                       covariance_kernel, gaussian_coeffs, hs_norm)
 from zdg.jacobi import integrate
 from zdg.zonal import build_basis, synthesize
 from zdg import rng as rng_mod
 
 
-def sample_field(basis, spec, size=None):
+def sample_field(basis, seed, label, size=None):
     """Free-field samples on the grid, shape (..., K, 2)."""
-    g = gaussian_coeffs(spec, basis.n_modes, size)
+    g = gaussian_coeffs(seed, label, basis.n_modes, size)
     return synthesize(basis, coeffs_from_gaussians(basis, g))
 
 
@@ -21,19 +20,20 @@ def basis():
 
 
 def test_draws_are_reproducible(basis):
-    spec = GaussianSampleSpec(seed=123, label="field.sample")
-    a = gaussian_coeffs(spec, basis.n_modes, size=4)
-    b = gaussian_coeffs(spec, basis.n_modes, size=4)
+    a = gaussian_coeffs(123, "field.sample", basis.n_modes, size=4)
+    b = gaussian_coeffs(123, "field.sample", basis.n_modes, size=4)
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_by_label_and_counter():
-    s0 = GaussianSampleSpec(seed=123, label="field.sample")
-    s1 = GaussianSampleSpec(seed=123, label="other.purpose")
-    s2 = GaussianSampleSpec(seed=123, label="field.sample", counter=1)
-    a = gaussian_coeffs(s0, 8, size=3)
-    assert not np.allclose(a, gaussian_coeffs(s1, 8, size=3))
-    assert not np.allclose(a, gaussian_coeffs(s2, 8, size=3))
+    a = gaussian_coeffs(123, "field.sample", 8, size=3)
+    # the draws are the counter-0 stream of rng.derive_rng, bit for bit
+    zero = rng_mod.derive_rng(123, "field.sample", 0)
+    assert rng_mod.standard_complex(zero, (3, 8)).tobytes() == a.tobytes()
+    assert not np.allclose(a, gaussian_coeffs(123, "other.purpose", 8,
+                                              size=3))
+    one = rng_mod.derive_rng(123, "field.sample", 1)
+    assert not np.allclose(a, rng_mod.standard_complex(one, (3, 8)))
 
 
 def test_standard_complex_moments():
@@ -68,8 +68,7 @@ def test_covariance_kernel_consistency(basis):
 
 
 def test_pointwise_variance_matches_covariance(basis):
-    spec = GaussianSampleSpec(seed=99)
-    vals = sample_field(basis, spec, size=40000)
+    vals = sample_field(basis, 99, "field.sample", size=40000)
     emp = np.mean(np.abs(vals[..., 0]) ** 2 + np.abs(vals[..., 1]) ** 2,
                   axis=0)
     sigma = covariance_diag(basis)
@@ -88,8 +87,7 @@ def test_hs_norm_formula():
 
 
 def test_hs_norm_expectation(basis):
-    spec = GaussianSampleSpec(seed=7, label="field.hs")
-    g = gaussian_coeffs(spec, basis.n_modes, size=60000)
+    g = gaussian_coeffs(7, "field.hs", basis.n_modes, size=60000)
     c = coeffs_from_gaussians(basis, g)
     s = -0.6
     n = np.arange(basis.n_modes, dtype=float)

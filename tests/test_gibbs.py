@@ -13,13 +13,15 @@ from zdg.gibbs import (_adapt_beta, _normal_scores, bulk_ess,
                        importance_ensemble, integrated_autocorr,
                        lr_stability_study, nelson_scan, pcn_chain,
                        pcn_parallel, split_rhat, weighted_mean)
-from zdg.interaction import (KernelSpec, assemble_interaction,
-                             chaos_tail_series, interaction_energy)
+from zdg.config import ExperimentConfig
+from zdg.interaction import (assemble_interaction, chaos_tail_series,
+                             interaction_energy)
 from zdg.special import logsumexp
 from zdg.zonal import build_basis
 
-CONSTANT = KernelSpec(kind="constant", kappa=1.0)
-GRIDK = KernelSpec(kind="grid", name="gaussian_angle", width=0.7)
+CONSTANT = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
+GRIDK = ExperimentConfig(kernel_kind="grid", kernel_name="gaussian_angle",
+                         kernel_width=0.7)
 
 
 @pytest.fixture(scope="module")
@@ -138,10 +140,11 @@ def test_pcn_chain_and_split_rhat_leave_numpy_ma_unloaded():
     code = (
         "import sys\n"
         "from zdg.gibbs import pcn_chain, split_rhat\n"
-        "from zdg.interaction import KernelSpec, assemble_interaction\n"
+        "from zdg.config import ExperimentConfig\n"
+        "from zdg.interaction import assemble_interaction\n"
         "from zdg.zonal import build_basis\n"
-        "t = assemble_interaction(build_basis(2, 3), "
-        "KernelSpec(kind='constant', kappa=1.0))\n"
+        "t = assemble_interaction(build_basis(2, 3), ExperimentConfig("
+        "kernel_kind='constant', kernel_kappa=1.0))\n"
         "ens = pcn_chain(t, 600, seed=2)\n"
         "assert ens.rhat == ens.rhat\n"
         "split_rhat(ens.coeffs.real.T)\n"
@@ -374,7 +377,7 @@ def test_sweep_calls_the_energy_and_the_draw_once_each(tensor_n3):
                            counted("energy", gibbs.interaction_energy)), \
             mock.patch.object(rng_mod, "standard_complex",
                               counted("draw", rng_mod.standard_complex)):
-        pcn_parallel(tensor_n3, 1500, 7, seed=4)
+        pcn_parallel(tensor_n3, 1500, 7, seed=4, beta=0.5)
     assert calls == {"energy": 8, "draw": 8}  # the prior draw, then 7 sweeps
 
 
@@ -564,8 +567,8 @@ def _all_at_once_lr(tensor, n_list, r_list, n_samples, seed,
 @pytest.fixture(scope="module")
 def study_tensors():
     basis = build_basis(2, 16, grid_size=48)
-    return {spec.kind: assemble_interaction(basis, spec)
-            for spec in (CONSTANT, GRIDK)}
+    return {kernel.kernel_kind: assemble_interaction(basis, kernel)
+            for kernel in (CONSTANT, GRIDK)}
 
 
 @pytest.mark.parametrize("kind", ["constant", "grid"])
@@ -655,11 +658,10 @@ def _assert_quantiles_bitwise(x):
 
 def test_hypercontractivity_of_chaos_increment(tensor_n16):
     # degree-4 chaos: ||X||_4 <= 3^2 ||X||_2
-    from zdg.field import GaussianSampleSpec, gaussian_coeffs
+    from zdg.field import gaussian_coeffs
     hi = tensor_n16.slice(8)
     lo = tensor_n16.slice(4)
-    g = gaussian_coeffs(GaussianSampleSpec(seed=81, label="test.hyper"),
-                        hi.n_modes, size=50000)
+    g = gaussian_coeffs(81, "test.hyper", hi.n_modes, size=50000)
     x = interaction_energy(hi, g / hi.lam) \
         - interaction_energy(lo, g[:, :5] / lo.lam)
     l2 = np.sqrt(np.mean(x ** 2))

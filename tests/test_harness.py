@@ -9,12 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zdg import report
+from zdg import interaction, report
 from zdg.cli import main
-from zdg.config import (SCHEMA, ExperimentConfig, config_from_mapping,
-                        load_config, parse_config_text, resolve_threads,
-                        validate)
-from zdg.interaction import kernel_matrix_from_csv, kernel_matrix_to_csv
+from zdg.config import (KERNEL_NAMES, KERNEL_PROFILES, SCHEMA,
+                        ExperimentConfig, config_from_mapping, load_config,
+                        parse_config_text, resolve_threads, validate)
+from zdg.interaction import (kernel_matrix_from_csv, kernel_matrix_to_csv,
+                             kernel_node_values)
 from zdg.report import Report, build_identifier, write_table
 from zdg.zonal import build_basis
 
@@ -66,6 +67,22 @@ def test_invalid_config_lists_every_violation():
     assert "nu must lie in (0, 1 - 6*dim/q)" in msg
     assert "hs_s" in msg
     assert msg.count("\n") >= 3
+
+
+def test_unknown_kernel_profile_and_name_are_config_errors():
+    with pytest.raises(ValueError) as err:
+        config_from_mapping({"kernel.kind": "separable",
+                             "kernel.profile": "nope",
+                             "kernel.name": "wat"})
+    msg = str(err.value)
+    assert "kernel.profile must be one of ('one_plus_cos', 'gauss_bump'), " \
+        "got 'nope'" in msg
+    assert "kernel.name must be one of ('gaussian_angle',), got 'wat'" in msg
+
+
+def test_kernel_name_tuples_are_the_interaction_families():
+    assert KERNEL_PROFILES == tuple(interaction.SEPARABLE_PROFILES)
+    assert KERNEL_NAMES == tuple(interaction.GRID_KERNELS)
 
 
 def test_q_window_rejection_example():
@@ -156,9 +173,9 @@ def test_file_kernel_config_roundtrips_node_values(tmp_path):
     cfg, _ = config_from_mapping({"cutoff": "6", "grid_size": "28",
                                   "kernel.kind": "file",
                                   "kernel.profile_file": str(path)})
-    spec = cfg.kernel_spec(grid=basis.grid)
-    assert spec.kind == "matrix"
-    assert np.array_equal(spec.matrix, mat)
+    wmat, v = kernel_node_values(cfg, basis.grid)
+    assert np.array_equal(wmat, mat)
+    assert v is None
 
 
 def test_report_record_fields_and_order():
@@ -282,6 +299,16 @@ def test_cli_rejects_bad_config_with_full_diagnostic(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "q must exceed 12*dim" in err
     assert "unknown key 'who'" in err
+
+
+def test_cli_unknown_kernel_profile_exits_two_without_a_report(tmp_path,
+                                                               capsys):
+    cfg = _write(tmp_path / "bad.cfg",
+                 "kernel.kind = separable\nkernel.profile = nope\n")
+    out = str(tmp_path / "r")
+    assert main(["gibbs-sample", "--config", cfg, "--out", out]) == 2
+    assert "kernel.profile must be one of" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_budget_refusal_names_admissible_cutoff(tmp_path):
@@ -761,6 +788,36 @@ def test_gibbs_sample_keeps_the_importance_side_when_the_chain_fails(
             open(os.path.join(cut, name), "rb") as b:
         assert a.read() == b.read()
     assert sorted(os.listdir(cut)) == [name, "gibbs_sample.json"]
+
+
+@pytest.mark.parametrize("command", ["gibbs-sample", "full-suite"])
+def test_any_runner_exception_becomes_an_aborted_record(tmp_path, monkeypatch,
+                                                        command):
+    from zdg import gibbs
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("chain broke")
+
+    monkeypatch.setattr(gibbs, "pcn_chain", failing)
+    with open(_small_run_config(tmp_path)) as fh:
+        text = fh.read()
+    cfg = _write(tmp_path / "quick.cfg", text + (
+        "flow.t_final = 0.05\ninvariance.ensemble_size = 32\n"
+        "invariance.t_final = 0.05\ninvariance.burn_steps = 20\n"))
+    out = str(tmp_path / "r")
+    assert main([command, "--config", cfg, "--out", out, "--seed", "5"]) == 1
+    stem = command.replace("-", "_")
+    with open(os.path.join(out, f"{stem}.json")) as fh:
+        records = [r for r in json.load(fh)["records"]
+                   if r["name"] != "config_warning"]
+    prefix = "gibbs." if command == "full-suite" else ""
+    names = [r["name"] for r in records if r["name"].startswith(prefix)]
+    assert names[:3] == [prefix + name for name in
+                         ("tensor_built", "importance_ess", "aborted")]
+    aborted = records[[r["name"] for r in records].index(prefix + "aborted")]
+    assert aborted["status"] == "fail"
+    assert aborted["detail"] == "RuntimeError: chain broke"
+    assert records[-1]["name"] == "process"
 
 
 def test_gibbs_sample_reports_the_pcn_warmup_blocks(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import os
 import sys
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -12,19 +14,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdg import interaction
-from zdg.field import GaussianSampleSpec, gaussian_coeffs
-from zdg.interaction import (KernelSpec, assemble_interaction,
-                             chaos_tail_series, dense_tensor,
-                             grid_energy_context, interaction_energy,
-                             interaction_energy_grid, kernel_node_values,
-                             nonlinearity, nonlinearity_grid, pair_density,
-                             quartic_form, wick_energy_literal,
-                             wick_quartic_cov, wick_quartic_cov_enumerated)
+from zdg.config import ExperimentConfig
+from zdg.field import gaussian_coeffs
+from zdg.interaction import (assemble_interaction, chaos_tail_series,
+                             dense_tensor, grid_energy_context,
+                             interaction_energy, interaction_energy_grid,
+                             kernel_matrix_from_csv, kernel_matrix_to_csv,
+                             kernel_node_values, nonlinearity,
+                             nonlinearity_grid, pair_density, quartic_form,
+                             wick_energy_literal, wick_quartic_cov,
+                             wick_quartic_cov_enumerated)
 from zdg.zonal import analyze, build_basis, synthesize
 
-CONSTANT = KernelSpec(kind="constant", kappa=1.0)
-SEPARABLE = KernelSpec(kind="separable", profile="one_plus_cos", amplitude=0.8)
-GRIDK = KernelSpec(kind="grid", name="gaussian_angle", width=0.7)
+CONSTANT = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
+SEPARABLE = ExperimentConfig(kernel_kind="separable",
+                             kernel_profile="one_plus_cos",
+                             kernel_amplitude=0.8)
+GRIDK = ExperimentConfig(kernel_kind="grid", kernel_name="gaussian_angle",
+                         kernel_width=0.7)
+
+
+@lru_cache(maxsize=1)
+def _kernel_dir():
+    """One temporary directory for this module's kernel files, removed
+    when the process exits."""
+    return tempfile.TemporaryDirectory(prefix="zdg-kernels-")
+
+
+def file_kernel(grid, matrix):
+    """A "file" kernel config whose CSV holds the given node values."""
+    fd, path = tempfile.mkstemp(suffix=".csv", dir=_kernel_dir().name)
+    os.close(fd)
+    kernel_matrix_to_csv(path, grid.theta, matrix)
+    return ExperimentConfig(kernel_kind="file", kernel_profile_file=path)
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +56,8 @@ def basis():
 
 @pytest.fixture(scope="module")
 def tensors(basis):
-    return {spec.kind: assemble_interaction(basis, spec)
-            for spec in (CONSTANT, SEPARABLE, GRIDK)}
+    return {kernel.kernel_kind: assemble_interaction(basis, kernel)
+            for kernel in (CONSTANT, SEPARABLE, GRIDK)}
 
 
 def random_coeffs(n_modes, size=None, seed=0):
@@ -91,8 +113,8 @@ def test_separable_factor_reproduces_tensor(basis, tensors):
 
 def test_slice_matches_smaller_assembly(basis, tensors):
     small_basis = build_basis(2, 6, grid=basis.grid)
-    for kind, spec in (("constant", CONSTANT), ("grid", GRIDK)):
-        direct = assemble_interaction(small_basis, spec)
+    for kind, kernel in (("constant", CONSTANT), ("grid", GRIDK)):
+        direct = assemble_interaction(small_basis, kernel)
         sliced = tensors[kind].slice(6)
         assert np.allclose(dense_tensor(direct), dense_tensor(sliced),
                            atol=1e-12)
@@ -104,57 +126,67 @@ def test_slice_matches_smaller_assembly(basis, tensors):
 
 def test_budget_guard(basis):
     with pytest.raises(ValueError):
-        assemble_interaction(basis, CONSTANT, budget_bytes=100)
+        assemble_interaction(basis,
+                             replace(CONSTANT, tensor_budget_bytes=100))
 
 
 def test_kernel_validation(basis):
-    with pytest.raises(ValueError):
-        kernel_node_values(KernelSpec(kind="constant", kappa=-1.0),
-                           basis.grid)
-    with pytest.raises(ValueError):
-        kernel_node_values(KernelSpec(kind="separable", profile="nope"),
-                           basis.grid)
-    with pytest.raises(ValueError):
-        kernel_node_values(KernelSpec(kind="grid", name="nope"), basis.grid)
-    with pytest.raises(ValueError):
-        kernel_node_values(KernelSpec(kind="grid", width=-1.0), basis.grid)
-    with pytest.raises(ValueError):
-        kernel_node_values(KernelSpec(kind="wat"), basis.grid)
+    for bad in (dict(kernel_kind="constant", kernel_kappa=-1.0),
+                dict(kernel_kind="separable", kernel_profile="nope"),
+                dict(kernel_kind="grid", kernel_name="nope"),
+                dict(kernel_kind="grid", kernel_width=-1.0),
+                dict(kernel_kind="wat")):
+        with pytest.raises(ValueError):
+            kernel_node_values(ExperimentConfig(**bad), basis.grid)
 
 
-def listed_node_matrix(spec, grid):
+def test_file_kernel_refuses_what_a_grid_kernel_would(basis):
+    grid = basis.grid
+    good = listed_node_matrix(GRIDK, grid)
+    skew = good.copy()
+    skew[0, 1] += 1e-3
+    cos = np.cos(grid.theta)
+    for matrix, match in ((skew, "symmetric"), (good - 2.0, "nonnegative"),
+                          (1.0 - np.outer(cos, cos), "semidefinite")):
+        with pytest.raises(ValueError, match=match):
+            kernel_node_values(file_kernel(grid, matrix), grid)
+    other = build_basis(2, 10, grid_size=46).grid
+    with pytest.raises(ValueError, match="nodes do not match"):
+        kernel_node_values(file_kernel(other, np.ones((46, 46))), grid)
+
+
+def listed_node_matrix(kernel, grid):
     """W(x_i, x_j) written out per kernel kind, independently of (W, v)."""
-    if spec.kind == "constant":
-        return np.full((grid.size, grid.size), float(spec.kappa))
-    if spec.kind == "separable":
-        prof = interaction.SEPARABLE_PROFILES[spec.profile]
-        v = np.maximum(spec.amplitude * prof(grid.theta), 0.0)
+    if kernel.kernel_kind == "constant":
+        return np.full((grid.size, grid.size), float(kernel.kernel_kappa))
+    if kernel.kernel_kind == "separable":
+        prof = interaction.SEPARABLE_PROFILES[kernel.kernel_profile]
+        v = np.maximum(kernel.kernel_amplitude * prof(grid.theta), 0.0)
         return np.outer(v, v)
-    if spec.kind == "grid":
-        fam = interaction.GRID_KERNELS[spec.name]
-        return fam(grid.theta, grid.theta, spec.width)
-    return np.asarray(spec.matrix, dtype=float)
+    if kernel.kernel_kind == "grid":
+        fam = interaction.GRID_KERNELS[kernel.kernel_name]
+        return fam(grid.theta, grid.theta, kernel.kernel_width)
+    return kernel_matrix_from_csv(kernel.kernel_profile_file)
 
 
 def matrix_kernel(grid):
-    """The grid kernel GRIDK handed over as node values, like a file."""
-    return KernelSpec(kind="matrix",
-                      matrix=listed_node_matrix(GRIDK, grid).copy())
+    """The grid kernel GRIDK handed over as node values in a kernel file."""
+    return file_kernel(grid, listed_node_matrix(GRIDK, grid))
 
 
 @pytest.mark.parametrize("name", ["constant1", "constant2", "separable",
                                   "grid", "matrix"])
 def test_kernel_node_values_is_one_value(basis, name):
     grid = basis.grid
-    spec = {"constant1": CONSTANT,
-            "constant2": KernelSpec(kind="constant", kappa=2.0),
-            "separable": SEPARABLE, "grid": GRIDK,
-            "matrix": matrix_kernel(grid)}[name]
-    wmat, v = kernel_node_values(spec, grid)
-    expected = listed_node_matrix(spec, grid)
+    kernel = {"constant1": CONSTANT,
+              "constant2": replace(CONSTANT, kernel_kappa=2.0),
+              "separable": SEPARABLE, "grid": GRIDK,
+              "matrix": matrix_kernel(grid)}[name]
+    wmat, v = kernel_node_values(kernel, grid)
+    expected = listed_node_matrix(kernel, grid)
     assert wmat.shape == expected.shape
     assert np.array_equal(wmat, expected)  # bitwise
-    if spec.kind in ("grid", "matrix"):
+    if kernel.kernel_kind in ("grid", "file"):
         assert v is None
     else:
         assert v.shape == (grid.size,)
@@ -235,6 +267,7 @@ def assert_matches_oracle(tensor, c, rel=1e-12):
     assert np.max(np.abs(nonlinearity(tensor, c) - cubic)) <= rel * f_scale
 
 
+# "matrix" is a node matrix handed over in a kernel file (kind "file")
 ORACLE_KINDS = ("constant", "separable", "grid", "matrix")
 
 
@@ -243,12 +276,11 @@ def oracle_tensor(dim, cutoff, kind):
     basis = build_basis(dim, cutoff)
     if kind == "matrix":
         cos = np.cos(basis.grid.theta)
-        spec = KernelSpec(kind="matrix",
-                          matrix=0.5 * (1.0 + np.outer(cos, cos)))
+        kernel = file_kernel(basis.grid, 0.5 * (1.0 + np.outer(cos, cos)))
     else:
-        spec = {"constant": CONSTANT, "separable": SEPARABLE,
-                "grid": GRIDK}[kind]
-    return assemble_interaction(basis, spec)
+        kernel = {"constant": CONSTANT, "separable": SEPARABLE,
+                  "grid": GRIDK}[kind]
+    return assemble_interaction(basis, kernel)
 
 
 @settings(max_examples=60, deadline=None)
@@ -591,8 +623,7 @@ def test_node_path_warm_cubic_term_casts_nothing(rows):
 
 def test_wick_monomial_is_centered(basis, tensors):
     t = tensors["separable"].slice(4)
-    spec = GaussianSampleSpec(seed=31, label="test.wick.center")
-    g = gaussian_coeffs(spec, 5, size=20000)
+    g = gaussian_coeffs(31, "test.wick.center", 5, size=20000)
     vals = interaction_energy(t, g / t.lam)
     se = np.std(vals) / np.sqrt(len(vals))
     assert abs(np.mean(vals)) < 4 * se
@@ -615,9 +646,9 @@ def test_nonlinearity_grid_route_agrees(basis, tensors, kind):
 
 @pytest.mark.parametrize("name", ["constant2", "matrix"])
 def test_grid_routes_on_matrix_and_scaled_constant_kernels(basis, name):
-    spec = KernelSpec(kind="constant", kappa=2.0) if name == "constant2" \
+    kernel = replace(CONSTANT, kernel_kappa=2.0) if name == "constant2" \
         else matrix_kernel(basis.grid)
-    t = assemble_interaction(basis, spec)
+    t = assemble_interaction(basis, kernel)
     ctx = grid_energy_context(basis, t.wmat)
     coeffs = random_coeffs(basis.n_modes, size=6, seed=11)
     states = [synthesize(basis, ci) for ci in coeffs]
@@ -676,8 +707,7 @@ def test_wick_covariance_diagonal_values():
 
 
 def test_wick_covariance_montecarlo_spotcheck():
-    spec = GaussianSampleSpec(seed=17, label="test.wick.mc")
-    g = gaussian_coeffs(spec, 3, size=400000)
+    g = gaussian_coeffs(17, "test.wick.mc", 3, size=400000)
     gc = np.conj(g)
 
     def monomial(j, k, l, m):
@@ -738,8 +768,7 @@ def test_chaos_tail_series_montecarlo(basis, tensors):
     t = tensors["constant"]
     m_low = 4
     exact, bound = chaos_tail_series(t, m_low)
-    spec = GaussianSampleSpec(seed=41, label="test.chaos.mc")
-    g = gaussian_coeffs(spec, basis.n_modes, size=60000)
+    g = gaussian_coeffs(41, "test.chaos.mc", basis.n_modes, size=60000)
     low = t.slice(m_low)
     e_hi = interaction_energy(t, g / t.lam)
     e_lo = interaction_energy(low, g[:, :m_low + 1] / low.lam)
@@ -828,8 +857,9 @@ def test_budget_caps_the_dense_oracle_not_the_factored_tensor():
     from zdg.gibbs import cauchy_decay_study
     basis = build_basis(2, 20, grid_size=56)
     budget = 8 * 12 ** 4  # the dense A fits up to cutoff 11
-    for spec in (CONSTANT, GRIDK):
-        t = assemble_interaction(basis, spec, budget_bytes=budget)
+    for kernel in (CONSTANT, GRIDK):
+        t = assemble_interaction(
+            basis, replace(kernel, tensor_budget_bytes=budget))
         out = cauchy_decay_study(t, [5, 10], 400, seed=4)
         assert all(0 < row["exact"] <= row["bound"] for row in out["rows"])
         g = random_coeffs(t.n_modes, seed=5)
@@ -847,8 +877,8 @@ def test_wick_literal_route_stays_within_the_dense_budget():
     # the monomial is contracted one j-slab at a time, so at the largest
     # admissible cutoff the route peaks near A itself, not at six times it
     budget = 8 * 25 ** 4
-    t = assemble_interaction(build_basis(2, 24), CONSTANT,
-                             budget_bytes=budget)
+    t = assemble_interaction(build_basis(2, 24),
+                             replace(CONSTANT, tensor_budget_bytes=budget))
     g = random_coeffs(t.n_modes, seed=9)
     tracemalloc.start()
     try:
@@ -875,7 +905,8 @@ def test_node_path_dense_oracle_stays_within_its_budget():
     # the half-contraction is freed and A symmetrized one slab pair at a
     # time; with a + a.transpose alive together it peaked at 2.24 budgets
     budget = 8 * 25 ** 4
-    t = assemble_interaction(build_basis(2, 24), GRIDK, budget_bytes=budget)
+    t = assemble_interaction(build_basis(2, 24),
+                             replace(GRIDK, tensor_budget_bytes=budget))
     tracemalloc.start()
     try:
         a = dense_tensor(t)
@@ -889,10 +920,11 @@ def test_node_path_dense_oracle_stays_within_its_budget():
 
 def test_assembly_refuses_what_it_would_build_over_the_budget():
     basis = build_basis(2, 10, grid_size=44)
-    for spec, need in ((CONSTANT, 8 * 44 ** 2), (GRIDK, 32 * 44 ** 2)):
-        assemble_interaction(basis, spec, budget_bytes=need)
+    for kernel, need in ((CONSTANT, 8 * 44 ** 2), (GRIDK, 32 * 44 ** 2)):
+        assemble_interaction(basis, replace(kernel, tensor_budget_bytes=need))
         with pytest.raises(ValueError, match=f"needs {need} bytes"):
-            assemble_interaction(basis, spec, budget_bytes=need - 1)
+            assemble_interaction(
+                basis, replace(kernel, tensor_budget_bytes=need - 1))
 
 
 def test_counterterm_free_invariance_flow_builds_no_dense_tensor():
@@ -900,7 +932,9 @@ def test_counterterm_free_invariance_flow_builds_no_dense_tensor():
     t = assemble_interaction(build_basis(2, 6, grid_size=24), GRIDK)
     with mock.patch.object(interaction, "dense_tensor",
                            side_effect=AssertionError("dense A built")):
-        res = invariance_test(t, 64, 0.05, 0.01, seed=2, burn_steps=20,
+        res = invariance_test(t, 64, 0.05, 0.01, seed=2, alpha=0.01, kmax=8,
+                              burn_steps=20, beta=0.4, integrator="midpoint",
+                              solver_tol=1e-12, sobolev_s=-0.6,
                               disable_counterterms=True)
     assert res["rows"]
 
