@@ -12,10 +12,10 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, report
-from .config import auto_grid_size, load_config, resolve_threads
+from .config import (auto_grid_size, load_config, resolve_threads,
+                     step_count)
 from .report import Report, write_table
 
 log = logging.getLogger("zdg.cli")
@@ -472,7 +472,7 @@ def run_flow(cfg, rep, out_dir, args):
         c0 = _load_initial_state(init, tensor.n_modes)
         rep.add("initial_state", "info", value=init,
                 detail=f"{c0.size} modes loaded from file")
-    n_steps = int(round(cfg.flow_t_final / cfg.flow_dt))
+    n_steps = step_count(cfg.flow_t_final, cfg.flow_dt)
     sample_every = cfg.flow_sample_every or max(1, n_steps // 200)
     fcfg = FlowConfig(dt=cfg.flow_dt, t_final=cfg.flow_t_final,
                       integrator=cfg.flow_integrator,
@@ -603,22 +603,10 @@ _SECTIONS = (
 
 
 def run_full(cfg, rep, out_dir, args):
-    threads = resolve_threads(cfg)
-
-    def section(item):
-        name, runner = item
+    for name, runner in _SECTIONS:
         log.info("running %s", name)
         sub = Report(name, {})
         _guarded(runner, cfg, sub, out_dir, args)
-        return sub
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads,
-                                                len(_SECTIONS))) as pool:
-            subs = list(pool.map(section, _SECTIONS))
-    else:
-        subs = [section(item) for item in _SECTIONS]
-    for (name, _), sub in zip(_SECTIONS, subs):
         rep.extend(sub, prefix=name)
     return rep
 

@@ -10,6 +10,7 @@ This module is importable without numpy so the command-line front end can
 cap thread pools before any numerical library loads.
 """
 
+import math
 import os
 from dataclasses import make_dataclass
 
@@ -20,6 +21,18 @@ _FALSE = {"false", "no", "off", "0"}
 def auto_grid_size(cutoff):
     """Quadrature nodes of the automatic grid (grid_size = 0) at a cutoff."""
     return 2 * cutoff + 16
+
+
+def step_count(t_final, dt):
+    """The number n = round(t_final / dt) of dt steps in t_final, or None
+    when n dt misses t_final: |n dt - t_final| > 1e-12 + 1e-9 |t_final|,
+    the test of np.isclose(n dt, t_final, rtol=1e-9, atol=1e-12)."""
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        return None
+    n = round(ratio)
+    whole = abs(n * dt - t_final) <= 1e-12 + 1e-9 * abs(t_final)
+    return n if whole else None
 
 
 # (config key, attribute, type tag, default); the single source of truth
@@ -197,9 +210,11 @@ def validate(cfg):
                       f"{cfg.kernel_amplitude}")
     if cfg.kernel_width <= 0:
         errors.append(f"kernel.width must be > 0, got {cfg.kernel_width}")
-    if cfg.kernel_kind == "file" and not cfg.kernel_profile_file:
-        errors.append("kernel.profile_file is required when kernel.kind is "
-                      "'file'")
+    if cfg.kernel_kind == "file" and not os.path.isfile(
+            cfg.kernel_profile_file):
+        errors.append("kernel.profile_file must name an existing file when "
+                      f"kernel.kind is 'file', got "
+                      f"{cfg.kernel_profile_file!r}")
     if cfg.gibbs_ensemble_size < 2:
         errors.append("gibbs.ensemble_size must be >= 2, got "
                       f"{cfg.gibbs_ensemble_size}")
@@ -212,6 +227,10 @@ def validate(cfg):
         errors.append(f"flow.dt must be > 0, got {cfg.flow_dt}")
     if cfg.flow_t_final < 0:
         errors.append(f"flow.t_final must be >= 0, got {cfg.flow_t_final}")
+    elif cfg.flow_dt > 0 and step_count(cfg.flow_t_final,
+                                        cfg.flow_dt) is None:
+        errors.append(f"flow.t_final = {cfg.flow_t_final} must be a whole "
+                      f"number of flow.dt = {cfg.flow_dt} steps")
     if cfg.flow_integrator not in INTEGRATORS:
         errors.append(f"flow.integrator must be one of {INTEGRATORS}, got "
                       f"{cfg.flow_integrator!r}")
@@ -234,6 +253,11 @@ def validate(cfg):
                       f"{cfg.invariance_t_final}")
     if cfg.invariance_dt <= 0:
         errors.append(f"invariance.dt must be > 0, got {cfg.invariance_dt}")
+    elif cfg.invariance_t_final > 0 and step_count(
+            cfg.invariance_t_final, cfg.invariance_dt) is None:
+        errors.append(f"invariance.t_final = {cfg.invariance_t_final} must "
+                      f"be a whole number of invariance.dt = "
+                      f"{cfg.invariance_dt} steps")
     if not 0.0 < cfg.invariance_alpha < 0.5:
         errors.append("invariance.alpha must lie in (0, 0.5), got "
                       f"{cfg.invariance_alpha}")
@@ -312,7 +336,7 @@ def load_config(path=None, overrides=None):
 
 
 def resolve_threads(cfg):
-    """Worker count: ZDG_THREADS env var wins over the config key."""
+    """Thread-pool cap: ZDG_THREADS env var wins over the config key."""
     env = os.environ.get("ZDG_THREADS", "").strip()
     if env:
         try:

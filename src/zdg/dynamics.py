@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import step_count
 from .field import hs_norm
 from .gibbs import pcn_parallel
 from .interaction import interaction_energy, nonlinearity
@@ -52,11 +53,11 @@ MOMENT_Z_MAX = 4.0  # the invariance test's bound on paired moment z-scores
 
 @dataclass
 class FlowConfig:
-    dt: float = 1e-3
-    t_final: float = 1.0
-    integrator: str = "midpoint"
-    solver_tol: float = 1e-13
-    sample_every: int = 0  # 0: record initial and final states only
+    dt: float
+    t_final: float
+    integrator: str
+    solver_tol: float
+    sample_every: int  # 0: record initial and final states only
 
 
 @dataclass
@@ -175,8 +176,8 @@ def flow(tensor, coeffs0, cfg):
     low = c0[..., :n_low].copy()
     if cfg.dt <= 0 or cfg.t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    if not np.isclose(n_steps * cfg.dt, cfg.t_final, rtol=1e-9, atol=1e-12):
+    n_steps = step_count(cfg.t_final, cfg.dt)
+    if n_steps is None:
         raise ValueError("t_final must be an integer number of dt steps")
     counters = {"f_evals": 0, "halvings": 0}
     if cfg.integrator == "midpoint":
@@ -272,7 +273,7 @@ def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, kmax, sobolev_s):
             "t_final": cfg.t_final, "rows": rows}
 
 
-def vector_field_check(tensor, seed=0):
+def vector_field_check(tensor, seed):
     """Finite-difference audit of the cubic term against the energy.
 
     Checks per coefficient that F_m = (1/4)(d/dx_m + i d/dy_m) E (the packed
@@ -385,7 +386,7 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha, kmax,
         flow_tensor = replace(tensor, s_mat=np.zeros_like(tensor.s_mat),
                               t_mat=np.zeros_like(tensor.t_mat))
     cfg = FlowConfig(dt=dt, t_final=t_final, integrator=integrator,
-                     solver_tol=solver_tol)
+                     solver_tol=solver_tol, sample_every=0)
     traj = flow(flow_tensor, ens.coeffs, cfg)
     before = ensemble_observables(tensor, traj.states[0], kmax, sobolev_s)
     after = ensemble_observables(tensor, traj.states[-1], kmax, sobolev_s)

@@ -60,7 +60,6 @@ class Ensemble:
     """
 
     coeffs: np.ndarray
-    method: str
     log_weights: np.ndarray = None
     energies: np.ndarray = None
     ess: float = None
@@ -69,7 +68,6 @@ class Ensemble:
     thin: int = 1
     burn: int = 0
     iact: float = None
-    seed: int = None
     n_chains: int = 1
     rhat: float = None
     ess_bulk: float = None
@@ -91,8 +89,8 @@ def importance_ensemble(tensor, n_samples, seed):
     gen = rng_mod.derive_rng(seed, "gibbs.importance")
     coeffs, energies = _prior_states(tensor, gen, n_samples)
     lw = -energies
-    return Ensemble(coeffs=coeffs, method="importance", log_weights=lw,
-                    ess=effective_sample_size(lw), seed=seed)
+    return Ensemble(coeffs=coeffs, log_weights=lw,
+                    ess=effective_sample_size(lw))
 
 
 def weighted_mean(values, log_weights):
@@ -382,10 +380,10 @@ def pcn_chain(tensor, n_samples, seed, beta=None, thin=None):
         series[:, i] = energies
     rhat, ess_bulk = _rank_diagnostics(series)
     return Ensemble(
-        coeffs=coeffs.reshape(-1, tensor.n_modes)[:n_samples], method="pcn",
+        coeffs=coeffs.reshape(-1, tensor.n_modes)[:n_samples],
         energies=series.reshape(-1)[:n_samples],
         acc_rate=accepted / (n_per * thin * n_chains), beta=beta, thin=thin,
-        burn=burn, iact=_mean_iact(series), seed=seed, n_chains=n_chains,
+        burn=burn, iact=_mean_iact(series), n_chains=n_chains,
         rhat=rhat, ess_bulk=ess_bulk, warmup=tuple(warmup))
 
 
@@ -405,14 +403,14 @@ def pcn_parallel(tensor, n_chains, burn_steps, seed, beta):
     states, energies = _prior_states(tensor, gen, n_chains)
     accepted = _advance(tensor, states, energies, beta, gen, burn_steps)
     rate = accepted / (burn_steps * n_chains) if burn_steps else 0.0
-    return Ensemble(coeffs=states, method="pcn-parallel", acc_rate=rate,
-                    beta=beta, burn=burn_steps, seed=seed)
+    return Ensemble(coeffs=states, acc_rate=rate, beta=beta,
+                    burn=burn_steps)
 
 
-def chain_mean(values, iact=None):
+def chain_mean(values):
     """Chain estimate with autocorrelation-inflated standard error."""
     x = np.asarray(values, dtype=float)
-    tau = integrated_autocorr(x) if iact is None else iact
+    tau = integrated_autocorr(x)
     mean = float(x.mean())
     se = float(x.std(ddof=1) * np.sqrt(tau / x.size))
     return mean, se, tau

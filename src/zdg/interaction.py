@@ -76,6 +76,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import validate
+
 SEPARABLE_PROFILES = {
     "one_plus_cos": lambda theta: 1.0 + np.cos(theta),
     "gauss_bump": lambda theta: np.exp(-((theta - np.pi / 2) ** 2)
@@ -95,49 +97,39 @@ def kernel_node_values(cfg, grid):
     W is the (K, K) node matrix W(x_i, x_j).  v is the rank-one node vector
     with W = v v^T, or None for grid and file kernels.  By kernel.kind:
 
-    "constant": w = kappa (kappa >= 0), v = sqrt(kappa).
+    "constant": w = kappa, v = sqrt(kappa).
     "separable": w(x, y) = v(x) v(y) with v = amplitude * profile(theta)
         (profiles are nonnegative, so w >= 0 and rank one).
     "grid": w(x, y) tabulated from a named positive-definite family.
     "file": w(x, y) read from kernel.profile_file, whose nodes must be the
         grid's (`kernel_matrix_from_csv`).
 
-    Grid and file kernels are checked to be symmetric, pointwise
-    nonnegative and positive semidefinite in the quadrature inner product.
+    The config must pass `config.validate`, whose errors are raised as the
+    ValueError.  Grid and file kernels are checked to be symmetric,
+    pointwise nonnegative and positive semidefinite in the quadrature inner
+    product.
     """
+    errors, _ = validate(cfg)
+    if errors:
+        raise ValueError("invalid configuration: " + "; ".join(errors))
     kind = cfg.kernel_kind
     if kind == "constant":
-        if cfg.kernel_kappa < 0:
-            raise ValueError("constant kernel needs kappa >= 0")
         kappa = float(cfg.kernel_kappa)
         return (np.full((grid.size, grid.size), kappa),
                 np.full(grid.size, math.sqrt(kappa)))
     if kind == "separable":
-        try:
-            prof = SEPARABLE_PROFILES[cfg.kernel_profile]
-        except KeyError:
-            raise ValueError(
-                f"unknown separable profile {cfg.kernel_profile!r}")
-        if cfg.kernel_amplitude < 0:
-            raise ValueError("separable kernel needs amplitude >= 0")
+        prof = SEPARABLE_PROFILES[cfg.kernel_profile]
         v = cfg.kernel_amplitude * prof(grid.theta)
         if np.any(v < -1e-12):
             raise ValueError("separable profile must be nonnegative")
         v = np.maximum(v, 0.0)
         return np.outer(v, v), v
     if kind == "grid":
-        try:
-            fam = GRID_KERNELS[cfg.kernel_name]
-        except KeyError:
-            raise ValueError(f"unknown grid kernel {cfg.kernel_name!r}")
-        if cfg.kernel_width <= 0:
-            raise ValueError("grid kernel needs width > 0")
+        fam = GRID_KERNELS[cfg.kernel_name]
         mat = fam(grid.theta, grid.theta, cfg.kernel_width)
-    elif kind == "file":
+    else:
         mat = kernel_matrix_from_csv(cfg.kernel_profile_file,
                                      theta=grid.theta)
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
     if not np.allclose(mat, mat.T, atol=1e-12):
         raise ValueError("grid kernel must be symmetric")
     if np.any(mat < 0):

@@ -99,12 +99,11 @@ class Report:
         self.records.append(record)
         return record
 
-    def add_check(self, name, value, tolerance, detail="", seconds=None,
-                  larger_ok=False):
-        """Pass/fail record from a value-vs-tolerance comparison."""
-        good = value >= tolerance if larger_ok else value <= tolerance
-        return self.add(name, "pass" if good else "fail", value=value,
-                        tolerance=tolerance, detail=detail, seconds=seconds)
+    def add_check(self, name, value, tolerance, detail="", seconds=None):
+        """Pass/fail record: pass when value <= tolerance."""
+        return self.add(name, "pass" if value <= tolerance else "fail",
+                        value=value, tolerance=tolerance, detail=detail,
+                        seconds=seconds)
 
     def extend(self, other, prefix):
         """Absorb another report's records under a dotted prefix."""
@@ -137,11 +136,10 @@ class Report:
             "records": self.records,
         }
 
-    def write(self, out_dir, stem=None):
-        """Write the JSON report; returns its path."""
+    def write(self, out_dir):
+        """Write the report as <command>.json, - as _; returns its path."""
         os.makedirs(out_dir, exist_ok=True)
-        stem = stem or self.command.replace("-", "_")
-        path = os.path.join(out_dir, f"{stem}.json")
+        path = os.path.join(out_dir, self.command.replace("-", "_") + ".json")
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")

@@ -1,9 +1,9 @@
 """Deterministic random-stream derivation.
 
 Every stochastic routine in the package draws from a Philox generator derived
-from (master_seed, stream_label, counter).  The label is hashed so distinct
-purposes ("gibbs.importance", "cauchy.mc", ...) get statistically independent
-counter-based streams, and the same triple always reproduces the same draws
+from (master_seed, stream_label).  The label is hashed so distinct purposes
+("gibbs.importance", "cauchy.mc", ...) get statistically independent
+counter-based streams, and the same pair always reproduces the same draws
 regardless of call order elsewhere in the program.
 """
 
@@ -18,8 +18,8 @@ def stream_key(label):
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_rng(seed, label, counter=0):
-    """Return a numpy Generator for (seed, label, counter).
+def derive_rng(seed, label):
+    """Return a numpy Generator for (seed, label).
 
     Parameters
     ----------
@@ -27,13 +27,12 @@ def derive_rng(seed, label, counter=0):
         Master seed, 0 <= seed < 2**64.
     label : str
         Purpose of the stream, e.g. "field.sample".
-    counter : int
-        Optional index for families of streams under one label.
     """
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in 64 bits")
+    # the key's second word stays 0, so that no stream's bytes move
     ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(stream_key(label), int(counter)))
+                                spawn_key=(stream_key(label), 0))
     return np.random.Generator(np.random.Philox(ss))
 
 

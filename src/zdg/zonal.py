@@ -59,7 +59,7 @@ class BasisTable:
         return self.cutoff + 1
 
 
-def build_basis(dim, cutoff, grid_size=None, grid=None):
+def build_basis(dim, cutoff, grid_size=None):
     """Assemble the eigenbasis table for modes n = 0..cutoff.
 
     Parameters
@@ -72,17 +72,14 @@ def build_basis(dim, cutoff, grid_size=None, grid=None):
         Quadrature nodes, by default auto_grid_size(cutoff).  Must give
         grid_size >= cutoff + dim so all norms and Gram entries below the
         cutoff are quadrature-exact.
-    grid : QuadratureGrid, optional
-        Reuse an existing grid (grid_size is then ignored).
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if grid is None:
-        if grid_size is None:
-            grid_size = auto_grid_size(cutoff)
-        grid = quad_grid(dim, grid_size)
+    if grid_size is None:
+        grid_size = auto_grid_size(cutoff)
+    grid = quad_grid(dim, grid_size)
     if grid.size < cutoff + dim:
         raise ValueError(
             f"grid size {grid.size} too small for cutoff {cutoff} "

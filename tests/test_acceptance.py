@@ -189,7 +189,7 @@ def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
     g = gaussian_coeffs(SEED, "acc.flow", 17)
     c0 = g / basis16.lam
     cfg_lin = FlowConfig(dt=1e-3, t_final=10.0, integrator="lawson-rk4",
-                         sample_every=10000)
+                         solver_tol=1e-13, sample_every=10000)
     traj = flow(zero_kernel, c0, cfg_lin)
     exact = c0 * np.exp(-1j * basis16.omega * 10.0)
     assert np.max(np.abs(traj.states[-1] - exact)) <= 1e-8

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,8 @@ def test_vector_field_gradient_audit(tensor_sep, tensor_const):
 
 def test_free_flow_exact_with_lawson(tensor_zero):
     c0 = sample_state(tensor_zero, seed=5)
-    cfg = FlowConfig(dt=1e-2, t_final=3.0, integrator="lawson-rk4")
+    cfg = FlowConfig(dt=1e-2, t_final=3.0, integrator="lawson-rk4",
+                     solver_tol=1e-13, sample_every=0)
     traj = flow(tensor_zero, c0, cfg)
     omega = tensor_zero.lam ** 2
     exact = c0 * np.exp(-1j * omega * 3.0)
@@ -76,7 +79,8 @@ def test_free_flow_midpoint_phase_error_matches_theory(tensor_zero):
     omega = float(tensor_zero.lam[-1] ** 2)
     h = 1e-2
     t_final = 2.0
-    cfg = FlowConfig(dt=h, t_final=t_final, integrator="midpoint")
+    cfg = FlowConfig(dt=h, t_final=t_final, integrator="midpoint",
+                     solver_tol=1e-13, sample_every=0)
     traj = flow(tensor_zero, c0, cfg)
     exact = np.exp(-1j * omega * t_final)
     got = traj.states[-1][-1]
@@ -126,23 +130,24 @@ def test_integrators_agree_on_coupled_flow(tensor_sep):
     c0 = sample_state(tensor_sep, seed=11)
     mid = flow(tensor_sep, c0, FlowConfig(dt=2e-4, t_final=0.5,
                                           integrator="midpoint",
-                                          solver_tol=1e-14))
+                                          solver_tol=1e-14, sample_every=0))
     law = flow(tensor_sep, c0, FlowConfig(dt=2e-4, t_final=0.5,
-                                          integrator="lawson-rk4"))
+                                          integrator="lawson-rk4",
+                                          solver_tol=1e-13, sample_every=0))
     assert np.max(np.abs(mid.states[-1] - law.states[-1])) < 2e-6
 
 
 def test_reversal(tensor_sep):
     c0 = sample_state(tensor_sep, seed=13)
     cfg = FlowConfig(dt=1e-3, t_final=1.0, integrator="midpoint",
-                     solver_tol=1e-14)
+                     solver_tol=1e-14, sample_every=0)
     assert reversal_error(tensor_sep, c0, cfg) < 1e-8
 
 
 def test_gauge_equivariance(tensor_sep):
     c0 = sample_state(tensor_sep, seed=15)
     cfg = FlowConfig(dt=5e-3, t_final=0.5, integrator="midpoint",
-                     solver_tol=1e-14)
+                     solver_tol=1e-14, sample_every=0)
     alpha = 0.83
     a = flow(tensor_sep, np.exp(1j * alpha) * c0, cfg).states[-1]
     b = np.exp(1j * alpha) * flow(tensor_sep, c0, cfg).states[-1]
@@ -156,7 +161,7 @@ def test_high_mode_riders(tensor_const):
     extra = np.array([0.3 - 0.2j, 0.1 + 0.4j])
     full = np.concatenate([c0, extra])
     cfg = FlowConfig(dt=1e-2, t_final=1.0, integrator="midpoint",
-                     solver_tol=1e-13)
+                     solver_tol=1e-13, sample_every=0)
     traj_full = flow(tensor_const, full, cfg)
     traj_low = flow(tensor_const, c0, cfg)
     assert np.allclose(traj_full.states[-1][:7], traj_low.states[-1],
@@ -170,7 +175,7 @@ def test_high_mode_riders(tensor_const):
 def test_batched_flow_matches_loop(tensor_sep):
     states = sample_state(tensor_sep, seed=19, size=4)
     cfg = FlowConfig(dt=5e-3, t_final=0.3, integrator="midpoint",
-                     solver_tol=1e-14)
+                     solver_tol=1e-14, sample_every=0)
     batch = flow(tensor_sep, states, cfg).states[-1]
     for i in range(4):
         single = flow(tensor_sep, states[i], cfg).states[-1]
@@ -179,17 +184,20 @@ def test_batched_flow_matches_loop(tensor_sep):
 
 def test_flow_argument_validation(tensor_const):
     c0 = sample_state(tensor_const, seed=21)
-    with pytest.raises(ValueError):
-        flow(tensor_const, c0, FlowConfig(dt=1e-2, t_final=0.305))
-    with pytest.raises(ValueError):
-        flow(tensor_const, c0, FlowConfig(integrator="rk9000"))
-    with pytest.raises(ValueError):
-        flow(tensor_const, c0[:3], FlowConfig())
+    cfg = FlowConfig(dt=1e-3, t_final=1.0, integrator="midpoint",
+                     solver_tol=1e-13, sample_every=0)
+    with pytest.raises(ValueError, match="integer number of dt steps"):
+        flow(tensor_const, c0, replace(cfg, dt=1e-2, t_final=0.305))
+    with pytest.raises(ValueError, match="unknown integrator"):
+        flow(tensor_const, c0, replace(cfg, integrator="rk9000"))
+    with pytest.raises(ValueError, match="fewer modes"):
+        flow(tensor_const, c0[:3], cfg)
 
 
 def test_trajectory_sampling_grid(tensor_const):
     c0 = sample_state(tensor_const, seed=23)
-    cfg = FlowConfig(dt=0.01, t_final=0.1, sample_every=4)
+    cfg = FlowConfig(dt=0.01, t_final=0.1, integrator="midpoint",
+                     solver_tol=1e-13, sample_every=4)
     traj = flow(tensor_const, c0, cfg)
     assert np.allclose(traj.times, [0.0, 0.04, 0.08, 0.1])
 
@@ -201,7 +209,8 @@ def test_flow_evaluates_the_energy_once_per_record(tensor_sep, monkeypatch,
     real = dynamics.interaction_energy
     monkeypatch.setattr(dynamics, "interaction_energy",
                         lambda t, c: calls.append(1) or real(t, c))
-    cfg = FlowConfig(dt=0.01, t_final=0.1, sample_every=4)
+    cfg = FlowConfig(dt=0.01, t_final=0.1, integrator="midpoint",
+                     solver_tol=1e-13, sample_every=4)
     traj = flow(tensor_sep, sample_state(tensor_sep, seed=4, size=size), cfg)
     assert len(calls) == len(traj.times) == 4
     monkeypatch.undo()
@@ -242,7 +251,8 @@ def test_midpoint_counters_in_trajectory_meta(tensor_sep, monkeypatch,
     monkeypatch.setattr(dynamics, "nonlinearity",
                         lambda t, c: calls.append(1) or real(t, c))
     monkeypatch.setattr(dynamics, "MAX_ITER", max_iter)
-    cfg = FlowConfig(dt=0.01, t_final=0.02)
+    cfg = FlowConfig(dt=0.01, t_final=0.02, integrator="midpoint",
+                     solver_tol=1e-13, sample_every=0)
     traj = flow(tensor_sep, sample_state(tensor_sep, size=4), cfg)
     assert traj.meta["n_steps"] == 2
     assert traj.meta["f_evals"] == len(calls)
@@ -284,7 +294,8 @@ def test_extrapolated_start_matches_free_start_flows(tensor_sep, tensor_grid,
                                                      kind):
     tensor = {"separable": tensor_sep, "grid": tensor_grid}[kind]
     c0 = sample_state(tensor, seed=27, size=8)
-    cfg = FlowConfig(dt=5e-3, t_final=0.5)
+    cfg = FlowConfig(dt=5e-3, t_final=0.5, integrator="midpoint",
+                     solver_tol=1e-13, sample_every=0)
     traj = flow(tensor, c0, cfg)
     free, counters = _free_start_flow(tensor, c0, cfg)
     assert np.max(np.abs(traj.states[-1] - free)) <= 1e-10
@@ -296,7 +307,8 @@ def test_extrapolated_start_matches_free_start_flows(tensor_sep, tensor_grid,
 def test_halving_clears_the_history(tensor_sep, monkeypatch):
     c = sample_state(tensor_sep, seed=29, size=4)
     monkeypatch.setattr(dynamics, "MAX_ITER", 8)  # eight cannot converge
-    cfg = FlowConfig(dt=0.01)
+    cfg = FlowConfig(dt=0.01, t_final=1.0, integrator="midpoint",
+                     solver_tol=1e-13, sample_every=0)
     # a history that points the wrong way: the split must discard it
     history = [-dynamics._nl_part(tensor_sep, c)] * 3
     counters = {"f_evals": 0, "halvings": 0}
@@ -351,7 +363,8 @@ def test_midpoint_converges_at_second_order_to_the_exact_flow():
     exact = c0 * np.exp(-1j * (t.lam ** 2 + 2.0 * _closed_form_phase(t, c0)))
     errors = []
     for dt in (1e-3, 5e-4):
-        cfg = FlowConfig(dt=dt, t_final=1.0)
+        cfg = FlowConfig(dt=dt, t_final=1.0, integrator="midpoint",
+                         solver_tol=1e-13, sample_every=0)
         err = np.max(np.abs(flow(t, c0, cfg).states[-1] - exact))
         free, _ = _free_start_flow(t, c0, cfg)
         assert abs(err - np.max(np.abs(free - exact))) <= 1e-10

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdg import interaction
-from zdg.config import ExperimentConfig
+from zdg.config import ExperimentConfig, validate
 from zdg.field import gaussian_coeffs
 from zdg.interaction import (assemble_interaction, chaos_tail_series,
                              dense_tensor, grid_energy_context,
@@ -112,7 +113,7 @@ def test_separable_factor_reproduces_tensor(basis, tensors):
 
 
 def test_slice_matches_smaller_assembly(basis, tensors):
-    small_basis = build_basis(2, 6, grid=basis.grid)
+    small_basis = build_basis(2, 6, grid_size=basis.grid.size)
     for kind, kernel in (("constant", CONSTANT), ("grid", GRIDK)):
         direct = assemble_interaction(small_basis, kernel)
         sliced = tensors[kind].slice(6)
@@ -130,14 +131,29 @@ def test_budget_guard(basis):
                              replace(CONSTANT, tensor_budget_bytes=100))
 
 
-def test_kernel_validation(basis):
-    for bad in (dict(kernel_kind="constant", kernel_kappa=-1.0),
-                dict(kernel_kind="separable", kernel_profile="nope"),
-                dict(kernel_kind="grid", kernel_name="nope"),
-                dict(kernel_kind="grid", kernel_width=-1.0),
-                dict(kernel_kind="wat")):
-        with pytest.raises(ValueError):
-            kernel_node_values(ExperimentConfig(**bad), basis.grid)
+def test_kernel_validation(basis, tmp_path):
+    # the checks are config.validate's, raised with its messages
+    missing = str(tmp_path / "missing.csv")
+    for bad, message in (
+            (dict(kernel_kind="constant", kernel_kappa=-1.0),
+             "kernel.kappa must be >= 0, got -1.0"),
+            (dict(kernel_kind="separable", kernel_profile="nope"),
+             "kernel.profile must be one of"),
+            (dict(kernel_kind="separable", kernel_amplitude=-2.0),
+             "kernel.amplitude must be >= 0, got -2.0"),
+            (dict(kernel_kind="grid", kernel_name="nope"),
+             "kernel.name must be one of"),
+            (dict(kernel_kind="grid", kernel_width=-1.0),
+             "kernel.width must be > 0, got -1.0"),
+            (dict(kernel_kind="wat"), "kernel.kind must be one of"),
+            (dict(kernel_kind="file", kernel_profile_file=missing),
+             "kernel.profile_file must name an existing file"),
+            (dict(kernel_kind="constant", q=20.0),
+             "q must exceed 12*dim = 24")):
+        cfg = ExperimentConfig(**bad)
+        assert any(message in err for err in validate(cfg)[0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kernel_node_values(cfg, basis.grid)
 
 
 def test_file_kernel_refuses_what_a_grid_kernel_would(basis):
