@@ -479,7 +479,7 @@ def run_flow(cfg, rep, out_dir, args):
                       solver_tol=cfg.flow_solver_tol,
                       sample_every=sample_every)
     traj, seconds = _timed(flow, tensor, c0, fcfg)
-    m0, h0, f0 = traj.mass[0], traj.hamiltonian[0], traj.flow_energy[0]
+    m0, f0 = traj.mass[0], traj.flow_energy[0]
     rep.add("mass_drift", "info",
             value=float(np.max(np.abs(traj.mass - m0)) / max(1.0, abs(m0))),
             detail=f"relative, over t in [0, {cfg.flow_t_final}]",
@@ -488,10 +488,6 @@ def run_flow(cfg, rep, out_dir, args):
             value=float(np.max(np.abs(traj.flow_energy - f0))),
             detail="conserved quantity of the integrated flow; midpoint "
                    "defect is bounded O(dt^2) at coupling kernels")
-    rep.add("hamiltonian_drift", "info",
-            value=float(np.max(np.abs(traj.hamiltonian - h0))),
-            detail="reference observable (1/2)K + (1/4)E; not an invariant "
-                   "of the flow at coupling kernels")
     _add_solver_counters(rep, traj.meta)
     rev, sec_rev = _timed(reversal_error, tensor, c0, fcfg)
     rep.add_check("reversal_error", rev, 1e-6,
@@ -507,15 +503,14 @@ def run_flow(cfg, rep, out_dir, args):
     header = ["t"]
     for n in range(tensor.n_modes):
         header += [f"re_c{n}", f"im_c{n}"]
-    header += ["hamiltonian", "flow_energy", "mass"]
+    header += ["flow_energy", "mass"]
     rows = []
     for i, t in enumerate(traj.times):
         row = [float(t)]
         for n in range(tensor.n_modes):
             row += [float(traj.states[i, n].real),
                     float(traj.states[i, n].imag)]
-        row += [float(traj.hamiltonian[i]), float(traj.flow_energy[i]),
-                float(traj.mass[i])]
+        row += [float(traj.flow_energy[i]), float(traj.mass[i])]
         rows.append(row)
     write_table(out_dir, "flow_trajectory", header, rows)
     if cfg.flow_compare_cutoff > 0:

@@ -321,8 +321,9 @@ def config_from_mapping(raw_mapping, parse_errors=None):
 def load_config(path=None, overrides=None):
     """Load a config file (defaults when path is None) plus CLI overrides.
 
-    Returns (config, warnings); raises ValueError with the full list of
-    violations when anything is wrong.
+    A relative kernel.profile_file in the file is read relative to the
+    file's directory.  Returns (config, warnings); raises ValueError with
+    the full list of violations when anything is wrong.
     """
     if path is None:
         mapping, parse_errors = {}, []
@@ -330,6 +331,10 @@ def load_config(path=None, overrides=None):
         with open(path) as fh:
             text = fh.read()
         mapping, parse_errors = parse_config_text(text)
+        kernel_file = mapping.get("kernel.profile_file")
+        if kernel_file and not os.path.isabs(kernel_file):
+            mapping["kernel.profile_file"] = os.path.join(
+                os.path.dirname(path), kernel_file)
     for key, value in (overrides or {}).items():
         mapping[key] = value
     return config_from_mapping(mapping, parse_errors)

@@ -8,9 +8,7 @@ H_flow(c) = (1/2) sum omega_n |c_n|^2 + (1/2) E(c):
 where F is the renormalized cubic term and the factor 2 is the Wirtinger
 gradient factor of the quartic energy (d/dc~ E = 2 F exactly).  Under this
 flow the Gibbs density exp(-E) relative to the free Gaussian measure is
-invariant.  The conventional observable H(c) = (1/2) sum omega |c|^2 +
-(1/4) E(c) is recorded alongside for reference; at a constant kernel both
-are conserved because the cubic term reduces to a diagonal phase.
+invariant.
 
 Integrators: an implicit midpoint rule (fixed-point iteration with the
 linear part solved exactly, preserving mass and time symmetry) and a
@@ -64,7 +62,6 @@ class FlowConfig:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray        # (n_records, ..., n_modes)
-    hamiltonian: np.ndarray   # (1/2) K + (1/4) E, the conventional observable
     flow_energy: np.ndarray   # (1/2) K + (1/2) E, conserved by the flow
     mass: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -78,12 +75,6 @@ def quadratic_energy(tensor, coeffs):
     """K = sum omega_n |c_n|^2 (batched)."""
     c = np.asarray(coeffs)
     return np.sum(tensor.lam ** 2 * np.abs(c) ** 2, axis=-1)
-
-
-def hamiltonian(tensor, coeffs):
-    """Conventional energy observable (1/2) K + (1/4) E."""
-    return 0.5 * quadratic_energy(tensor, coeffs) \
-        + 0.25 * interaction_energy(tensor, coeffs)
 
 
 def flow_energy(tensor, coeffs):
@@ -213,16 +204,14 @@ def flow(tensor, coeffs0, cfg):
         for i in range(len(times)):
             hi[i] = hi0 * phases[i]
         states = np.concatenate([states, hi], axis=-1)
-    # K and E once per record; the same operations as `hamiltonian` and
-    # `flow_energy`, so the records are bitwise theirs
+    # K and E once per record; the same operations as `flow_energy`, so
+    # each record is bitwise `flow_energy` of its state
     kin = np.stack([quadratic_energy(tensor, s[..., :n_low]) for s in states])
     pot = np.stack([interaction_energy(tensor, s[..., :n_low])
                     for s in states])
-    ham = 0.5 * kin + 0.25 * pot
     fen = 0.5 * kin + 0.5 * pot
     mss = np.stack([mass(s) for s in states])
-    return Trajectory(times=times, states=states, hamiltonian=ham,
-                      flow_energy=fen, mass=mss,
+    return Trajectory(times=times, states=states, flow_energy=fen, mass=mss,
                       meta={"integrator": cfg.integrator, "dt": cfg.dt,
                             "n_steps": n_steps, **counters})
 

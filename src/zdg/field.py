@@ -19,11 +19,6 @@ def gaussian_coeffs(seed, label, n_modes, size=None):
     return rng_mod.standard_complex(gen, shape)
 
 
-def coeffs_from_gaussians(basis, g):
-    """Scale raw Gaussians to free-field coefficients c = g / lambda."""
-    return np.asarray(g) / basis.lam
-
-
 def covariance_diag(basis):
     """sigma(theta_i) = sum_n |e_n(theta_i)|^2 / lambda_n^2, shape (K,)."""
     dens = np.sum(basis.values ** 2, axis=2)  # (n_modes, K)

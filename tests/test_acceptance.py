@@ -198,9 +198,9 @@ def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
                          solver_tol=1e-14, sample_every=100)
     traj2 = flow(t16_const, c0, cfg_mid)
     m0 = traj2.mass[0]
-    h0 = traj2.hamiltonian[0]
+    f0 = traj2.flow_energy[0]
     assert np.max(np.abs(traj2.mass - m0)) <= 1e-8 * abs(m0)
-    assert np.max(np.abs(traj2.hamiltonian - h0)) <= 1e-8 * abs(h0)
+    assert np.max(np.abs(traj2.flow_energy - f0)) <= 1e-8 * abs(f0)
     assert reversal_error(t16_const, c0, cfg_mid) <= 1e-6
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import zdg.dynamics as dynamics
 from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
-                          hamiltonian, invariance_test, mass, reversal_error,
+                          invariance_test, mass, reversal_error,
                           vector_field_check)
 from zdg.config import ExperimentConfig
 from zdg.field import gaussian_coeffs
@@ -47,10 +47,9 @@ def sample_state(tensor, seed=1, size=None):
     return g / tensor.lam
 
 
-def test_hamiltonian_pinned_vacuum_value():
+def test_flow_energy_pinned_vacuum_value():
     t0 = assemble_interaction(build_basis(2, 0, grid_size=8), CONSTANT)
     zero = np.zeros(1, dtype=complex)
-    assert hamiltonian(t0, zero) == pytest.approx(0.5, abs=1e-12)
     assert flow_energy(t0, zero) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -96,8 +95,6 @@ def test_constant_kernel_conservation(tensor_const):
     traj = flow(tensor_const, c0, cfg)
     m0 = mass(c0)
     assert np.max(np.abs(traj.mass - m0)) < 1e-11 * m0
-    h0 = traj.hamiltonian[0]
-    assert np.max(np.abs(traj.hamiltonian - h0)) < 1e-10 * max(1, abs(h0))
     f0 = traj.flow_energy[0]
     assert np.max(np.abs(traj.flow_energy - f0)) < 1e-10 * max(1, abs(f0))
     # at a constant kernel every mode modulus is individually conserved
@@ -120,10 +117,6 @@ def test_flow_energy_drift_second_order_at_coupling_kernel(tensor_sep):
         assert np.max(np.abs(traj.mass - m0)) < 1e-11 * m0
     ratio = drifts[4e-3] / drifts[2e-3]
     assert 3.2 < ratio < 4.8
-    # the observable (1/2)K + (1/4)E is NOT an invariant of this flow, so
-    # its drift dwarfs the integrator defect (traj is the dt=2e-3 run)
-    h_drift = np.max(np.abs(traj.hamiltonian - traj.hamiltonian[0]))
-    assert h_drift > 100 * drifts[2e-3]
 
 
 def test_integrators_agree_on_coupled_flow(tensor_sep):
@@ -214,10 +207,8 @@ def test_flow_evaluates_the_energy_once_per_record(tensor_sep, monkeypatch,
     traj = flow(tensor_sep, sample_state(tensor_sep, seed=4, size=size), cfg)
     assert len(calls) == len(traj.times) == 4
     monkeypatch.undo()
-    # the records are bitwise the two observables evaluated per state
+    # the records are bitwise the flow energy evaluated per state
     for i, state in enumerate(traj.states):
-        assert np.array_equal(traj.hamiltonian[i],
-                              hamiltonian(tensor_sep, state))
         assert np.array_equal(traj.flow_energy[i],
                               flow_energy(tensor_sep, state))
 

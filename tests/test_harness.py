@@ -179,6 +179,22 @@ def test_file_kernel_config_roundtrips_node_values(tmp_path):
     assert v is None
 
 
+def test_shipped_file_kernel_config_loads_from_any_directory(tmp_path,
+                                                            monkeypatch):
+    # a relative kernel.profile_file is read relative to its config file
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    kernel = os.path.join(root, "configs", "sample_kernel.csv")
+    monkeypatch.chdir(tmp_path)
+    cfg, _ = load_config(os.path.join(root, "configs", "file_kernel.cfg"))
+    assert cfg.kernel_profile_file == kernel
+    grid = build_basis(cfg.dim, cfg.cutoff, cfg.effective_grid_size()).grid
+    assert kernel_node_values(cfg, grid)[0].shape == (32, 32)
+    monkeypatch.chdir(root)
+    cfg, _ = load_config(os.path.join("configs", "file_kernel.cfg"))
+    assert cfg.to_mapping()["kernel.profile_file"] == os.path.join(
+        "configs", "sample_kernel.csv")
+
+
 def test_report_record_fields_and_order():
     rep = Report("demo", {"dim": 2})
     rep.add_check("resid", 1e-12, 1e-9, detail="ok")
@@ -322,14 +338,14 @@ def test_cli_unknown_kernel_profile_exits_two_without_a_report(tmp_path,
      "0.003 steps"),
     ("gibbs-sample", "kernel.kind = file\nkernel.profile_file = nope.csv\n",
      "kernel.profile_file must name an existing file when kernel.kind is "
-     "'file', got 'nope.csv'"),
+     "'file', got '{tmp_path}/nope.csv'"),
 ])
 def test_cli_config_errors_exit_two_without_output(tmp_path, capsys,
                                                     command, text, message):
     cfg = _write(tmp_path / "bad.cfg", text)
     out = str(tmp_path / "r")
     assert main([command, "--config", cfg, "--out", out]) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(tmp_path=tmp_path) in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -377,10 +393,39 @@ def test_cli_flow_init_file_and_determinism(tmp_path):
     tables = [open(os.path.join(o, "flow_trajectory.csv")).read()
               for o in outs]
     assert tables[0] == tables[1]
+    # flow_energy is the trajectory's one energy series
+    modes = [f"{part}_c{n}" for n in range(5) for part in ("re", "im")]
+    assert tables[0].splitlines()[0].split(",") == (
+        ["t"] + modes + ["flow_energy", "mass"])
     with open(os.path.join(outs[0], "flow.json")) as fh:
         doc = json.load(fh)
     rec = next(r for r in doc["records"] if r["name"] == "initial_state")
     assert rec["value"] == init
+    assert [r["name"] for r in doc["records"]] == [
+        "config_warning", "initial_state", "mass_drift", "flow_energy_drift",
+        "solver_counters", "reversal_error", "vector_field_gradient",
+        "vector_field_directional", "process"]
+
+
+def test_cli_flow_compare_cutoff_writes_the_truncation_comparison(tmp_path):
+    cfg = _write(tmp_path / "cmp.cfg",
+                 "cutoff = 4\nflow.compare_cutoff = 2\nflow.t_final = 0.05\n"
+                 "flow.dt = 0.005\n")
+    out = str(tmp_path / "r")
+    assert main(["flow", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "flow_truncation_comparison.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["observable"] for r in rows] == [
+        "c0", "c1", "c2", "c3", "c4", "hs_norm", "mass"]
+    diffs = [float(r["abs_diff"]) for r in rows]
+    assert all(np.isfinite(d) and d >= 0.0 for d in diffs)
+    with open(os.path.join(out, "flow.json")) as fh:
+        doc = json.load(fh)
+    rec = next(r for r in doc["records"]
+               if r["name"] == "truncation_comparison")
+    assert rec["status"] == "info"
+    assert rec["value"] == max(diffs) > 0.0
+    assert "between cutoffs 2 and 4 at t = 0.05" in rec["detail"]
 
 
 def test_cli_flow_rejects_short_init_file(tmp_path):
@@ -422,8 +467,8 @@ def test_full_suite_isolates_an_aborted_section(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "configs", "file_kernel.cfg")) as fh:
         text = fh.read().replace(
-            "configs/sample_kernel.csv",
-            os.path.join(root, "configs", "sample_kernel.csv"))
+            "= sample_kernel.csv",
+            "= " + os.path.join(root, "configs", "sample_kernel.csv"))
     text += ("gibbs.ensemble_size = 400\nflow.t_final = 0.05\n"
              "invariance.ensemble_size = 32\ninvariance.t_final = 0.05\n"
              "invariance.burn_steps = 20\n")
