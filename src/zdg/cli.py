@@ -515,8 +515,7 @@ def run_flow(cfg, rep, out_dir, args):
     write_table(out_dir, "flow_trajectory", header, rows)
     if cfg.flow_compare_cutoff > 0:
         cmp_out = truncation_comparison(tensor, cfg.flow_compare_cutoff,
-                                        c0, fcfg, kmax=cfg.invariance_kmax,
-                                        sobolev_s=cfg.hs_s)
+                                        c0, fcfg, sobolev_s=cfg.hs_s)
         worst = max(r["abs_diff"] for r in cmp_out["rows"])
         rep.add("truncation_comparison", "info", value=worst,
                 detail=f"max per-observable difference between cutoffs "
@@ -584,21 +583,13 @@ def _guarded(runner, cfg, rep, out_dir, args):
                   exc_info=not refusal)
 
 
-_SECTIONS = (
-    ("clifford", run_clifford),
-    ("spectral", run_spectral),
-    ("wick", run_wick),
-    ("energy", run_energy),
-    ("cauchy", run_cauchy),
-    ("nelson", run_nelson),
-    ("gibbs", run_gibbs),
-    ("flow", run_flow),
-    ("invariance", run_invariance),
-)
-
-
 def run_full(cfg, rep, out_dir, args):
-    for name, runner in _SECTIONS:
+    """Every other subcommand in turn, its records named under the
+    subcommand's name up to its first '-' (clifford, ..., invariance)."""
+    for command, runner in RUNNERS.items():
+        if runner is run_full:
+            continue
+        name = command.split("-")[0]
         log.info("running %s", name)
         sub = Report(name, {})
         _guarded(runner, cfg, sub, out_dir, args)

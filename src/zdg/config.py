@@ -11,11 +11,14 @@ cap thread pools before any numerical library loads.
 """
 
 import math
+import operator
 import os
 from dataclasses import make_dataclass
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+            "<": operator.lt}
 
 
 def auto_grid_size(cutoff):
@@ -35,64 +38,65 @@ def step_count(t_final, dt):
     return n if whole else None
 
 
-# (config key, attribute, type tag, default); the single source of truth
-# for parsing, the ExperimentConfig fields, and the report's config echo.
-SCHEMA = [
-    ("dim", "dim", "int", 2),
-    ("cutoff", "cutoff", "int", 8),
-    ("grid_size", "grid_size", "int", 0),
-    ("q", "q", "float", 25.0),
-    ("nu", "nu", "float", 0.4),
-    ("hs_s", "hs_s", "float", -0.6),
-    ("seed", "seed", "int", 2026),
-    ("threads", "threads", "int", 0),
-    # byte budget of the dense oracle A and of assemble_interaction's arrays
-    ("tensor_budget_bytes", "tensor_budget_bytes", "int", 2 * 1024 ** 3),
-    ("out_dir", "out_dir", "str", "reports"),
-    ("kernel.kind", "kernel_kind", "str", "constant"),
-    ("kernel.kappa", "kernel_kappa", "float", 1.0),
-    ("kernel.profile", "kernel_profile", "str", "one_plus_cos"),
-    ("kernel.amplitude", "kernel_amplitude", "float", 1.0),
-    ("kernel.name", "kernel_name", "str", "gaussian_angle"),
-    ("kernel.width", "kernel_width", "float", 0.7),
-    ("kernel.profile_file", "kernel_profile_file", "str", ""),
-    ("gibbs.ensemble_size", "gibbs_ensemble_size", "int", 20000),
-    ("gibbs.beta", "gibbs_beta", "float", 0.0),
-    ("gibbs.kmax", "gibbs_kmax", "int", 8),
-    ("flow.dt", "flow_dt", "float", 1e-3),
-    ("flow.t_final", "flow_t_final", "float", 1.0),
-    ("flow.integrator", "flow_integrator", "str", "midpoint"),
-    ("flow.solver_tol", "flow_solver_tol", "float", 1e-13),
-    ("flow.sample_every", "flow_sample_every", "int", 0),
-    ("flow.compare_cutoff", "flow_compare_cutoff", "int", 0),
-    ("invariance.ensemble_size", "invariance_ensemble_size", "int", 1024),
-    ("invariance.t_final", "invariance_t_final", "float", 1.0),
-    ("invariance.dt", "invariance_dt", "float", 5e-3),
-    ("invariance.alpha", "invariance_alpha", "float", 0.01),
-    ("invariance.kmax", "invariance_kmax", "int", 8),
-    ("invariance.burn_steps", "invariance_burn_steps", "int", 300),
-    ("invariance.beta", "invariance_beta", "float", 0.4),
-    ("invariance.negative_control", "invariance_negative_control", "bool",
-     False),
-    ("cauchy.m_list", "cauchy_m_list", "int_list", (4, 8, 16, 32)),
-    ("cauchy.ensemble_size", "cauchy_ensemble_size", "int", 100000),
-    ("nelson.n_list", "nelson_n_list", "int_list", (4, 8, 16, 32)),
-    ("nelson.ensemble_size", "nelson_ensemble_size", "int", 200000),
-    ("lr.n_list", "lr_n_list", "int_list", (4, 8, 16, 32, 64)),
-    ("lr.r_list", "lr_r_list", "int_list", (2, 4)),
-    ("lr.ensemble_size", "lr_ensemble_size", "int", 200000),
-]
-
-_BY_KEY = {key: (attr, tag) for key, attr, tag, _ in SCHEMA}
-
 KERNEL_KINDS = ("constant", "separable", "grid", "file")
 # the keys of interaction.SEPARABLE_PROFILES and interaction.GRID_KERNELS
 KERNEL_PROFILES = ("one_plus_cos", "gauss_bump")
 KERNEL_NAMES = ("gaussian_angle",)
 INTEGRATORS = ("midpoint", "lawson-rk4")
 
-_TYPE_BY_TAG = {"int": int, "float": float, "str": str, "bool": bool,
-                "int_list": tuple}
+# (config key, default, admissible values); the single source of truth for
+# parsing, the ExperimentConfig fields, each key's own check in validate,
+# and the report's config echo.  The field is the key with "." read as "_"
+# and its type is the default's, so a float default is written as a float
+# (25.0, not 25).
+# Admissible values are None (any value, or rules involving other keys,
+# written out in validate), a tuple of names, or an interval such as
+# "[0, )" or "(0, 1]" whose empty end is unbounded.  An int list must be
+# non-empty, positive and strictly increasing.
+SCHEMA = [
+    ("dim", 2, None),
+    ("cutoff", 8, "[0, )"),
+    ("grid_size", 0, None),
+    ("q", 25.0, None),
+    ("nu", 0.4, None),
+    ("hs_s", -0.6, "(, -0.5)"),
+    ("seed", 2026, "[0, 18446744073709551616)"),  # 64-bit unsigned
+    ("threads", 0, "[0, )"),
+    # byte budget of the dense oracle A and of assemble_interaction's arrays
+    ("tensor_budget_bytes", 2 * 1024 ** 3, "(0, )"),
+    ("out_dir", "reports", None),
+    ("kernel.kind", "constant", KERNEL_KINDS),
+    ("kernel.kappa", 1.0, "[0, )"),
+    ("kernel.profile", "one_plus_cos", KERNEL_PROFILES),
+    ("kernel.amplitude", 1.0, "[0, )"),
+    ("kernel.name", "gaussian_angle", KERNEL_NAMES),
+    ("kernel.width", 0.7, "(0, )"),
+    ("kernel.profile_file", "", None),
+    ("gibbs.ensemble_size", 20000, "[2, )"),
+    ("gibbs.beta", 0.0, "[0, 1]"),  # 0 means adaptive
+    ("gibbs.kmax", 8, "[0, )"),
+    ("flow.dt", 1e-3, "(0, )"),
+    ("flow.t_final", 1.0, "[0, )"),
+    ("flow.integrator", "midpoint", INTEGRATORS),
+    ("flow.solver_tol", 1e-13, "(0, )"),
+    ("flow.sample_every", 0, "[0, )"),
+    ("flow.compare_cutoff", 0, None),
+    ("invariance.ensemble_size", 1024, "[8, )"),
+    ("invariance.t_final", 1.0, "(0, )"),
+    ("invariance.dt", 5e-3, "(0, )"),
+    ("invariance.alpha", 0.01, "(0, 0.5)"),
+    ("invariance.kmax", 8, "[0, )"),
+    ("invariance.burn_steps", 300, "[0, )"),
+    ("invariance.beta", 0.4, "(0, 1]"),
+    ("invariance.negative_control", False, None),
+    ("cauchy.m_list", (4, 8, 16, 32), None),
+    ("cauchy.ensemble_size", 100000, "[100, )"),
+    ("nelson.n_list", (4, 8, 16, 32), None),
+    ("nelson.ensemble_size", 200000, "[100, )"),
+    ("lr.n_list", (4, 8, 16, 32, 64), None),
+    ("lr.r_list", (2, 4), None),
+    ("lr.ensemble_size", 200000, "[100, )"),
+]
 
 
 class _ConfigMethods:
@@ -101,9 +105,9 @@ class _ConfigMethods:
     def to_mapping(self):
         """Config echo as an ordered {dotted key: value} mapping."""
         out = {}
-        for key, attr, tag, _ in SCHEMA:
-            value = getattr(self, attr)
-            out[key] = list(value) if tag == "int_list" else value
+        for key, _, _ in SCHEMA:
+            value = getattr(self, key.replace(".", "_"))
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
     def effective_grid_size(self):
@@ -113,30 +117,48 @@ class _ConfigMethods:
 
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
-    [(attr, _TYPE_BY_TAG[tag], default) for _, attr, tag, default in SCHEMA],
+    [(key.replace(".", "_"), type(default), default)
+     for key, default, _ in SCHEMA],
     bases=(_ConfigMethods,), namespace={"__module__": __name__})
 
 
-def _parse_value(key, tag, raw, errors):
+def _parse_value(kind, raw):
+    """A raw string as the type `kind` of a SCHEMA default."""
     raw = raw.strip()
-    try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "int_list":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        return raw
-    except ValueError as exc:
-        errors.append(f"{key}: {exc}")
-        return None
+    if kind is bool:
+        if raw.lower() in _TRUE:
+            return True
+        if raw.lower() in _FALSE:
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if kind is tuple:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    return kind(raw)
+
+
+def _refusal(key, value, admissible):
+    """Why a SCHEMA row refuses value, or None when it admits it."""
+    if isinstance(value, tuple):
+        values = list(value)
+        if not values:
+            return f"{key} must not be empty"
+        if min(values) <= 0:
+            return f"{key} entries must be positive, got {values}"
+        if values != sorted(set(values)):
+            return f"{key} must be strictly increasing, got {values}"
+    elif isinstance(admissible, tuple):
+        if value not in admissible:
+            return f"{key} must be one of {admissible}, got {value!r}"
+    elif admissible is not None:
+        lo, hi = (end.strip() for end in admissible[1:-1].split(","))
+        lo_op = ">=" if admissible.startswith("[") else ">"
+        hi_op = "<=" if admissible.endswith("]") else "<"
+        if (lo and not _COMPARE[lo_op](value, float(lo))) \
+                or (hi and not _COMPARE[hi_op](value, float(hi))):
+            bound = (f"lie in {admissible}" if lo and hi
+                     else f"be {lo_op} {lo}" if lo else f"be {hi_op} {hi}")
+            return f"{key} must {bound}, got {value}"
+    return None
 
 
 def parse_config_text(text):
@@ -164,13 +186,18 @@ def parse_config_text(text):
 
 
 def validate(cfg):
-    """Collect every violated invariant; returns (errors, warnings)."""
-    errors = []
-    warnings = []
+    """Collect every violated invariant; returns (errors, warnings).
+
+    Each key's own admissible values come from its SCHEMA row; the rules
+    written out here are those that involve more than one key.
+    """
+    errors, warnings = [], []
+    for key, _, admissible in SCHEMA:
+        value = getattr(cfg, key.replace(".", "_"))
+        if refusal := _refusal(key, value, admissible):
+            errors.append(refusal)
     if cfg.dim < 2 or cfg.dim % 2 != 0:
         errors.append(f"dim must be an even integer >= 2, got {cfg.dim}")
-    if cfg.cutoff < 0:
-        errors.append(f"cutoff must be >= 0, got {cfg.cutoff}")
     if cfg.q <= 12 * cfg.dim:
         errors.append(f"q must exceed 12*dim = {12 * cfg.dim}, got {cfg.q}")
     else:
@@ -182,111 +209,24 @@ def validate(cfg):
             warnings.append(
                 f"nu = {cfg.nu} is at or below 6*dim/q = {lo:.4g}: inside "
                 "the decay window but outside the full parameter window")
-    if cfg.hs_s >= -0.5:
-        errors.append(f"hs_s must be < -1/2, got {cfg.hs_s}")
-    if not 0 <= cfg.seed < 2 ** 64:
-        errors.append(f"seed must fit in 64 bits, got {cfg.seed}")
-    if cfg.threads < 0:
-        errors.append(f"threads must be >= 0, got {cfg.threads}")
-    if cfg.tensor_budget_bytes <= 0:
-        errors.append("tensor_budget_bytes must be positive, got "
-                      f"{cfg.tensor_budget_bytes}")
     if cfg.grid_size != 0 and cfg.grid_size < cfg.cutoff + cfg.dim:
         errors.append(f"grid_size must be 0 (auto) or >= cutoff + dim = "
                       f"{cfg.cutoff + cfg.dim}, got {cfg.grid_size}")
-    if cfg.kernel_kind not in KERNEL_KINDS:
-        errors.append(f"kernel.kind must be one of {KERNEL_KINDS}, got "
-                      f"{cfg.kernel_kind!r}")
-    if cfg.kernel_profile not in KERNEL_PROFILES:
-        errors.append(f"kernel.profile must be one of {KERNEL_PROFILES}, "
-                      f"got {cfg.kernel_profile!r}")
-    if cfg.kernel_name not in KERNEL_NAMES:
-        errors.append(f"kernel.name must be one of {KERNEL_NAMES}, got "
-                      f"{cfg.kernel_name!r}")
-    if cfg.kernel_kappa < 0:
-        errors.append(f"kernel.kappa must be >= 0, got {cfg.kernel_kappa}")
-    if cfg.kernel_amplitude < 0:
-        errors.append("kernel.amplitude must be >= 0, got "
-                      f"{cfg.kernel_amplitude}")
-    if cfg.kernel_width <= 0:
-        errors.append(f"kernel.width must be > 0, got {cfg.kernel_width}")
     if cfg.kernel_kind == "file" and not os.path.isfile(
             cfg.kernel_profile_file):
         errors.append("kernel.profile_file must name an existing file when "
                       f"kernel.kind is 'file', got "
                       f"{cfg.kernel_profile_file!r}")
-    if cfg.gibbs_ensemble_size < 2:
-        errors.append("gibbs.ensemble_size must be >= 2, got "
-                      f"{cfg.gibbs_ensemble_size}")
-    if not 0.0 <= cfg.gibbs_beta <= 1.0:
-        errors.append("gibbs.beta must lie in [0, 1] (0 means adaptive), "
-                      f"got {cfg.gibbs_beta}")
-    if cfg.gibbs_kmax < 0:
-        errors.append(f"gibbs.kmax must be >= 0, got {cfg.gibbs_kmax}")
-    if cfg.flow_dt <= 0:
-        errors.append(f"flow.dt must be > 0, got {cfg.flow_dt}")
-    if cfg.flow_t_final < 0:
-        errors.append(f"flow.t_final must be >= 0, got {cfg.flow_t_final}")
-    elif cfg.flow_dt > 0 and step_count(cfg.flow_t_final,
-                                        cfg.flow_dt) is None:
-        errors.append(f"flow.t_final = {cfg.flow_t_final} must be a whole "
-                      f"number of flow.dt = {cfg.flow_dt} steps")
-    if cfg.flow_integrator not in INTEGRATORS:
-        errors.append(f"flow.integrator must be one of {INTEGRATORS}, got "
-                      f"{cfg.flow_integrator!r}")
-    if cfg.flow_solver_tol <= 0:
-        errors.append("flow.solver_tol must be > 0, got "
-                      f"{cfg.flow_solver_tol}")
-    if cfg.flow_sample_every < 0:
-        errors.append("flow.sample_every must be >= 0, got "
-                      f"{cfg.flow_sample_every}")
-    if cfg.flow_compare_cutoff < 0 or (cfg.flow_compare_cutoff != 0
-                                       and cfg.flow_compare_cutoff
-                                       >= cfg.cutoff):
+    for section in ("flow", "invariance"):
+        t_final = getattr(cfg, f"{section}_t_final")
+        dt = getattr(cfg, f"{section}_dt")
+        if t_final >= 0 and dt > 0 and step_count(t_final, dt) is None:
+            errors.append(f"{section}.t_final = {t_final} must be a whole "
+                          f"number of {section}.dt = {dt} steps")
+    if cfg.flow_compare_cutoff != 0 \
+            and not 0 < cfg.flow_compare_cutoff < cfg.cutoff:
         errors.append("flow.compare_cutoff must be 0 (off) or a cutoff "
                       f"below {cfg.cutoff}, got {cfg.flow_compare_cutoff}")
-    if cfg.invariance_ensemble_size < 8:
-        errors.append("invariance.ensemble_size must be >= 8, got "
-                      f"{cfg.invariance_ensemble_size}")
-    if cfg.invariance_t_final <= 0:
-        errors.append("invariance.t_final must be > 0, got "
-                      f"{cfg.invariance_t_final}")
-    if cfg.invariance_dt <= 0:
-        errors.append(f"invariance.dt must be > 0, got {cfg.invariance_dt}")
-    elif cfg.invariance_t_final > 0 and step_count(
-            cfg.invariance_t_final, cfg.invariance_dt) is None:
-        errors.append(f"invariance.t_final = {cfg.invariance_t_final} must "
-                      f"be a whole number of invariance.dt = "
-                      f"{cfg.invariance_dt} steps")
-    if not 0.0 < cfg.invariance_alpha < 0.5:
-        errors.append("invariance.alpha must lie in (0, 0.5), got "
-                      f"{cfg.invariance_alpha}")
-    if cfg.invariance_kmax < 0:
-        errors.append("invariance.kmax must be >= 0, got "
-                      f"{cfg.invariance_kmax}")
-    if cfg.invariance_burn_steps < 0:
-        errors.append("invariance.burn_steps must be >= 0, got "
-                      f"{cfg.invariance_burn_steps}")
-    if not 0.0 < cfg.invariance_beta <= 1.0:
-        errors.append("invariance.beta must lie in (0, 1], got "
-                      f"{cfg.invariance_beta}")
-    for name, values in (("cauchy.m_list", cfg.cauchy_m_list),
-                         ("nelson.n_list", cfg.nelson_n_list),
-                         ("lr.n_list", cfg.lr_n_list),
-                         ("lr.r_list", cfg.lr_r_list)):
-        if not values:
-            errors.append(f"{name} must not be empty")
-        elif any(v <= 0 for v in values):
-            errors.append(f"{name} entries must be positive, got "
-                          f"{list(values)}")
-        elif list(values) != sorted(set(values)):
-            errors.append(f"{name} must be strictly increasing, got "
-                          f"{list(values)}")
-    for name, size in (("cauchy.ensemble_size", cfg.cauchy_ensemble_size),
-                       ("nelson.ensemble_size", cfg.nelson_ensemble_size),
-                       ("lr.ensemble_size", cfg.lr_ensemble_size)):
-        if size < 100:
-            errors.append(f"{name} must be >= 100, got {size}")
     return errors, warnings
 
 
@@ -297,18 +237,17 @@ def config_from_mapping(raw_mapping, parse_errors=None):
     invariant) at once; returns (config, warnings) otherwise.
     """
     errors = list(parse_errors or [])
+    defaults = {key: default for key, default, _ in SCHEMA}
     values = {}
     for key, raw in raw_mapping.items():
-        if key not in _BY_KEY:
+        if key not in defaults:
             errors.append(f"unknown key {key!r}")
             continue
-        attr, tag = _BY_KEY[key]
-        if isinstance(raw, str):
-            parsed = _parse_value(key, tag, raw, errors)
-        else:
-            parsed = tuple(raw) if tag == "int_list" else raw
-        if parsed is not None:
-            values[attr] = parsed
+        try:
+            values[key.replace(".", "_")] = _parse_value(
+                type(defaults[key]), raw)
+        except ValueError as exc:
+            errors.append(f"{key}: {exc}")
     cfg = ExperimentConfig(**values)
     inv_errors, warnings = validate(cfg)
     errors.extend(inv_errors)

@@ -234,13 +234,14 @@ def reversal_error(tensor, coeffs0, cfg):
     return float(np.max(np.abs(final - np.asarray(coeffs0, dtype=complex))))
 
 
-def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, kmax, sobolev_s):
+def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, sobolev_s):
     """Coupled comparison of the flow at two cutoffs from one initial state.
 
     The same state is advanced under the full tensor and under its slice at
     low_cutoff (modes above either cutoff ride the exact free rotation), and
-    per-observable differences at t_final are reported.  Diagnostic only: no
-    convergence rate is asserted.
+    per-observable differences at t_final are reported: every mode, the
+    Sobolev norm and the mass.  Diagnostic only: no convergence rate is
+    asserted.
     """
     c0 = np.asarray(coeffs0, dtype=complex)
     if c0.ndim != 1:
@@ -250,7 +251,7 @@ def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, kmax, sobolev_s):
     end_hi = flow(tensor, c0, cfg).states[-1]
     end_lo = flow(tensor.slice(low_cutoff), c0, cfg).states[-1]
     rows = []
-    for k in range(min(kmax, tensor.cutoff) + 1):
+    for k in range(tensor.cutoff + 1):
         rows.append({"observable": f"c{k}",
                      "abs_diff": float(np.abs(end_hi[k] - end_lo[k]))})
     rows.append({"observable": "hs_norm",

@@ -37,32 +37,22 @@ def build_identifier():
     return digest.hexdigest()[:12]
 
 
-def _strict(value):
-    """(value, finite): non-finite floats replaced by their names, which
-    strict JSON can hold, and whether the value had none."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value), False
+def _json_safe(value):
+    """(value, finite): value with plain python scalars and non-finite
+    floats replaced by their names, which strict JSON can hold, and
+    whether it had no non-finite float."""
     if isinstance(value, dict):
-        pairs = [(k, _strict(v)) for k, v in value.items()]
+        pairs = [(str(k), _json_safe(v)) for k, v in value.items()]
         return ({k: v for k, (v, _) in pairs},
                 all(ok for _, (_, ok) in pairs))
-    if isinstance(value, list):
-        items = [_strict(v) for v in value]
-        return [v for v, _ in items], all(ok for _, ok in items)
-    return value, True
-
-
-def _coerce(value):
-    """Make a value JSON-serializable with plain python scalars."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _coerce(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_coerce(v) for v in value]
-    if hasattr(value, "item"):
-        return value.item()
-    return str(value)
+        items = [_json_safe(v) for v in value]
+        return [v for v, _ in items], all(ok for _, ok in items)
+    if not (value is None or isinstance(value, (bool, int, float, str))):
+        value = value.item() if hasattr(value, "item") else str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value), False
+    return value, True
 
 
 @dataclass
@@ -82,8 +72,8 @@ class Report:
         if status not in STATUSES:
             raise ValueError(f"record status must be one of {STATUSES}, "
                              f"got {status!r}")
-        value, value_ok = _strict(_coerce(value))
-        tolerance, tolerance_ok = _strict(_coerce(tolerance))
+        value, value_ok = _json_safe(value)
+        tolerance, tolerance_ok = _json_safe(tolerance)
         if not (value_ok and tolerance_ok):
             status = "fail"
             detail = (f"{detail}; " if detail else "") + "non-finite value"
@@ -125,7 +115,7 @@ class Report:
             "created": self.created,
             "build_id": self.build_id,
             "elapsed_seconds": round(time.perf_counter() - self.started, 3),
-            "config": _strict(_coerce(self.config))[0],
+            "config": _json_safe(self.config)[0],
             "summary": {
                 "records": len(self.records),
                 "pass": counts["pass"],

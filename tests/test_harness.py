@@ -43,19 +43,62 @@ def test_parse_config_text_reports_bad_lines_and_duplicates():
 
 def test_schema_defaults_match_dataclass_defaults():
     cfg = ExperimentConfig()
-    for key, attr, tag, default in SCHEMA:
-        assert getattr(cfg, attr) == default, key
+    for key, default, _ in SCHEMA:
+        assert getattr(cfg, key.replace(".", "_")) == default, key
 
 
 def test_config_dataclass_is_generated_from_schema():
-    types = {"int": int, "float": float, "str": str, "bool": bool,
-             "int_list": tuple}
     fields = dataclasses.fields(ExperimentConfig)
     assert [(f.name, f.type) for f in fields] \
-        == [(attr, types[tag]) for _, attr, tag, _ in SCHEMA]
+        == [(key.replace(".", "_"), type(default))
+            for key, default, _ in SCHEMA]
     assert ExperimentConfig.__module__ == "zdg.config"
     assert list(ExperimentConfig().to_mapping()) \
-        == [key for key, _, _, _ in SCHEMA]
+        == [key for key, _, _ in SCHEMA]
+
+
+def _refusals(mapping):
+    """The lines of config_from_mapping's refusal; [] when it accepts."""
+    try:
+        config_from_mapping(mapping)
+    except ValueError as exc:
+        return str(exc).splitlines()[1:]
+    return []
+
+
+@pytest.mark.parametrize("key, default, interval", [
+    pytest.param(*row, id=row[0]) for row in SCHEMA
+    if isinstance(row[2], str)])
+def test_schema_interval_admits_its_closed_ends_only(key, default, interval):
+    kind = type(default)
+    lo, hi = (end.strip() for end in interval[1:-1].split(","))
+    for end, closed, outward in ((lo, interval.startswith("["), -1),
+                                 (hi, interval.endswith("]"), 1)):
+        if not end:
+            continue
+        assert (_refusals({key: end}) == []) == closed, (key, end)
+        outside = kind(end) + outward
+        refused = _refusals({key: str(outside)})
+        assert len(refused) == 1, (key, outside)
+        assert refused[0].startswith(f"  - {key} must "), refused
+        assert refused[0].endswith(f", got {outside}"), refused
+
+
+@pytest.mark.parametrize("key, names", [
+    pytest.param(key, names, id=key) for key, _, names in SCHEMA
+    if isinstance(names, tuple)])
+def test_schema_names_refuse_an_unknown_name(key, names):
+    assert _refusals({key: "nope"}) == [
+        f"  - {key} must be one of {names}, got 'nope'"]
+
+
+def test_default_config_sets_every_schema_key_once_to_its_default():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "default.cfg")) as fh:
+        mapping, errors = parse_config_text(fh.read())
+    assert errors == []
+    assert list(mapping) == [key for key, _, _ in SCHEMA]
+    assert config_from_mapping(mapping)[0] == ExperimentConfig()
 
 
 def test_invalid_config_lists_every_violation():
@@ -112,7 +155,7 @@ def test_effective_grid_size_default_and_override():
 
 def test_to_mapping_follows_schema_order():
     cfg = ExperimentConfig()
-    assert list(cfg.to_mapping()) == [key for key, _, _, _ in SCHEMA]
+    assert list(cfg.to_mapping()) == [key for key, _, _ in SCHEMA]
 
 
 def test_resolve_threads_env_override(monkeypatch):
@@ -408,9 +451,10 @@ def test_cli_flow_init_file_and_determinism(tmp_path):
 
 
 def test_cli_flow_compare_cutoff_writes_the_truncation_comparison(tmp_path):
+    # every mode is compared, whatever the invariance section's kmax
     cfg = _write(tmp_path / "cmp.cfg",
                  "cutoff = 4\nflow.compare_cutoff = 2\nflow.t_final = 0.05\n"
-                 "flow.dt = 0.005\n")
+                 "flow.dt = 0.005\ninvariance.kmax = 2\n")
     out = str(tmp_path / "r")
     assert main(["flow", "--config", cfg, "--out", out]) == 0
     with open(os.path.join(out, "flow_truncation_comparison.csv")) as fh:
