@@ -489,7 +489,7 @@ def run_flow(cfg, rep, out_dir, args):
             detail="conserved quantity of the integrated flow; midpoint "
                    "defect is bounded O(dt^2) at coupling kernels")
     _add_solver_counters(rep, traj.meta)
-    rev, sec_rev = _timed(reversal_error, tensor, c0, fcfg)
+    rev, sec_rev = _timed(reversal_error, tensor, traj, fcfg)
     rep.add_check("reversal_error", rev, 1e-6,
                   detail="forward then conjugate-backward round trip",
                   seconds=sec_rev)
@@ -500,22 +500,15 @@ def run_flow(cfg, rep, out_dir, args):
     rep.add_check("vector_field_directional", vchk["directional"], 1e-5,
                   detail="directional derivative pairing dE(h) = "
                          "2 Re<grad, h>")
-    header = ["t"]
-    for n in range(tensor.n_modes):
-        header += [f"re_c{n}", f"im_c{n}"]
-    header += ["flow_energy", "mass"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [float(t)]
-        for n in range(tensor.n_modes):
-            row += [float(traj.states[i, n].real),
-                    float(traj.states[i, n].imag)]
-        row += [float(traj.flow_energy[i]), float(traj.mass[i])]
-        rows.append(row)
-    write_table(out_dir, "flow_trajectory", header, rows)
+    header = (["t"] + [f"{part}_c{n}" for n in range(tensor.n_modes)
+                       for part in ("re", "im")] + ["flow_energy", "mass"])
+    low = np.ascontiguousarray(traj.states[:, :tensor.n_modes])
+    table = np.column_stack([traj.times, low.view(float), traj.flow_energy,
+                             traj.mass])
+    write_table(out_dir, "flow_trajectory", header, table.tolist())
     if cfg.flow_compare_cutoff > 0:
         cmp_out = truncation_comparison(tensor, cfg.flow_compare_cutoff,
-                                        c0, fcfg, sobolev_s=cfg.hs_s)
+                                        traj, fcfg, sobolev_s=cfg.hs_s)
         worst = max(r["abs_diff"] for r in cmp_out["rows"])
         rep.add("truncation_comparison", "info", value=worst,
                 detail=f"max per-observable difference between cutoffs "

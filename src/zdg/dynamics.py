@@ -39,6 +39,7 @@ from .config import step_count
 from .field import hs_norm
 from .gibbs import pcn_parallel
 from .interaction import interaction_energy, nonlinearity
+from .rng import derive_rng, standard_complex
 
 log = logging.getLogger(__name__)
 
@@ -195,61 +196,50 @@ def flow(tensor, coeffs0, cfg):
     times = np.array(times)
     states = np.stack(records, axis=0)
     if n_extra:
-        dim = tensor.dim
-        omega_hi = np.arange(n_low, n_low + n_extra) + dim / 2.0
-        hi0 = c0[..., n_low:]
-        phases = np.exp(-1j * times[:, None] * omega_hi)
-        shape = (len(times),) + c0.shape[:-1] + (n_extra,)
-        hi = np.empty(shape, dtype=complex)
-        for i in range(len(times)):
-            hi[i] = hi0 * phases[i]
+        omega_hi = np.arange(n_low, n_low + n_extra) + tensor.dim / 2.0
+        t_rec = times.reshape((-1,) + (1,) * c0.ndim)  # (records, 1, ..., 1)
+        hi = c0[..., n_low:] * np.exp(-1j * t_rec * omega_hi)
         states = np.concatenate([states, hi], axis=-1)
-    # K and E once per record; the same operations as `flow_energy`, so
-    # each record is bitwise `flow_energy` of its state
-    kin = np.stack([quadratic_energy(tensor, s[..., :n_low]) for s in states])
-    pot = np.stack([interaction_energy(tensor, s[..., :n_low])
-                    for s in states])
-    fen = 0.5 * kin + 0.5 * pot
+    # one energy call per record, as `flow_energy` of the low block
+    fen = np.stack([flow_energy(tensor, s[..., :n_low]) for s in states])
     mss = np.stack([mass(s) for s in states])
     return Trajectory(times=times, states=states, flow_energy=fen, mass=mss,
                       meta={"integrator": cfg.integrator, "dt": cfg.dt,
                             "n_steps": n_steps, **counters})
 
 
-def reversal_error(tensor, coeffs0, cfg):
-    """Integrate forward then backward; max deviation from the start.
+def reversal_error(tensor, traj, cfg):
+    """Max deviation from the start after a conjugate-backward run.
 
-    The backward integration uses the conjugation symmetry of the flow:
-    conj(c) evolved forward by t equals the conjugate of c evolved backward
-    by t (the tensor is real), and both integrators keep it step by step.
-    The midpoint rule is also time-symmetric, so its round trip returns to
+    traj is flow(tensor, c0, cfg); only the backward leg is integrated
+    here.  It uses the conjugation symmetry of the flow: conj(c) evolved
+    forward by t equals the conjugate of c evolved backward by t (the
+    tensor is real), and both integrators keep it step by step.  The
+    midpoint rule is also time-symmetric, so its round trip returns to
     the start to solver tolerance (its iteration stops short of the exact
     implicit step); Lawson RK4 is not, and returns only within its own
     global error.
     """
-    fwd = flow(tensor, coeffs0, cfg)
-    back_cfg = replace(cfg, sample_every=0)
-    back = flow(tensor, np.conj(fwd.states[-1]), back_cfg)
+    back = flow(tensor, np.conj(traj.states[-1]), replace(cfg, sample_every=0))
     final = np.conj(back.states[-1])
-    return float(np.max(np.abs(final - np.asarray(coeffs0, dtype=complex))))
+    return float(np.max(np.abs(final - traj.states[0])))
 
 
-def truncation_comparison(tensor, low_cutoff, coeffs0, cfg, sobolev_s):
+def truncation_comparison(tensor, low_cutoff, traj, cfg, sobolev_s):
     """Coupled comparison of the flow at two cutoffs from one initial state.
 
-    The same state is advanced under the full tensor and under its slice at
-    low_cutoff (modes above either cutoff ride the exact free rotation), and
-    per-observable differences at t_final are reported: every mode, the
-    Sobolev norm and the mass.  Diagnostic only: no convergence rate is
-    asserted.
+    traj is flow(tensor, c0, cfg) from a single state; its start is
+    advanced under the slice of the tensor at low_cutoff (modes above
+    either cutoff ride the exact free rotation), and per-observable
+    differences at t_final are reported: every mode, the Sobolev norm and
+    the mass.  Diagnostic only: no convergence rate is asserted.
     """
-    c0 = np.asarray(coeffs0, dtype=complex)
-    if c0.ndim != 1:
+    if traj.states.ndim != 2:
         raise ValueError("truncation comparison takes a single state")
     if not 0 <= low_cutoff < tensor.cutoff:
         raise ValueError("low_cutoff must be below the tensor cutoff")
-    end_hi = flow(tensor, c0, cfg).states[-1]
-    end_lo = flow(tensor.slice(low_cutoff), c0, cfg).states[-1]
+    end_hi = traj.states[-1]
+    end_lo = flow(tensor.slice(low_cutoff), traj.states[0], cfg).states[-1]
     rows = []
     for k in range(tensor.cutoff + 1):
         rows.append({"observable": f"c{k}",
@@ -269,14 +259,16 @@ def vector_field_check(tensor, seed):
     Checks per coefficient that F_m = (1/4)(d/dx_m + i d/dy_m) E (the packed
     Wirtinger gradient of E/4) and that directional derivatives satisfy
     dE(h) = 2 Re <2F, h>, on FD_STATES random states with central
-    differences of step FD_STEP.  Returns the maximal relative deviations.
+    differences of step FD_STEP; states and directions are standard complex
+    Gaussians from the "flow.vector_field" stream of seed, the states
+    scaled by 1/lambda.  Returns the maximal relative deviations.
     """
-    gen = np.random.default_rng(seed)
+    gen = derive_rng(seed, "flow.vector_field")
     j = tensor.n_modes
     worst_grad = 0.0
     worst_dir = 0.0
     for _ in range(FD_STATES):
-        c = (gen.normal(size=j) + 1j * gen.normal(size=j)) / tensor.lam
+        c = standard_complex(gen, j) / tensor.lam
         f = nonlinearity(tensor, c)
         scale = max(1.0, float(np.max(np.abs(f))))
         packed = np.zeros(j, dtype=complex)
@@ -291,7 +283,7 @@ def vector_field_check(tensor, seed):
                 packed[m] += unit * diff
         worst_grad = max(worst_grad,
                          float(np.max(np.abs(packed / 4.0 - f))) / scale)
-        h = gen.normal(size=j) + 1j * gen.normal(size=j)
+        h = standard_complex(gen, j)
         up = interaction_energy(tensor, c + FD_STEP * h)
         dn = interaction_energy(tensor, c - FD_STEP * h)
         direct = (up - dn) / (2 * FD_STEP)

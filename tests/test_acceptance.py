@@ -201,7 +201,7 @@ def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
     f0 = traj2.flow_energy[0]
     assert np.max(np.abs(traj2.mass - m0)) <= 1e-8 * abs(m0)
     assert np.max(np.abs(traj2.flow_energy - f0)) <= 1e-8 * abs(f0)
-    assert reversal_error(t16_const, c0, cfg_mid) <= 1e-6
+    assert reversal_error(t16_const, traj2, cfg_mid) <= 1e-6
 
 
 def test_invariance_ks_suite_and_negative_control(t8_const):

@@ -6,7 +6,7 @@ import pytest
 import zdg.dynamics as dynamics
 from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
                           invariance_test, mass, reversal_error,
-                          vector_field_check)
+                          truncation_comparison, vector_field_check)
 from zdg.config import ExperimentConfig
 from zdg.field import gaussian_coeffs
 from zdg.interaction import assemble_interaction, nonlinearity
@@ -53,7 +53,11 @@ def test_flow_energy_pinned_vacuum_value():
     assert flow_energy(t0, zero) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_vector_field_gradient_audit(tensor_sep, tensor_const):
+def test_vector_field_gradient_audit(tensor_sep, tensor_const, monkeypatch):
+    # the audit draws from a zdg.rng stream, never from numpy's global API
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.random.default_rng called")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     for t in (tensor_sep, tensor_const):
         out = vector_field_check(t, seed=3)
         assert out["grad_quarter_energy"] < 1e-6
@@ -134,7 +138,49 @@ def test_reversal(tensor_sep):
     c0 = sample_state(tensor_sep, seed=13)
     cfg = FlowConfig(dt=1e-3, t_final=1.0, integrator="midpoint",
                      solver_tol=1e-14, sample_every=0)
-    assert reversal_error(tensor_sep, c0, cfg) < 1e-8
+    assert reversal_error(tensor_sep, flow(tensor_sep, c0, cfg), cfg) < 1e-8
+
+
+@pytest.mark.parametrize("n_extra", [0, 2])
+def test_reversal_error_integrates_only_the_backward_leg(tensor_sep,
+                                                         monkeypatch,
+                                                         n_extra):
+    # the state may carry more modes than the tensor
+    extra = np.array([0.3 - 0.2j, 0.1 + 0.4j])[:n_extra]
+    c0 = np.concatenate([sample_state(tensor_sep, seed=13), extra])
+    cfg = FlowConfig(dt=1e-2, t_final=0.5, integrator="midpoint",
+                     solver_tol=1e-14, sample_every=10)
+    fwd = flow(tensor_sep, c0, cfg)
+    back = flow(tensor_sep, np.conj(fwd.states[-1]),
+                replace(cfg, sample_every=0))
+    round_trip = float(np.max(np.abs(np.conj(back.states[-1]) - c0)))
+    starts = []
+    real = dynamics.flow
+    monkeypatch.setattr(dynamics, "flow",
+                        lambda t, c, f: starts.append(c) or real(t, c, f))
+    assert reversal_error(tensor_sep, fwd, cfg) == round_trip
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], np.conj(fwd.states[-1]))
+
+
+def test_truncation_comparison_integrates_only_the_low_cutoff(tensor_sep,
+                                                              monkeypatch):
+    c0 = sample_state(tensor_sep, seed=14)
+    cfg = FlowConfig(dt=1e-2, t_final=0.2, integrator="midpoint",
+                     solver_tol=1e-14, sample_every=0)
+    traj = flow(tensor_sep, c0, cfg)
+    cutoffs = []
+    real = dynamics.flow
+    monkeypatch.setattr(dynamics, "flow", lambda t, c, f: cutoffs.append(
+        t.cutoff) or real(t, c, f))
+    out = truncation_comparison(tensor_sep, 3, traj, cfg, -0.6)
+    assert cutoffs == [3]
+    end_lo = real(tensor_sep.slice(3), c0, cfg).states[-1]
+    assert out["rows"][0]["abs_diff"] == float(
+        np.abs(traj.states[-1][0] - end_lo[0]))
+    batch = flow(tensor_sep, sample_state(tensor_sep, seed=14, size=2), cfg)
+    with pytest.raises(ValueError, match="single state"):
+        truncation_comparison(tensor_sep, 3, batch, cfg, -0.6)
 
 
 def test_gauge_equivariance(tensor_sep):

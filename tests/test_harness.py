@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zdg import interaction, report
+from zdg import dynamics, interaction, report
 from zdg.cli import main
 from zdg.config import (KERNEL_NAMES, KERNEL_PROFILES, SCHEMA,
                         ExperimentConfig, config_from_mapping, load_config,
@@ -470,6 +470,22 @@ def test_cli_flow_compare_cutoff_writes_the_truncation_comparison(tmp_path):
     assert rec["status"] == "info"
     assert rec["value"] == max(diffs) > 0.0
     assert "between cutoffs 2 and 4 at t = 0.05" in rec["detail"]
+
+
+@pytest.mark.parametrize("compare_cutoff, n_flows", [(0, 2), (4, 3)])
+def test_cli_flow_integrates_the_forward_trajectory_once(tmp_path, monkeypatch,
+                                                         compare_cutoff,
+                                                         n_flows):
+    # forward once, then the reversal's backward run and the low-cutoff run
+    calls = []
+    real = dynamics.flow
+    monkeypatch.setattr(dynamics, "flow",
+                        lambda *a: calls.append(1) or real(*a))
+    cfg = _write(tmp_path / "fast.cfg",
+                 f"flow.compare_cutoff = {compare_cutoff}\n"
+                 "flow.t_final = 0.05\nflow.dt = 0.005\n")
+    assert main(["flow", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == n_flows
 
 
 def test_cli_flow_rejects_short_init_file(tmp_path):
