@@ -97,43 +97,30 @@ def _timed(fn, *args, **kwargs):
 # subcommand runners
 
 
-def run_clifford(cfg, rep, out_dir, args):
+def run_clifford(cfg, rep, args):
     from .clifford import anticommutator_check, build_gamma_family
     t0 = time.perf_counter()
-    only = getattr(args, "dim", None)
-    dims = [only] if only else list(range(1, 13))
     rows = []
     all_ok = True
-    for d in dims:
+    for d in range(1, 13):
         chk = anticommutator_check(build_gamma_family(d))
-        ok = all(chk.values())
-        all_ok = all_ok and ok
+        all_ok = all_ok and all(chk.values())
         rows.append({"dim": d, "matrix_size": 2 ** (d // 2),
                      "anticommutation_ok": chk["algebra"],
                      "hermitian_ok": chk["hermitian"],
                      "entries_ok": chk["entries"], "size_ok": chk["size"],
                      "count_ok": chk["count"]})
-    seconds = time.perf_counter() - t0
-    if only:
-        rep.add(f"family_d{only}", "pass" if all_ok else "fail",
-                value={"dim": only,
-                       "anticommutation_ok": rows[0]["anticommutation_ok"],
-                       "hermitian_ok": rows[0]["hermitian_ok"]},
-                detail="exact integer checks for the requested dimension",
-                seconds=seconds)
-    else:
-        rep.add("relations_exact", "pass" if all_ok else "fail",
-                value=all_ok,
-                detail="anticommutators 2 delta I, hermiticity, entries in "
-                       "{0, +-1, +-i}, and sizes 2^(d//2), checked exactly "
-                       "for dimensions 1 through 12", seconds=seconds)
-    write_table(out_dir, "clifford_families",
+    rep.add("relations_exact", "pass" if all_ok else "fail", value=all_ok,
+            detail="anticommutators 2 delta I, hermiticity, entries in "
+                   "{0, +-1, +-i}, and sizes 2^(d//2), checked exactly for "
+                   "dimensions 1 through 12",
+            seconds=time.perf_counter() - t0)
+    write_table(cfg.out_dir, "clifford_families",
                 ["dim", "matrix_size", "anticommutation_ok", "hermitian_ok",
                  "entries_ok", "size_ok", "count_ok"], rows)
-    return rep
 
 
-def run_spectral(cfg, rep, out_dir, args):
+def run_spectral(cfg, rep, args):
     import numpy as np
 
     from .zonal import build_basis, dirac_apply_grid, gram_matrix, lp_norm
@@ -174,12 +161,11 @@ def run_spectral(cfg, rep, out_dir, args):
         rep.add_check(f"lp_growth_exponent_p{p}", slope, bound,
                       detail=f"fitted exponent of ||e_n||_p against "
                              f"lambda_n over n in [8, {cfg.cutoff}]")
-    write_table(out_dir, "spectral_modes",
+    write_table(cfg.out_dir, "spectral_modes",
                 ["n", "omega", "eigen_residual", "lp4", "lp6"], rows)
-    return rep
 
 
-def run_wick(cfg, rep, out_dir, args):
+def run_wick(cfg, rep, args):
     import numpy as np
 
     from .field import gaussian_coeffs
@@ -203,10 +189,9 @@ def run_wick(cfg, rep, out_dir, args):
     rep.add_check("energy_literal_vs_contraction", rel, 1e-9,
                   detail="seven-term Wick monomial route against the "
                          "contraction route, 20 seeded samples")
-    return rep
 
 
-def run_energy(cfg, rep, out_dir, args):
+def run_energy(cfg, rep, args):
     import numpy as np
 
     from .config import ExperimentConfig
@@ -247,8 +232,8 @@ def run_energy(cfg, rep, out_dir, args):
                          "monomial of its Gaussians, 100 samples")
     rows = [{"sample": i, "e_coeff": float(e_field[i]),
              "e_wick": float(e_wick[i])} for i in range(e_field.size)]
-    write_table(out_dir, "energy_samples", ["sample", "e_coeff", "e_wick"],
-                rows)
+    write_table(cfg.out_dir, "energy_samples",
+                ["sample", "e_coeff", "e_wick"], rows)
     anchor_basis = build_basis(2, 0, grid_size=8)
     anchor = assemble_interaction(
         anchor_basis, ExperimentConfig(kernel_kind="constant",
@@ -267,10 +252,9 @@ def run_energy(cfg, rep, out_dir, args):
     rep.add("kernel_mixed_norm", "info", value=mixed,
             detail=f"quadrature L^q_x(L^(q/2)_y) norm at q = {cfg.q}; "
                    "reported, not enforced")
-    return rep
 
 
-def run_cauchy(cfg, rep, out_dir, args):
+def run_cauchy(cfg, rep, args):
     from .gibbs import cauchy_decay_study
     need = 2 * max(cfg.cauchy_m_list)
     tensor, seconds = _timed(_build_tensor, cfg, cutoff=need)
@@ -290,13 +274,12 @@ def run_cauchy(cfg, rep, out_dir, args):
                   detail=f"log-log slope of sqrt(series) in M; threshold "
                          f"-nu/2 + 0.1 at nu = {cfg.nu}",
                   seconds=seconds)
-    write_table(out_dir, "cauchy_rows",
+    write_table(cfg.out_dir, "cauchy_rows",
                 ["m", "n", "exact", "bound", "mc", "mc_se", "z",
                  "tail_q50", "tail_q90", "tail_q99"], out["rows"])
-    return rep
 
 
-def run_nelson(cfg, rep, out_dir, args):
+def run_nelson(cfg, rep, args):
     from .gibbs import nelson_scan
     need = max(cfg.nelson_n_list)
     tensor, seconds = _timed(_build_tensor, cfg, cutoff=need)
@@ -318,12 +301,11 @@ def run_nelson(cfg, rep, out_dir, args):
                    "the finite-window fit above the power-law threshold, "
                    "so the exponent is reported here and adjudicated in "
                    "the acceptance suite", seconds=seconds)
-    write_table(out_dir, "nelson_rows", ["n", "bound", "min",
-                                         "respects_bound"], out["rows"])
-    return rep
+    write_table(cfg.out_dir, "nelson_rows",
+                ["n", "bound", "min", "respects_bound"], out["rows"])
 
 
-def run_gibbs(cfg, rep, out_dir, args):
+def run_gibbs(cfg, rep, args):
     """gibbs-sample: importance reweighting against pCN chains.
 
     The importance side finishes first: its ESS record, its weighted means
@@ -352,7 +334,7 @@ def run_gibbs(cfg, rep, out_dir, args):
             seconds=sec_imp)
     imp_means = [weighted_mean(np.abs(imp.coeffs[:, k]) ** 2,
                                imp.log_weights) for k in ks]
-    write_table(out_dir, "gibbs_importance_samples",
+    write_table(cfg.out_dir, "gibbs_importance_samples",
                 ["sample", "energy", "log_weight"] + abs2_names,
                 _SampleRows(imp.coeffs, n_abs2, -imp.log_weights,
                             imp.log_weights))
@@ -389,12 +371,12 @@ def run_gibbs(cfg, rep, out_dir, args):
         rep.add_check(f"moment_cross_validation_k{k}", abs(z), 3.0,
                       detail=f"mean |c_{k}|^2: importance {m1:.6g} "
                              f"({se1:.2g}) vs chain {m2:.6g} ({se2:.2g})")
-    write_table(out_dir, "gibbs_moments",
+    write_table(cfg.out_dir, "gibbs_moments",
                 ["k", "importance_mean", "importance_se", "pcn_mean",
                  "pcn_se", "pcn_iact", "z"], rows)
-    write_table(out_dir, "gibbs_pcn_samples", ["sample", "energy"] + abs2_names,
+    write_table(cfg.out_dir, "gibbs_pcn_samples",
+                ["sample", "energy"] + abs2_names,
                 _SampleRows(chain.coeffs, n_abs2, chain.energies))
-    return rep
 
 
 class _SampleRows:
@@ -455,7 +437,7 @@ def _add_solver_counters(rep, meta):
                    "cubic-term evaluations and step halvings")
 
 
-def run_flow(cfg, rep, out_dir, args):
+def run_flow(cfg, rep, args):
     import numpy as np
 
     from .dynamics import (FlowConfig, flow, reversal_error,
@@ -500,12 +482,11 @@ def run_flow(cfg, rep, out_dir, args):
     rep.add_check("vector_field_directional", vchk["directional"], 1e-5,
                   detail="directional derivative pairing dE(h) = "
                          "2 Re<grad, h>")
-    header = (["t"] + [f"{part}_c{n}" for n in range(tensor.n_modes)
+    header = (["t"] + [f"{part}_c{n}" for n in range(traj.states.shape[-1])
                        for part in ("re", "im")] + ["flow_energy", "mass"])
-    low = np.ascontiguousarray(traj.states[:, :tensor.n_modes])
-    table = np.column_stack([traj.times, low.view(float), traj.flow_energy,
-                             traj.mass])
-    write_table(out_dir, "flow_trajectory", header, table.tolist())
+    table = np.column_stack([traj.times, traj.states.view(float),
+                             traj.flow_energy, traj.mass])
+    write_table(cfg.out_dir, "flow_trajectory", header, table.tolist())
     if cfg.flow_compare_cutoff > 0:
         cmp_out = truncation_comparison(tensor, cfg.flow_compare_cutoff,
                                         traj, fcfg, sobolev_s=cfg.hs_s)
@@ -514,28 +495,20 @@ def run_flow(cfg, rep, out_dir, args):
                 detail=f"max per-observable difference between cutoffs "
                        f"{cfg.flow_compare_cutoff} and {tensor.cutoff} at "
                        f"t = {cfg.flow_t_final}; no rate asserted")
-        write_table(out_dir, "flow_truncation_comparison",
+        write_table(cfg.out_dir, "flow_truncation_comparison",
                     ["observable", "abs_diff"], cmp_out["rows"])
-    return rep
 
 
-def run_invariance(cfg, rep, out_dir, args):
+def run_invariance(cfg, rep, args):
     from .dynamics import invariance_test
     tensor = _build_tensor(cfg)
-    res, seconds = _timed(
-        invariance_test, tensor, cfg.invariance_ensemble_size,
-        cfg.invariance_t_final, cfg.invariance_dt, cfg.seed,
-        alpha=cfg.invariance_alpha, kmax=cfg.invariance_kmax,
-        burn_steps=cfg.invariance_burn_steps, beta=cfg.invariance_beta,
-        integrator=cfg.flow_integrator, solver_tol=cfg.flow_solver_tol,
-        disable_counterterms=cfg.invariance_negative_control,
-        sobolev_s=cfg.hs_s)
+    res, seconds = _timed(invariance_test, tensor, cfg)
     rep.add("pcn_burnin_acceptance", "info", value=res["acceptance_rate"],
             detail=f"{cfg.invariance_ensemble_size} parallel chains, "
                    f"{cfg.invariance_burn_steps} burn sweeps",
             seconds=seconds)
     _add_solver_counters(rep, res["meta"])
-    threshold = res["alpha"] / res["n_tests"]
+    threshold = cfg.invariance_alpha / res["n_tests"]
     if cfg.invariance_negative_control:
         energy_row = next(r for r in res["rows"]
                           if r["observable"] == "energy")
@@ -553,13 +526,12 @@ def run_invariance(cfg, rep, out_dir, args):
                     detail=f"ks={row['ks_stat']:.4f}, "
                            f"z_mean={row['z_mean']:.2f}, "
                            f"z_second={row['z_second']:.2f}")
-    write_table(out_dir, "invariance_rows",
+    write_table(cfg.out_dir, "invariance_rows",
                 ["observable", "ks_stat", "p_value", "z_mean", "z_second",
                  "pass"], res["rows"])
-    return rep
 
 
-def _guarded(runner, cfg, rep, out_dir, args):
+def _guarded(runner, cfg, rep, args):
     """Run one runner; any exception becomes a failing `aborted` record, so
     the records and sidecars it wrote before it failed stay in the report.
 
@@ -567,7 +539,7 @@ def _guarded(runner, cfg, rep, out_dir, args):
     exception also names its type, and its traceback goes to the log.
     """
     try:
-        runner(cfg, rep, out_dir, args)
+        runner(cfg, rep, args)
     except Exception as exc:
         refusal = isinstance(exc, ValueError)
         detail = str(exc) if refusal else f"{type(exc).__name__}: {exc}"
@@ -576,7 +548,7 @@ def _guarded(runner, cfg, rep, out_dir, args):
                   exc_info=not refusal)
 
 
-def run_full(cfg, rep, out_dir, args):
+def run_full(cfg, rep, args):
     """Every other subcommand in turn, its records named under the
     subcommand's name up to its first '-' (clifford, ..., invariance)."""
     for command, runner in RUNNERS.items():
@@ -585,9 +557,8 @@ def run_full(cfg, rep, out_dir, args):
         name = command.split("-")[0]
         log.info("running %s", name)
         sub = Report(name, {})
-        _guarded(runner, cfg, sub, out_dir, args)
+        _guarded(runner, cfg, sub, args)
         rep.extend(sub, prefix=name)
-    return rep
 
 
 RUNNERS = {
@@ -625,17 +596,6 @@ def build_parser():
             p.add_argument("--init", default="seed",
                            help="'seed' for a free-measure draw, or a CSV "
                                 "file of re,im rows per mode")
-        if name == "clifford-check":
-            p.add_argument("--dim", type=int, default=None,
-                           help="check a single dimension instead of the "
-                                "1 through 12 sweep")
-        if name == "spectral-check":
-            p.add_argument("--dim", type=int, default=None,
-                           help="override the sphere dimension")
-            p.add_argument("--max-n", type=int, default=None,
-                           help="override the mode cutoff")
-            p.add_argument("--nodes", type=int, default=None,
-                           help="override the quadrature grid size")
     return parser
 
 
@@ -650,13 +610,6 @@ def main(argv=None):
         overrides["seed"] = str(args.seed)
     if args.out is not None:
         overrides["out_dir"] = args.out
-    for attr, key in (("max_n", "cutoff"), ("nodes", "grid_size")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if args.command == "spectral-check" and getattr(args, "dim",
-                                                    None) is not None:
-        overrides["dim"] = str(args.dim)
     try:
         cfg, warnings = load_config(args.config, overrides)
         threads = resolve_threads(cfg)
@@ -667,10 +620,9 @@ def main(argv=None):
     rep = Report(args.command, cfg.to_mapping())
     for warning in warnings:
         rep.add("config_warning", "info", detail=warning)
-    out_dir = cfg.out_dir
-    _guarded(RUNNERS[args.command], cfg, rep, out_dir, args)
+    _guarded(RUNNERS[args.command], cfg, rep, args)
     _add_process_record(rep)
-    path = rep.write(out_dir)
+    path = rep.write(cfg.out_dir)
     log.info("wrote %s (%d records, all_pass=%s)", path, len(rep.records),
              rep.all_pass)
     return 0 if rep.all_pass else 1

@@ -347,31 +347,40 @@ def ensemble_observables(tensor, coeffs, kmax, sobolev_s):
     return out
 
 
-def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha, kmax,
-                    burn_steps, beta, integrator, solver_tol, sobolev_s,
-                    disable_counterterms=False):
+def invariance_test(tensor, cfg):
     """Evolve a Gibbs ensemble and compare observable laws at t=0 and t_final.
+
+    cfg is the ExperimentConfig; the test reads invariance.ensemble_size,
+    invariance.burn_steps, invariance.beta and seed (the ensemble),
+    invariance.dt, invariance.t_final, flow.integrator and flow.solver_tol
+    (the flow), invariance.kmax and hs_s (the observables),
+    invariance.alpha and invariance.negative_control.
 
     The ensemble targets exp(-E) dmu via parallel pCN chains.  Each
     observable is compared with a two-sample KS test (paired members make
     the test conservative under exact invariance) at Bonferroni level
     alpha / n_tests, plus paired z-scores for the first two moments, each
-    at most MOMENT_Z_MAX.  With
-    disable_counterterms=True the flow drops the quadratic counterterms
-    (S and T) from the vector field only; the measure and the recorded
-    energy observable stay those of the full model, so a detectable drift
-    is the expected outcome at any mode-coupling kernel.
+    at most MOMENT_Z_MAX.  With invariance.negative_control set the flow
+    drops the quadratic counterterms (S and T) from the vector field only;
+    the measure and the recorded energy observable stay those of the full
+    model, so a detectable drift is the expected outcome at any
+    mode-coupling kernel.
     """
-    ens = pcn_parallel(tensor, n_ensemble, burn_steps, seed, beta=beta)
+    ens = pcn_parallel(tensor, cfg.invariance_ensemble_size,
+                       cfg.invariance_burn_steps, cfg.seed,
+                       beta=cfg.invariance_beta)
     flow_tensor = tensor
-    if disable_counterterms:
+    if cfg.invariance_negative_control:
         flow_tensor = replace(tensor, s_mat=np.zeros_like(tensor.s_mat),
                               t_mat=np.zeros_like(tensor.t_mat))
-    cfg = FlowConfig(dt=dt, t_final=t_final, integrator=integrator,
-                     solver_tol=solver_tol, sample_every=0)
-    traj = flow(flow_tensor, ens.coeffs, cfg)
-    before = ensemble_observables(tensor, traj.states[0], kmax, sobolev_s)
-    after = ensemble_observables(tensor, traj.states[-1], kmax, sobolev_s)
+    fcfg = FlowConfig(dt=cfg.invariance_dt, t_final=cfg.invariance_t_final,
+                      integrator=cfg.flow_integrator,
+                      solver_tol=cfg.flow_solver_tol, sample_every=0)
+    traj = flow(flow_tensor, ens.coeffs, fcfg)
+    before = ensemble_observables(tensor, traj.states[0], cfg.invariance_kmax,
+                                  cfg.hs_s)
+    after = ensemble_observables(tensor, traj.states[-1],
+                                 cfg.invariance_kmax, cfg.hs_s)
     names = list(before)
     n_tests = len(names)
     rows = []
@@ -379,7 +388,7 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha, kmax,
     for name in names:
         a, b = before[name], after[name]
         stat, pval = ks_two_sample(a, b)
-        ks_ok = bool(pval >= alpha / n_tests)
+        ks_ok = bool(pval >= cfg.invariance_alpha / n_tests)
         zs = []
         for xa, xb in ((a, b), (a ** 2, b ** 2)):
             d = xb - xa
@@ -393,6 +402,4 @@ def invariance_test(tensor, n_ensemble, t_final, dt, seed, alpha, kmax,
                      "p_value": float(pval), "z_mean": zs[0],
                      "z_second": zs[1], "pass": ok})
     return {"rows": rows, "all_pass": all_pass, "n_tests": n_tests,
-            "alpha": alpha, "acceptance_rate": ens.acc_rate,
-            "counterterms_disabled": disable_counterterms,
-            "meta": traj.meta}
+            "acceptance_rate": ens.acc_rate, "meta": traj.meta}

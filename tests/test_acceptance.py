@@ -8,6 +8,7 @@ tests).  Everything else must stay green.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,9 +206,12 @@ def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
 
 
 def test_invariance_ks_suite_and_negative_control(t8_const):
-    knobs = dict(alpha=0.01, kmax=8, burn_steps=400, beta=0.4,
-                 integrator="midpoint", solver_tol=1e-12, sobolev_s=-0.6)
-    res = invariance_test(t8_const, 4096, 5.0, 5e-3, SEED, **knobs)
+    cfg = ExperimentConfig(
+        seed=SEED, hs_s=-0.6, flow_integrator="midpoint",
+        flow_solver_tol=1e-12, invariance_ensemble_size=4096,
+        invariance_t_final=5.0, invariance_dt=5e-3, invariance_alpha=0.01,
+        invariance_kmax=8, invariance_burn_steps=400, invariance_beta=0.4)
+    res = invariance_test(t8_const, cfg)
     failed = [r["observable"] for r in res["rows"] if not r["pass"]]
     assert res["all_pass"], failed
 
@@ -215,8 +219,8 @@ def test_invariance_ks_suite_and_negative_control(t8_const):
         build_basis(2, 8), ExperimentConfig(kernel_kind="separable",
                                             kernel_profile="one_plus_cos",
                                             kernel_amplitude=1.5))
-    res_neg = invariance_test(broken, 4096, 5.0, 5e-3, SEED, **knobs,
-                              disable_counterterms=True)
+    res_neg = invariance_test(broken,
+                              replace(cfg, invariance_negative_control=True))
     energy_row = next(r for r in res_neg["rows"]
                       if r["observable"] == "energy")
     assert not energy_row["pass"], energy_row

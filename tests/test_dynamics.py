@@ -269,12 +269,15 @@ def test_observables_table(tensor_const):
 
 
 def test_invariance_positive_and_negative_controls(tensor_sep):
-    common = dict(n_ensemble=2500, t_final=1.5, dt=0.01, seed=2024,
-                  alpha=0.01, kmax=4, burn_steps=600, beta=0.35,
-                  integrator="midpoint", solver_tol=1e-12, sobolev_s=-0.6)
-    good = invariance_test(tensor_sep, **common)
+    cfg = ExperimentConfig(
+        seed=2024, hs_s=-0.6, flow_integrator="midpoint",
+        flow_solver_tol=1e-12, invariance_ensemble_size=2500,
+        invariance_t_final=1.5, invariance_dt=0.01, invariance_alpha=0.01,
+        invariance_kmax=4, invariance_burn_steps=600, invariance_beta=0.35)
+    good = invariance_test(tensor_sep, cfg)
     assert good["all_pass"], [r for r in good["rows"] if not r["pass"]]
-    bad = invariance_test(tensor_sep, disable_counterterms=True, **common)
+    bad = invariance_test(tensor_sep,
+                          replace(cfg, invariance_negative_control=True))
     assert not bad["all_pass"]
     energy_row = next(r for r in bad["rows"] if r["observable"] == "energy")
     assert not energy_row["pass"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zdg import dynamics, interaction, report
-from zdg.cli import main
+from zdg.cli import _build_tensor, main
 from zdg.config import (KERNEL_NAMES, KERNEL_PROFILES, SCHEMA,
                         ExperimentConfig, config_from_mapping, load_config,
                         parse_config_text, resolve_threads, step_count,
@@ -330,29 +330,31 @@ def _write(path, text):
     return str(path)
 
 
-def test_cli_clifford_single_dimension(tmp_path):
+def test_cli_spectral_reads_cutoff_and_grid_from_the_config(tmp_path):
+    cfg = _write(tmp_path / "spectral.cfg", "cutoff = 12\ngrid_size = 48\n")
     out = str(tmp_path / "r")
-    assert main(["clifford-check", "--out", out, "--dim", "3"]) == 0
-    with open(os.path.join(out, "clifford_check.json")) as fh:
-        doc = json.load(fh)
-    rec = next(r for r in doc["records"] if r["name"] == "family_d3")
-    assert rec["value"] == {"dim": 3, "anticommutation_ok": True,
-                            "hermitian_ok": True}
-    with open(os.path.join(out, "clifford_families.csv"), newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 2 and rows[1][0] == "3"
-
-
-def test_cli_spectral_flag_overrides(tmp_path):
-    out = str(tmp_path / "r")
-    code = main(["spectral-check", "--out", out, "--max-n", "12",
-                 "--nodes", "48"])
-    assert code == 0
+    assert main(["spectral-check", "--config", cfg, "--out", out]) == 0
     with open(os.path.join(out, "spectral_check.json")) as fh:
         doc = json.load(fh)
     assert doc["config"]["cutoff"] == 12
     assert doc["config"]["grid_size"] == 48
     assert doc["summary"]["all_pass"] is True
+
+
+@pytest.mark.parametrize("argv", [["spectral-check", "--max-n", "12"],
+                                  ["spectral-check", "--dim", "4"],
+                                  ["clifford-check", "--dim", "3"]],
+                         ids=["spectral-max-n", "spectral-dim",
+                              "clifford-dim"])
+def test_cli_flags_that_shadow_config_keys_exit_two(tmp_path, capsys, argv):
+    # dim, cutoff and grid_size are config keys; clifford-check always
+    # sweeps dimensions 1 through 12
+    out = str(tmp_path / "r")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_rejects_bad_config_with_full_diagnostic(tmp_path, capsys):
@@ -486,6 +488,41 @@ def test_cli_flow_integrates_the_forward_trajectory_once(tmp_path, monkeypatch,
                  "flow.t_final = 0.05\nflow.dt = 0.005\n")
     assert main(["flow", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
     assert len(calls) == n_flows
+
+
+def test_cli_flow_trajectory_writes_every_mode_its_mass_counts(tmp_path):
+    # a 12-mode state at cutoff 8: the three modes above the tensor ride
+    # the free rotation, and the sidecar writes them too
+    cfg = _write(tmp_path / "fast.cfg",
+                 "cutoff = 8\nflow.t_final = 0.05\nflow.dt = 0.005\n")
+    init = _write(tmp_path / "init.csv", "".join(
+        f"{0.4 / (n + 1)},{-0.2 / (n + 2)}\n" for n in range(12)))
+    out = str(tmp_path / "r")
+    assert main(["flow", "--config", cfg, "--out", out, "--init", init]) == 0
+    with open(os.path.join(out, "flow_trajectory.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[-3] == "im_c11"
+    for row in rows:
+        written = sum(float(row[f"{part}_c{n}"]) ** 2 for n in range(12)
+                      for part in ("re", "im"))
+        assert float(row["mass"]) == pytest.approx(written, rel=1e-13)
+
+
+def test_cli_invariance_rows_are_those_of_invariance_test(tmp_path):
+    path = _write(tmp_path / "inv.cfg",
+                  "kernel.kind = separable\ninvariance.ensemble_size = 32\n"
+                  "invariance.t_final = 0.05\ninvariance.burn_steps = 20\n")
+    out = str(tmp_path / "cli")
+    assert main(["invariance-test", "--config", path, "--seed", "7",
+                 "--out", out]) == 0
+    with open(os.path.join(out, "invariance_rows.csv"), newline="") as fh:
+        got = fh.read()
+    cfg, _ = load_config(path, {"seed": "7"})
+    res = dynamics.invariance_test(_build_tensor(cfg), cfg)
+    direct = write_table(str(tmp_path / "direct"), "invariance_rows",
+                         got.splitlines()[0].split(","), res["rows"])
+    with open(direct, newline="") as fh:
+        assert fh.read() == got
 
 
 def test_cli_flow_rejects_short_init_file(tmp_path):

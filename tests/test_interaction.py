@@ -948,10 +948,13 @@ def test_counterterm_free_invariance_flow_builds_no_dense_tensor():
     t = assemble_interaction(build_basis(2, 6, grid_size=24), GRIDK)
     with mock.patch.object(interaction, "dense_tensor",
                            side_effect=AssertionError("dense A built")):
-        res = invariance_test(t, 64, 0.05, 0.01, seed=2, alpha=0.01, kmax=8,
-                              burn_steps=20, beta=0.4, integrator="midpoint",
-                              solver_tol=1e-12, sobolev_s=-0.6,
-                              disable_counterterms=True)
+        res = invariance_test(t, ExperimentConfig(
+            seed=2, hs_s=-0.6, flow_integrator="midpoint",
+            flow_solver_tol=1e-12, invariance_ensemble_size=64,
+            invariance_t_final=0.05, invariance_dt=0.01,
+            invariance_alpha=0.01, invariance_kmax=8,
+            invariance_burn_steps=20, invariance_beta=0.4,
+            invariance_negative_control=True))
     assert res["rows"]
 
 
