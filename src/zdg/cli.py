@@ -318,8 +318,8 @@ def run_gibbs(cfg, rep, args):
     """
     import numpy as np
 
-    from .gibbs import (chain_mean, importance_ensemble, pcn_chain,
-                        weighted_mean)
+    from .gibbs import (chain_mean, effective_sample_size,
+                        importance_ensemble, pcn_chain, weighted_mean)
     tensor, seconds = _timed(_build_tensor, cfg)
     rep.add("tensor_built", "info", value=tensor.cutoff,
             detail=f"cutoff {tensor.cutoff} of the sampled measure",
@@ -327,18 +327,17 @@ def run_gibbs(cfg, rep, args):
     ks = range(min(cfg.gibbs_kmax, tensor.cutoff) + 1)
     n_abs2 = min(2, tensor.cutoff) + 1
     abs2_names = [f"abs2_c{k}" for k in range(n_abs2)]
-    imp, sec_imp = _timed(importance_ensemble, tensor,
-                          cfg.gibbs_ensemble_size, cfg.seed)
-    rep.add("importance_ess", "info", value=imp.ess,
-            detail=f"effective size of {imp.size} weighted draws",
+    (coeffs, log_weights), sec_imp = _timed(
+        importance_ensemble, tensor, cfg.gibbs_ensemble_size, cfg.seed)
+    rep.add("importance_ess", "info", value=effective_sample_size(log_weights),
+            detail=f"effective size of {len(coeffs)} weighted draws",
             seconds=sec_imp)
-    imp_means = [weighted_mean(np.abs(imp.coeffs[:, k]) ** 2,
-                               imp.log_weights) for k in ks]
+    imp_means = [weighted_mean(np.abs(coeffs[:, k]) ** 2, log_weights)
+                 for k in ks]
     write_table(cfg.out_dir, "gibbs_importance_samples",
                 ["sample", "energy", "log_weight"] + abs2_names,
-                _SampleRows(imp.coeffs, n_abs2, -imp.log_weights,
-                            imp.log_weights))
-    del imp
+                _SampleRows(coeffs, n_abs2, -log_weights, log_weights))
+    del coeffs, log_weights
     beta = None if cfg.gibbs_beta == 0 else cfg.gibbs_beta
     chain, sec_chain = _timed(pcn_chain, tensor, cfg.gibbs_ensemble_size,
                               cfg.seed, beta=beta)

@@ -48,11 +48,11 @@ INTEGRATORS = ("midpoint", "lawson-rk4")
 # parsing, the ExperimentConfig fields, each key's own check in validate,
 # and the report's config echo.  The field is the key with "." read as "_"
 # and its type is the default's, so a float default is written as a float
-# (25.0, not 25).
-# Admissible values are None (any value, or rules involving other keys,
-# written out in validate), a tuple of names, or an interval such as
-# "[0, )" or "(0, 1]" whose empty end is unbounded.  An int list must be
-# non-empty, positive and strictly increasing.
+# (25.0, not 25).  Admissible values are None (any value, or rules
+# involving other keys, written out in validate), a tuple of names, or an
+# interval such as "[0, )" or "(0, 1]" whose empty end is unbounded.  An
+# int list must be non-empty, positive and strictly increasing; validate
+# asks two entries of each cutoff list whose study fits a slope.
 SCHEMA = [
     ("dim", 2, None),
     ("cutoff", 8, "[0, )"),
@@ -227,6 +227,9 @@ def validate(cfg):
             and not 0 < cfg.flow_compare_cutoff < cfg.cutoff:
         errors.append("flow.compare_cutoff must be 0 (off) or a cutoff "
                       f"below {cfg.cutoff}, got {cfg.flow_compare_cutoff}")
+    for key in ("cauchy.m_list", "nelson.n_list", "lr.n_list"):
+        if len(getattr(cfg, key.replace(".", "_"))) == 1:
+            errors.append(f"{key} needs two cutoffs for its slope fit")
     return errors, warnings
 
 

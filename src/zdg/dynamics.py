@@ -366,9 +366,9 @@ def invariance_test(tensor, cfg):
     model, so a detectable drift is the expected outcome at any
     mode-coupling kernel.
     """
-    ens = pcn_parallel(tensor, cfg.invariance_ensemble_size,
-                       cfg.invariance_burn_steps, cfg.seed,
-                       beta=cfg.invariance_beta)
+    members = pcn_parallel(tensor, cfg.invariance_ensemble_size,
+                           cfg.invariance_burn_steps, cfg.seed,
+                           beta=cfg.invariance_beta)
     flow_tensor = tensor
     if cfg.invariance_negative_control:
         flow_tensor = replace(tensor, s_mat=np.zeros_like(tensor.s_mat),
@@ -376,7 +376,7 @@ def invariance_test(tensor, cfg):
     fcfg = FlowConfig(dt=cfg.invariance_dt, t_final=cfg.invariance_t_final,
                       integrator=cfg.flow_integrator,
                       solver_tol=cfg.flow_solver_tol, sample_every=0)
-    traj = flow(flow_tensor, ens.coeffs, fcfg)
+    traj = flow(flow_tensor, members.coeffs, fcfg)
     before = ensemble_observables(tensor, traj.states[0], cfg.invariance_kmax,
                                   cfg.hs_s)
     after = ensemble_observables(tensor, traj.states[-1],
@@ -402,4 +402,4 @@ def invariance_test(tensor, cfg):
                      "p_value": float(pval), "z_mean": zs[0],
                      "z_second": zs[1], "pass": ok})
     return {"rows": rows, "all_pass": all_pass, "n_tests": n_tests,
-            "acceptance_rate": ens.acc_rate, "meta": traj.meta}
+            "acceptance_rate": members.acc_rate, "meta": traj.meta}

@@ -4,13 +4,14 @@ The target density is exp(-E(c)) relative to the free Gaussian measure on
 coefficients.  Two samplers are provided: self-normalized importance
 reweighting of prior draws, and preconditioned Crank-Nicolson chains whose
 proposal c' = sqrt(1 - beta^2) c + beta xi (xi a fresh prior draw) preserves
-the prior, leaving the simple acceptance ratio exp(E(c) - E(c')).  Every
-chain sampler advances all of its chains together, one vectorized sweep
-over the rows at a time.  The studies stream their common prior draws
-in BLOCK_ROWS chunks and hold what they report: Nelson one block, Cauchy
-one column per M, the weight-norm study one column per cutoff.  The
-module needs numpy and the standard library only: its log-sum-exp and
-normal scores come from `zdg.special`.
+the prior, leaving the simple acceptance ratio exp(E(c) - E(c')).
+importance_ensemble returns (coeffs, log_weights), pcn_chain a Chain, and
+pcn_parallel the Members of independent chains; the chains of each advance
+together, one vectorized sweep over the rows at a time.  The studies stream
+their common prior draws in BLOCK_ROWS chunks and hold what they report:
+Nelson one block, Cauchy one column per M, the weight-norm study one column
+per cutoff.  The module needs numpy and the standard library only: its
+log-sum-exp and normal scores come from `zdg.special`.
 """
 
 import logging
@@ -50,32 +51,31 @@ NDTRI_CHUNK = 4096
 
 
 @dataclass
-class Ensemble:
-    """Samples of the truncated Gibbs measure with sampler metadata.
-
-    coeffs holds one sample per row.  Importance ensembles carry their log
-    weights -E; pCN ensembles carry energies, the energy of each row as
-    the chain's sweeps accepted it, and warmup, the (beta, acceptance
-    rate) pair of each warm-up block (empty when beta was given).
-    """
+class Chain:
+    """pcn_chain's samples, one per row, with their energies as the sweeps
+    accepted them; warmup holds the (beta, acceptance rate) pair of each
+    warm-up block, empty when beta was given."""
 
     coeffs: np.ndarray
-    log_weights: np.ndarray = None
-    energies: np.ndarray = None
-    ess: float = None
-    acc_rate: float = None
-    beta: float = None
-    thin: int = 1
-    burn: int = 0
-    iact: float = None
-    n_chains: int = 1
-    rhat: float = None
-    ess_bulk: float = None
-    warmup: tuple = ()
+    energies: np.ndarray
+    acc_rate: float
+    beta: float
+    thin: int
+    burn: int
+    iact: float
+    n_chains: int
+    rhat: float
+    ess_bulk: float
+    warmup: tuple
 
-    @property
-    def size(self):
-        return self.coeffs.shape[0]
+
+@dataclass
+class Members:
+    """pcn_parallel's final states, one independent chain per row, and the
+    acceptance rate of their burn-in."""
+
+    coeffs: np.ndarray
+    acc_rate: float
 
 
 def effective_sample_size(log_weights):
@@ -85,12 +85,11 @@ def effective_sample_size(log_weights):
 
 
 def importance_ensemble(tensor, n_samples, seed):
-    """Prior draws with log weights -E(c)."""
+    """(coeffs, log_weights): prior draws, one per row, with log weights
+    -E(c)."""
     gen = rng_mod.derive_rng(seed, "gibbs.importance")
     coeffs, energies = _prior_states(tensor, gen, n_samples)
-    lw = -energies
-    return Ensemble(coeffs=coeffs, log_weights=lw,
-                    ess=effective_sample_size(lw))
+    return coeffs, -energies
 
 
 def weighted_mean(values, log_weights):
@@ -337,14 +336,14 @@ def _rhat(chains):
     return float(np.sqrt(((n - 1) / n * within + between / n) / within))
 
 
-def pcn_chain(tensor, n_samples, seed, beta=None, thin=None):
+def pcn_chain(tensor, n_samples, seed, beta=None):
     """pCN chains targeting exp(-E) dmu, run side by side.
 
     max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS)) chains each start
     from their own prior draw and advance together, one vectorized sweep
     at a time.  beta None triggers the adaptive warm-up (frozen afterwards,
-    its (beta, rate) per block kept as warmup); thin None runs a pilot
-    segment and thins by ceil of the mean per-chain integrated
+    its (beta, rate) per block kept as warmup).  A pilot segment sets the
+    thinning to the ceiling of the mean per-chain integrated
     autocorrelation time of the energy.  Burn-in discards BURN_FRAC of each
     chain's collected span before sampling starts.
 
@@ -363,12 +362,11 @@ def pcn_chain(tensor, n_samples, seed, beta=None, thin=None):
     if beta is None:
         beta, warmup = _adapt_beta(tensor, states, energies, gen, 0.5,
                                    ADAPT_BLOCK, MAX_ADAPT_BLOCKS)
-    if thin is None:
-        pilot_e = np.empty((n_chains, PILOT_SWEEPS))
-        for i in range(PILOT_SWEEPS):
-            _advance(tensor, states, energies, beta, gen, 1)
-            pilot_e[:, i] = energies
-        thin = max(1, int(np.ceil(_mean_iact(pilot_e))))
+    pilot_e = np.empty((n_chains, PILOT_SWEEPS))
+    for i in range(PILOT_SWEEPS):
+        _advance(tensor, states, energies, beta, gen, 1)
+        pilot_e[:, i] = energies
+    thin = max(1, int(np.ceil(_mean_iact(pilot_e))))
     burn = int(np.ceil(BURN_FRAC * n_per * thin))
     _advance(tensor, states, energies, beta, gen, burn)
     coeffs = np.empty((n_chains, n_per, tensor.n_modes), dtype=complex)
@@ -379,7 +377,7 @@ def pcn_chain(tensor, n_samples, seed, beta=None, thin=None):
         coeffs[:, i] = states
         series[:, i] = energies
     rhat, ess_bulk = _rank_diagnostics(series)
-    return Ensemble(
+    return Chain(
         coeffs=coeffs.reshape(-1, tensor.n_modes)[:n_samples],
         energies=series.reshape(-1)[:n_samples],
         acc_rate=accepted / (n_per * thin * n_chains), beta=beta, thin=thin,
@@ -396,15 +394,14 @@ def pcn_parallel(tensor, n_chains, burn_steps, seed, beta):
     """Independent-members ensemble: many chains, one sample per chain.
 
     Every chain starts from its own prior draw and is burned burn_steps
-    vectorized sweeps; the final states are returned.  Identical target as
-    pcn_chain but with exactly independent members across rows.
+    vectorized sweeps; the final states are the Members.  Identical target
+    as pcn_chain but with exactly independent members across rows.
     """
     gen = rng_mod.derive_rng(seed, "gibbs.pcn.parallel")
     states, energies = _prior_states(tensor, gen, n_chains)
     accepted = _advance(tensor, states, energies, beta, gen, burn_steps)
     rate = accepted / (burn_steps * n_chains) if burn_steps else 0.0
-    return Ensemble(coeffs=states, acc_rate=rate, beta=beta,
-                    burn=burn_steps)
+    return Members(coeffs=states, acc_rate=rate)
 
 
 def chain_mean(values):

@@ -227,11 +227,10 @@ def test_invariance_ks_suite_and_negative_control(t8_const):
 
 
 def test_sampler_cross_validation_second_moments(t8_const):
-    imp = importance_ensemble(t8_const, 20000, SEED)
+    coeffs, log_weights = importance_ensemble(t8_const, 20000, SEED)
     chain = pcn_chain(t8_const, 20000, SEED)
     for k in range(9):
-        m1, se1 = weighted_mean(np.abs(imp.coeffs[:, k]) ** 2,
-                                imp.log_weights)
+        m1, se1 = weighted_mean(np.abs(coeffs[:, k]) ** 2, log_weights)
         m2, se2, _ = chain_mean(np.abs(chain.coeffs[:, k]) ** 2)
         se = np.hypot(se1, se2)
         assert abs(m1 - m2) <= 3.0 * se, (k, m1, m2, se)

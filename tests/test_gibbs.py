@@ -71,14 +71,14 @@ def test_integrated_autocorr_iid_and_ar1():
 
 
 def test_importance_ensemble_reproducible(tensor_n3):
-    a = importance_ensemble(tensor_n3, 500, seed=11)
-    b = importance_ensemble(tensor_n3, 500, seed=11)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    assert np.array_equal(a.log_weights, b.log_weights)
-    assert 1.0 <= a.ess <= 500.0
-    assert np.all(np.isfinite(a.log_weights))
-    c = importance_ensemble(tensor_n3, 500, seed=12)
-    assert not np.allclose(a.coeffs, c.coeffs)
+    a, a_lw = importance_ensemble(tensor_n3, 500, seed=11)
+    b, b_lw = importance_ensemble(tensor_n3, 500, seed=11)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a_lw, b_lw)
+    assert 1.0 <= effective_sample_size(a_lw) <= 500.0
+    assert np.all(np.isfinite(a_lw))
+    c, _ = importance_ensemble(tensor_n3, 500, seed=12)
+    assert not np.allclose(a, c)
 
 
 def test_pcn_chain_basics(tensor_n3):
@@ -225,7 +225,7 @@ def test_adapt_beta_pools_rows_and_handles_no_blocks(tensor_n3, caplog):
                           else min(b * 1.3, 1.0))
 
 
-def test_pcn_chain_row_rule_layout_and_seeds(tensor_n3):
+def test_pcn_chain_row_rule_layout_and_seeds(tensor_n3, monkeypatch):
     for n, chains in ((400, 1), (4000, 15), (20000, 64)):
         ens = pcn_chain(tensor_n3, n, seed=23)
         assert ens.n_chains == chains
@@ -233,17 +233,19 @@ def test_pcn_chain_row_rule_layout_and_seeds(tensor_n3):
         assert 0.0 < ens.acc_rate < 1.0
         assert ens.iact >= 1.0
         assert np.isfinite(ens.rhat)
-    # Tiny steps and no thinning: consecutive rows of one chain nearly
-    # coincide, while the first row of the next chain is an independent
-    # draw.  Chain-major storage puts the 14 jumps at the chain borders.
-    ens = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01, thin=1)
+    # Tiny steps and no thinning (the pilot's IACT pinned at 1):
+    # consecutive rows of one chain nearly coincide, while the first row of
+    # the next chain is an independent draw.  Chain-major storage puts the
+    # 14 jumps at the chain borders.
+    monkeypatch.setattr(gibbs, "_mean_iact", lambda series: 1.0)
+    ens = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01)
     n_per = 267
     steps = np.linalg.norm(np.diff(ens.coeffs, axis=0), axis=1)
     jumps = np.sort(np.argsort(steps)[-14:])
     assert np.array_equal(jumps, n_per * np.arange(1, 15) - 1)
-    again = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01, thin=1)
+    again = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01)
     assert np.array_equal(ens.coeffs, again.coeffs)
-    other = pcn_chain(tensor_n3, 4000, seed=24, beta=0.01, thin=1)
+    other = pcn_chain(tensor_n3, 4000, seed=24, beta=0.01)
     assert not np.allclose(ens.coeffs, other.coeffs)
 
 
@@ -389,11 +391,11 @@ def test_pcn_parallel_shape_and_rate(tensor_n3):
 
 def test_pcn_matches_importance_moments(tensor_n3):
     # same target measure through two unrelated samplers
-    imp = importance_ensemble(tensor_n3, 60000, seed=31)
+    coeffs, log_weights = importance_ensemble(tensor_n3, 60000, seed=31)
     chain = pcn_chain(tensor_n3, 4000, seed=32)
     for k in range(4):
-        x_imp = np.abs(imp.coeffs[:, k]) ** 2
-        m_imp, se_imp = weighted_mean(x_imp, imp.log_weights)
+        x_imp = np.abs(coeffs[:, k]) ** 2
+        m_imp, se_imp = weighted_mean(x_imp, log_weights)
         x_ch = np.abs(chain.coeffs[:, k]) ** 2
         m_ch, se_ch, _ = chain_mean(x_ch)
         combined = np.hypot(se_imp, se_ch)
@@ -402,9 +404,9 @@ def test_pcn_matches_importance_moments(tensor_n3):
 
 def test_gibbs_weight_reweights_prior_mean(tensor_n3):
     # E_gibbs[X] = E_mu[X R] / E_mu[R]; check against pcn on the energy
-    imp = importance_ensemble(tensor_n3, 80000, seed=41)
-    e_vals = interaction_energy(tensor_n3, imp.coeffs)
-    m_imp, se_imp = weighted_mean(e_vals, imp.log_weights)
+    coeffs, log_weights = importance_ensemble(tensor_n3, 80000, seed=41)
+    e_vals = interaction_energy(tensor_n3, coeffs)
+    m_imp, se_imp = weighted_mean(e_vals, log_weights)
     chain = pcn_chain(tensor_n3, 4000, seed=42)
     e_ch = interaction_energy(tensor_n3, chain.coeffs)
     m_ch, se_ch, _ = chain_mean(e_ch)

@@ -147,6 +147,15 @@ def test_int_list_must_increase():
         config_from_mapping({"cauchy.m_list": "8,4"})
 
 
+@pytest.mark.parametrize("key", ["cauchy.m_list", "nelson.n_list",
+                                 "lr.n_list"])
+def test_fitted_cutoff_list_needs_two_entries(key):
+    with pytest.raises(ValueError,
+                       match=f"{key} needs two cutoffs for its slope fit"):
+        config_from_mapping({key: "8"})
+    config_from_mapping({key: "4, 8", "lr.r_list": "2"})
+
+
 def test_effective_grid_size_default_and_override():
     assert ExperimentConfig().effective_grid_size() == 32
     cfg, _ = config_from_mapping({"cutoff": "4", "grid_size": "50"})
@@ -888,7 +897,7 @@ def test_gibbs_and_nelson_reports_time_the_tensor_build(tmp_path):
 
 
 def _recording_pcn_chain(monkeypatch):
-    """Wrap gibbs.pcn_chain; the returned list gets (tensor, ensemble) of
+    """Wrap gibbs.pcn_chain; the returned list gets (tensor, Chain) of
     every call."""
     from zdg import gibbs
     calls, real = [], gibbs.pcn_chain
@@ -1012,12 +1021,15 @@ def test_gibbs_sample_reports_the_pcn_warmup_blocks(tmp_path, monkeypatch):
     assert warmup["value"] and warmup["value"][-1][0] == chain.beta
     assert 0.3 <= warmup["value"][-1][1] <= 0.5  # settled
     fixed = _write(tmp_path / "fixed.cfg", open(cfg).read()
-                   + "gibbs.beta = 0.4\n")
+                   + "gibbs.beta = 0.3\n")
     assert main(["gibbs-sample", "--config", fixed, "--out", out,
                  "--seed", "5"]) == 0
     with open(os.path.join(out, "gibbs_sample.json")) as fh:
         records = {r["name"]: r for r in json.load(fh)["records"]}
     assert records["pcn_warmup"]["value"] == []
+    assert records["pcn_acceptance_rate"]["detail"].startswith("beta=0.300")
+    chain = calls[1][1]
+    assert (chain.beta, chain.warmup) == (0.3, ())
 
 
 def test_grid_kernel_subcommands_never_build_the_dense_tensor(tmp_path):
