@@ -10,11 +10,12 @@ pcn_parallel the Members of independent chains; the chains of each advance
 together, one vectorized sweep over the rows at a time.  The studies stream
 their common prior draws in BLOCK_ROWS chunks and hold what they report:
 Nelson one block, Cauchy one column per M, the weight-norm study one column
-per cutoff.  The module needs numpy and the standard library only: its
-log-sum-exp and normal scores come from `zdg.special`.
+per cutoff.  The module needs numpy and the standard library only, so no
+run imports scipy: the normal scores come from statistics.NormalDist.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from . import interaction
 from . import rng as rng_mod
 from .interaction import chaos_tail_series, interaction_energy
-from .special import logsumexp, ndtri
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +45,9 @@ PILOT_SWEEPS = 500
 BURN_FRAC = 0.1
 
 SOKAL_WINDOW = 6.0  # integrated_autocorr stops once the lag k >= this * tau
-# _normal_scores evaluates ndtri, which is elementwise, this many values at
-# a time: its temporaries are then a fixed size, whatever the series
-NDTRI_CHUNK = 4096
+# _normal_scores maps the inverse normal CDF over this many ranks at a time:
+# its temporaries are then a fixed size, whatever the series
+SCORE_CHUNK = 4096
 
 
 @dataclass
@@ -76,6 +76,26 @@ class Members:
 
     coeffs: np.ndarray
     acc_rate: float
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) of a real 1-D array, as a float, bitwise scipy's:
+    log1p(sum exp(a - max) / m) + log(m) + max over the entries below the m
+    tied maxima, with scipy's fallback log(sum exp(a)) where not finite."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    a_max = a.max()
+    at_max = a == a_max
+    m = float(np.count_nonzero(at_max))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
 
 
 def effective_sample_size(log_weights):
@@ -297,10 +317,13 @@ def _normal_scores(x):
 
     Rejected pCN proposals repeat a state, so equal values occur.  The
     ranks come from the sorted values: a tie group's average rank is the
-    mean of its first and last sorted positions, plus one.  ndtri runs on
-    NDTRI_CHUNK ranks at a time, so the temporaries stay a few times the
-    size of x.
+    mean of its first and last sorted positions, plus one.  The inverse
+    normal CDF runs on SCORE_CHUNK ranks at a time, so the temporaries stay
+    a few times the size of x.  Blom points lie strictly inside (0, 1), so
+    inv_cdf never raises.
     """
+    from statistics import NormalDist  # only pCN diagnostics pay the import
+    inv_cdf = NormalDist().inv_cdf
     flat = x.ravel()
     n = flat.size
     order = np.argsort(flat, kind="stable")
@@ -323,8 +346,10 @@ def _normal_scores(x):
     ranks -= 0.375
     ranks /= n + 0.25
     scores = last
-    for lo in range(0, n, NDTRI_CHUNK):
-        scores[order[lo:lo + NDTRI_CHUNK]] = ndtri(ranks[lo:lo + NDTRI_CHUNK])
+    for lo in range(0, n, SCORE_CHUNK):
+        chunk = ranks[lo:lo + SCORE_CHUNK]
+        scores[order[lo:lo + SCORE_CHUNK]] = np.fromiter(
+            map(inv_cdf, chunk.tolist()), float, chunk.size)
     return scores.reshape(x.shape)
 
 

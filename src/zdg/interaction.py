@@ -163,13 +163,14 @@ def kernel_matrix_from_csv(path, theta=None):
 
     When theta is given the header nodes must match it to relative
     tolerance NODE_RTOL, so a file tabulated on one quadrature grid cannot be
-    applied silently to another.
+    applied silently to another.  A non-finite node or value is refused.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
         raise ValueError("kernel file needs a header row and K value rows")
     nodes = np.array([float(v) for v in rows[0]])
+    _refuse_non_finite(nodes, path, "header row", "node")
     k = nodes.size
     if len(rows) != k + 1:
         raise ValueError(
@@ -180,6 +181,7 @@ def kernel_matrix_from_csv(path, theta=None):
             raise ValueError(f"kernel file row {i} has {len(row)} values, "
                              f"expected {k}")
         mat[i] = [float(v) for v in row]
+        _refuse_non_finite(mat[i], path, f"row {i}", "value")
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
         if theta.size != k or not np.allclose(nodes, theta, rtol=NODE_RTOL,
@@ -187,6 +189,13 @@ def kernel_matrix_from_csv(path, theta=None):
             raise ValueError(
                 "kernel file nodes do not match the quadrature grid")
     return mat
+
+
+def _refuse_non_finite(values, path, where, what):
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"kernel file {path} {where} has a non-finite "
+                         f"{what} ({bad[0]})")
 
 
 def pair_density(basis):

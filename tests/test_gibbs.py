@@ -1,6 +1,7 @@
 import logging
 import tracemalloc
 from fractions import Fraction
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -11,12 +12,11 @@ from zdg import rng as rng_mod
 from zdg.gibbs import (_adapt_beta, _normal_scores, bulk_ess,
                        cauchy_decay_study, chain_mean, effective_sample_size,
                        importance_ensemble, integrated_autocorr,
-                       lr_stability_study, nelson_scan, pcn_chain,
-                       pcn_parallel, split_rhat, weighted_mean)
+                       logsumexp, lr_stability_study, nelson_scan,
+                       pcn_chain, pcn_parallel, split_rhat, weighted_mean)
 from zdg.config import ExperimentConfig
 from zdg.interaction import (assemble_interaction, chaos_tail_series,
                              interaction_energy)
-from zdg.special import logsumexp
 from zdg.zonal import build_basis
 
 CONSTANT = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
@@ -171,15 +171,52 @@ def test_bulk_ess_iid_and_ar1_chains():
     assert np.isnan(bulk_ess(ar[:, :3]))
 
 
-def test_normal_scores_average_tied_ranks():
-    from scipy.special import ndtri
+def _blom_scores(x):
     from scipy.stats import rankdata
+    points = (rankdata(x, axis=None) - 0.375) / (x.size + 0.25)
+    return np.array([NormalDist().inv_cdf(p) for p in points]).reshape(x.shape)
+
+
+def test_normal_scores_average_tied_ranks():
     rng = np.random.default_rng(8)
-    # repeated values, as a chain that rejects proposals produces
-    x = np.round(rng.normal(size=(3, 40)), 1)
-    ranks = rankdata(x, axis=None).reshape(x.shape)
-    expected = ndtri((ranks - 0.375) / (x.size + 0.25))
-    assert np.array_equal(_normal_scores(x), expected)
+    # repeated values, as a chain that rejects proposals produces; the
+    # second series spans four SCORE_CHUNK blocks
+    assert 5 * 2500 > 3 * gibbs.SCORE_CHUNK
+    for x in (np.round(rng.normal(size=(3, 40)), 1),
+              np.round(rng.normal(size=(5, 2500)), 2)):
+        assert np.array_equal(_normal_scores(x), _blom_scores(x))
+
+
+def test_all_tied_series_scores_exactly_zero():
+    # every rank is (n + 1) / 2, whose Blom point is exactly 1/2
+    assert np.array_equal(_normal_scores(np.full((4, 7), 2.5)),
+                          np.zeros((4, 7)))
+
+
+EXP_M2 = 0.13533528323661269189  # Cephes ndtri's central/tail branch point
+EXP_M32 = np.exp(-32.0)  # where its tail switches coefficient sets
+
+
+def _around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+@pytest.mark.parametrize("points", [
+    np.random.default_rng(1).random(100_000),
+    (np.arange(40_000) + 0.625) / 40_000.25,  # Blom scores of 40k ranks
+    np.logspace(-300, -1, 5_000),
+    1.0 - 10.0 ** -np.arange(1, 17, dtype=float),
+    np.array([0.5, 5e-324, np.nextafter(1.0, 0.0)]),
+    np.array(_around(EXP_M2) + _around(1.0 - EXP_M2) + _around(EXP_M32)
+             + _around(1.0 - EXP_M32)),
+], ids=["uniform", "blom", "tail", "one_minus", "ends", "branch_edges"])
+def test_inverse_normal_matches_scipy(points):
+    from scipy.special import ndtri
+    inv_cdf = NormalDist().inv_cdf
+    got = np.array([inv_cdf(p) for p in points.tolist()])
+    want = ndtri(points)
+    # measured at most 6 ulp (1.05e-15 relative)
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
 
 
 def test_rank_normalization_memory_is_bounded():
@@ -472,6 +509,42 @@ def test_lr_stability_study(tensor_n16):
         assert all(d < 0.5 for d in deltas)
         for prev, nxt in zip(deltas, deltas[1:]):
             assert nxt < prev + 0.02
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 100, 20_000, 100_003):
+        lw = rng.normal(scale=rng.uniform(0.1, 60.0), size=n)
+        yield lw
+        yield 2 * lw
+        yield -3.5 * lw
+        tied = lw.copy()
+        tied[rng.integers(0, n, 3)] = lw.max()
+        yield tied
+        holes = lw.copy()
+        holes[: n // 2] = -np.inf
+        yield holes
+        yield np.round(lw)
+    yield np.zeros(100)
+    yield np.array([800.0, 799.0, -np.inf])
+    yield np.array([-np.inf, 0.0, -np.inf])
+    yield np.full(4, -np.inf)
+    yield np.array([np.inf, 1.0])
+    yield np.array([np.nan, 1.0])
+
+
+def test_logsumexp_is_bitwise_scipy():
+    from scipy.special import logsumexp as scipy_logsumexp
+    for i, a in enumerate(_logsumexp_cases()):
+        got = logsumexp(a)
+        assert isinstance(got, float)
+        assert _same_bits(np.float64(got), np.float64(scipy_logsumexp(a))), i
 
 
 # --- the streaming study core -----------------------------------------------

@@ -567,18 +567,16 @@ def test_config_dataclass_is_flat_values():
 
 
 def test_full_suite_isolates_an_aborted_section(tmp_path):
-    # the file kernel is tabulated on the config's 32-node grid, so the
-    # cauchy and nelson sections (larger study grids) abort; every other
-    # section must keep its records
+    # the file kernel is tabulated on the cutoff-8 config's 32-node grid,
+    # so the cauchy and nelson sections (the default ladders need larger
+    # study grids) abort; every other section must keep its records
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "configs", "file_kernel.cfg")) as fh:
-        text = fh.read().replace(
-            "= sample_kernel.csv",
-            "= " + os.path.join(root, "configs", "sample_kernel.csv"))
-    text += ("gibbs.ensemble_size = 400\nflow.t_final = 0.05\n"
-             "invariance.ensemble_size = 32\ninvariance.t_final = 0.05\n"
-             "invariance.burn_steps = 20\n")
-    cfg = _write(tmp_path / "file.cfg", text)
+    kernel = os.path.join(root, "configs", "sample_kernel.csv")
+    cfg = _write(tmp_path / "file.cfg",
+                 f"kernel.kind = file\nkernel.profile_file = {kernel}\n"
+                 "gibbs.ensemble_size = 400\nflow.t_final = 0.05\n"
+                 "invariance.ensemble_size = 32\ninvariance.t_final = 0.05\n"
+                 "invariance.burn_steps = 20\n")
     out = str(tmp_path / "r")
     assert main(["full-suite", "--config", cfg, "--out", out]) == 1
     with open(os.path.join(out, "full_suite.json")) as fh:

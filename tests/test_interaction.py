@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -166,6 +167,19 @@ def test_file_kernel_refuses_what_a_grid_kernel_would(basis):
                           (1.0 - np.outer(cos, cos), "semidefinite")):
         with pytest.raises(ValueError, match=match):
             kernel_node_values(file_kernel(grid, matrix), grid)
+    for bad in (np.inf, np.nan):
+        broken = good.copy()
+        broken[0, 0] = broken[0, 1] = broken[1, 0] = bad
+        kernel = file_kernel(grid, broken)
+        with pytest.raises(ValueError, match=re.escape(
+                f"kernel file {kernel.kernel_profile_file} row 0 has a "
+                f"non-finite value ({bad})")):
+            kernel_node_values(kernel, grid)
+    nodes = grid.theta.copy()
+    nodes[3] = np.nan
+    kernel = file_kernel(SimpleNamespace(theta=nodes), good)
+    with pytest.raises(ValueError, match=r"header row has a non-finite node"):
+        kernel_matrix_from_csv(kernel.kernel_profile_file)
     other = build_basis(2, 10, grid_size=46).grid
     with pytest.raises(ValueError, match="nodes do not match"):
         kernel_node_values(file_kernel(other, np.ones((46, 46))), grid)
