@@ -168,9 +168,9 @@ def run_spectral(cfg, rep, args):
 def run_wick(cfg, rep, args):
     import numpy as np
 
-    from .field import gaussian_coeffs
     from .interaction import (interaction_energy, wick_energy_literal,
                               wick_quartic_cov, wick_quartic_cov_enumerated)
+    from .rng import derive_rng, standard_complex
     tuples = np.indices((4,) * 8).reshape(8, -1).T
     t0 = time.perf_counter()
     closed = wick_quartic_cov(tuples[:, :4], tuples[:, 4:])
@@ -182,7 +182,8 @@ def run_wick(cfg, rep, args):
                    "index tuples over {0,1,2,3}",
             seconds=time.perf_counter() - t0)
     tensor = _build_tensor(cfg)
-    g = gaussian_coeffs(cfg.seed, "wick.check", tensor.n_modes, 20)
+    g = standard_complex(derive_rng(cfg.seed, "wick.check"),
+                         (20, tensor.n_modes))
     lit = wick_energy_literal(tensor, g)
     con = interaction_energy(tensor, g / tensor.lam)
     rel = float(np.max(np.abs(lit - con)) / max(1.0, np.max(np.abs(lit))))
@@ -195,17 +196,17 @@ def run_energy(cfg, rep, args):
     import numpy as np
 
     from .config import ExperimentConfig
-    from .field import gaussian_coeffs
     from .interaction import (assemble_interaction, grid_energy_context,
                               interaction_energy, interaction_energy_grid,
                               nonlinearity, nonlinearity_grid,
                               wick_energy_literal)
+    from .rng import derive_rng, prior_coeffs, standard_complex
     from .zonal import analyze, build_basis, synthesize
     tensor = _build_tensor(cfg)
     basis = tensor.basis
     ctx = grid_energy_context(basis, tensor.wmat)
-    g = gaussian_coeffs(cfg.seed, "energy.states", tensor.n_modes, 50)
-    c = g / tensor.lam
+    c = prior_coeffs(derive_rng(cfg.seed, "energy.states"),
+                     (50, tensor.n_modes), tensor.lam)
     e_coeff = interaction_energy(tensor, c)
     e_grid = np.array([interaction_energy_grid(basis, ctx,
                                                synthesize(basis, ci))
@@ -222,7 +223,8 @@ def run_energy(cfg, rep, args):
     rep.add_check("coeff_vs_grid_nonlinearity",
                   float(np.max(np.abs(f_coeff - f_grid))) / fscale, 1e-8,
                   detail="cubic term, both routes, 50 states")
-    gg = gaussian_coeffs(cfg.seed, "energy.pathwise", tensor.n_modes, 100)
+    gg = standard_complex(derive_rng(cfg.seed, "energy.pathwise"),
+                          (100, tensor.n_modes))
     e_field = interaction_energy(tensor, gg / tensor.lam)
     e_wick = wick_energy_literal(tensor, gg).real
     wscale = max(1.0, float(np.max(np.abs(e_wick))))
@@ -441,12 +443,12 @@ def run_flow(cfg, rep, args):
 
     from .dynamics import (FlowConfig, flow, reversal_error,
                            truncation_comparison, vector_field_check)
-    from .field import gaussian_coeffs
+    from .rng import derive_rng, prior_coeffs
     tensor = _build_tensor(cfg)
     init = getattr(args, "init", "seed")
     if init == "seed":
-        g = gaussian_coeffs(cfg.seed, "flow.init", tensor.n_modes)
-        c0 = g / tensor.lam
+        c0 = prior_coeffs(derive_rng(cfg.seed, "flow.init"),
+                          (tensor.n_modes,), tensor.lam)
         rep.add("initial_state", "info", value="seed",
                 detail=f"free-measure draw from seed {cfg.seed}")
     else:

@@ -36,10 +36,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import step_count
-from .field import hs_norm
 from .gibbs import pcn_parallel
 from .interaction import interaction_energy, nonlinearity
-from .rng import derive_rng, standard_complex
+from .rng import derive_rng, prior_coeffs, standard_complex
+from .zonal import hs_norm
 
 log = logging.getLogger(__name__)
 
@@ -268,7 +268,7 @@ def vector_field_check(tensor, seed):
     worst_grad = 0.0
     worst_dir = 0.0
     for _ in range(FD_STATES):
-        c = standard_complex(gen, j) / tensor.lam
+        c = prior_coeffs(gen, j, tensor.lam)
         f = nonlinearity(tensor, c)
         scale = max(1.0, float(np.max(np.abs(f))))
         packed = np.zeros(j, dtype=complex)

@@ -149,19 +149,6 @@ def integrated_autocorr(series):
     return max(tau, 1.0)
 
 
-def _divide_by_lam(states, lam):
-    """states /= lam in place, for C-contiguous complex rows and real lam.
-
-    Bitwise numpy's complex division by lam + 0j, whose Smith branch
-    multiplies both parts by 1 / lam (the two differ only in the sign of a
-    zero part, or where a part is inf or nan): here the float view is
-    scaled by 1 / lam repeated per part, with no complex cast of lam.
-    """
-    parts = states.view(float)
-    parts *= np.repeat(1.0 / lam, 2)
-    return states
-
-
 def _pcn_sweep(tensor, states, energies, beta, gen):
     """One vectorized pCN step over all rows of states (in place).
 
@@ -169,7 +156,7 @@ def _pcn_sweep(tensor, states, energies, beta, gen):
     in the same order, written into the draw and the proposal.
     """
     n, j = states.shape
-    xi = _divide_by_lam(rng_mod.standard_complex(gen, (n, j)), tensor.lam)
+    xi = rng_mod.prior_coeffs(gen, (n, j), tensor.lam)
     xi *= beta
     proposal = np.sqrt(1.0 - beta ** 2) * states
     proposal += xi
@@ -190,8 +177,7 @@ def _advance(tensor, states, energies, beta, gen, sweeps):
 
 def _prior_states(tensor, gen, n_rows):
     """n_rows independent prior draws and their energies."""
-    states = _divide_by_lam(
-        rng_mod.standard_complex(gen, (n_rows, tensor.n_modes)), tensor.lam)
+    states = rng_mod.prior_coeffs(gen, (n_rows, tensor.n_modes), tensor.lam)
     return states, interaction_energy(tensor, states)
 
 
@@ -200,7 +186,8 @@ def _adapt_beta(tensor, states, energies, gen, beta, block, max_blocks):
     ACCEPT_WINDOW = [lo, hi].
 
     Returns the tuned beta and the (beta, rate) pair of every block run, in
-    order.  The rate pools every row: accepted / (block * rows).
+    order.  The rate pools every row: accepted / (block * rows).  The
+    warm-up also ends once beta is pinned at its bound, 1.0 or 1e-3.
     """
     lo, hi = ACCEPT_WINDOW
     blocks = []
@@ -209,12 +196,14 @@ def _adapt_beta(tensor, states, energies, gen, beta, block, max_blocks):
         accepted = _advance(tensor, states, energies, beta, gen, block)
         rate = accepted / (block * states.shape[0])
         blocks.append((beta, rate))
-        if rate < lo:
-            beta = max(beta * 0.7, 1e-3)
-        elif rate > hi:
-            beta = min(beta * 1.3, 1.0)
-        else:
+        if lo <= rate <= hi:
             return beta, blocks
+        scaled = max(beta * 0.7, 1e-3) if rate < lo else min(beta * 1.3, 1.0)
+        if scaled == beta:
+            log.warning("pCN warm-up stopped with beta pinned at %.4g "
+                        "(last rate %.3f)", beta, rate)
+            return beta, blocks
+        beta = scaled
     log.warning("pCN warm-up did not settle in the target window; "
                 "continuing with beta=%.4g (last rate %.3f)", beta, rate)
     return beta, blocks
@@ -449,8 +438,8 @@ def _study_blocks(tensor, slices, n_samples, seed, label):
     gen = rng_mod.derive_rng(seed, label)
     block = interaction.BLOCK_ROWS
     for lo in range(0, n_samples, block):
-        c = _divide_by_lam(rng_mod.standard_complex(
-            gen, (min(block, n_samples - lo), tensor.n_modes)), tensor.lam)
+        c = rng_mod.prior_coeffs(
+            gen, (min(block, n_samples - lo), tensor.n_modes), tensor.lam)
         yield slice(lo, lo + block), {
             n: interaction_energy(t, c[:, :t.n_modes])
             for n, t in slices.items()}

@@ -65,7 +65,7 @@ Gaussians g, c = g / lambda, the energy is the integrated fourth Wick
 monomial, and `wick_energy_literal` contracts it against A one j-slab at a
 time), and so do the tests.  The grid-space routes (`interaction_energy_grid`,
 `nonlinearity_grid`) never touch the tensor's factors: they work on W and
-renormalize with the covariance tables of `zdg.field`.
+renormalize with the covariance tables of `zdg.zonal`.
 """
 
 import csv
@@ -163,25 +163,25 @@ def kernel_matrix_from_csv(path, theta=None):
 
     When theta is given the header nodes must match it to relative
     tolerance NODE_RTOL, so a file tabulated on one quadrature grid cannot be
-    applied silently to another.  A non-finite node or value is refused.
+    applied silently to another.  An unparsable or non-finite node or value
+    is refused, and so is a ragged table.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
-        raise ValueError("kernel file needs a header row and K value rows")
-    nodes = np.array([float(v) for v in rows[0]])
-    _refuse_non_finite(nodes, path, "header row", "node")
+        raise ValueError(f"kernel file {path} needs a header row and K "
+                         "value rows")
+    nodes = _kernel_row(rows[0], path, "header row", "node")
     k = nodes.size
     if len(rows) != k + 1:
-        raise ValueError(
-            f"kernel file has {len(rows) - 1} value rows for {k} nodes")
+        raise ValueError(f"kernel file {path} has {len(rows) - 1} value "
+                         f"rows for {k} nodes")
     mat = np.empty((k, k))
     for i, row in enumerate(rows[1:]):
         if len(row) != k:
-            raise ValueError(f"kernel file row {i} has {len(row)} values, "
-                             f"expected {k}")
-        mat[i] = [float(v) for v in row]
-        _refuse_non_finite(mat[i], path, f"row {i}", "value")
+            raise ValueError(f"kernel file {path} row {i} has {len(row)} "
+                             f"values, expected {k}")
+        mat[i] = _kernel_row(row, path, f"row {i}", "value")
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
         if theta.size != k or not np.allclose(nodes, theta, rtol=NODE_RTOL,
@@ -191,11 +191,21 @@ def kernel_matrix_from_csv(path, theta=None):
     return mat
 
 
-def _refuse_non_finite(values, path, where, what):
+def _kernel_row(row, path, where, what):
+    """The entries of one kernel-file row as floats; an unparsable or
+    non-finite entry is refused, naming the file and the row."""
+    values = np.empty(len(row))
+    for n, entry in enumerate(row):
+        try:
+            values[n] = float(entry)
+        except ValueError:
+            raise ValueError(f"kernel file {path} {where} has an unparsable "
+                             f"{what} ({entry!r})") from None
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise ValueError(f"kernel file {path} {where} has a non-finite "
                          f"{what} ({bad[0]})")
+    return values
 
 
 def pair_density(basis):
@@ -557,7 +567,7 @@ def nonlinearity(tensor, coeffs):
 def grid_energy_context(basis, wmat):
     """Covariance tables and the node matrix W (a tensor's `wmat`) for the
     grid routes."""
-    from .field import covariance_diag, covariance_kernel
+    from .zonal import covariance_diag, covariance_kernel
     return {
         "W": wmat,
         "sigma": covariance_diag(basis),

@@ -44,3 +44,16 @@ def standard_complex(rng, size):
     # the reciprocal; scaled in place, no complex temporaries
     xy *= 1.0 / np.sqrt(2.0)
     return xy.view(complex)[..., 0]
+
+
+def prior_coeffs(gen, size, lam):
+    """Free-measure coefficients c = g / lam, g = standard_complex(gen, size).
+
+    Bitwise numpy's g / lam for nonzero finite parts, which its Smith branch
+    multiplies by 1 / lam: the float view of g is scaled in place by 1 / lam
+    repeated per part, with no complex cast of lam.
+    """
+    c = standard_complex(gen, size)
+    parts = c.view(float)
+    parts *= np.repeat(1.0 / lam, 2)
+    return c

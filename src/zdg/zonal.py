@@ -134,6 +134,21 @@ def gram_matrix(basis):
     return np.tensordot(basis.values, weighted, axes=([1, 2], [1, 2]))
 
 
+def covariance_diag(basis):
+    """sigma(theta_i) = sum_n |e_n(theta_i)|^2 / lambda_n^2, shape (K,)."""
+    dens = np.sum(basis.values ** 2, axis=2)  # (n_modes, K)
+    return (dens / (basis.lam ** 2)[:, None]).sum(axis=0)
+
+
+def covariance_kernel(basis):
+    """Two-point table sigma(x, y) = sum_n e_n(x) e_n(y)^T / lambda_n^2.
+
+    Shape (K, K, 2, 2); real because the basis is real on the grid.
+    """
+    scaled = basis.values / (basis.lam ** 2)[:, None, None]
+    return np.einsum("nia,njb->ijab", basis.values, scaled)
+
+
 def dirac_apply_grid(basis, values):
     """Dirac action in grid space, division-free.
 
@@ -177,3 +192,11 @@ def lp_norm(grid, values, p):
     if p < 1:
         raise ValueError("p must be >= 1")
     return (np.power(mag, p) @ grid.weights) ** (1.0 / p)
+
+
+def hs_norm(coeffs, s):
+    """Sobolev norm sqrt(sum_n (1 + n)^{2s} |c_n|^2) of coefficient vectors."""
+    coeffs = np.asarray(coeffs)
+    n = np.arange(coeffs.shape[-1], dtype=float)
+    weights = (1.0 + n) ** (2.0 * s)
+    return np.sqrt(np.sum(weights * np.abs(coeffs) ** 2, axis=-1))

@@ -17,7 +17,6 @@ from zdg.clifford import anticommutator_check, build_gamma_family
 from zdg.config import ExperimentConfig
 from zdg.dynamics import (FlowConfig, flow, invariance_test, reversal_error,
                           vector_field_check)
-from zdg.field import gaussian_coeffs
 from zdg.gibbs import (cauchy_decay_study, chain_mean, importance_ensemble,
                        lr_stability_study, nelson_scan, pcn_chain,
                        weighted_mean)
@@ -26,6 +25,7 @@ from zdg.interaction import (assemble_interaction,
                              interaction_energy_grid, nonlinearity,
                              nonlinearity_grid, wick_energy_literal,
                              wick_quartic_cov, wick_quartic_cov_enumerated)
+from zdg.rng import derive_rng, prior_coeffs, standard_complex
 from zdg.zonal import (analyze, build_basis, dirac_apply_grid, gram_matrix,
                        lp_norm, synthesize)
 
@@ -114,7 +114,7 @@ def test_wick_covariance_closed_form_vs_enumeration_exhaustive():
 
 
 def test_pathwise_energy_identity_both_kernel_families(t16_const, t16_sep):
-    g = gaussian_coeffs(SEED, "acc.pathwise", 17, 100)
+    g = standard_complex(derive_rng(SEED, "acc.pathwise"), (100, 17))
     for tensor in (t16_const, t16_sep):
         e_field = interaction_energy(tensor, g / tensor.lam)
         for i in range(100):
@@ -125,8 +125,7 @@ def test_pathwise_energy_identity_both_kernel_families(t16_const, t16_sep):
 
 def test_energy_and_nonlinearity_match_grid_quadrature(t16_sep, basis16):
     ctx = grid_energy_context(basis16, t16_sep.wmat)
-    g = gaussian_coeffs(SEED, "acc.grid", 17, 50)
-    c = g / t16_sep.lam
+    c = prior_coeffs(derive_rng(SEED, "acc.grid"), (50, 17), t16_sep.lam)
     e_coeff = interaction_energy(t16_sep, c)
     f_coeff = nonlinearity(t16_sep, c)
     for i in range(50):
@@ -187,8 +186,7 @@ def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
     zero_kernel = assemble_interaction(basis16,
                                        ExperimentConfig(kernel_kind="constant",
                                                         kernel_kappa=0.0))
-    g = gaussian_coeffs(SEED, "acc.flow", 17)
-    c0 = g / basis16.lam
+    c0 = prior_coeffs(derive_rng(SEED, "acc.flow"), (17,), basis16.lam)
     cfg_lin = FlowConfig(dt=1e-3, t_final=10.0, integrator="lawson-rk4",
                          solver_tol=1e-13, sample_every=10000)
     traj = flow(zero_kernel, c0, cfg_lin)

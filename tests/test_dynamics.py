@@ -8,8 +8,8 @@ from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
                           invariance_test, mass, reversal_error,
                           truncation_comparison, vector_field_check)
 from zdg.config import ExperimentConfig
-from zdg.field import gaussian_coeffs
 from zdg.interaction import assemble_interaction, nonlinearity
+from zdg.rng import derive_rng, prior_coeffs
 from zdg.zonal import build_basis
 
 CONSTANT = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
@@ -43,8 +43,8 @@ def tensor_zero():
 
 
 def sample_state(tensor, seed=1, size=None):
-    g = gaussian_coeffs(seed, "test.dyn", tensor.n_modes, size)
-    return g / tensor.lam
+    shape = (tensor.n_modes,) if size is None else (size, tensor.n_modes)
+    return prior_coeffs(derive_rng(seed, "test.dyn"), shape, tensor.lam)
 
 
 def test_flow_energy_pinned_vacuum_value():

@@ -1,17 +1,24 @@
+"""The free field: its seeded draws (zdg.rng) and covariance tables and
+Sobolev norm (zdg.zonal)."""
+
 import numpy as np
 import pytest
 
-from zdg.field import (covariance_diag, covariance_kernel, gaussian_coeffs,
-                       hs_norm)
 from zdg.jacobi import integrate
-from zdg.zonal import build_basis, synthesize
+from zdg.zonal import (build_basis, covariance_diag, covariance_kernel,
+                       hs_norm, synthesize)
 from zdg import rng as rng_mod
 
 
-def sample_field(basis, seed, label, size=None):
-    """Free-field samples on the grid, shape (..., K, 2)."""
-    g = gaussian_coeffs(seed, label, basis.n_modes, size)
-    return synthesize(basis, g / basis.lam)
+def gaussians(seed, label, shape):
+    return rng_mod.standard_complex(rng_mod.derive_rng(seed, label), shape)
+
+
+def sample_field(basis, seed, label, size):
+    """Free-field samples on the grid, shape (size, K, 2)."""
+    gen = rng_mod.derive_rng(seed, label)
+    return synthesize(basis, rng_mod.prior_coeffs(
+        gen, (size, basis.n_modes), basis.lam))
 
 
 @pytest.fixture(scope="module")
@@ -20,21 +27,20 @@ def basis():
 
 
 def test_draws_are_reproducible(basis):
-    a = gaussian_coeffs(123, "field.sample", basis.n_modes, size=4)
-    b = gaussian_coeffs(123, "field.sample", basis.n_modes, size=4)
+    a = gaussians(123, "field.sample", (4, basis.n_modes))
+    b = gaussians(123, "field.sample", (4, basis.n_modes))
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_by_label():
-    a = gaussian_coeffs(123, "field.sample", 8, size=3)
+    a = gaussians(123, "field.sample", (3, 8))
     # the draws are Philox on the spawn key (stream_key(label), 0), bit for
     # bit: the key every stream has been derived from
     ss = np.random.SeedSequence(
         entropy=123, spawn_key=(rng_mod.stream_key("field.sample"), 0))
     gen = np.random.Generator(np.random.Philox(ss))
     assert rng_mod.standard_complex(gen, (3, 8)).tobytes() == a.tobytes()
-    assert not np.allclose(a, gaussian_coeffs(123, "other.purpose", 8,
-                                              size=3))
+    assert not np.allclose(a, gaussians(123, "other.purpose", (3, 8)))
 
 
 def test_standard_complex_moments():
@@ -88,8 +94,8 @@ def test_hs_norm_formula():
 
 
 def test_hs_norm_expectation(basis):
-    g = gaussian_coeffs(7, "field.hs", basis.n_modes, size=60000)
-    c = g / basis.lam
+    c = rng_mod.prior_coeffs(rng_mod.derive_rng(7, "field.hs"),
+                             (60000, basis.n_modes), basis.lam)
     s = -0.6
     n = np.arange(basis.n_modes, dtype=float)
     exact = np.sum((1 + n) ** (2 * s) / basis.omega)
@@ -116,3 +122,19 @@ def test_standard_complex_is_bitwise_the_complex_quotient():
     one = rng_mod.standard_complex(np.random.Generator(np.random.Philox(7)),
                                    17)
     assert np.array_equal(one.view(np.uint64), want[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_prior_coeffs_is_bitwise_numpys_complex_division(dim):
+    """prior_coeffs divides in place, bitwise the allocating g / lam, and
+    leaves the stream where standard_complex leaves it."""
+    lam = np.sqrt(np.arange(10 ** 6) + dim / 2.0)  # the zonal lambdas
+    for shape in ((20000, 65), (10 ** 6,), (65,), (64, 9), (1, 4)):
+        j = shape[-1]
+        gen, twin = (rng_mod.derive_rng(5, "test.prior") for _ in range(2))
+        got = rng_mod.prior_coeffs(gen, shape, lam[:j])
+        want = rng_mod.standard_complex(twin, shape) / lam[:j]
+        assert got.shape == shape and got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
+        assert (rng_mod.standard_complex(gen, (3, j)).tobytes()
+                == rng_mod.standard_complex(twin, (3, j)).tobytes())

@@ -262,6 +262,30 @@ def test_adapt_beta_pools_rows_and_handles_no_blocks(tensor_n3, caplog):
                           else min(b * 1.3, 1.0))
 
 
+@pytest.mark.parametrize("accepted, bound", [(1.0, 1.0), (0.0, 1e-3)])
+def test_adapt_beta_stops_once_beta_is_pinned(tensor_n3, monkeypatch,
+                                              caplog, accepted, bound):
+    """A block at a bound whose rate would push beta past it is the last:
+    every block accepts all (or none) of its proposals."""
+    gen = rng_mod.derive_rng(1, "test.adapt")
+    states = rng_mod.standard_complex(gen, (32, 4)) / tensor_n3.lam
+    energies = interaction_energy(tensor_n3, states)
+    monkeypatch.setattr(gibbs, "_advance",
+                        lambda t, s, e, b, g, sweeps:
+                        int(accepted * sweeps * s.shape[0]))
+    with caplog.at_level(logging.WARNING, logger="zdg.gibbs"):
+        beta, blocks = _adapt_beta(tensor_n3, states, energies, gen, bound,
+                                   100, 40)
+    assert (beta, blocks) == (bound, [(bound, accepted)])
+    assert f"beta pinned at {bound:.4g}" in caplog.text
+    assert "did not settle" not in caplog.text
+    # from 0.5 the rate walks beta to the bound, and one block there ends it
+    beta, blocks = _adapt_beta(tensor_n3, states, energies, gen, 0.5, 100, 40)
+    assert beta == bound and blocks[-1] == (bound, accepted)
+    assert [b for b, _ in blocks].count(bound) == 1
+    assert len(blocks) == (4 if bound == 1.0 else 19)
+
+
 def test_pcn_chain_row_rule_layout_and_seeds(tensor_n3, monkeypatch):
     for n, chains in ((400, 1), (4000, 15), (20000, 64)):
         ens = pcn_chain(tensor_n3, n, seed=23)
@@ -387,18 +411,6 @@ def test_in_place_sweep_is_bitwise_the_oracle_sweep(tensor_n3,
     states, rate = _oracle_parallel(tensor, 1500, 20, 4, 0.4)
     assert np.array_equal(ens.coeffs, states)
     assert ens.acc_rate == rate
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_division_by_lam_is_bitwise_numpys_complex_division(dim):
-    lam = np.arange(65) + dim / 2.0  # the zonal eigenvalues n + dim / 2
-    gen = rng_mod.derive_rng(5, "test.divide_by_lam")
-    for rows, j in ((1024, 65), (64, 9), (1, 4)):
-        g = rng_mod.standard_complex(gen, (rows, j))
-        want = g / lam[:j]
-        got = gibbs._divide_by_lam(g, lam[:j])
-        assert got is g
-        assert got.tobytes() == want.tobytes()
 
 
 def test_sweep_calls_the_energy_and_the_draw_once_each(tensor_n3):
@@ -733,10 +745,10 @@ def _assert_quantiles_bitwise(x):
 
 def test_hypercontractivity_of_chaos_increment(tensor_n16):
     # degree-4 chaos: ||X||_4 <= 3^2 ||X||_2
-    from zdg.field import gaussian_coeffs
     hi = tensor_n16.slice(8)
     lo = tensor_n16.slice(4)
-    g = gaussian_coeffs(81, "test.hyper", hi.n_modes, size=50000)
+    g = rng_mod.standard_complex(rng_mod.derive_rng(81, "test.hyper"),
+                                 (50000, hi.n_modes))
     x = interaction_energy(hi, g / hi.lam) \
         - interaction_energy(lo, g[:, :5] / lo.lam)
     l2 = np.sqrt(np.mean(x ** 2))

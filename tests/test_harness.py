@@ -593,6 +593,28 @@ def test_full_suite_isolates_an_aborted_section(tmp_path):
     assert os.path.exists(os.path.join(out, "gibbs_moments.csv"))
 
 
+def test_gibbs_sample_abort_names_an_unparsable_kernel_entry(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "sample_kernel.csv")) as fh:
+        lines = fh.read().splitlines()
+    row = lines[4].split(",")
+    row[7] = "abc"
+    lines[4] = ",".join(row)
+    kernel = str(tmp_path / "kernel.csv")
+    with open(kernel, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    cfg = _write(tmp_path / "file.cfg",
+                 f"kernel.kind = file\nkernel.profile_file = {kernel}\n")
+    out = str(tmp_path / "r")
+    assert main(["gibbs-sample", "--config", cfg, "--out", out]) == 1
+    with open(os.path.join(out, "gibbs_sample.json")) as fh:
+        records = json.load(fh)["records"]
+    aborted = next(r for r in records if r["name"] == "aborted")
+    assert aborted["status"] == "fail"
+    assert aborted["detail"] == (f"kernel file {kernel} row 3 has an "
+                                 "unparsable value ('abc')")
+
+
 def _old_sample_rows(coeffs, energy, log_weights, kcols):
     """The per-row builder the gibbs sidecars used before _SampleRows."""
     rows = []

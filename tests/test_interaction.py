@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from zdg import interaction
 from zdg.config import ExperimentConfig, validate
-from zdg.field import gaussian_coeffs
 from zdg.interaction import (assemble_interaction, chaos_tail_series,
                              dense_tensor, grid_energy_context,
                              interaction_energy, interaction_energy_grid,
@@ -26,6 +25,7 @@ from zdg.interaction import (assemble_interaction, chaos_tail_series,
                              nonlinearity_grid, pair_density, quartic_form,
                              wick_energy_literal, wick_quartic_cov,
                              wick_quartic_cov_enumerated)
+from zdg.rng import derive_rng, prior_coeffs, standard_complex
 from zdg.zonal import analyze, build_basis, synthesize
 
 CONSTANT = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
@@ -183,6 +183,41 @@ def test_file_kernel_refuses_what_a_grid_kernel_would(basis):
     other = build_basis(2, 10, grid_size=46).grid
     with pytest.raises(ValueError, match="nodes do not match"):
         kernel_node_values(file_kernel(other, np.ones((46, 46))), grid)
+
+
+def test_kernel_file_refusals_name_the_file_and_the_row(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "sample_kernel.csv")) as fh:
+        lines = fh.read().splitlines()
+
+    def broken(name, rows):
+        path = str(tmp_path / f"{name}.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        return path
+
+    def cells(row):
+        return lines[row].split(",")
+
+    row2 = cells(3)
+    row2[3] = "abc"
+    header = cells(0)
+    header[1] = "x"
+    cases = (
+        ("entry", lines[:3] + [",".join(row2)] + lines[4:],
+         "row 2 has an unparsable value ('abc')"),
+        ("node", [",".join(header)] + lines[1:],
+         "header row has an unparsable node ('x')"),
+        ("short", lines[:-1], "has 31 value rows for 32 nodes"),
+        ("ragged", lines[:6] + [",".join(cells(6)[:-1])] + lines[7:],
+         "row 5 has 31 values, expected 32"),
+        ("header", lines[:1], "needs a header row and K value rows"),
+    )
+    for name, rows, tail in cases:
+        path = broken(name, rows)
+        with pytest.raises(ValueError, match=re.escape(
+                f"kernel file {path} {tail}")):
+            kernel_matrix_from_csv(path)
 
 
 def listed_node_matrix(kernel, grid):
@@ -653,8 +688,8 @@ def test_node_path_warm_cubic_term_casts_nothing(rows):
 
 def test_wick_monomial_is_centered(basis, tensors):
     t = tensors["separable"].slice(4)
-    g = gaussian_coeffs(31, "test.wick.center", 5, size=20000)
-    vals = interaction_energy(t, g / t.lam)
+    vals = interaction_energy(t, prior_coeffs(
+        derive_rng(31, "test.wick.center"), (20000, 5), t.lam))
     se = np.std(vals) / np.sqrt(len(vals))
     assert abs(np.mean(vals)) < 4 * se
 
@@ -737,7 +772,7 @@ def test_wick_covariance_diagonal_values():
 
 
 def test_wick_covariance_montecarlo_spotcheck():
-    g = gaussian_coeffs(17, "test.wick.mc", 3, size=400000)
+    g = standard_complex(derive_rng(17, "test.wick.mc"), (400000, 3))
     gc = np.conj(g)
 
     def monomial(j, k, l, m):
@@ -798,7 +833,8 @@ def test_chaos_tail_series_montecarlo(basis, tensors):
     t = tensors["constant"]
     m_low = 4
     exact, bound = chaos_tail_series(t, m_low)
-    g = gaussian_coeffs(41, "test.chaos.mc", basis.n_modes, size=60000)
+    g = standard_complex(derive_rng(41, "test.chaos.mc"),
+                         (60000, basis.n_modes))
     low = t.slice(m_low)
     e_hi = interaction_energy(t, g / t.lam)
     e_lo = interaction_energy(low, g[:, :m_low + 1] / low.lam)
