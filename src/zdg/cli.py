@@ -3,8 +3,8 @@
 Every subcommand loads one configuration (file plus overrides), runs a
 seeded experiment, writes a JSON report and CSV sidecars into the output
 directory, and exits 0 exactly when no check record failed.  Numerical
-modules are imported lazily so thread caps from the config or ZDG_THREADS
-take effect before the numerical libraries initialize their pools.
+modules are imported lazily so the ZDG_THREADS thread cap takes effect
+before the numerical libraries initialize their pools.
 """
 
 import argparse
@@ -14,8 +14,7 @@ import sys
 import time
 
 from . import __version__, report
-from .config import (auto_grid_size, load_config, resolve_threads,
-                     step_count)
+from .config import auto_grid_size, load_config, step_count
 from .report import Report, write_table
 
 log = logging.getLogger("zdg.cli")
@@ -24,7 +23,16 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _apply_threads(n):
+def _apply_threads():
+    """Cap the BLAS/OpenMP pools at ZDG_THREADS; unset or 0 keeps the
+    library defaults, and a value not an integer >= 0 is a ValueError."""
+    env = os.environ.get("ZDG_THREADS", "").strip() or "0"
+    try:
+        n = int(env)
+    except ValueError:
+        raise ValueError(f"ZDG_THREADS must be an integer, got {env!r}")
+    if n < 0:
+        raise ValueError(f"ZDG_THREADS must be >= 0, got {n}")
     if n > 0:
         for var in _THREAD_VARS:
             os.environ[var] = str(n)
@@ -208,8 +216,7 @@ def run_energy(cfg, rep, args):
     c = prior_coeffs(derive_rng(cfg.seed, "energy.states"),
                      (50, tensor.n_modes), tensor.lam)
     e_coeff = interaction_energy(tensor, c)
-    e_grid = np.array([interaction_energy_grid(basis, ctx,
-                                               synthesize(basis, ci))
+    e_grid = np.array([interaction_energy_grid(ctx, synthesize(basis, ci))
                        for ci in c])
     scale = max(1.0, float(np.max(np.abs(e_coeff))))
     rep.add_check("coeff_vs_grid_energy",
@@ -218,7 +225,7 @@ def run_energy(cfg, rep, args):
                          "route, 50 states")
     f_coeff = nonlinearity(tensor, c)
     f_grid = np.array([analyze(basis, nonlinearity_grid(
-        basis, ctx, synthesize(basis, ci))) for ci in c])
+        ctx, synthesize(basis, ci))) for ci in c])
     fscale = max(1.0, float(np.max(np.abs(f_coeff))))
     rep.add_check("coeff_vs_grid_nonlinearity",
                   float(np.max(np.abs(f_coeff - f_grid))) / fscale, 1e-8,
@@ -410,6 +417,9 @@ class _SampleRows:
 
 
 def _load_initial_state(path, n_modes):
+    """Modes c_n = re + i im from a CSV of re,im rows, row n holding mode n
+    after an optional header; a non-finite entry is refused, naming the file
+    and the row."""
     import csv as csv_mod
 
     import numpy as np
@@ -422,6 +432,11 @@ def _load_initial_state(path, n_modes):
     except (IndexError, ValueError):
         raise ValueError(f"initial-state file {path!r} must hold two "
                          "columns re,im with one row per mode")
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"initial-state file {path} row {row} has a "
+                         f"non-finite value ({values[row, col]})")
     if values.shape[0] < n_modes:
         raise ValueError(f"initial state has {values.shape[0]} modes, the "
                          f"tensor needs at least {n_modes}")
@@ -456,11 +471,10 @@ def run_flow(cfg, rep, args):
         rep.add("initial_state", "info", value=init,
                 detail=f"{c0.size} modes loaded from file")
     n_steps = step_count(cfg.flow_t_final, cfg.flow_dt)
-    sample_every = cfg.flow_sample_every or max(1, n_steps // 200)
     fcfg = FlowConfig(dt=cfg.flow_dt, t_final=cfg.flow_t_final,
                       integrator=cfg.flow_integrator,
                       solver_tol=cfg.flow_solver_tol,
-                      sample_every=sample_every)
+                      sample_every=max(1, n_steps // 200))
     traj, seconds = _timed(flow, tensor, c0, fcfg)
     m0, f0 = traj.mass[0], traj.flow_energy[0]
     rep.add("mass_drift", "info",
@@ -613,11 +627,10 @@ def main(argv=None):
         overrides["out_dir"] = args.out
     try:
         cfg, warnings = load_config(args.config, overrides)
-        threads = resolve_threads(cfg)
+        _apply_threads()
     except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    _apply_threads(threads)
     rep = Report(args.command, cfg.to_mapping())
     for warning in warnings:
         rep.add("config_warning", "info", detail=warning)

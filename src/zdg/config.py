@@ -61,7 +61,6 @@ SCHEMA = [
     ("nu", 0.4, None),
     ("hs_s", -0.6, "(, -0.5)"),
     ("seed", 2026, "[0, 18446744073709551616)"),  # 64-bit unsigned
-    ("threads", 0, "[0, )"),
     # byte budget of the dense oracle A and of assemble_interaction's arrays
     ("tensor_budget_bytes", 2 * 1024 ** 3, "(0, )"),
     ("out_dir", "reports", None),
@@ -79,7 +78,6 @@ SCHEMA = [
     ("flow.t_final", 1.0, "[0, )"),
     ("flow.integrator", "midpoint", INTEGRATORS),
     ("flow.solver_tol", 1e-13, "(0, )"),
-    ("flow.sample_every", 0, "[0, )"),
     ("flow.compare_cutoff", 0, None),
     ("invariance.ensemble_size", 1024, "[8, )"),
     ("invariance.t_final", 1.0, "(0, )"),
@@ -93,9 +91,6 @@ SCHEMA = [
     ("cauchy.ensemble_size", 100000, "[100, )"),
     ("nelson.n_list", (4, 8, 16, 32), None),
     ("nelson.ensemble_size", 200000, "[100, )"),
-    ("lr.n_list", (4, 8, 16, 32, 64), None),
-    ("lr.r_list", (2, 4), None),
-    ("lr.ensemble_size", 200000, "[100, )"),
 ]
 
 
@@ -227,7 +222,7 @@ def validate(cfg):
             and not 0 < cfg.flow_compare_cutoff < cfg.cutoff:
         errors.append("flow.compare_cutoff must be 0 (off) or a cutoff "
                       f"below {cfg.cutoff}, got {cfg.flow_compare_cutoff}")
-    for key in ("cauchy.m_list", "nelson.n_list", "lr.n_list"):
+    for key in ("cauchy.m_list", "nelson.n_list"):
         if len(getattr(cfg, key.replace(".", "_"))) == 1:
             errors.append(f"{key} needs two cutoffs for its slope fit")
     return errors, warnings
@@ -280,17 +275,3 @@ def load_config(path=None, overrides=None):
     for key, value in (overrides or {}).items():
         mapping[key] = value
     return config_from_mapping(mapping, parse_errors)
-
-
-def resolve_threads(cfg):
-    """Thread-pool cap: ZDG_THREADS env var wins over the config key."""
-    env = os.environ.get("ZDG_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"ZDG_THREADS must be an integer, got {env!r}")
-        if n < 0:
-            raise ValueError(f"ZDG_THREADS must be >= 0, got {n}")
-        return n
-    return cfg.threads

@@ -187,7 +187,9 @@ def kernel_matrix_from_csv(path, theta=None):
         if theta.size != k or not np.allclose(nodes, theta, rtol=NODE_RTOL,
                                               atol=1e-12):
             raise ValueError(
-                "kernel file nodes do not match the quadrature grid")
+                f"kernel file nodes do not match the quadrature grid: {path} "
+                f"tabulates {k} nodes where the grid has {theta.size}"
+                + (" at other angles" if theta.size == k else ""))
     return mat
 
 
@@ -576,7 +578,7 @@ def grid_energy_context(basis, wmat):
     }
 
 
-def interaction_energy_grid(basis, ctx, values):
+def interaction_energy_grid(ctx, values):
     """Grid-space renormalized energy of one spinor state (K, 2).
 
     E = intint (q - sigma) w (q - sigma) - 2 Re intint w psi^+ Sigma psi
@@ -595,7 +597,7 @@ def interaction_energy_grid(basis, ctx, values):
                  + np.sum(wt * trace_sq))
 
 
-def nonlinearity_grid(basis, ctx, values):
+def nonlinearity_grid(ctx, values):
     """Grid-space renormalized cubic term, returned as grid values (K, 2).
 
     F(u)(x) = [int w(x, y)(q - sigma)(y) dy] u(x) - int w(x, y) Sigma(x, y) u(y) dy.

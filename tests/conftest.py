@@ -1,10 +1,10 @@
 """Test-session set-up: one BLAS/OpenMP thread unless the environment says
 otherwise.
 
-The CLI caps the numerical thread pools from the config or ZDG_THREADS
-before numpy loads; the tests import numpy directly, so without this cap
-every BLAS call starts a pool per core and, beside any other busy process,
-the pools oversubscribe the cores.  This file is imported before any test
+The CLI caps the numerical thread pools from ZDG_THREADS before numpy
+loads; the tests import numpy directly, so without this cap every BLAS call
+starts a pool per core and, beside any other busy process, the pools
+oversubscribe the cores.  This file is imported before any test
 module, hence before numpy.
 """
 

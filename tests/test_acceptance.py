@@ -130,10 +130,10 @@ def test_energy_and_nonlinearity_match_grid_quadrature(t16_sep, basis16):
     f_coeff = nonlinearity(t16_sep, c)
     for i in range(50):
         values = synthesize(basis16, c[i])
-        e_grid = interaction_energy_grid(basis16, ctx, values)
+        e_grid = interaction_energy_grid(ctx, values)
         scale = max(1.0, abs(e_grid))
         assert abs(e_coeff[i] - e_grid) / scale <= 1e-8, i
-        f_grid = analyze(basis16, nonlinearity_grid(basis16, ctx, values))
+        f_grid = analyze(basis16, nonlinearity_grid(ctx, values))
         fscale = max(1.0, np.max(np.abs(f_grid)))
         assert np.max(np.abs(f_coeff[i] - f_grid)) / fscale <= 1e-8, i
 

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from zdg import dynamics, interaction, report
-from zdg.cli import _build_tensor, main
+from zdg.cli import _THREAD_VARS, _apply_threads, _build_tensor, main
 from zdg.config import (KERNEL_NAMES, KERNEL_PROFILES, SCHEMA,
                         ExperimentConfig, config_from_mapping, load_config,
-                        parse_config_text, resolve_threads, step_count,
-                        validate)
+                        parse_config_text, step_count, validate)
 from zdg.interaction import (kernel_matrix_from_csv, kernel_matrix_to_csv,
                              kernel_node_values)
 from zdg.report import Report, build_identifier, write_table
@@ -147,13 +146,20 @@ def test_int_list_must_increase():
         config_from_mapping({"cauchy.m_list": "8,4"})
 
 
-@pytest.mark.parametrize("key", ["cauchy.m_list", "nelson.n_list",
-                                 "lr.n_list"])
+@pytest.mark.parametrize("key", ["cauchy.m_list", "nelson.n_list"])
 def test_fitted_cutoff_list_needs_two_entries(key):
     with pytest.raises(ValueError,
                        match=f"{key} needs two cutoffs for its slope fit"):
         config_from_mapping({key: "8"})
-    config_from_mapping({key: "4, 8", "lr.r_list": "2"})
+    config_from_mapping({key: "4, 8"})
+
+
+@pytest.mark.parametrize("key", ["threads", "flow.sample_every", "lr.n_list",
+                                 "lr.r_list", "lr.ensemble_size"])
+def test_keys_no_run_reads_are_unknown(key):
+    # the thread cap is ZDG_THREADS alone, flow strides its records to
+    # about 200, and no study reads the lr section
+    assert _refusals({key: "2"}) == [f"  - unknown key {key!r}"]
 
 
 def test_effective_grid_size_default_and_override():
@@ -167,15 +173,32 @@ def test_to_mapping_follows_schema_order():
     assert list(cfg.to_mapping()) == [key for key, _, _ in SCHEMA]
 
 
-def test_resolve_threads_env_override(monkeypatch):
-    cfg, _ = config_from_mapping({"threads": "2"})
-    monkeypatch.delenv("ZDG_THREADS", raising=False)
-    assert resolve_threads(cfg) == 2
-    monkeypatch.setenv("ZDG_THREADS", "6")
-    assert resolve_threads(cfg) == 6
-    monkeypatch.setenv("ZDG_THREADS", "abc")
-    with pytest.raises(ValueError, match="ZDG_THREADS"):
-        resolve_threads(cfg)
+@pytest.mark.parametrize("env, capped", [(None, None), ("0", None),
+                                         ("2", "2")],
+                         ids=["unset", "zero", "two"])
+def test_apply_threads_caps_every_pool_at_a_positive_value(monkeypatch, env,
+                                                            capped):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "untouched")
+    if env is None:
+        monkeypatch.delenv("ZDG_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ZDG_THREADS", env)
+    _apply_threads()
+    assert [os.environ[var] for var in _THREAD_VARS] \
+        == [capped or "untouched"] * len(_THREAD_VARS)
+
+
+@pytest.mark.parametrize("env, message", [
+    ("abc", "ZDG_THREADS must be an integer, got 'abc'"),
+    ("-1", "ZDG_THREADS must be >= 0, got -1")], ids=["abc", "negative"])
+def test_apply_threads_refuses_a_value_not_a_count(monkeypatch, env, message):
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "untouched")
+    monkeypatch.setenv("ZDG_THREADS", env)
+    with pytest.raises(ValueError, match=message):
+        _apply_threads()
+    assert all(os.environ[var] == "untouched" for var in _THREAD_VARS)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -201,8 +224,11 @@ def test_kernel_csv_rejects_node_mismatch(tmp_path):
     mat = np.ones((20, 20))
     path = tmp_path / "kernel.csv"
     kernel_matrix_to_csv(path, basis.grid.theta, mat)
-    with pytest.raises(ValueError, match="node"):
+    with pytest.raises(ValueError) as info:
         kernel_matrix_from_csv(path, theta=other.grid.theta[:20])
+    assert str(info.value) == (
+        f"kernel file nodes do not match the quadrature grid: {path} "
+        "tabulates 20 nodes where the grid has 20 at other angles")
 
 
 def test_kernel_csv_rejects_ragged_rows(tmp_path):
@@ -547,6 +573,24 @@ def test_cli_flow_rejects_short_init_file(tmp_path):
     assert "modes" in aborted["detail"]
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_flow_refuses_a_non_finite_init_entry(tmp_path, bad):
+    cfg = _write(tmp_path / "fast.cfg",
+                 "cutoff = 8\nflow.t_final = 0.05\nflow.dt = 0.005\n")
+    rows = ["0.1,0.0"] * 9
+    rows[1] = f"0.2,{bad}"
+    init = _write(tmp_path / "init.csv", "re,im\n" + "\n".join(rows) + "\n")
+    out = str(tmp_path / "r")
+    assert main(["flow", "--config", cfg, "--out", out, "--init",
+                 init]) == 1
+    with open(os.path.join(out, "flow.json")) as fh:
+        records = json.load(fh)["records"]
+    aborted = next(r for r in records if r["name"] == "aborted")
+    assert aborted["detail"] == (f"initial-state file {init} row 1 has a "
+                                 f"non-finite value ({bad})")
+    assert not os.path.exists(os.path.join(out, "flow_trajectory.csv"))
+
+
 def test_cli_env_thread_error_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZDG_THREADS", "much")
     assert main(["clifford-check", "--out", str(tmp_path)]) == 2
@@ -648,6 +692,24 @@ def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
     new = write_table(str(tmp_path / "new"), "pcn", head,
                       _SampleRows(coeffs, 2, lw))
     assert open(old, "rb").read() == open(new, "rb").read()
+
+
+def test_gibbs_sample_abort_names_the_kernel_file_and_both_grids(tmp_path):
+    # sample_kernel.csv is tabulated on the 32-node grid of cutoff 8;
+    # cutoff 12's automatic grid has 40 nodes
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    kernel = os.path.join(root, "configs", "sample_kernel.csv")
+    cfg = _write(tmp_path / "file.cfg",
+                 f"kernel.kind = file\nkernel.profile_file = {kernel}\n"
+                 "cutoff = 12\n")
+    out = str(tmp_path / "r")
+    assert main(["gibbs-sample", "--config", cfg, "--out", out]) == 1
+    with open(os.path.join(out, "gibbs_sample.json")) as fh:
+        records = json.load(fh)["records"]
+    aborted = next(r for r in records if r["name"] == "aborted")
+    assert aborted["detail"] == (
+        f"kernel file nodes do not match the quadrature grid: {kernel} "
+        "tabulates 32 nodes where the grid has 40")
 
 
 def test_file_kernel_study_refusal_names_nodes_grid_and_cutoff(tmp_path):

@@ -277,7 +277,7 @@ def test_coefficient_and_grid_energies_agree(basis, tensors, kind):
     e_coeff = interaction_energy(t, coeffs)
     for i in range(coeffs.shape[0]):
         state = synthesize(basis, coeffs[i])
-        e_grid = interaction_energy_grid(basis, ctx, state)
+        e_grid = interaction_energy_grid(ctx, state)
         assert e_grid == pytest.approx(e_coeff[i], rel=1e-10, abs=1e-10)
 
 
@@ -705,7 +705,7 @@ def test_nonlinearity_grid_route_agrees(basis, tensors, kind):
     f_coeff = nonlinearity(t, coeffs)
     for i in range(coeffs.shape[0]):
         state = synthesize(basis, coeffs[i])
-        f_grid = analyze(basis, nonlinearity_grid(basis, ctx, state))
+        f_grid = analyze(basis, nonlinearity_grid(ctx, state))
         assert np.allclose(f_grid, f_coeff[i], rtol=1e-10, atol=1e-10)
 
 
@@ -718,12 +718,11 @@ def test_grid_routes_on_matrix_and_scaled_constant_kernels(basis, name):
     coeffs = random_coeffs(basis.n_modes, size=6, seed=11)
     states = [synthesize(basis, ci) for ci in coeffs]
     e_coeff = interaction_energy(t, coeffs)
-    e_grid = np.array([interaction_energy_grid(basis, ctx, s)
-                       for s in states])
+    e_grid = np.array([interaction_energy_grid(ctx, s) for s in states])
     assert np.max(np.abs(e_grid - e_coeff)) \
         <= 1e-10 * np.max(np.abs(e_coeff))
     f_coeff = nonlinearity(t, coeffs)
-    f_grid = np.array([analyze(basis, nonlinearity_grid(basis, ctx, s))
+    f_grid = np.array([analyze(basis, nonlinearity_grid(ctx, s))
                        for s in states])
     assert np.max(np.abs(f_grid - f_coeff)) \
         <= 1e-10 * np.max(np.abs(f_coeff))
