@@ -176,9 +176,7 @@ def run_spectral(cfg, rep, args):
 def run_wick(cfg, rep, args):
     import numpy as np
 
-    from .interaction import (interaction_energy, wick_energy_literal,
-                              wick_quartic_cov, wick_quartic_cov_enumerated)
-    from .rng import derive_rng, standard_complex
+    from .interaction import wick_quartic_cov, wick_quartic_cov_enumerated
     tuples = np.indices((4,) * 8).reshape(8, -1).T
     t0 = time.perf_counter()
     closed = wick_quartic_cov(tuples[:, :4], tuples[:, 4:])
@@ -189,15 +187,6 @@ def run_wick(cfg, rep, args):
             detail=f"exact integer agreement on all {tuples.shape[0]} "
                    "index tuples over {0,1,2,3}",
             seconds=time.perf_counter() - t0)
-    tensor = _build_tensor(cfg)
-    g = standard_complex(derive_rng(cfg.seed, "wick.check"),
-                         (20, tensor.n_modes))
-    lit = wick_energy_literal(tensor, g)
-    con = interaction_energy(tensor, g / tensor.lam)
-    rel = float(np.max(np.abs(lit - con)) / max(1.0, np.max(np.abs(lit))))
-    rep.add_check("energy_literal_vs_contraction", rel, 1e-9,
-                  detail="seven-term Wick monomial route against the "
-                         "contraction route, 20 seeded samples")
 
 
 def run_energy(cfg, rep, args):
@@ -233,14 +222,14 @@ def run_energy(cfg, rep, args):
     gg = standard_complex(derive_rng(cfg.seed, "energy.pathwise"),
                           (100, tensor.n_modes))
     e_field = interaction_energy(tensor, gg / tensor.lam)
-    e_wick = wick_energy_literal(tensor, gg).real
+    e_wick = wick_energy_literal(tensor, gg)
     wscale = max(1.0, float(np.max(np.abs(e_wick))))
     rep.add_check("pathwise_energy_identity",
                   float(np.max(np.abs(e_field - e_wick))) / wscale, 1e-9,
                   detail="energy of the sampled field vs the Wick "
                          "monomial of its Gaussians, 100 samples")
     rows = [{"sample": i, "e_coeff": float(e_field[i]),
-             "e_wick": float(e_wick[i])} for i in range(e_field.size)]
+             "e_wick": float(e_wick[i].real)} for i in range(e_field.size)]
     write_table(cfg.out_dir, "energy_samples",
                 ["sample", "e_coeff", "e_wick"], rows)
     anchor_basis = build_basis(2, 0, grid_size=8)
@@ -252,9 +241,6 @@ def run_energy(cfg, rep, args):
     rep.add_check("vacuum_anchor_energy", abs(e0 - 2.0), 1e-12,
                   detail="E(0) = 2 at cutoff 0, constant kernel, kappa 1, "
                          "dim 2")
-    r0 = float(np.exp(-interaction_energy(anchor, zero)))
-    rep.add_check("vacuum_anchor_weight", abs(r0 - np.exp(-2.0)), 1e-12,
-                  detail="Gibbs weight exp(-E(0)) at the same anchor")
     w = basis.grid.weights
     inner = (tensor.wmat ** (cfg.q / 2)) @ w
     mixed = float((w @ inner ** 2) ** (1.0 / cfg.q))
@@ -418,25 +404,20 @@ class _SampleRows:
 
 def _load_initial_state(path, n_modes):
     """Modes c_n = re + i im from a CSV of re,im rows, row n holding mode n
-    after an optional header; a non-finite entry is refused, naming the file
-    and the row."""
+    after an optional header; a row that is not two finite numbers is
+    refused, naming the file and the row."""
     import csv as csv_mod
 
     import numpy as np
+
+    from .interaction import csv_float_row
     with open(path, newline="") as fh:
         rows = [row for row in csv_mod.reader(fh) if row]
-    if rows and rows[0] and rows[0][0].strip().lower() in ("re", "re_c"):
+    if rows and rows[0][0].strip().lower() in ("re", "re_c"):
         rows = rows[1:]
-    try:
-        values = np.array([[float(r[0]), float(r[1])] for r in rows])
-    except (IndexError, ValueError):
-        raise ValueError(f"initial-state file {path!r} must hold two "
-                         "columns re,im with one row per mode")
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"initial-state file {path} row {row} has a "
-                         f"non-finite value ({values[row, col]})")
+    values = np.array([csv_float_row(row, 2, "initial-state file", path,
+                                     f"row {n}", "value")
+                       for n, row in enumerate(rows)])
     if values.shape[0] < n_modes:
         raise ValueError(f"initial state has {values.shape[0]} modes, the "
                          f"tensor needs at least {n_modes}")

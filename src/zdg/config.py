@@ -71,7 +71,7 @@ SCHEMA = [
     ("kernel.name", "gaussian_angle", KERNEL_NAMES),
     ("kernel.width", 0.7, "(0, )"),
     ("kernel.profile_file", "", None),
-    ("gibbs.ensemble_size", 20000, "[2, )"),
+    ("gibbs.ensemble_size", 20000, "[4, )"),
     ("gibbs.beta", 0.0, "[0, 1]"),  # 0 means adaptive
     ("gibbs.kmax", 8, "[0, )"),
     ("flow.dt", 1e-3, "(0, )"),

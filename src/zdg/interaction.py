@@ -171,17 +171,16 @@ def kernel_matrix_from_csv(path, theta=None):
     if len(rows) < 2:
         raise ValueError(f"kernel file {path} needs a header row and K "
                          "value rows")
-    nodes = _kernel_row(rows[0], path, "header row", "node")
+    nodes = csv_float_row(rows[0], len(rows[0]), "kernel file", path,
+                          "header row", "node")
     k = nodes.size
     if len(rows) != k + 1:
         raise ValueError(f"kernel file {path} has {len(rows) - 1} value "
                          f"rows for {k} nodes")
     mat = np.empty((k, k))
     for i, row in enumerate(rows[1:]):
-        if len(row) != k:
-            raise ValueError(f"kernel file {path} row {i} has {len(row)} "
-                             f"values, expected {k}")
-        mat[i] = _kernel_row(row, path, f"row {i}", "value")
+        mat[i] = csv_float_row(row, k, "kernel file", path, f"row {i}",
+                               "value")
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
         if theta.size != k or not np.allclose(nodes, theta, rtol=NODE_RTOL,
@@ -193,20 +192,25 @@ def kernel_matrix_from_csv(path, theta=None):
     return mat
 
 
-def _kernel_row(row, path, where, what):
-    """The entries of one kernel-file row as floats; an unparsable or
-    non-finite entry is refused, naming the file and the row."""
-    values = np.empty(len(row))
+def csv_float_row(row, width, kind, path, where, what):
+    """The entries of one CSV row of a kernel or initial-state file as
+    floats; a row not `width` entries wide, an unparsable or a non-finite
+    entry is refused, naming the file kind, the path, the row and the entry.
+    """
+    if len(row) != width:
+        raise ValueError(f"{kind} {path} {where} has {len(row)} {what}s, "
+                         f"expected {width}")
+    values = np.empty(width)
     for n, entry in enumerate(row):
         try:
             values[n] = float(entry)
         except ValueError:
-            raise ValueError(f"kernel file {path} {where} has an unparsable "
+            raise ValueError(f"{kind} {path} {where} has an unparsable "
                              f"{what} ({entry!r})") from None
     bad = values[~np.isfinite(values)]
     if bad.size:
-        raise ValueError(f"kernel file {path} {where} has a non-finite "
-                         f"{what} ({bad[0]})")
+        raise ValueError(f"{kind} {path} {where} has a non-finite {what} "
+                         f"({bad[0]})")
     return values
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zdg import dynamics, interaction, report
+from zdg import cli, dynamics, interaction, report
 from zdg.cli import _THREAD_VARS, _apply_threads, _build_tensor, main
 from zdg.config import (KERNEL_NAMES, KERNEL_PROFILES, SCHEMA,
                         ExperimentConfig, config_from_mapping, load_config,
@@ -419,6 +419,10 @@ def test_cli_unknown_kernel_profile_exits_two_without_a_report(tmp_path,
     ("gibbs-sample", "kernel.kind = file\nkernel.profile_file = nope.csv\n",
      "kernel.profile_file must name an existing file when kernel.kind is "
      "'file', got '{tmp_path}/nope.csv'"),
+    # each split half of a 3-draw chain holds one draw, so its R-hat and
+    # bulk ESS are undefined
+    ("gibbs-sample", "gibbs.ensemble_size = 3\n",
+     "gibbs.ensemble_size must be >= 4, got 3"),
 ])
 def test_cli_config_errors_exit_two_without_output(tmp_path, capsys,
                                                     command, text, message):
@@ -450,12 +454,27 @@ def test_cli_budget_refusal_names_admissible_cutoff(tmp_path):
     cfg = _write(tmp_path / "tiny.cfg",
                  "cutoff = 40\ntensor_budget_bytes = 1000000\n")
     out = str(tmp_path / "r")
-    assert main(["wick-check", "--config", cfg, "--out", out]) == 1
-    with open(os.path.join(out, "wick_check.json")) as fh:
+    assert main(["energy-oracle", "--config", cfg, "--out", out]) == 1
+    with open(os.path.join(out, "energy_oracle.json")) as fh:
         doc = json.load(fh)
     aborted = next(r for r in doc["records"] if r["name"] == "aborted")
     assert aborted["status"] == "fail"
     assert "largest admissible cutoff is 17" in aborted["detail"]
+
+
+def test_cli_wick_check_builds_no_tensor(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("wick-check built a tensor")
+
+    monkeypatch.setattr(cli, "_build_tensor", refuse)
+    out = str(tmp_path / "r")
+    assert main(["wick-check", "--out", out]) == 0
+    with open(os.path.join(out, "wick_check.json")) as fh:
+        records = json.load(fh)["records"]
+    checks = [r for r in records
+              if r["name"] not in ("config_warning", "process")]
+    assert [(r["name"], r["status"]) for r in checks] == [
+        ("covariance_closed_vs_enumerated", "pass")]
 
 
 def test_cli_flow_init_file_and_determinism(tmp_path):
@@ -573,12 +592,18 @@ def test_cli_flow_rejects_short_init_file(tmp_path):
     assert "modes" in aborted["detail"]
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_cli_flow_refuses_a_non_finite_init_entry(tmp_path, bad):
+@pytest.mark.parametrize("bad, tail", [
+    ("0.2,nan", "has a non-finite value (nan)"),
+    ("0.2,inf", "has a non-finite value (inf)"),
+    ("abc,0.1", "has an unparsable value ('abc')"),
+    ("0.1", "has 1 values, expected 2"),
+    ("0.1,0.2,0.3", "has 3 values, expected 2"),
+], ids=["nan", "inf", "unparsable", "one_value", "three_values"])
+def test_cli_flow_refuses_a_bad_init_row(tmp_path, bad, tail):
     cfg = _write(tmp_path / "fast.cfg",
                  "cutoff = 8\nflow.t_final = 0.05\nflow.dt = 0.005\n")
     rows = ["0.1,0.0"] * 9
-    rows[1] = f"0.2,{bad}"
+    rows[1] = bad
     init = _write(tmp_path / "init.csv", "re,im\n" + "\n".join(rows) + "\n")
     out = str(tmp_path / "r")
     assert main(["flow", "--config", cfg, "--out", out, "--init",
@@ -586,9 +611,19 @@ def test_cli_flow_refuses_a_non_finite_init_entry(tmp_path, bad):
     with open(os.path.join(out, "flow.json")) as fh:
         records = json.load(fh)["records"]
     aborted = next(r for r in records if r["name"] == "aborted")
-    assert aborted["detail"] == (f"initial-state file {init} row 1 has a "
-                                 f"non-finite value ({bad})")
+    assert aborted["detail"] == f"initial-state file {init} row 1 {tail}"
     assert not os.path.exists(os.path.join(out, "flow_trajectory.csv"))
+
+
+def test_smallest_gibbs_ensemble_has_finite_rank_diagnostics(tmp_path):
+    out = str(tmp_path / "r")
+    cfg = _write(tmp_path / "four.cfg", "gibbs.ensemble_size = 4\n")
+    main(["gibbs-sample", "--config", cfg, "--out", out, "--seed", "5"])
+    with open(os.path.join(out, "gibbs_sample.json")) as fh:
+        records = {r["name"]: r for r in json.load(fh)["records"]}
+    for name in ("pcn_energy_rhat", "pcn_energy_ess_bulk"):
+        assert records[name]["status"] == "info"
+        assert np.isfinite(records[name]["value"])
 
 
 def test_cli_env_thread_error_exits_two(tmp_path, monkeypatch, capsys):
