@@ -118,7 +118,8 @@ ExperimentConfig = make_dataclass(
 
 
 def _parse_value(kind, raw):
-    """A raw string as the type `kind` of a SCHEMA default."""
+    """A raw string as the type `kind` of a SCHEMA default; a float must be
+    finite."""
     raw = raw.strip()
     if kind is bool:
         if raw.lower() in _TRUE:
@@ -128,7 +129,10 @@ def _parse_value(kind, raw):
         raise ValueError(f"not a boolean: {raw!r}")
     if kind is tuple:
         return tuple(int(part) for part in raw.split(",") if part.strip())
-    return kind(raw)
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 def _refusal(key, value, admissible):

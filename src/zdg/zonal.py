@@ -20,36 +20,140 @@ Two independent implementations of the action are provided: a spectral one
 half-angle prefactors exactly, differentiates in z through Jacobi tables and
 never divides by sin(theta).  They are each other's oracle on band-limited
 states.
+
+Both rest on the Jacobi tables and the Gauss-Jacobi grid defined here:
+sin^{d-1}(theta) dtheta is the Jacobi weight (1 - z^2)^{(d-2)/2}, whose
+Golub-Welsch eigenproblem is assembled from the exact three-term recurrence
+coefficients.  Polynomials are evaluated by that recurrence, never through
+series expansions, so tables up to degree a few hundred stay well
+conditioned.  The eigenproblem goes to numpy's dense symmetric solver, which
+on these matrices gives the same bits as scipy's tridiagonal one (the tests
+check it); the gamma functions go to `math`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import auto_grid_size
-from .jacobi import jacobi_deriv_table, jacobi_table, quad_grid
+
+
+def jacobi_table(nmax, alpha, beta, z):
+    """Values P_n^{(alpha, beta)}(z) for n = 0..nmax, shape (nmax+1, len(z)).
+
+    Standard three-term recurrence with P_0 = 1 and
+    P_1 = (alpha - beta)/2 + (1 + (alpha + beta)/2) z.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    table = np.empty((nmax + 1, z.shape[0]))
+    table[0] = 1.0
+    if nmax == 0:
+        return table
+    table[1] = (alpha - beta) / 2.0 + (1.0 + (alpha + beta) / 2.0) * z
+    a, b = alpha, beta
+    for n in range(1, nmax):
+        c1 = 2 * (n + 1) * (n + a + b + 1) * (2 * n + a + b)
+        c2 = (2 * n + a + b + 1) * (a * a - b * b)
+        c3 = (2 * n + a + b) * (2 * n + a + b + 1) * (2 * n + a + b + 2)
+        c4 = 2 * (n + a) * (n + b) * (2 * n + a + b + 2)
+        table[n + 1] = ((c2 + c3 * z) * table[n] - c4 * table[n - 1]) / c1
+    return table
+
+
+def jacobi_deriv_table(nmax, alpha, beta, z):
+    """Derivatives d/dz P_n^{(alpha, beta)}(z) for n = 0..nmax.
+
+    Uses d/dz P_n^{(a,b)} = (n + a + b + 1)/2 * P_{n-1}^{(a+1, b+1)}.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    out = np.zeros((nmax + 1, z.shape[0]))
+    if nmax == 0:
+        return out
+    shifted = jacobi_table(nmax - 1, alpha + 1, beta + 1, z)
+    n = np.arange(1, nmax + 1)
+    out[1:] = 0.5 * (n + alpha + beta + 1)[:, None] * shifted
+    return out
+
+
+def _log_beta_sym(a):
+    """log B(a, a) from math.gamma, or from math.lgamma where Gamma(2a)
+    overflows.
+
+    At every even dim up to 42 (a = dim / 2) the value is bitwise scipy's
+    betaln(a, a); at other dims it can differ in the last bits.
+    """
+    if 2 * a > 171.6:
+        return math.lgamma(a) + (math.lgamma(a) - math.lgamma(2 * a))
+    return math.log(math.gamma(a) / math.gamma(2 * a) * math.gamma(a))
+
+
+@dataclass
+class QuadratureGrid:
+    """Gauss-Jacobi grid for int_0^pi f(theta) sin^{d-1} theta dtheta.
+
+    theta ascending in (0, pi); z = cos(theta) (descending pairing kept
+    consistent with theta); weights include the full surface factor so
+    integrate() needs no extra jacobian.  Exact for polynomial degree
+    <= 2 K - 1 in z.
+    """
+
+    dim: int
+    size: int
+    theta: np.ndarray
+    z: np.ndarray
+    weights: np.ndarray
+
+
+def quad_grid(dim, size):
+    """Golub-Welsch nodes/weights for the weight (1 - z^2)^{(dim-2)/2}.
+
+    The symmetric Jacobi recurrence has zero diagonal; off-diagonals come
+    from the standard coefficients with alpha = beta = (dim - 2)/2.  The
+    total mass is mu0 = 2^{2c+1} B(c+1, c+1) with c = (dim - 2)/2, which
+    equals int_0^pi sin^{dim-1} theta dtheta.
+    """
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    c = (dim - 2) / 2.0
+    k = np.arange(1, size)
+    num = 4.0 * k * (k + c) * (k + c) * (k + 2 * c)
+    den = (2 * k + 2 * c) ** 2 * (2 * k + 2 * c + 1) * (2 * k + 2 * c - 1)
+    offdiag = np.sqrt(num / den)
+    mu0 = np.exp((2 * c + 1) * np.log(2.0) + _log_beta_sym(c + 1))
+    if size == 1:
+        z = np.array([0.0])
+        w = np.array([mu0])
+    else:
+        # eigh reads the lower triangle only
+        z, vecs = np.linalg.eigh(np.diag(offdiag, -1))
+        w = mu0 * vecs[0] ** 2
+    order = np.argsort(-z)  # theta ascending
+    z = z[order]
+    w = w[order]
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    return QuadratureGrid(dim=dim, size=size, theta=theta, z=z, weights=w)
+
+
+def integrate(grid, values):
+    """Quadrature sum over the grid; values shape (..., K)."""
+    return np.asarray(values) @ grid.weights
 
 
 @dataclass
 class BasisTable:
-    """Eigenbasis values and companion tables on one quadrature grid.
+    """The eigenbasis e_n, n = 0..cutoff, on one quadrature grid.
 
-    values[n, i, c] holds component c of e_n at node i (real).  pab/pba and
-    their z-derivatives are the raw Jacobi tables used by the grid-space
-    Dirac action; h_plus/h_minus are the quadrature norms of the two
-    half-angle-weighted polynomial families.
+    values[n, i, c] holds component c of e_n at node i (real); norm_const
+    holds the c_n, omega the omega_n = n + d/2 and lam their square roots.
     """
 
     dim: int
     cutoff: int
     grid: object
     values: np.ndarray
-    pab: np.ndarray
-    pba: np.ndarray
-    dpab: np.ndarray
-    dpba: np.ndarray
-    h_plus: np.ndarray
-    h_minus: np.ndarray
     norm_const: np.ndarray
     omega: np.ndarray
     lam: np.ndarray
@@ -90,10 +194,7 @@ def build_basis(dim, cutoff, grid_size=None):
     w = grid.weights
     pab = jacobi_table(cutoff, a, b, z)
     pba = jacobi_table(cutoff, b, a, z)
-    dpab = jacobi_deriv_table(cutoff, a, b, z)
-    dpba = jacobi_deriv_table(cutoff, b, a, z)
     h_plus = (pab * pab * (1.0 + z)) @ w
-    h_minus = (pba * pba * (1.0 - z)) @ w
     norm_const = 1.0 / np.sqrt(h_plus)
     cos_half = np.cos(grid.theta / 2.0)
     sin_half = np.sin(grid.theta / 2.0)
@@ -103,9 +204,7 @@ def build_basis(dim, cutoff, grid_size=None):
     values[:, :, 1] = -norm_const[:, None] * sin_half[None, :] * pba
     n = np.arange(n_modes, dtype=float)
     return BasisTable(dim=dim, cutoff=cutoff, grid=grid, values=values,
-                      pab=pab, pba=pba, dpab=dpab, dpba=dpba,
-                      h_plus=h_plus, h_minus=h_minus, norm_const=norm_const,
-                      omega=n + dim / 2.0, lam=np.sqrt(n + dim / 2.0))
+                      norm_const=norm_const, omega=n + dim / 2.0, lam=np.sqrt(n + dim / 2.0))
 
 
 def synthesize(basis, coeffs):
@@ -163,20 +262,26 @@ def dirac_apply_grid(basis, values):
     """
     values = np.asarray(values)
     grid = basis.grid
-    d = basis.dim
+    d, nmax = basis.dim, basis.cutoff
+    a = d / 2.0 - 1.0
+    b = d / 2.0
+    z = grid.z
+    w = grid.weights
+    pab = jacobi_table(nmax, a, b, z)
+    pba = jacobi_table(nmax, b, a, z)
+    h_plus = (pab * pab * (1.0 + z)) @ w
+    h_minus = (pba * pba * (1.0 - z)) @ w
     cos_half = np.cos(grid.theta / 2.0)
     sin_half = np.sin(grid.theta / 2.0)
-    w = grid.weights
     phi_p = values[..., 0]
     phi_m = values[..., 1]
     # coefficients of F_+ in P^{(a,b)} and of F_- in P^{(b,a)}
-    coef_p = ((2.0 * w * cos_half) * phi_p) @ basis.pab.T / basis.h_plus
-    coef_m = ((2.0 * w * sin_half) * phi_m) @ basis.pba.T / basis.h_minus
-    f_p = coef_p @ basis.pab
-    df_p = coef_p @ basis.dpab
-    f_m = coef_m @ basis.pba
-    df_m = coef_m @ basis.dpba
-    z = grid.z
+    coef_p = ((2.0 * w * cos_half) * phi_p) @ pab.T / h_plus
+    coef_m = ((2.0 * w * sin_half) * phi_m) @ pba.T / h_minus
+    f_p = coef_p @ pab
+    df_p = coef_p @ jacobi_deriv_table(nmax, a, b, z)
+    f_m = coef_m @ pba
+    df_m = coef_m @ jacobi_deriv_table(nmax, b, a, z)
     out = np.empty(values.shape, dtype=np.result_type(values, 1j))
     out[..., 0] = 1j * cos_half * ((z - 1.0) * df_m + (d / 2.0) * f_m)
     out[..., 1] = 1j * sin_half * ((z + 1.0) * df_p + (d / 2.0) * f_p)

@@ -4,9 +4,8 @@ Sobolev norm (zdg.zonal)."""
 import numpy as np
 import pytest
 
-from zdg.jacobi import integrate
 from zdg.zonal import (build_basis, covariance_diag, covariance_kernel,
-                       hs_norm, synthesize)
+                       hs_norm, integrate, synthesize)
 from zdg import rng as rng_mod
 
 

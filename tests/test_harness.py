@@ -91,6 +91,15 @@ def test_schema_names_refuse_an_unknown_name(key, names):
         f"  - {key} must be one of {names}, got 'nope'"]
 
 
+@pytest.mark.parametrize("key", [
+    pytest.param(key, id=key) for key, default, _ in SCHEMA
+    if type(default) is float])
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+def test_schema_floats_refuse_non_finite_values(key, raw):
+    assert _refusals({key: raw}) == [f"  - {key}: not a finite number: "
+                                     f"{raw!r}"]
+
+
 def test_default_config_sets_every_schema_key_once_to_its_default():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "configs", "default.cfg")) as fh:
@@ -423,6 +432,13 @@ def test_cli_unknown_kernel_profile_exits_two_without_a_report(tmp_path,
     # bulk ESS are undefined
     ("gibbs-sample", "gibbs.ensemble_size = 3\n",
      "gibbs.ensemble_size must be >= 4, got 3"),
+    # an infinite tolerance stops the midpoint solve after one evaluation
+    ("invariance-test", "flow.solver_tol = inf\n",
+     "flow.solver_tol: not a finite number: 'inf'"),
+    ("gibbs-sample", "kernel.kappa = inf\n",
+     "kernel.kappa: not a finite number: 'inf'"),
+    ("wick-check", "q = nan\n", "q: not a finite number: 'nan'"),
+    ("wick-check", "hs_s = -inf\n", "hs_s: not a finite number: '-inf'"),
 ])
 def test_cli_config_errors_exit_two_without_output(tmp_path, capsys,
                                                     command, text, message):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi, roots_jacobi, betaln
 
-from zdg.jacobi import (QuadratureGrid, integrate, jacobi_deriv_table,
-                        jacobi_table, quad_grid)
+from zdg.zonal import (QuadratureGrid, integrate, jacobi_deriv_table,
+                       jacobi_table, quad_grid)
 
 _log_gamma = np.vectorize(math.lgamma, otypes=[float])
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_jacobi import jacobi_norm_squared
-from zdg.jacobi import jacobi_deriv_table, jacobi_table
 from zdg.zonal import (analyze, build_basis, dirac_apply_grid, gram_matrix,
-                       inner, lp_norm, synthesize)
+                       inner, jacobi_deriv_table, jacobi_table, lp_norm,
+                       synthesize)
 
 
 def dirac_apply_spectral(basis, values):
@@ -96,7 +96,12 @@ def test_norm_constants_match_closed_form(basis_d2, basis_d4):
         n = np.arange(basis.n_modes)
         exact = 1.0 / np.sqrt(jacobi_norm_squared(n, a, b))
         assert np.allclose(basis.norm_const, exact, rtol=1e-12)
-        assert np.allclose(basis.h_plus, basis.h_minus, rtol=1e-12)
+        z, w = basis.grid.z, basis.grid.weights
+        pab = jacobi_table(basis.cutoff, a, b, z)
+        pba = jacobi_table(basis.cutoff, b, a, z)
+        h_plus = (pab * pab * (1.0 + z)) @ w
+        h_minus = (pba * pba * (1.0 - z)) @ w
+        assert np.allclose(h_plus, h_minus, rtol=1e-12)
 
 
 def test_eigenvalue_tables(basis_d4):
