@@ -163,6 +163,15 @@ class BasisTable:
         return self.cutoff + 1
 
 
+def _half_angle_tables(dim, nmax, grid):
+    """P_n^{(a,b)} and P_n^{(b,a)} for n = 0..nmax on the grid, the norms
+    h_+ = int (P_n^{(a,b)})^2 (1 + z), and cos(theta/2), sin(theta/2)."""
+    pab = jacobi_table(nmax, dim / 2.0 - 1.0, dim / 2.0, grid.z)
+    pba = jacobi_table(nmax, dim / 2.0, dim / 2.0 - 1.0, grid.z)
+    h_plus = (pab * pab * (1.0 + grid.z)) @ grid.weights
+    return pab, pba, h_plus, np.cos(grid.theta / 2.0), np.sin(grid.theta / 2.0)
+
+
 def build_basis(dim, cutoff, grid_size=None):
     """Assemble the eigenbasis table for modes n = 0..cutoff.
 
@@ -188,16 +197,8 @@ def build_basis(dim, cutoff, grid_size=None):
         raise ValueError(
             f"grid size {grid.size} too small for cutoff {cutoff} "
             f"(need >= cutoff + dim = {cutoff + dim})")
-    a = dim / 2.0 - 1.0
-    b = dim / 2.0
-    z = grid.z
-    w = grid.weights
-    pab = jacobi_table(cutoff, a, b, z)
-    pba = jacobi_table(cutoff, b, a, z)
-    h_plus = (pab * pab * (1.0 + z)) @ w
+    pab, pba, h_plus, cos_half, sin_half = _half_angle_tables(dim, cutoff, grid)
     norm_const = 1.0 / np.sqrt(h_plus)
-    cos_half = np.cos(grid.theta / 2.0)
-    sin_half = np.sin(grid.theta / 2.0)
     n_modes = cutoff + 1
     values = np.empty((n_modes, grid.size, 2))
     values[:, :, 0] = norm_const[:, None] * cos_half[None, :] * pab
@@ -249,7 +250,7 @@ def covariance_kernel(basis):
 
 
 def dirac_apply_grid(basis, values):
-    """Dirac action in grid space, division-free.
+    """Dirac action in grid space, division-free; values shape (..., K, 2).
 
     Writes phi_+ = cos(theta/2) F_+(z) and phi_- = sin(theta/2) F_-(z),
     expands F_+/F_- in the two Jacobi families through quadrature
@@ -258,33 +259,29 @@ def dirac_apply_grid(basis, values):
         (D phi)_+ = i cos(theta/2) [ (z - 1) F_-' + (d/2) F_- ]
         (D phi)_- = i sin(theta/2) [ (z + 1) F_+' + (d/2) F_+ ]
 
-    Exact (to roundoff) for states band-limited to the table cutoff.
+    Exact (to roundoff) for states band-limited to the table cutoff.  The
+    Jacobi tables are built once per call and a stack is applied state by
+    state, so each result is bitwise the single-state call's (a batched
+    matrix product would sum in another order).
     """
     values = np.asarray(values)
-    grid = basis.grid
-    d, nmax = basis.dim, basis.cutoff
-    a = d / 2.0 - 1.0
-    b = d / 2.0
-    z = grid.z
-    w = grid.weights
-    pab = jacobi_table(nmax, a, b, z)
-    pba = jacobi_table(nmax, b, a, z)
-    h_plus = (pab * pab * (1.0 + z)) @ w
+    grid, d, nmax = basis.grid, basis.dim, basis.cutoff
+    z, w = grid.z, grid.weights
+    pab, pba, h_plus, cos_half, sin_half = _half_angle_tables(d, nmax, grid)
     h_minus = (pba * pba * (1.0 - z)) @ w
-    cos_half = np.cos(grid.theta / 2.0)
-    sin_half = np.sin(grid.theta / 2.0)
-    phi_p = values[..., 0]
-    phi_m = values[..., 1]
-    # coefficients of F_+ in P^{(a,b)} and of F_- in P^{(b,a)}
-    coef_p = ((2.0 * w * cos_half) * phi_p) @ pab.T / h_plus
-    coef_m = ((2.0 * w * sin_half) * phi_m) @ pba.T / h_minus
-    f_p = coef_p @ pab
-    df_p = coef_p @ jacobi_deriv_table(nmax, a, b, z)
-    f_m = coef_m @ pba
-    df_m = coef_m @ jacobi_deriv_table(nmax, b, a, z)
+    dpab = jacobi_deriv_table(nmax, d / 2.0 - 1.0, d / 2.0, z)
+    dpba = jacobi_deriv_table(nmax, d / 2.0, d / 2.0 - 1.0, z)
+    w_cos, w_sin = 2.0 * w * cos_half, 2.0 * w * sin_half
     out = np.empty(values.shape, dtype=np.result_type(values, 1j))
-    out[..., 0] = 1j * cos_half * ((z - 1.0) * df_m + (d / 2.0) * f_m)
-    out[..., 1] = 1j * sin_half * ((z + 1.0) * df_p + (d / 2.0) * f_p)
+    for phi, res in zip(values.reshape(-1, *values.shape[-2:]),
+                        out.reshape(-1, *values.shape[-2:])):
+        # coefficients of F_+ in P^{(a,b)} and of F_- in P^{(b,a)}
+        coef_p = (w_cos * phi[:, 0]) @ pab.T / h_plus
+        coef_m = (w_sin * phi[:, 1]) @ pba.T / h_minus
+        res[:, 0] = 1j * cos_half * ((z - 1.0) * (coef_m @ dpba)
+                                     + (d / 2.0) * (coef_m @ pba))
+        res[:, 1] = 1j * sin_half * ((z + 1.0) * (coef_p @ dpab)
+                                     + (d / 2.0) * (coef_p @ pab))
     return out
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zdg import cli, dynamics, interaction, report
+from zdg import cli, dynamics, interaction, report, zonal
 from zdg.cli import _THREAD_VARS, _apply_threads, _build_tensor, main
 from zdg.config import (KERNEL_NAMES, KERNEL_PROFILES, SCHEMA,
                         ExperimentConfig, config_from_mapping, load_config,
@@ -383,6 +383,23 @@ def test_cli_spectral_reads_cutoff_and_grid_from_the_config(tmp_path):
     assert doc["config"]["cutoff"] == 12
     assert doc["config"]["grid_size"] == 48
     assert doc["summary"]["all_pass"] is True
+
+
+@pytest.mark.parametrize("cutoff", [12, 24])
+def test_cli_spectral_builds_the_jacobi_tables_a_fixed_number_of_times(
+        tmp_path, monkeypatch, cutoff):
+    # two tables for the basis, four for the one Dirac sweep over all modes
+    builds = []
+    table = zonal.jacobi_table
+    monkeypatch.setattr(zonal, "jacobi_table",
+                        lambda *args: builds.append(args) or table(*args))
+    cfg = _write(tmp_path / "spectral.cfg", f"cutoff = {cutoff}\n")
+    out = str(tmp_path / "r")
+    assert main(["spectral-check", "--config", cfg, "--out", out]) == 0
+    assert len(builds) == 6
+    with open(os.path.join(out, "spectral_check.json")) as fh:
+        records = {r["name"]: r for r in json.load(fh)["records"]}
+    assert records["eigenrelation_max_residual"]["seconds"] > 0
 
 
 @pytest.mark.parametrize("argv", [["spectral-check", "--max-n", "12"],

@@ -74,6 +74,19 @@ def test_eigenrelation_on_grid(dim):
     assert resid < 1e-9
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("cutoff", [8, 64])
+def test_stacked_dirac_apply_is_bitwise_per_state(dim, cutoff):
+    basis = build_basis(dim, cutoff)
+    rng = np.random.default_rng(3)
+    shape = (2, 3, basis.grid.size, 2)
+    states = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for stack in (basis.values, states):
+        flat = stack.reshape(-1, basis.grid.size, 2)
+        per_state = [dirac_apply_grid(basis, s).tobytes() for s in flat]
+        assert dirac_apply_grid(basis, stack).tobytes() == b"".join(per_state)
+
+
 def test_spectral_and_grid_routes_agree(basis_d2):
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=(5, basis_d2.n_modes)) \
