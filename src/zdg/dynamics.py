@@ -61,10 +61,9 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
+    """Recorded states of one integration, states[i] at times[i]."""
     times: np.ndarray
     states: np.ndarray        # (n_records, ..., n_modes)
-    flow_energy: np.ndarray   # (1/2) K + (1/2) E, conserved by the flow
-    mass: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -72,15 +71,9 @@ def mass(coeffs):
     return np.sum(np.abs(np.asarray(coeffs)) ** 2, axis=-1)
 
 
-def quadratic_energy(tensor, coeffs):
-    """K = sum omega_n |c_n|^2 (batched)."""
-    c = np.asarray(coeffs)
-    return np.sum(tensor.lam ** 2 * np.abs(c) ** 2, axis=-1)
-
-
 def flow_energy(tensor, coeffs):
-    """Conserved Hamiltonian of the integrated flow, (1/2) K + (1/2) E."""
-    return 0.5 * quadratic_energy(tensor, coeffs) \
+    """Conserved Hamiltonian of the flow, (1/2) sum omega_n |c_n|^2 + E/2."""
+    return 0.5 * np.sum(tensor.lam ** 2 * np.abs(coeffs) ** 2, axis=-1) \
         + 0.5 * interaction_energy(tensor, coeffs)
 
 
@@ -186,12 +179,10 @@ def flow(tensor, coeffs0, cfg):
                        else n_steps)
     times = [0.0]
     records = [low.copy()]
-    t = 0.0
     for k in range(1, n_steps + 1):
         low = step(low, cfg.dt)
-        t = k * cfg.dt
         if k % record_every == 0 or k == n_steps:
-            times.append(t)
+            times.append(k * cfg.dt)
             records.append(low.copy())
     times = np.array(times)
     states = np.stack(records, axis=0)
@@ -200,10 +191,7 @@ def flow(tensor, coeffs0, cfg):
         t_rec = times.reshape((-1,) + (1,) * c0.ndim)  # (records, 1, ..., 1)
         hi = c0[..., n_low:] * np.exp(-1j * t_rec * omega_hi)
         states = np.concatenate([states, hi], axis=-1)
-    # one energy call per record, as `flow_energy` of the low block
-    fen = np.stack([flow_energy(tensor, s[..., :n_low]) for s in states])
-    mss = np.stack([mass(s) for s in states])
-    return Trajectory(times=times, states=states, flow_energy=fen, mass=mss,
+    return Trajectory(times=times, states=states,
                       meta={"integrator": cfg.integrator, "dt": cfg.dt,
                             "n_steps": n_steps, **counters})
 
@@ -231,15 +219,16 @@ def truncation_comparison(tensor, low_cutoff, traj, cfg, sobolev_s):
     traj is flow(tensor, c0, cfg) from a single state; its start is
     advanced under the slice of the tensor at low_cutoff (modes above
     either cutoff ride the exact free rotation), and per-observable
-    differences at t_final are reported: every mode, the Sobolev norm and
-    the mass.  Diagnostic only: no convergence rate is asserted.
+    differences at t_final are returned as rows: every mode, the Sobolev
+    norm and the mass.  Diagnostic only: no convergence rate is asserted.
     """
     if traj.states.ndim != 2:
         raise ValueError("truncation comparison takes a single state")
     if not 0 <= low_cutoff < tensor.cutoff:
         raise ValueError("low_cutoff must be below the tensor cutoff")
     end_hi = traj.states[-1]
-    end_lo = flow(tensor.slice(low_cutoff), traj.states[0], cfg).states[-1]
+    end_lo = flow(tensor.slice(low_cutoff), traj.states[0],
+                  replace(cfg, sample_every=0)).states[-1]
     rows = []
     for k in range(tensor.cutoff + 1):
         rows.append({"observable": f"c{k}",
@@ -249,8 +238,7 @@ def truncation_comparison(tensor, low_cutoff, traj, cfg, sobolev_s):
                                        - hs_norm(end_lo, sobolev_s)))})
     rows.append({"observable": "mass",
                  "abs_diff": float(abs(mass(end_hi) - mass(end_lo)))})
-    return {"low_cutoff": int(low_cutoff), "high_cutoff": tensor.cutoff,
-            "t_final": cfg.t_final, "rows": rows}
+    return rows
 
 
 def vector_field_check(tensor, seed):

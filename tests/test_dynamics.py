@@ -98,9 +98,10 @@ def test_constant_kernel_conservation(tensor_const):
                      solver_tol=1e-14, sample_every=50)
     traj = flow(tensor_const, c0, cfg)
     m0 = mass(c0)
-    assert np.max(np.abs(traj.mass - m0)) < 1e-11 * m0
-    f0 = traj.flow_energy[0]
-    assert np.max(np.abs(traj.flow_energy - f0)) < 1e-10 * max(1, abs(f0))
+    assert np.max(np.abs(mass(traj.states) - m0)) < 1e-11 * m0
+    energies = flow_energy(tensor_const, traj.states)
+    f0 = energies[0]
+    assert np.max(np.abs(energies - f0)) < 1e-10 * max(1, abs(f0))
     # at a constant kernel every mode modulus is individually conserved
     assert np.allclose(np.abs(traj.states[-1]), np.abs(c0), atol=1e-11)
 
@@ -115,10 +116,11 @@ def test_flow_energy_drift_second_order_at_coupling_kernel(tensor_sep):
         cfg = FlowConfig(dt=dt, t_final=1.0, integrator="midpoint",
                          solver_tol=1e-14, sample_every=50)
         traj = flow(tensor_sep, c0, cfg)
-        drifts[dt] = np.max(np.abs(traj.flow_energy - traj.flow_energy[0]))
+        energies = flow_energy(tensor_sep, traj.states)
+        drifts[dt] = np.max(np.abs(energies - energies[0]))
         assert drifts[dt] < 20.0 * dt ** 2
-        m0 = traj.mass[0]
-        assert np.max(np.abs(traj.mass - m0)) < 1e-11 * m0
+        masses = mass(traj.states)
+        assert np.max(np.abs(masses - masses[0])) < 1e-11 * masses[0]
     ratio = drifts[4e-3] / drifts[2e-3]
     assert 3.2 < ratio < 4.8
 
@@ -167,16 +169,23 @@ def test_truncation_comparison_integrates_only_the_low_cutoff(tensor_sep,
                                                               monkeypatch):
     c0 = sample_state(tensor_sep, seed=14)
     cfg = FlowConfig(dt=1e-2, t_final=0.2, integrator="midpoint",
-                     solver_tol=1e-14, sample_every=0)
+                     solver_tol=1e-14, sample_every=4)
     traj = flow(tensor_sep, c0, cfg)
-    cutoffs = []
+    runs = []
     real = dynamics.flow
-    monkeypatch.setattr(dynamics, "flow", lambda t, c, f: cutoffs.append(
-        t.cutoff) or real(t, c, f))
-    out = truncation_comparison(tensor_sep, 3, traj, cfg, -0.6)
-    assert cutoffs == [3]
+
+    def recording(t, c, f):
+        runs.append((t.cutoff, real(t, c, f)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(dynamics, "flow", recording)
+    rows = truncation_comparison(tensor_sep, 3, traj, cfg, -0.6)
+    (cutoff, low), = runs
+    # the low-cutoff run records only its start and its end
+    assert cutoff == 3 and len(low.times) == len(low.states) == 2
     end_lo = real(tensor_sep.slice(3), c0, cfg).states[-1]
-    assert out["rows"][0]["abs_diff"] == float(
+    assert np.array_equal(low.states[-1], end_lo)
+    assert rows[0]["abs_diff"] == float(
         np.abs(traj.states[-1][0] - end_lo[0]))
     batch = flow(tensor_sep, sample_state(tensor_sep, seed=14, size=2), cfg)
     with pytest.raises(ValueError, match="single state"):
@@ -242,21 +251,17 @@ def test_trajectory_sampling_grid(tensor_const):
 
 
 @pytest.mark.parametrize("size", [None, 5])
-def test_flow_evaluates_the_energy_once_per_record(tensor_sep, monkeypatch,
-                                                   size):
-    calls = []
-    real = dynamics.interaction_energy
-    monkeypatch.setattr(dynamics, "interaction_energy",
-                        lambda t, c: calls.append(1) or real(t, c))
+def test_flow_evaluates_no_energy_or_mass(tensor_sep, monkeypatch, size):
+    def refuse(*args):
+        raise AssertionError("flow evaluated an energy or a mass")
+
+    monkeypatch.setattr(dynamics, "interaction_energy", refuse)
+    monkeypatch.setattr(dynamics, "mass", refuse)
     cfg = FlowConfig(dt=0.01, t_final=0.1, integrator="midpoint",
                      solver_tol=1e-13, sample_every=4)
     traj = flow(tensor_sep, sample_state(tensor_sep, seed=4, size=size), cfg)
-    assert len(calls) == len(traj.times) == 4
-    monkeypatch.undo()
-    # the records are bitwise the flow energy evaluated per state
-    for i, state in enumerate(traj.states):
-        assert np.array_equal(traj.flow_energy[i],
-                              flow_energy(tensor_sep, state))
+    assert len(traj.times) == len(traj.states) == 4
+    assert set(vars(traj)) == {"times", "states", "meta"}
 
 
 def test_observables_table(tensor_const):
@@ -281,6 +286,19 @@ def test_invariance_positive_and_negative_controls(tensor_sep):
     assert not bad["all_pass"]
     energy_row = next(r for r in bad["rows"] if r["observable"] == "energy")
     assert not energy_row["pass"]
+
+
+def test_invariance_test_makes_two_energy_calls(tensor_sep, monkeypatch):
+    # the observables' energies at t = 0 and t_final; the flow adds none
+    calls = []
+    real = dynamics.interaction_energy
+    monkeypatch.setattr(dynamics, "interaction_energy",
+                        lambda t, c: calls.append(c.shape) or real(t, c))
+    cfg = ExperimentConfig(seed=2024, invariance_ensemble_size=16,
+                           invariance_t_final=0.05, invariance_dt=0.01,
+                           invariance_burn_steps=5)
+    invariance_test(tensor_sep, cfg)
+    assert calls == [(16, tensor_sep.n_modes)] * 2
 
 
 @pytest.mark.parametrize("max_iter", [100, 8])

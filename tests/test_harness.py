@@ -402,6 +402,46 @@ def test_cli_spectral_builds_the_jacobi_tables_a_fixed_number_of_times(
     assert records["eigenrelation_max_residual"]["seconds"] > 0
 
 
+DIM4 = "dim = 4\nq = 60.0\nnu = 0.5\n"
+
+
+def _eigenrelation_record(tmp_path, text):
+    """(exit code, eigenrelation_max_residual record) of a spectral-check
+    run on a config file of `text`."""
+    cfg = _write(tmp_path / "spectral.cfg", text)
+    out = str(tmp_path / "r")
+    code = main(["spectral-check", "--config", cfg, "--out", out])
+    with open(os.path.join(out, "spectral_check.json")) as fh:
+        records = {r["name"]: r for r in json.load(fh)["records"]}
+    return code, records["eigenrelation_max_residual"]
+
+
+def test_cli_spectral_passes_at_dim_4_cutoff_80(tmp_path):
+    # the absolute residual there is 1.6e-9, roundoff of omega_n max|e_n|
+    # near 1e4; relative to that scale it is 5e-12
+    code, rec = _eigenrelation_record(tmp_path, DIM4 + "cutoff = 80\n")
+    assert code == 0
+    assert rec["status"] == "pass" and rec["value"] < 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [8, 80])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_cli_spectral_catches_a_defect_ten_times_its_tolerance(
+        tmp_path, monkeypatch, dim, cutoff):
+    real = zonal.dirac_apply_grid
+
+    def defective(basis, values):
+        scale = basis.omega * zonal.lp_norm(basis.grid, basis.values, np.inf)
+        return real(basis, values) + 1e-8 * scale[:, None, None]
+
+    monkeypatch.setattr(zonal, "dirac_apply_grid", defective)
+    text = (DIM4 if dim == 4 else "") + f"cutoff = {cutoff}\n"
+    code, rec = _eigenrelation_record(tmp_path, text)
+    assert code == 1
+    assert rec["status"] == "fail"
+    assert rec["value"] == pytest.approx(1e-8, rel=1e-3)
+
+
 @pytest.mark.parametrize("argv", [["spectral-check", "--max-n", "12"],
                                   ["spectral-check", "--dim", "4"],
                                   ["clifford-check", "--dim", "3"]],
@@ -534,9 +574,30 @@ def test_cli_flow_init_file_and_determinism(tmp_path):
     rec = next(r for r in doc["records"] if r["name"] == "initial_state")
     assert rec["value"] == init
     assert [r["name"] for r in doc["records"]] == [
-        "config_warning", "initial_state", "mass_drift", "flow_energy_drift",
-        "solver_counters", "reversal_error", "vector_field_gradient",
-        "vector_field_directional", "process"]
+        "config_warning", "tensor_built", "initial_state", "mass_drift",
+        "flow_energy_drift", "solver_counters", "reversal_error",
+        "vector_field_gradient", "vector_field_directional", "process"]
+
+
+def test_cli_flow_trajectory_series_are_those_of_the_written_states(
+        tmp_path):
+    # flow_energy of each state's low block and mass of the whole state,
+    # bitwise, with two modes past the cutoff riding along
+    cfg = _write(tmp_path / "fast.cfg",
+                 "cutoff = 4\nflow.t_final = 0.05\nflow.dt = 0.005\n")
+    init = _write(tmp_path / "init.csv", "".join(
+        f"{0.1 * (n + 1)},{0.05 * (2 - n)}\n" for n in range(7)))
+    out = str(tmp_path / "r")
+    assert main(["flow", "--config", cfg, "--out", out, "--init", init]) == 0
+    with open(os.path.join(out, "flow_trajectory.csv"), newline="") as fh:
+        table = np.array([[float(x) for x in row]
+                          for row in list(csv.reader(fh))[1:]])
+    assert table.shape == (11, 1 + 14 + 2)
+    states = table[:, 1:15].copy().view(complex)
+    tensor = _build_tensor(load_config(cfg, {})[0])
+    for state, energy, mass in zip(states, table[:, -2], table[:, -1]):
+        assert dynamics.flow_energy(tensor, state[:5]) == energy
+        assert dynamics.mass(state) == mass
 
 
 def test_cli_flow_compare_cutoff_writes_the_truncation_comparison(tmp_path):
@@ -1044,6 +1105,36 @@ def test_gibbs_and_nelson_reports_time_the_tensor_build(tmp_path):
         if cmd == "gibbs-sample":
             ess = records["pcn_energy_ess_bulk"]
             assert ess["status"] == "info" and 0 < ess["value"] < 5120
+
+
+@pytest.mark.parametrize("command, kind, nbytes", [
+    ("energy-oracle", "constant", 10208),
+    ("cauchy-study", "constant", 267808),
+    ("nelson-scan", "constant", 77600),
+    ("gibbs-sample", "constant", 10208),
+    ("flow", "constant", 10208),
+    ("invariance-test", "constant", 10208),
+    ("invariance-test", "grid", 9560)])
+def test_each_tensor_build_is_one_record_with_its_bytes(tmp_path, command,
+                                                        kind, nbytes):
+    # the arrays the tensor holds: wmat, factor (None for grid kernels),
+    # s_mat, t_mat and lam; the studies build at cutoffs 64 and 32
+    cfg = _write(tmp_path / "quick.cfg", "\n".join([
+        f"kernel.kind = {kind}", "gibbs.ensemble_size = 512",
+        "cauchy.ensemble_size = 100", "nelson.ensemble_size = 100",
+        "flow.t_final = 0.01", "invariance.ensemble_size = 16",
+        "invariance.t_final = 0.01", "invariance.burn_steps = 5", ""]))
+    out = str(tmp_path / "r")
+    main([command, "--config", cfg, "--out", out, "--seed", "5"])
+    with open(os.path.join(out, command.replace("-", "_") + ".json")) as fh:
+        built = [r for r in json.load(fh)["records"]
+                 if r["name"] == "tensor_built"]
+    assert len(built) == 1
+    assert built[0]["status"] == "info" and built[0]["seconds"] > 0
+    assert built[0]["value"] == {"cauchy-study": 64,
+                                 "nelson-scan": 32}.get(command, 8)
+    assert built[0]["detail"].endswith(
+        f"; {nbytes} bytes in wmat, factor, s_mat, t_mat and lam")
 
 
 def _recording_pcn_chain(monkeypatch):
