@@ -341,16 +341,15 @@ def run_gibbs(cfg, rep, args):
                 ["sample", "energy", "log_weight"] + abs2_names,
                 _SampleRows(coeffs, n_abs2, -log_weights, log_weights))
     del coeffs, log_weights
-    beta = None if cfg.gibbs_beta == 0 else cfg.gibbs_beta
     chain, sec_chain = _timed(pcn_chain, tensor, cfg.gibbs_ensemble_size,
-                              cfg.seed, beta=beta)
+                              cfg.seed)
     rep.add("pcn_acceptance_rate", "info", value=chain.acc_rate,
             detail=f"beta={chain.beta:.3f}, thin={chain.thin}, "
                    f"burn={chain.burn}, chains={chain.n_chains}",
             seconds=sec_chain)
     rep.add("pcn_warmup", "info", value=chain.warmup,
             detail="[beta, acceptance rate] of each warm-up block, pooled "
-                   "over the chains; empty when gibbs.beta fixes beta")
+                   "over the chains")
     rep.add("pcn_energy_iact", "info", value=chain.iact,
             detail="integrated autocorrelation time of the energy series "
                    "after thinning, mean over chains")
@@ -446,8 +445,7 @@ def run_flow(cfg, rep, args):
     import numpy as np
 
     from .dynamics import (FlowConfig, flow, flow_energy, mass,
-                           reversal_error, truncation_comparison,
-                           vector_field_check)
+                           reversal_error, vector_field_check)
     from .rng import derive_rng, prior_coeffs
     tensor = _tensor_built(cfg, rep, None, "the config")
     init = getattr(args, "init", "seed")
@@ -495,16 +493,6 @@ def run_flow(cfg, rep, args):
     table = np.column_stack([traj.times, traj.states.view(float),
                              energies, masses])
     write_table(cfg.out_dir, "flow_trajectory", header, table.tolist())
-    if cfg.flow_compare_cutoff > 0:
-        cmp_rows = truncation_comparison(tensor, cfg.flow_compare_cutoff,
-                                         traj, fcfg, sobolev_s=cfg.hs_s)
-        worst = max(r["abs_diff"] for r in cmp_rows)
-        rep.add("truncation_comparison", "info", value=worst,
-                detail=f"max per-observable difference between cutoffs "
-                       f"{cfg.flow_compare_cutoff} and {tensor.cutoff} at "
-                       f"t = {cfg.flow_t_final}; no rate asserted")
-        write_table(cfg.out_dir, "flow_truncation_comparison",
-                    ["observable", "abs_diff"], cmp_rows)
 
 
 def run_invariance(cfg, rep, args):

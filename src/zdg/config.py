@@ -72,13 +72,11 @@ SCHEMA = [
     ("kernel.width", 0.7, "(0, )"),
     ("kernel.profile_file", "", None),
     ("gibbs.ensemble_size", 20000, "[4, )"),
-    ("gibbs.beta", 0.0, "[0, 1]"),  # 0 means adaptive
     ("gibbs.kmax", 8, "[0, )"),
     ("flow.dt", 1e-3, "(0, )"),
     ("flow.t_final", 1.0, "[0, )"),
     ("flow.integrator", "midpoint", INTEGRATORS),
     ("flow.solver_tol", 1e-13, "(0, )"),
-    ("flow.compare_cutoff", 0, None),
     ("invariance.ensemble_size", 1024, "[8, )"),
     ("invariance.t_final", 1.0, "(0, )"),
     ("invariance.dt", 5e-3, "(0, )"),
@@ -222,10 +220,6 @@ def validate(cfg):
         if t_final >= 0 and dt > 0 and step_count(t_final, dt) is None:
             errors.append(f"{section}.t_final = {t_final} must be a whole "
                           f"number of {section}.dt = {dt} steps")
-    if cfg.flow_compare_cutoff != 0 \
-            and not 0 < cfg.flow_compare_cutoff < cfg.cutoff:
-        errors.append("flow.compare_cutoff must be 0 (off) or a cutoff "
-                      f"below {cfg.cutoff}, got {cfg.flow_compare_cutoff}")
     for key in ("cauchy.m_list", "nelson.n_list"):
         if len(getattr(cfg, key.replace(".", "_"))) == 1:
             errors.append(f"{key} needs two cutoffs for its slope fit")

@@ -213,34 +213,6 @@ def reversal_error(tensor, traj, cfg):
     return float(np.max(np.abs(final - traj.states[0])))
 
 
-def truncation_comparison(tensor, low_cutoff, traj, cfg, sobolev_s):
-    """Coupled comparison of the flow at two cutoffs from one initial state.
-
-    traj is flow(tensor, c0, cfg) from a single state; its start is
-    advanced under the slice of the tensor at low_cutoff (modes above
-    either cutoff ride the exact free rotation), and per-observable
-    differences at t_final are returned as rows: every mode, the Sobolev
-    norm and the mass.  Diagnostic only: no convergence rate is asserted.
-    """
-    if traj.states.ndim != 2:
-        raise ValueError("truncation comparison takes a single state")
-    if not 0 <= low_cutoff < tensor.cutoff:
-        raise ValueError("low_cutoff must be below the tensor cutoff")
-    end_hi = traj.states[-1]
-    end_lo = flow(tensor.slice(low_cutoff), traj.states[0],
-                  replace(cfg, sample_every=0)).states[-1]
-    rows = []
-    for k in range(tensor.cutoff + 1):
-        rows.append({"observable": f"c{k}",
-                     "abs_diff": float(np.abs(end_hi[k] - end_lo[k]))})
-    rows.append({"observable": "hs_norm",
-                 "abs_diff": float(abs(hs_norm(end_hi, sobolev_s)
-                                       - hs_norm(end_lo, sobolev_s)))})
-    rows.append({"observable": "mass",
-                 "abs_diff": float(abs(mass(end_hi) - mass(end_lo)))})
-    return rows
-
-
 def vector_field_check(tensor, seed):
     """Finite-difference audit of the cubic term against the energy.
 

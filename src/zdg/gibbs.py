@@ -35,9 +35,10 @@ MAX_CHAINS = 64
 MIN_CHAIN_DRAWS = 256
 
 # pcn_chain's schedule: at most MAX_ADAPT_BLOCKS warm-up blocks of
-# ADAPT_BLOCK sweeps, until the block acceptance lies in ACCEPT_WINDOW; a
-# pilot of PILOT_SWEEPS sweeps for the thinning; BURN_FRAC of each chain's
-# collected span burned
+# ADAPT_BLOCK sweeps from beta = ADAPT_START, until the block acceptance
+# lies in ACCEPT_WINDOW; a pilot of PILOT_SWEEPS sweeps for the thinning;
+# BURN_FRAC of each chain's collected span burned
+ADAPT_START = 0.5
 ADAPT_BLOCK = 100
 MAX_ADAPT_BLOCKS = 40
 ACCEPT_WINDOW = (0.3, 0.5)
@@ -54,7 +55,7 @@ SCORE_CHUNK = 4096
 class Chain:
     """pcn_chain's samples, one per row, with their energies as the sweeps
     accepted them; warmup holds the (beta, acceptance rate) pair of each
-    warm-up block, empty when beta was given."""
+    warm-up block."""
 
     coeffs: np.ndarray
     energies: np.ndarray
@@ -181,20 +182,22 @@ def _prior_states(tensor, gen, n_rows):
     return states, interaction_energy(tensor, states)
 
 
-def _adapt_beta(tensor, states, energies, gen, beta, block, max_blocks):
-    """Warm-up: scale beta until the block acceptance rate is in
-    ACCEPT_WINDOW = [lo, hi].
+def _adapt_beta(tensor, states, energies, gen):
+    """Warm-up: scale beta from ADAPT_START, one block of ADAPT_BLOCK sweeps
+    at a time, until the block acceptance rate is in ACCEPT_WINDOW = [lo,
+    hi] or MAX_ADAPT_BLOCKS blocks have run.
 
     Returns the tuned beta and the (beta, rate) pair of every block run, in
     order.  The rate pools every row: accepted / (block * rows).  The
     warm-up also ends once beta is pinned at its bound, 1.0 or 1e-3.
     """
     lo, hi = ACCEPT_WINDOW
+    beta = ADAPT_START
     blocks = []
     rate = float("nan")
-    for _ in range(max_blocks):
-        accepted = _advance(tensor, states, energies, beta, gen, block)
-        rate = accepted / (block * states.shape[0])
+    for _ in range(MAX_ADAPT_BLOCKS):
+        accepted = _advance(tensor, states, energies, beta, gen, ADAPT_BLOCK)
+        rate = accepted / (ADAPT_BLOCK * states.shape[0])
         blocks.append((beta, rate))
         if lo <= rate <= hi:
             return beta, blocks
@@ -350,13 +353,13 @@ def _rhat(chains):
     return float(np.sqrt(((n - 1) / n * within + between / n) / within))
 
 
-def pcn_chain(tensor, n_samples, seed, beta=None):
+def pcn_chain(tensor, n_samples, seed):
     """pCN chains targeting exp(-E) dmu, run side by side.
 
     max(1, min(MAX_CHAINS, n_samples // MIN_CHAIN_DRAWS)) chains each start
     from their own prior draw and advance together, one vectorized sweep
-    at a time.  beta None triggers the adaptive warm-up (frozen afterwards,
-    its (beta, rate) per block kept as warmup).  A pilot segment sets the
+    at a time.  The adaptive warm-up sets beta (frozen afterwards, its
+    (beta, rate) per block kept as warmup).  A pilot segment sets the
     thinning to the ceiling of the mean per-chain integrated
     autocorrelation time of the energy.  Burn-in discards BURN_FRAC of each
     chain's collected span before sampling starts.
@@ -372,10 +375,7 @@ def pcn_chain(tensor, n_samples, seed, beta=None):
     n_per = -(-n_samples // n_chains)
     gen = rng_mod.derive_rng(seed, "gibbs.pcn")
     states, energies = _prior_states(tensor, gen, n_chains)
-    warmup = []
-    if beta is None:
-        beta, warmup = _adapt_beta(tensor, states, energies, gen, 0.5,
-                                   ADAPT_BLOCK, MAX_ADAPT_BLOCKS)
+    beta, warmup = _adapt_beta(tensor, states, energies, gen)
     pilot_e = np.empty((n_chains, PILOT_SWEEPS))
     for i in range(PILOT_SWEEPS):
         _advance(tensor, states, energies, beta, gen, 1)

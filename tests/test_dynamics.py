@@ -6,7 +6,7 @@ import pytest
 import zdg.dynamics as dynamics
 from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
                           invariance_test, mass, reversal_error,
-                          truncation_comparison, vector_field_check)
+                          vector_field_check)
 from zdg.config import ExperimentConfig
 from zdg.interaction import assemble_interaction, nonlinearity
 from zdg.rng import derive_rng, prior_coeffs
@@ -163,33 +163,6 @@ def test_reversal_error_integrates_only_the_backward_leg(tensor_sep,
     assert reversal_error(tensor_sep, fwd, cfg) == round_trip
     assert len(starts) == 1
     assert np.array_equal(starts[0], np.conj(fwd.states[-1]))
-
-
-def test_truncation_comparison_integrates_only_the_low_cutoff(tensor_sep,
-                                                              monkeypatch):
-    c0 = sample_state(tensor_sep, seed=14)
-    cfg = FlowConfig(dt=1e-2, t_final=0.2, integrator="midpoint",
-                     solver_tol=1e-14, sample_every=4)
-    traj = flow(tensor_sep, c0, cfg)
-    runs = []
-    real = dynamics.flow
-
-    def recording(t, c, f):
-        runs.append((t.cutoff, real(t, c, f)))
-        return runs[-1][1]
-
-    monkeypatch.setattr(dynamics, "flow", recording)
-    rows = truncation_comparison(tensor_sep, 3, traj, cfg, -0.6)
-    (cutoff, low), = runs
-    # the low-cutoff run records only its start and its end
-    assert cutoff == 3 and len(low.times) == len(low.states) == 2
-    end_lo = real(tensor_sep.slice(3), c0, cfg).states[-1]
-    assert np.array_equal(low.states[-1], end_lo)
-    assert rows[0]["abs_diff"] == float(
-        np.abs(traj.states[-1][0] - end_lo[0]))
-    batch = flow(tensor_sep, sample_state(tensor_sep, seed=14, size=2), cfg)
-    with pytest.raises(ValueError, match="single state"):
-        truncation_comparison(tensor_sep, 3, batch, cfg, -0.6)
 
 
 def test_gauge_equivariance(tensor_sep):

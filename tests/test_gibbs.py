@@ -239,20 +239,23 @@ def test_rank_normalization_memory_is_bounded():
     assert peaks["split_rhat"] < 7.0 and peaks["bulk_ess"] < 7.0, peaks
 
 
-def test_adapt_beta_pools_rows_and_handles_no_blocks(tensor_n3, caplog):
+def test_adapt_beta_pools_rows_and_handles_no_blocks(tensor_n3, monkeypatch,
+                                                     caplog):
     gen = rng_mod.derive_rng(1, "test.adapt")
     states = rng_mod.standard_complex(gen, (32, 4)) / tensor_n3.lam
     energies = interaction_energy(tensor_n3, states)
     before = states.copy()
+    monkeypatch.setattr(gibbs, "MAX_ADAPT_BLOCKS", 0)
     with caplog.at_level(logging.WARNING, logger="zdg.gibbs"):
-        beta, blocks = _adapt_beta(tensor_n3, states, energies, gen, 0.5,
-                                   100, 0)
+        beta, blocks = _adapt_beta(tensor_n3, states, energies, gen)
     assert beta == 0.5
     assert blocks == []
     assert np.array_equal(states, before)
     assert "did not settle" in caplog.text
     # the block rate is a fraction of all rows, so it can settle
-    beta, blocks = _adapt_beta(tensor_n3, states, energies, gen, 0.5, 20, 40)
+    monkeypatch.setattr(gibbs, "MAX_ADAPT_BLOCKS", 40)
+    monkeypatch.setattr(gibbs, "ADAPT_BLOCK", 20)
+    beta, blocks = _adapt_beta(tensor_n3, states, energies, gen)
     assert 0.3 <= blocks[-1][1] <= 0.5
     assert 1e-3 <= beta < 1.0
     # each block ran at the beta before it, scaled by 0.7 or 1.3 after it
@@ -273,14 +276,15 @@ def test_adapt_beta_stops_once_beta_is_pinned(tensor_n3, monkeypatch,
     monkeypatch.setattr(gibbs, "_advance",
                         lambda t, s, e, b, g, sweeps:
                         int(accepted * sweeps * s.shape[0]))
+    monkeypatch.setattr(gibbs, "ADAPT_START", bound)
     with caplog.at_level(logging.WARNING, logger="zdg.gibbs"):
-        beta, blocks = _adapt_beta(tensor_n3, states, energies, gen, bound,
-                                   100, 40)
+        beta, blocks = _adapt_beta(tensor_n3, states, energies, gen)
     assert (beta, blocks) == (bound, [(bound, accepted)])
     assert f"beta pinned at {bound:.4g}" in caplog.text
     assert "did not settle" not in caplog.text
     # from 0.5 the rate walks beta to the bound, and one block there ends it
-    beta, blocks = _adapt_beta(tensor_n3, states, energies, gen, 0.5, 100, 40)
+    monkeypatch.setattr(gibbs, "ADAPT_START", 0.5)
+    beta, blocks = _adapt_beta(tensor_n3, states, energies, gen)
     assert beta == bound and blocks[-1] == (bound, accepted)
     assert [b for b, _ in blocks].count(bound) == 1
     assert len(blocks) == (4 if bound == 1.0 else 19)
@@ -299,14 +303,16 @@ def test_pcn_chain_row_rule_layout_and_seeds(tensor_n3, monkeypatch):
     # the next chain is an independent draw.  Chain-major storage puts the
     # 14 jumps at the chain borders.
     monkeypatch.setattr(gibbs, "_mean_iact", lambda series: 1.0)
-    ens = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01)
+    monkeypatch.setattr(gibbs, "_adapt_beta",
+                        lambda tensor, states, energies, gen: (0.01, []))
+    ens = pcn_chain(tensor_n3, 4000, seed=23)
     n_per = 267
     steps = np.linalg.norm(np.diff(ens.coeffs, axis=0), axis=1)
     jumps = np.sort(np.argsort(steps)[-14:])
     assert np.array_equal(jumps, n_per * np.arange(1, 15) - 1)
-    again = pcn_chain(tensor_n3, 4000, seed=23, beta=0.01)
+    again = pcn_chain(tensor_n3, 4000, seed=23)
     assert np.array_equal(ens.coeffs, again.coeffs)
-    other = pcn_chain(tensor_n3, 4000, seed=24, beta=0.01)
+    other = pcn_chain(tensor_n3, 4000, seed=24)
     assert not np.allclose(ens.coeffs, other.coeffs)
 
 

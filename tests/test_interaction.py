@@ -32,6 +32,9 @@ CONSTANT = ExperimentConfig(kernel_kind="constant", kernel_kappa=1.0)
 SEPARABLE = ExperimentConfig(kernel_kind="separable",
                              kernel_profile="one_plus_cos",
                              kernel_amplitude=0.8)
+GAUSS_BUMP = ExperimentConfig(kernel_kind="separable",
+                              kernel_profile="gauss_bump",
+                              kernel_amplitude=1.5)
 GRIDK = ExperimentConfig(kernel_kind="grid", kernel_name="gaussian_angle",
                          kernel_width=0.7)
 
@@ -58,8 +61,10 @@ def basis():
 
 @pytest.fixture(scope="module")
 def tensors(basis):
-    return {kernel.kernel_kind: assemble_interaction(basis, kernel)
-            for kernel in (CONSTANT, SEPARABLE, GRIDK)}
+    kernels = {"constant": CONSTANT, "separable": SEPARABLE, "grid": GRIDK,
+               "gauss_bump": GAUSS_BUMP}
+    return {kind: assemble_interaction(basis, kernel)
+            for kind, kernel in kernels.items()}
 
 
 def random_coeffs(n_modes, size=None, seed=0):
@@ -240,13 +245,13 @@ def matrix_kernel(grid):
 
 
 @pytest.mark.parametrize("name", ["constant1", "constant2", "separable",
-                                  "grid", "matrix"])
+                                  "gauss_bump", "grid", "matrix"])
 def test_kernel_node_values_is_one_value(basis, name):
     grid = basis.grid
     kernel = {"constant1": CONSTANT,
               "constant2": replace(CONSTANT, kernel_kappa=2.0),
-              "separable": SEPARABLE, "grid": GRIDK,
-              "matrix": matrix_kernel(grid)}[name]
+              "separable": SEPARABLE, "gauss_bump": GAUSS_BUMP,
+              "grid": GRIDK, "matrix": matrix_kernel(grid)}[name]
     wmat, v = kernel_node_values(kernel, grid)
     expected = listed_node_matrix(kernel, grid)
     assert wmat.shape == expected.shape
@@ -269,7 +274,8 @@ def test_energy_offsets_at_zero_state(tensors):
         == pytest.approx(2.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["constant", "separable", "grid"])
+@pytest.mark.parametrize("kind", ["constant", "separable", "gauss_bump",
+                                  "grid"])
 def test_coefficient_and_grid_energies_agree(basis, tensors, kind):
     t = tensors[kind]
     ctx = grid_energy_context(basis, t.wmat)
@@ -333,7 +339,7 @@ def assert_matches_oracle(tensor, c, rel=1e-12):
 
 
 # "matrix" is a node matrix handed over in a kernel file (kind "file")
-ORACLE_KINDS = ("constant", "separable", "grid", "matrix")
+ORACLE_KINDS = ("constant", "separable", "gauss_bump", "grid", "matrix")
 
 
 @lru_cache(maxsize=16)
@@ -344,7 +350,7 @@ def oracle_tensor(dim, cutoff, kind):
         kernel = file_kernel(basis.grid, 0.5 * (1.0 + np.outer(cos, cos)))
     else:
         kernel = {"constant": CONSTANT, "separable": SEPARABLE,
-                  "grid": GRIDK}[kind]
+                  "gauss_bump": GAUSS_BUMP, "grid": GRIDK}[kind]
     return assemble_interaction(basis, kernel)
 
 
@@ -392,7 +398,7 @@ def test_slice_and_replace_rebuild_cached_factors(kind):
 # --- the rank-one energy in the eigenbasis of M -----------------------------
 
 
-@pytest.mark.parametrize("kind", ["constant", "separable"])
+@pytest.mark.parametrize("kind", ["constant", "separable", "gauss_bump"])
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("cutoff", [8, 24])
 def test_rank_one_energy_is_the_pathwise_eigenbasis_identity(kind, dim,
@@ -412,11 +418,11 @@ def test_rank_one_energy_is_the_pathwise_eigenbasis_identity(kind, dim,
         <= 1e-12 * e_scale
     assert np.allclose(h, np.sum(mu) * mu + mu ** 2, rtol=1e-12,
                        atol=1e-12 * np.max(np.abs(h)))
-    if kind == "separable":  # the harder case: V is not diagonal
+    if kind != "constant":  # the harder case: V is not diagonal
         assert np.max(np.abs(t.factor - np.diag(np.diag(t.factor)))) > 1e-3
 
 
-@pytest.mark.parametrize("kind", ["constant", "separable"])
+@pytest.mark.parametrize("kind", ["constant", "separable", "gauss_bump"])
 def test_rank_one_energy_is_bitwise_the_same_on_strided_states(kind):
     # prefix views (the studies' layout) go to BLAS as they are; states
     # without a unit last stride are copied first
@@ -428,7 +434,7 @@ def test_rank_one_energy_is_bitwise_the_same_on_strided_states(kind):
                                   route(t, np.ascontiguousarray(view)))
 
 
-@pytest.mark.parametrize("kind", ["constant", "separable"])
+@pytest.mark.parametrize("kind", ["constant", "separable", "gauss_bump"])
 def test_rank_one_energy_refuses_counterterms_off_the_eigenbasis(kind):
     t = oracle_tensor(2, 8, kind)
     c = random_coeffs(t.n_modes, size=3, seed=1) / t.lam
@@ -697,7 +703,8 @@ def test_wick_monomial_is_centered(basis, tensors):
 # --- nonlinearity -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["constant", "separable", "grid"])
+@pytest.mark.parametrize("kind", ["constant", "separable", "gauss_bump",
+                                  "grid"])
 def test_nonlinearity_grid_route_agrees(basis, tensors, kind):
     t = tensors[kind]
     ctx = grid_energy_context(basis, t.wmat)
