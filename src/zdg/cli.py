@@ -504,7 +504,7 @@ def run_invariance(cfg, rep, args):
                    f"{cfg.invariance_burn_steps} burn sweeps",
             seconds=seconds)
     _add_solver_counters(rep, res["meta"])
-    threshold = cfg.invariance_alpha / res["n_tests"]
+    threshold = res["threshold"]
     if cfg.invariance_negative_control:
         energy_row = next(r for r in res["rows"]
                           if r["observable"] == "energy")

@@ -212,42 +212,34 @@ def _adapt_beta(tensor, states, energies, gen):
     return beta, blocks
 
 
-def split_rhat(series):
-    """Rank-normalized split-R-hat of a (chains, draws) series.
+def rank_diagnostics(series):
+    """(rhat, ess_bulk): the rank-normalized split-R-hat and the bulk
+    effective sample size of a (chains, draws) series, from one rank
+    normalization.
 
     Vehtari, Gelman, Simpson, Carpenter & Buerkner, Bayesian Analysis 2021:
     each chain is split into halves (the middle draw of an odd length is
-    dropped), all draws are replaced by the normal scores of their pooled
-    ranks, and R-hat is the larger of the value for the ranks (bulk) and for
-    the ranks of the distance to the median (tail).  Values near 1 mean the
-    halves agree; above about 1.01 they disagree.  A single chain is
-    compared with itself, half against half.  nan when a half has fewer
-    than two draws.  The median of the tail term is taken from np.partition
-    (the middle order statistic, or the mean of the two middle ones), as
-    np.median does on finite input, bitwise, without importing numpy.ma.
-    """
-    return _rank_diagnostics(series)[0]
+    dropped), and all draws are replaced by the normal scores of their
+    pooled ranks.
 
+    rhat is the larger of the R-hat for the ranks (bulk) and for the ranks
+    of the distance to the median (tail).  Values near 1 mean the halves
+    agree; above about 1.01 they disagree.  A single chain is compared with
+    itself, half against half.  The median of the tail term is taken from
+    np.partition (the middle order statistic, or the mean of the two middle
+    ones), as np.median does on finite input, bitwise, without importing
+    numpy.ma.
 
-def bulk_ess(series):
-    """Bulk effective sample size of a (chains, draws) series.
+    ess_bulk combines the autocorrelations of the split chains' scores,
+    rho_t = 1 - (W - mean autocovariance_t) / var+, truncated by Geyer's
+    initial monotone sequence (pair sums rho_2k + rho_2k+1 kept up to the
+    first negative one, then made non-increasing), tau = -1 + 2 sum of the
+    pairs, ESS = draws / tau.  tau is floored at 1 / log10(draws), as in
+    Stan.
 
-    Vehtari et al. 2021: the rank-normalized split chains of split_rhat,
-    combined autocorrelations rho_t = 1 - (W - mean autocovariance_t) / var+,
-    truncated by Geyer's initial monotone sequence (pair sums
-    rho_2k + rho_2k+1 kept up to the first negative one, then made
-    non-increasing), tau = -1 + 2 sum of the pairs, ESS = draws / tau.
-    tau is floored at 1 / log10(draws), as in Stan.  nan when a half has
-    fewer than two draws.
-    """
-    return _rank_diagnostics(series)[1]
-
-
-def _rank_diagnostics(series):
-    """(split_rhat, bulk_ess) of a series from one rank normalization.
-
-    The folding reuses the split chains' own copy, which is released before
-    the bulk scores go through the FFT of _bulk_ess.
+    Both are nan when a half has fewer than two draws.  The folding reuses
+    the split chains' own copy, which is released before the bulk scores go
+    through the FFT of _bulk_ess.
     """
     halves = _split_halves(series)
     if halves is None:
@@ -260,7 +252,7 @@ def _rank_diagnostics(series):
 
 
 def _bulk_ess(z):
-    """bulk_ess of the normal scores z of the split chains, centred in
+    """ess_bulk of the normal scores z of the split chains, centred in
     place.  The power spectrum takes the place of the transform, so the
     inverse transform gets the complex input it would otherwise copy."""
     m, n = z.shape
@@ -390,7 +382,7 @@ def pcn_chain(tensor, n_samples, seed):
         accepted += _advance(tensor, states, energies, beta, gen, thin)
         coeffs[:, i] = states
         series[:, i] = energies
-    rhat, ess_bulk = _rank_diagnostics(series)
+    rhat, ess_bulk = rank_diagnostics(series)
     return Chain(
         coeffs=coeffs.reshape(-1, tensor.n_modes)[:n_samples],
         energies=series.reshape(-1)[:n_samples],

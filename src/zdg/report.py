@@ -173,27 +173,31 @@ def _column(values, lone):
 
 def _blocks(stem, header, rows):
     """The CSV text of header and rows, one string per block of rows."""
-    width, lone = len(header), len(header) == 1
+    if not header:
+        raise ValueError(f"table {stem}: the header names no column")
+    width, lone, names = len(header), len(header) == 1, set(header)
     yield ",".join(_field(str(name), lone) for name in header) + "\r\n"
     rows = iter(rows)
-    while block := [[row.get(name) for name in header]
-                    if isinstance(row, dict) else row
+    while block := [row if not isinstance(row, dict)
+                    else [row[name] for name in header] if row.keys() == names
+                    else None
                     for row in itertools.islice(rows, _BLOCK_ROWS)]:
-        if set(map(len, block)) != {width}:
+        if any(row is None for row in block) \
+                or set(map(len, block)) != {width}:
             raise ValueError(f"table {stem}: every row needs {width} "
                              f"cells, one per header name")
         columns = [_column(col, lone) for col in zip(*block)]
-        lines = map(",".join, zip(*columns)) if columns else [""] * len(block)
-        yield "\r\n".join(lines) + "\r\n"
+        yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
 def write_table(out_dir, stem, header, rows):
     """Write one CSV sidecar (RFC-4180 quoting); returns its path.
 
-    rows may be any iterable of sequences or of mappings keyed by the
-    header names, and every row must have one cell per header name; floats
-    are written with full repr precision so reruns diff exactly.  Rows are
-    taken _BLOCK_ROWS at a time into a temporary file that replaces
+    header names at least one column.  rows may be any iterable of
+    sequences or of mappings whose keys are the header names, and every row
+    must have one cell per header name, else ValueError; floats are written
+    with full repr precision so reruns diff exactly.  Rows are taken
+    _BLOCK_ROWS at a time into a temporary file that replaces
     <stem>.csv only after the last one, so a refused row or a crash leaves
     no partial sidecar; a refusal or any other exception also removes the
     temporary file.

@@ -253,10 +253,11 @@ def test_invariance_positive_and_negative_controls(tensor_sep):
         invariance_t_final=1.5, invariance_dt=0.01, invariance_alpha=0.01,
         invariance_kmax=4, invariance_burn_steps=600, invariance_beta=0.35)
     good = invariance_test(tensor_sep, cfg)
-    assert good["all_pass"], [r for r in good["rows"] if not r["pass"]]
+    failed = [r for r in good["rows"] if not r["pass"]]
+    assert not failed, failed
+    assert good["threshold"] == 0.01 / len(good["rows"])
     bad = invariance_test(tensor_sep,
                           replace(cfg, invariance_negative_control=True))
-    assert not bad["all_pass"]
     energy_row = next(r for r in bad["rows"] if r["observable"] == "energy")
     assert not energy_row["pass"]
 

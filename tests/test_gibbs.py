@@ -9,11 +9,12 @@ import pytest
 
 from zdg import gibbs, interaction
 from zdg import rng as rng_mod
-from zdg.gibbs import (_adapt_beta, _normal_scores, bulk_ess,
-                       cauchy_decay_study, chain_mean, effective_sample_size,
+from zdg.gibbs import (_adapt_beta, _normal_scores, cauchy_decay_study,
+                       chain_mean, effective_sample_size,
                        importance_ensemble, integrated_autocorr,
                        logsumexp, lr_stability_study, nelson_scan,
-                       pcn_chain, pcn_parallel, split_rhat, weighted_mean)
+                       pcn_chain, pcn_parallel, rank_diagnostics,
+                       weighted_mean)
 from zdg.config import ExperimentConfig
 from zdg.interaction import (assemble_interaction, chaos_tail_series,
                              interaction_energy)
@@ -94,20 +95,20 @@ def test_pcn_chain_basics(tensor_n3):
 def test_split_rhat_iid_vs_disagreeing_chains():
     rng = np.random.default_rng(7)
     iid = rng.normal(size=(4, 1000))
-    assert split_rhat(iid) == pytest.approx(1.0, abs=0.01)
-    assert split_rhat(iid[:1]) == pytest.approx(1.0, abs=0.01)
+    assert rank_diagnostics(iid)[0] == pytest.approx(1.0, abs=0.01)
+    assert rank_diagnostics(iid[:1])[0] == pytest.approx(1.0, abs=0.01)
     shifted = iid + np.array([[0.0], [0.0], [0.0], [2.0]])
-    assert split_rhat(shifted) > 1.1
+    assert rank_diagnostics(shifted)[0] > 1.1
     # one chain that drifts: its halves disagree
-    assert split_rhat(iid[0] + np.linspace(0.0, 3.0, 1000)) > 1.1
+    assert rank_diagnostics(iid[0] + np.linspace(0.0, 3.0, 1000))[0] > 1.1
     # same location, different spread: only the folded (tail) part sees it
     scaled = iid * np.array([[1.0], [1.0], [1.0], [4.0]])
-    assert split_rhat(scaled) > 1.1
-    assert np.isnan(split_rhat(iid[:, :3]))
+    assert rank_diagnostics(scaled)[0] > 1.1
+    assert np.isnan(rank_diagnostics(iid[:, :3])[0])
 
 
 def _old_split_rhat(series):
-    """split_rhat with its np.median tail centre, verbatim."""
+    """rank_diagnostics' split-R-hat with its np.median tail centre."""
     halves = gibbs._split_halves(series)
     if halves is None:
         return float("nan")
@@ -126,7 +127,7 @@ def test_split_rhat_is_bitwise_the_np_median_version(draws):
                         axis=1)[:, :draws]
     drift = iid[0] + np.linspace(0.0, 3.0, draws)
     for series in (iid, iid[:1], iid[:3], repeats, drift):
-        assert split_rhat(series) == _old_split_rhat(series)
+        assert rank_diagnostics(series)[0] == _old_split_rhat(series)
     for x in (iid, repeats, iid[:, :7], iid[:1, :1]):  # odd and even sizes
         assert gibbs._median(x) == np.median(x)
 
@@ -139,7 +140,7 @@ def test_pcn_chain_and_split_rhat_leave_numpy_ma_unloaded():
         os.path.abspath(__file__))), "src")
     code = (
         "import sys\n"
-        "from zdg.gibbs import pcn_chain, split_rhat\n"
+        "from zdg.gibbs import pcn_chain, rank_diagnostics\n"
         "from zdg.config import ExperimentConfig\n"
         "from zdg.interaction import assemble_interaction\n"
         "from zdg.zonal import build_basis\n"
@@ -147,7 +148,7 @@ def test_pcn_chain_and_split_rhat_leave_numpy_ma_unloaded():
         "kernel_kind='constant', kernel_kappa=1.0))\n"
         "ens = pcn_chain(t, 600, seed=2)\n"
         "assert ens.rhat == ens.rhat\n"
-        "split_rhat(ens.coeffs.real.T)\n"
+        "rank_diagnostics(ens.coeffs.real.T)\n"
         "print('numpy.ma' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
@@ -158,7 +159,7 @@ def test_pcn_chain_and_split_rhat_leave_numpy_ma_unloaded():
 def test_bulk_ess_iid_and_ar1_chains():
     rng = np.random.default_rng(11)
     chains, n = 8, 1000
-    assert bulk_ess(rng.normal(size=(chains, n))) \
+    assert rank_diagnostics(rng.normal(size=(chains, n)))[1] \
         == pytest.approx(chains * n, rel=0.25)
     # AR(1) at rho = 0.5: tau = (1 + rho) / (1 - rho) = 3
     noise = rng.normal(size=(chains, n))
@@ -166,9 +167,9 @@ def test_bulk_ess_iid_and_ar1_chains():
     ar[:, 0] = noise[:, 0] / np.sqrt(0.75)
     for t in range(1, n):
         ar[:, t] = 0.5 * ar[:, t - 1] + noise[:, t]
-    assert bulk_ess(ar) == pytest.approx(chains * n / 3, rel=0.25)
-    assert bulk_ess(ar[:1]) == pytest.approx(n / 3, rel=0.25)
-    assert np.isnan(bulk_ess(ar[:, :3]))
+    assert rank_diagnostics(ar)[1] == pytest.approx(chains * n / 3, rel=0.25)
+    assert rank_diagnostics(ar[:1])[1] == pytest.approx(n / 3, rel=0.25)
+    assert np.isnan(rank_diagnostics(ar[:, :3])[1])
 
 
 def _blom_scores(x):
@@ -225,8 +226,7 @@ def test_rank_normalization_memory_is_bounded():
     halves = gibbs._split_halves(series)
     peaks = {}
     for name, fn, arg in (("scores", _normal_scores, halves),
-                          ("split_rhat", split_rhat, series),
-                          ("bulk_ess", bulk_ess, series)):
+                          ("rank_diagnostics", rank_diagnostics, series)):
         fn(arg)
         tracemalloc.start()
         try:
@@ -236,7 +236,7 @@ def test_rank_normalization_memory_is_bounded():
             tracemalloc.stop()
     # measured 3.76 and 5.76 series sizes; the bounds leave under 25%
     assert peaks["scores"] < 4.5, peaks
-    assert peaks["split_rhat"] < 7.0 and peaks["bulk_ess"] < 7.0, peaks
+    assert peaks["rank_diagnostics"] < 7.0, peaks
 
 
 def test_adapt_beta_pools_rows_and_handles_no_blocks(tensor_n3, monkeypatch,

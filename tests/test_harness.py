@@ -909,7 +909,7 @@ _MIXED_HEADER = ["name", "x", "k", "flag", "np", "gap"]
 _MIXED_ROWS = [
     ["a,b", 0.1, 3, True, np.float64(1.5), None],
     {"name": 'q"q', "x": float("nan"), "k": -7, "flag": False,
-     "np": np.int64(4)},
+     "np": np.int64(4), "gap": None},
     ("line\nbreak", -0.0, 0, np.bool_(True), np.float32(0.1), 2.5),
     ["", 1e300, 10 ** 20, None, np.float64("inf"), "text"],
     ["cr\rhere", 2.0, 5, False, 0.25, 1],
@@ -962,7 +962,6 @@ def test_streamed_blocks_are_bytewise_the_cell_writer(tmp_path, monkeypatch,
     assert _same_table(tmp_path, ["only"], lone)
     assert _same_table(tmp_path, ["x", "k"],
                        [[i / 7, i] for i in range(n)])
-    assert _same_table(tmp_path, [], [[]] * n)
     old = _old_write_table(str(tmp_path / "old"), "g", _MIXED_HEADER,
                            _plain_floats(mixed))
     new = write_table(str(tmp_path / "new"), "g", _MIXED_HEADER,
@@ -1060,8 +1059,19 @@ def test_write_table_writes_numpy_floats_as_plain_floats(tmp_path):
 
 
 def test_write_table_refuses_rows_that_miss_the_header_width(tmp_path):
-    with pytest.raises(ValueError, match="every row needs 2 cells"):
-        write_table(str(tmp_path), "t", ["a", "b"], [[1, 2], [3]])
+    """A sequence of another length, a mapping that lacks a header name or
+    holds one more key, and a header with no names are each refused,
+    naming the table and leaving no sidecar."""
+    needs_two = "table t: every row needs 2 cells, one per header name"
+    for header, rows, message in (
+            (["a", "b"], [[1, 2], [3]], needs_two),
+            (["a", "b"], [{"a": 1, "b": 2}, {"a": 3}], needs_two),
+            (["a", "b"], [{"a": 1, "b": 2, "c": 3}], needs_two),
+            ([], [], "table t: the header names no column")):
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match=message):
+            write_table(str(out), "t", header, rows)
+        assert os.listdir(out) == []
 
 
 def _small_run_config(tmp_path):
@@ -1306,3 +1316,22 @@ def test_run_path_imports_no_scipy(tmp_path):
             process = json.load(fh)["records"][-1]
         assert process["value"]["scipy_loaded"] is False
 
+
+def test_benchmark_tracer_wraps_the_layers_it_names(tmp_path):
+    """benchmark/trace_child.py wraps zdg attributes by name, and reads
+    write_table's rows as its 4th positional argument; a rename in the
+    package breaks the traced benchmark runs."""
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spans = tmp_path / "spans.npz"
+    run = subprocess.run(
+        [sys.executable, os.path.join(root, "benchmark", "trace_child.py"),
+         str(spans), "--", "clifford-check", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+    assert run.returncode == 0, run.stderr
+    with np.load(spans) as npz:
+        names = json.loads(str(npz["meta"]))["names"]
+        table = names.index("report.write_table")
+        assert npz["rows"][npz["name"] == table].tolist() == [12]
