@@ -319,8 +319,10 @@ def run_gibbs(cfg, rep, args):
     released before pcn_chain allocates the chain's, so the process holds
     one sampler's samples at a time, and a failing chain leaves the
     importance records and sidecar in place.  The pCN sidecar's energies
-    are those the chain's sweeps accepted.  The records keep the order
-    tensor, importance, pCN, moment cross-validation.
+    are those the chain's sweeps accepted.  The abs2_c* columns are
+    numpy's square np.abs(c_k) ** 2, the values the moment means average.
+    The records keep the order tensor, importance, pCN, moment
+    cross-validation.
     """
     import numpy as np
 
@@ -381,14 +383,12 @@ def run_gibbs(cfg, rep, args):
 
 
 class _SampleRows:
-    """Sidecar rows: sample index, the columns, then |c_k|^2 for k < n_abs2.
+    """Sidecar rows: sample index, the columns, then numpy's square
+    |c_k|^2 for k < n_abs2, the values the moment means average.
 
-    The rows are sized (len is the sample count) and lazy: each pass over
-    them converts the arrays to Python floats one block of
-    report._BLOCK_ROWS rows at a time, so write_table holds one block of
-    tuples, never the whole table, and a second pass gives the same rows.
-    The squares are Python floats raised by pow, bitwise the per-element
-    numpy scalars; the array form ** 2 multiplies and moves last bits.
+    Each pass builds the rows one block of report._BLOCK_ROWS at a time,
+    so write_table holds one block of tuples, never the whole table; len
+    is the sample count, which benchmark/trace_child.py reads.
     """
 
     def __init__(self, coeffs, n_abs2, *columns):
@@ -402,11 +402,10 @@ class _SampleRows:
         step = report._BLOCK_ROWS
         for lo in range(0, len(self), step):
             block = slice(lo, lo + step)
-            abs2 = [[x ** 2 for x in np.abs(self.coeffs[block, k]).tolist()]
-                    for k in range(self.n_abs2)]
+            abs2 = np.abs(self.coeffs[block, :self.n_abs2]) ** 2
             yield from zip(range(lo, len(self)),
                            *(col[block].tolist() for col in self.columns),
-                           *abs2)
+                           *abs2.T.tolist())
 
 
 def _load_initial_state(path, n_modes):
