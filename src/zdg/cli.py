@@ -278,10 +278,16 @@ def run_cauchy(cfg, rep, args):
         rep.add(f"series_le_bound_m{row['m']}", "pass" if ok else "fail",
                 value=row["exact"], tolerance=row["bound"],
                 detail="exact tail series vs its permutation bound")
-    rep.add_check("decay_slope", out["slope"], -cfg.nu / 2 + 0.1,
-                  detail=f"log-log slope of sqrt(series) in M; threshold "
-                         f"-nu/2 + 0.1 at nu = {cfg.nu}",
-                  seconds=seconds)
+    threshold = -cfg.nu / 2 + 0.1
+    if out["slope"] is None:
+        rep.add("decay_slope", "info", tolerance=threshold,
+                detail="the exact tail series vanishes at every M, so "
+                       "there is no slope", seconds=seconds)
+    else:
+        rep.add_check("decay_slope", out["slope"], threshold,
+                      detail=f"log-log slope of sqrt(series) in M; "
+                             f"threshold -nu/2 + 0.1 at nu = {cfg.nu}",
+                      seconds=seconds)
     write_table(cfg.out_dir, "cauchy_rows",
                 ["m", "n", "exact", "bound", "mc", "mc_se", "z",
                  "tail_q50", "tail_q90", "tail_q99"], out["rows"])
@@ -300,13 +306,15 @@ def run_nelson(cfg, rep, args):
                 detail="sampled minimum of the energy vs the deterministic "
                        "lower bound -3 e0_const")
     threshold = 3 * cfg.dim / cfg.q + 0.1
+    detail = ("log-log growth of the bound magnitude across cutoffs; "
+              "squared-harmonic growth of the counterterm trace keeps the "
+              "finite-window fit above the power-law threshold, so the "
+              "exponent is reported here and adjudicated in the acceptance "
+              "suite")
+    if out["growth_slope"] is None:
+        detail = "the bound vanishes at every cutoff, so there is no slope"
     rep.add("bound_growth_slope", "info", value=out["growth_slope"],
-            tolerance=threshold,
-            detail="log-log growth of the bound magnitude across cutoffs; "
-                   "squared-harmonic growth of the counterterm trace keeps "
-                   "the finite-window fit above the power-law threshold, "
-                   "so the exponent is reported here and adjudicated in "
-                   "the acceptance suite", seconds=seconds)
+            tolerance=threshold, detail=detail, seconds=seconds)
     write_table(cfg.out_dir, "nelson_rows",
                 ["n", "bound", "min", "respects_bound"], out["rows"])
 
@@ -355,14 +363,22 @@ def run_gibbs(cfg, rep, args):
     rep.add("pcn_energy_iact", "info", value=chain.iact,
             detail="integrated autocorrelation time of the energy series "
                    "after thinning, mean over chains")
-    rep.add("pcn_energy_rhat", "info", value=chain.rhat,
-            detail=f"rank-normalized split-R-hat of the energy over "
-                   f"{chain.n_chains} chain(s), each split in halves; "
-                   f"near 1 when the halves agree")
-    rep.add("pcn_energy_ess_bulk", "info", value=chain.ess_bulk,
-            detail="bulk effective sample size of the energy series after "
-                   "thinning, from the rank-normalized split chains of "
-                   "pcn_energy_rhat and Geyer's initial monotone sequence")
+    for name, value, detail in (
+            ("pcn_energy_rhat", chain.rhat,
+             f"rank-normalized split-R-hat of the energy over "
+             f"{chain.n_chains} chain(s), each split in halves; near 1 "
+             f"when the halves agree"),
+            ("pcn_energy_ess_bulk", chain.ess_bulk,
+             "bulk effective sample size of the energy series after "
+             "thinning, from the rank-normalized split chains of "
+             "pcn_energy_rhat and Geyer's initial monotone sequence")):
+        # validate keeps each half chain at two draws or more, so nan here
+        # means rank_diagnostics found the series constant
+        if np.isnan(value):
+            value, detail = None, (
+                f"the energy series is constant at {chain.energies[0]:.6g},"
+                f" so its split chains have no variance to compare")
+        rep.add(name, "info", value=value, detail=detail)
     rows = []
     for k, (m1, se1) in zip(ks, imp_means):
         m2, se2, tau = chain_mean(np.abs(chain.coeffs[:, k]) ** 2)

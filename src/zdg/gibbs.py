@@ -237,12 +237,13 @@ def rank_diagnostics(series):
     pairs, ESS = draws / tau.  tau is floored at 1 / log10(draws), as in
     Stan.
 
-    Both are nan when a half has fewer than two draws.  The folding reuses
+    Both are nan when a half has fewer than two draws, and when the series
+    is constant, so its split chains have no variance.  The folding reuses
     the split chains' own copy, which is released before the bulk scores go
     through the FFT of _bulk_ess.
     """
     halves = _split_halves(series)
-    if halves is None:
+    if halves is None or halves.min() == halves.max():
         return float("nan"), float("nan")
     z = _normal_scores(halves)
     halves -= _median(halves)
@@ -419,6 +420,23 @@ def chain_mean(values):
     return mean, se, tau
 
 
+def _ladder(tensor, rungs):
+    """{cutoff: tensor.slice(cutoff)} over the sorted distinct rungs, or a
+    ValueError naming both cutoffs when the top one is above the tensor's."""
+    rungs = sorted({int(n) for n in rungs})
+    if rungs[-1] > tensor.cutoff:
+        raise ValueError(f"study ladder tops out at cutoff {rungs[-1]}, "
+                         f"above the tensor's cutoff {tensor.cutoff}")
+    return {n: tensor.slice(n) for n in rungs}
+
+
+def _loglog_slope(x, y):
+    """Fitted slope of log y against log x; None when every y is 0."""
+    if not any(y):
+        return None
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 def _study_blocks(tensor, slices, n_samples, seed, label):
     """Energies of n_samples common prior draws on every slice, by block.
 
@@ -435,15 +453,6 @@ def _study_blocks(tensor, slices, n_samples, seed, label):
         yield slice(lo, lo + block), {
             n: interaction_energy(t, c[:, :t.n_modes])
             for n, t in slices.items()}
-
-
-def _study_energies(tensor, slices, n_samples, seed, label):
-    """{cutoff: energies} of n_samples common prior draws on every slice."""
-    energies = {n: np.empty(n_samples) for n in slices}
-    for rows, block in _study_blocks(tensor, slices, n_samples, seed, label):
-        for n, e in block.items():
-            energies[n][rows] = e
-    return energies
 
 
 def _quantiles(x, qs):
@@ -476,11 +485,8 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed):
     Rows also carry empirical quantiles of |G_{2M} - G_M| (tail curves
     reported, not asserted).
     """
-    m_list = sorted(int(m) for m in m_list)
-    if 2 * m_list[-1] > tensor.cutoff:
-        raise ValueError("tensor cutoff must reach 2 * max(m_list)")
-    slices = {n: tensor.slice(n)
-              for n in sorted(set(m_list) | {2 * m for m in m_list})}
+    m_list = sorted({int(m) for m in m_list})
+    slices = _ladder(tensor, m_list + [2 * m for m in m_list])
     adiffs = {m: np.empty(n_samples) for m in m_list}
     for span, block in _study_blocks(tensor, slices, n_samples, seed,
                                      "cauchy.mc"):
@@ -502,10 +508,8 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed):
             "tail_q50": float(q50), "tail_q90": float(q90),
             "tail_q99": float(q99),
         })
-    logm = np.log([r["m"] for r in rows])
-    logd = np.log([np.sqrt(r["exact"]) for r in rows])
-    slope = float(np.polyfit(logm, logd, 1)[0])
-    return {"rows": rows, "slope": slope}
+    return {"rows": rows, "slope": _loglog_slope(
+        m_list, [np.sqrt(r["exact"]) for r in rows])}
 
 
 def nelson_scan(tensor, n_list, n_samples, seed):
@@ -516,51 +520,46 @@ def nelson_scan(tensor, n_list, n_samples, seed):
     across N are comparable.  Also fits the log-log growth slope of the
     bound magnitude against N.
     """
-    n_list = sorted(int(n) for n in n_list)
-    if n_list[-1] > tensor.cutoff:
-        raise ValueError("tensor cutoff must reach max(n_list)")
-    slices = {n: tensor.slice(n) for n in n_list}
-    lows = dict.fromkeys(n_list, np.inf)
+    slices = _ladder(tensor, n_list)
+    lows = dict.fromkeys(slices, np.inf)
     for _, block in _study_blocks(tensor, slices, n_samples, seed,
                                   "nelson.scan"):
         for n, e in block.items():
             lows[n] = np.minimum(lows[n], e.min())
     rows = []
-    for n in n_list:
-        bound, low = -3.0 * slices[n].e0_const, float(lows[n])
+    for n, t in slices.items():
+        bound, low = -3.0 * t.e0_const, float(lows[n])
         rows.append({"n": n, "bound": bound, "min": low,
                      "respects_bound": bool(low >= bound - 1e-9 * abs(bound))})
-    logn = np.log(n_list)
-    logb = np.log([abs(row["bound"]) for row in rows])
-    slope = float(np.polyfit(logn, logb, 1)[0])
-    return {"rows": rows, "growth_slope": slope}
+    return {"rows": rows, "growth_slope": _loglog_slope(
+        list(slices), [abs(row["bound"]) for row in rows])}
 
 
 def lr_stability_study(tensor, n_list, r_list, n_samples, seed):
     """L^r norms of the Gibbs weight across cutoffs, common random numbers.
 
     log ||R_N||_r = (logsumexp(-r E_N) - log n) / r per cutoff, all on one
-    stream (`_study_energies`).  For each r the study reports the
+    stream (`_study_blocks`).  For each r the study reports the
     per-cutoff values, their consecutive increments, and a fitted log-log
     slope.  Uniform integrability shows up as saturation: the increments
     shrink as the cutoff doubles, so the norms approach a finite limit.
     Divergence would show up as increments that grow (or fail to decay)
     with the cutoff.
     """
-    n_list = sorted(int(n) for n in n_list)
-    if n_list[-1] > tensor.cutoff:
-        raise ValueError("tensor cutoff must reach max(n_list)")
-    slices = {n: tensor.slice(n) for n in n_list}
-    energies = _study_energies(tensor, slices, n_samples, seed,
-                               "lr.stability")
+    slices = _ladder(tensor, n_list)
+    energies = {n: np.empty(n_samples) for n in slices}
+    for span, block in _study_blocks(tensor, slices, n_samples, seed,
+                                     "lr.stability"):
+        for n, e in block.items():
+            energies[n][span] = e
     out = {}
     for r in r_list:
         rows = []
-        for n in n_list:
+        for n in slices:
             lognorm = float((logsumexp(-r * energies[n])
                              - np.log(n_samples)) / r)
             rows.append({"n": n, "log_norm": lognorm})
-        slope = float(np.polyfit(np.log(n_list),
+        slope = float(np.polyfit(np.log(list(slices)),
                                  [row["log_norm"] for row in rows], 1)[0])
         increments = [{
             "from_n": rows[i]["n"], "to_n": rows[i + 1]["n"],

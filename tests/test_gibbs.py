@@ -172,6 +172,14 @@ def test_bulk_ess_iid_and_ar1_chains():
     assert np.isnan(rank_diagnostics(ar[:, :3])[1])
 
 
+@pytest.mark.filterwarnings("error")
+def test_rank_diagnostics_of_a_constant_series_are_nan():
+    # a zero kernel's pCN chain accepts every proposal at energy 0
+    for series in (np.zeros((4, 100)), np.full((1, 7), 2.5)):
+        rhat, ess = rank_diagnostics(series)
+        assert np.isnan(rhat) and np.isnan(ess)
+
+
 def _blom_scores(x):
     from scipy.stats import rankdata
     points = (rankdata(x, axis=None) - 0.375) / (x.size + 0.25)
@@ -474,8 +482,31 @@ def test_cauchy_decay_study(tensor_n16):
     for row in out["rows"]:
         assert row["exact"] <= row["bound"] + 1e-12
         assert abs(row["z"]) < 3.5
-    with pytest.raises(ValueError):
-        cauchy_decay_study(tensor_n16, [16], 10, seed=1)
+
+
+@pytest.mark.parametrize("study", [
+    lambda t, top: cauchy_decay_study(t, [top // 4, top // 2], 10, seed=1),
+    lambda t, top: nelson_scan(t, [top, 4], 10, seed=1),
+    lambda t, top: lr_stability_study(t, [4, top], [2], 10, seed=1),
+], ids=["cauchy", "nelson", "lr"])
+def test_study_ladder_tops_out_at_the_tensor_cutoff(tensor_n16, study):
+    study(tensor_n16, 16)
+    with pytest.raises(ValueError, match="cutoff 16, above the tensor's "
+                                         "cutoff 15$"):
+        study(tensor_n16.slice(15), 16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_kernel_studies_have_no_slope():
+    t = assemble_interaction(build_basis(2, 16, grid_size=50),
+                             ExperimentConfig(kernel_kind="constant",
+                                              kernel_kappa=0.0))
+    cauchy = cauchy_decay_study(t, [2, 4, 8], 200, seed=1)
+    nelson = nelson_scan(t, [4, 8, 16], 200, seed=1)
+    for out, slope in ((cauchy, "slope"), (nelson, "growth_slope")):
+        assert out[slope] is None
+        for row in out["rows"]:
+            assert all(np.isfinite(v) for v in row.values())
 
 
 def test_cauchy_decay_study_evaluates_each_cutoff_once(tensor_n16):

@@ -1,15 +1,16 @@
-"""Golden outputs: `full-suite --seed 5` on configs/default.cfg, one thread.
+"""Golden outputs: `full-suite --seed 5` on the shipped configs, one thread.
 
-tests/golden/full_suite_default_seed5.json holds the SHA-256 of every CSV
-sidecar, each record's name, status, value and tolerance (not its seconds,
-and not the `process` record), and the environment the file was made in.
-The test reruns the suite and compares all of it exactly.  On a machine
+tests/golden/full_suite_<config>_seed5.json, one per config in CONFIGS,
+holds the SHA-256 of every CSV sidecar, each record's name, status, value
+and tolerance (not its seconds, and not the `process` record), and the
+environment the file was made in.  The test reruns the suite on each
+config and compares all of it exactly.  On a machine
 whose numpy, BLAS or CPU differ it warns, naming the fields that differ,
 compares only the sidecar names, each record's name and status exactly, and
 its tolerance and value closely (elementwise in lists and mappings; RTOL
 and NOISE below say how closely).
 
-After a change that is meant to move these outputs, regenerate the file
+After a change that is meant to move these outputs, regenerate the files
 from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,7 +28,13 @@ import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GOLDEN = os.path.join(ROOT, "tests", "golden", "full_suite_default_seed5.json")
+# default.cfg and the separable, file-kernel and dim-4 paths of the studies
+CONFIGS = ("default", "coupling_invariance", "file_kernel", "dim4")
+
+
+def golden_path(config):
+    return os.path.join(ROOT, "tests", "golden",
+                        f"full_suite_{config}_seed5.json")
 
 
 def environment():
@@ -43,12 +50,13 @@ def environment():
             "cpu": cpu}
 
 
-def manifest(out_dir):
-    """Run the suite into out_dir and return its golden manifest."""
+def manifest(out_dir, config):
+    """Run the suite on configs/<config>.cfg into out_dir and return its
+    golden manifest."""
     env = {**os.environ, "ZDG_THREADS": "1",
            "PYTHONPATH": os.path.join(ROOT, "src")}
     subprocess.run([sys.executable, "-m", "zdg.cli", "full-suite",
-                    "--config", os.path.join(ROOT, "configs", "default.cfg"),
+                    "--config", os.path.join(ROOT, "configs", f"{config}.cfg"),
                     "--seed", "5", "--out", out_dir],
                    check=True, capture_output=True, env=env)
     sidecars = {}
@@ -125,14 +133,23 @@ def check(got, golden):
 
 
 @pytest.fixture(scope="module")
-def suite(tmp_path_factory):
-    """One suite run, shared by the tests of this module."""
-    return manifest(str(tmp_path_factory.mktemp("golden") / "out"))
+def suites(tmp_path_factory):
+    """suites(config): the suite's manifest on config, run once for all the
+    tests of this module."""
+    runs = {}
+
+    def run(config):
+        if config not in runs:
+            out = tmp_path_factory.mktemp(config) / "out"
+            runs[config] = manifest(str(out), config)
+        return runs[config]
+    return run
 
 
-def test_full_suite_default_seed5_matches_the_golden_file(suite):
-    with open(GOLDEN) as fh:
-        check(suite, json.load(fh))
+@pytest.mark.parametrize("config", CONFIGS)
+def test_full_suite_seed5_matches_the_golden_file(suites, config):
+    with open(golden_path(config)) as fh:
+        check(suites(config), json.load(fh))
 
 
 def _moved(manifest, kind, scale, key="value"):
@@ -161,10 +178,11 @@ def _moved(manifest, kind, scale, key="value"):
 
 
 def test_golden_check_on_another_machine_compares_records_closely(
-        suite, monkeypatch):
-    """The suite run as its own reference: exact on the reference's
+        suites, monkeypatch):
+    """The default suite run as its own reference: exact on the reference's
     environment; on another, sidecar names only, values to RTOL, and
     rounding-noise values to NOISE times their tolerance."""
+    suite = suites("default")
     module = sys.modules[__name__]
     monkeypatch.setattr(module, "environment", lambda: suite["env"])
     check(suite, suite)
@@ -198,11 +216,13 @@ def test_golden_check_on_another_machine_compares_records_closely(
 
 if __name__ == "__main__":
     import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = manifest(os.path.join(tmp, "out"))
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
-        json.dump(doc, fh, indent=1, allow_nan=False)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}: {len(doc['sidecars'])} sidecars, "
-          f"{len(doc['records'])} records")
+    for config in CONFIGS:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = manifest(os.path.join(tmp, "out"), config)
+        path = golden_path(config)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, allow_nan=False)
+            fh.write("\n")
+        print(f"wrote {path}: {len(doc['sidecars'])} sidecars, "
+              f"{len(doc['records'])} records")

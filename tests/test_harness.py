@@ -717,6 +717,30 @@ def test_smallest_gibbs_ensemble_has_finite_rank_diagnostics(tmp_path):
         assert np.isfinite(records[name]["value"])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kernel", [
+    "kernel.kappa = 0\n",
+    "kernel.kind = separable\nkernel.amplitude = 0\n"],
+    ids=["kappa0", "amplitude0"])
+def test_zero_kernel_slopes_and_rank_diagnostics_read_info(tmp_path,
+                                                          kernel):
+    out = str(tmp_path / "r")
+    cfg = _write(tmp_path / "zero.cfg", kernel + "cauchy.ensemble_size = "
+                 "200\nnelson.ensemble_size = 200\n")
+    records = {}
+    for cmd in ("cauchy-study", "nelson-scan", "gibbs-sample"):
+        assert main([cmd, "--config", cfg, "--out", out, "--seed", "5"]) == 0
+        with open(os.path.join(out, cmd.replace("-", "_") + ".json")) as fh:
+            records.update((r["name"], r) for r in json.load(fh)["records"])
+    for name, says in (("decay_slope", "vanishes at every M"),
+                       ("bound_growth_slope", "vanishes at every cutoff"),
+                       ("pcn_energy_rhat", "energy series is constant"),
+                       ("pcn_energy_ess_bulk", "energy series is constant")):
+        assert records[name]["status"] == "info"
+        assert records[name]["value"] is None
+        assert says in records[name]["detail"]
+
+
 def test_cli_env_thread_error_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZDG_THREADS", "much")
     assert main(["clifford-check", "--out", str(tmp_path)]) == 2
