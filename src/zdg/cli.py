@@ -360,10 +360,10 @@ def run_gibbs(cfg, rep, args):
     rep.add("pcn_warmup", "info", value=chain.warmup,
             detail="[beta, acceptance rate] of each warm-up block, pooled "
                    "over the chains")
-    rep.add("pcn_energy_iact", "info", value=chain.iact,
-            detail="integrated autocorrelation time of the energy series "
-                   "after thinning, mean over chains")
     for name, value, detail in (
+            ("pcn_energy_iact", chain.iact,
+             "integrated autocorrelation time of the energy series after "
+             "thinning, mean over chains"),
             ("pcn_energy_rhat", chain.rhat,
              f"rank-normalized split-R-hat of the energy over "
              f"{chain.n_chains} chain(s), each split in halves; near 1 "
@@ -372,9 +372,9 @@ def run_gibbs(cfg, rep, args):
              "bulk effective sample size of the energy series after "
              "thinning, from the rank-normalized split chains of "
              "pcn_energy_rhat and Geyer's initial monotone sequence")):
-        # validate keeps each half chain at two draws or more, so nan here
-        # means rank_diagnostics found the series constant
-        if np.isnan(value):
+        # validate keeps each half chain at two draws or more, so a nan
+        # R-hat means rank_diagnostics found the series constant
+        if np.isnan(chain.rhat):
             value, detail = None, (
                 f"the energy series is constant at {chain.energies[0]:.6g},"
                 f" so its split chains have no variance to compare")
@@ -459,8 +459,8 @@ def _add_solver_counters(rep, meta):
 def run_flow(cfg, rep, args):
     import numpy as np
 
-    from .dynamics import (FlowConfig, flow, flow_energy, mass,
-                           reversal_error, vector_field_check)
+    from .dynamics import (flow, flow_energy, mass, reversal_error,
+                           vector_field_check)
     from .rng import derive_rng, prior_coeffs
     tensor = _tensor_built(cfg, rep, None, "the config")
     init = getattr(args, "init", "seed")
@@ -474,11 +474,11 @@ def run_flow(cfg, rep, args):
         rep.add("initial_state", "info", value=init,
                 detail=f"{c0.size} modes loaded from file")
     n_steps = step_count(cfg.flow_t_final, cfg.flow_dt)
-    fcfg = FlowConfig(dt=cfg.flow_dt, t_final=cfg.flow_t_final,
-                      integrator=cfg.flow_integrator,
-                      solver_tol=cfg.flow_solver_tol,
-                      sample_every=max(1, n_steps // 200))
-    traj, seconds = _timed(flow, tensor, c0, fcfg)
+    traj, seconds = _timed(flow, tensor, c0, dt=cfg.flow_dt,
+                           t_final=cfg.flow_t_final,
+                           integrator=cfg.flow_integrator,
+                           solver_tol=cfg.flow_solver_tol,
+                           sample_every=max(1, n_steps // 200))
     energies = np.array([flow_energy(tensor, s[:tensor.n_modes])
                          for s in traj.states])
     masses = np.array([mass(s) for s in traj.states])
@@ -492,7 +492,7 @@ def run_flow(cfg, rep, args):
             detail="conserved quantity of the integrated flow; midpoint "
                    "defect is bounded O(dt^2) at coupling kernels")
     _add_solver_counters(rep, traj.meta)
-    rev, sec_rev = _timed(reversal_error, tensor, traj, fcfg)
+    rev, sec_rev = _timed(reversal_error, tensor, traj)
     rep.add_check("reversal_error", rev, 1e-6,
                   detail="forward then conjugate-backward round trip",
                   seconds=sec_rev)

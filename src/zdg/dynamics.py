@@ -51,20 +51,11 @@ MOMENT_Z_MAX = 4.0  # the invariance test's bound on paired moment z-scores
 
 
 @dataclass
-class FlowConfig:
-    dt: float
-    t_final: float
-    integrator: str
-    solver_tol: float
-    sample_every: int  # 0: record initial and final states only
-
-
-@dataclass
 class Trajectory:
     """Recorded states of one integration, states[i] at times[i]."""
     times: np.ndarray
     states: np.ndarray        # (n_records, ..., n_modes)
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)  # settings, steps, counters
 
 
 def mass(coeffs):
@@ -91,7 +82,7 @@ def _extrapolated(history):
     return history[0]
 
 
-def _midpoint_step(tensor, c, dt, cfg, counters, history=None, depth=0):
+def _midpoint_step(tensor, c, dt, tol, counters, history=None, depth=0):
     """One implicit midpoint step; splits the step on solver failure.
 
     The iteration starts from the extrapolated midpoint (c + dt/2 N~)/denom
@@ -116,21 +107,21 @@ def _midpoint_step(tensor, c, dt, cfg, counters, history=None, depth=0):
         new_mid = rhs / denom
         delta = float(np.max(np.abs(new_mid - mid)))
         mid = new_mid
-        if delta <= cfg.solver_tol * scale:
+        if delta <= tol * scale:
             if history is not None:
                 history.insert(0, nl)
                 del history[3:]
             return 2.0 * mid - c
     if depth >= MAX_HALVINGS:
         raise RuntimeError(
-            f"midpoint solver failed to reach {cfg.solver_tol} after "
+            f"midpoint solver failed to reach {tol} after "
             f"{MAX_HALVINGS} step halvings (dt={dt})")
     log.debug("midpoint solver stalled at dt=%g; halving", dt)
     counters["halvings"] += 1
     if history is not None:
         history.clear()
-    half = _midpoint_step(tensor, c, dt / 2, cfg, counters, depth=depth + 1)
-    return _midpoint_step(tensor, half, dt / 2, cfg, counters,
+    half = _midpoint_step(tensor, c, dt / 2, tol, counters, depth=depth + 1)
+    return _midpoint_step(tensor, half, dt / 2, tol, counters,
                           depth=depth + 1)
 
 
@@ -146,8 +137,12 @@ def _lawson_rk4_step(tensor, c, dt):
     return ph_full * (c + dt / 6.0 * (l1 + 2 * l2 + 2 * l3 + l4))
 
 
-def flow(tensor, coeffs0, cfg):
+def flow(tensor, coeffs0, *, dt, t_final, integrator, solver_tol,
+         sample_every=0):
     """Integrate the truncated flow from coeffs0 (single state or batch).
+
+    Records every sample_every-th step (0: the first and last states) and,
+    in the Trajectory's meta, dt, t_final, integrator and solver_tol.
 
     States may carry more modes than the tensor: the extra high modes ride
     along on the exact free rotation exp(-i omega t) with no step error,
@@ -159,30 +154,29 @@ def flow(tensor, coeffs0, cfg):
         raise ValueError("state has fewer modes than the tensor")
     n_extra = c0.shape[-1] - n_low
     low = c0[..., :n_low].copy()
-    if cfg.dt <= 0 or cfg.t_final < 0:
+    if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
-    n_steps = step_count(cfg.t_final, cfg.dt)
+    n_steps = step_count(t_final, dt)
     if n_steps is None:
         raise ValueError("t_final must be an integer number of dt steps")
     counters = {"f_evals": 0, "halvings": 0}
-    if cfg.integrator == "midpoint":
+    if integrator == "midpoint":
         history = []
-        step = lambda state, dt: _midpoint_step(tensor, state, dt, cfg,
-                                                counters, history)
-    elif cfg.integrator == "lawson-rk4":
+        step = lambda state: _midpoint_step(tensor, state, dt, solver_tol,
+                                            counters, history)
+    elif integrator == "lawson-rk4":
         counters["f_evals"] = 4 * n_steps
-        step = lambda state, dt: _lawson_rk4_step(tensor, state, dt)
+        step = lambda state: _lawson_rk4_step(tensor, state, dt)
     else:
-        raise ValueError(f"unknown integrator {cfg.integrator!r}")
+        raise ValueError(f"unknown integrator {integrator!r}")
 
-    record_every = max(1, cfg.sample_every if cfg.sample_every > 0
-                       else n_steps)
+    record_every = max(1, sample_every if sample_every > 0 else n_steps)
     times = [0.0]
     records = [low.copy()]
     for k in range(1, n_steps + 1):
-        low = step(low, cfg.dt)
+        low = step(low)
         if k % record_every == 0 or k == n_steps:
-            times.append(k * cfg.dt)
+            times.append(k * dt)
             records.append(low.copy())
     times = np.array(times)
     states = np.stack(records, axis=0)
@@ -192,23 +186,27 @@ def flow(tensor, coeffs0, cfg):
         hi = c0[..., n_low:] * np.exp(-1j * t_rec * omega_hi)
         states = np.concatenate([states, hi], axis=-1)
     return Trajectory(times=times, states=states,
-                      meta={"integrator": cfg.integrator, "dt": cfg.dt,
+                      meta={"integrator": integrator, "dt": dt,
+                            "t_final": t_final, "solver_tol": solver_tol,
                             "n_steps": n_steps, **counters})
 
 
-def reversal_error(tensor, traj, cfg):
+def reversal_error(tensor, traj):
     """Max deviation from the start after a conjugate-backward run.
 
-    traj is flow(tensor, c0, cfg); only the backward leg is integrated
-    here.  It uses the conjugation symmetry of the flow: conj(c) evolved
-    forward by t equals the conjugate of c evolved backward by t (the
-    tensor is real), and both integrators keep it step by step.  The
-    midpoint rule is also time-symmetric, so its round trip returns to
-    the start to solver tolerance (its iteration stops short of the exact
-    implicit step); Lawson RK4 is not, and returns only within its own
-    global error.
+    traj is a flow trajectory; only the backward leg is integrated here,
+    with the settings traj.meta records.  It uses the conjugation symmetry
+    of the flow: conj(c) evolved forward by t equals the conjugate of c
+    evolved backward by t (the tensor is real), and both integrators keep
+    it step by step.  The midpoint rule is also time-symmetric, so its
+    round trip returns to the start to solver tolerance (its iteration
+    stops short of the exact implicit step); Lawson RK4 is not, and
+    returns only within its own global error.
     """
-    back = flow(tensor, np.conj(traj.states[-1]), replace(cfg, sample_every=0))
+    meta = traj.meta
+    back = flow(tensor, np.conj(traj.states[-1]), dt=meta["dt"],
+                t_final=meta["t_final"], integrator=meta["integrator"],
+                solver_tol=meta["solver_tol"])
     final = np.conj(back.states[-1])
     return float(np.max(np.abs(final - traj.states[0])))
 
@@ -334,10 +332,10 @@ def invariance_test(tensor, cfg):
     if cfg.invariance_negative_control:
         flow_tensor = replace(tensor, s_mat=np.zeros_like(tensor.s_mat),
                               t_mat=np.zeros_like(tensor.t_mat))
-    fcfg = FlowConfig(dt=cfg.invariance_dt, t_final=cfg.invariance_t_final,
-                      integrator=cfg.flow_integrator,
-                      solver_tol=cfg.flow_solver_tol, sample_every=0)
-    traj = flow(flow_tensor, members.coeffs, fcfg)
+    traj = flow(flow_tensor, members.coeffs, dt=cfg.invariance_dt,
+                t_final=cfg.invariance_t_final,
+                integrator=cfg.flow_integrator,
+                solver_tol=cfg.flow_solver_tol)
     before = ensemble_observables(tensor, traj.states[0], cfg.invariance_kmax,
                                   cfg.hs_s)
     after = ensemble_observables(tensor, traj.states[-1],

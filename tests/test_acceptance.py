@@ -15,8 +15,8 @@ import pytest
 
 from zdg.clifford import anticommutator_check, build_gamma_family
 from zdg.config import ExperimentConfig
-from zdg.dynamics import (FlowConfig, flow, flow_energy, invariance_test,
-                          mass, reversal_error, vector_field_check)
+from zdg.dynamics import (flow, flow_energy, invariance_test, mass,
+                          reversal_error, vector_field_check)
 from zdg.gibbs import (cauchy_decay_study, chain_mean, importance_ensemble,
                        lr_stability_study, nelson_scan, pcn_chain,
                        weighted_mean)
@@ -187,21 +187,19 @@ def test_flow_linear_phases_conservation_and_reversal(basis16, t16_const):
                                        ExperimentConfig(kernel_kind="constant",
                                                         kernel_kappa=0.0))
     c0 = prior_coeffs(derive_rng(SEED, "acc.flow"), (17,), basis16.lam)
-    cfg_lin = FlowConfig(dt=1e-3, t_final=10.0, integrator="lawson-rk4",
-                         solver_tol=1e-13, sample_every=10000)
-    traj = flow(zero_kernel, c0, cfg_lin)
+    traj = flow(zero_kernel, c0, dt=1e-3, t_final=10.0,
+                integrator="lawson-rk4", solver_tol=1e-13, sample_every=10000)
     exact = c0 * np.exp(-1j * basis16.omega * 10.0)
     assert np.max(np.abs(traj.states[-1] - exact)) <= 1e-8
 
-    cfg_mid = FlowConfig(dt=1e-3, t_final=10.0, integrator="midpoint",
-                         solver_tol=1e-14, sample_every=100)
-    traj2 = flow(t16_const, c0, cfg_mid)
+    traj2 = flow(t16_const, c0, dt=1e-3, t_final=10.0, integrator="midpoint",
+                 solver_tol=1e-14, sample_every=100)
     masses = mass(traj2.states)
     energies = flow_energy(t16_const, traj2.states)
     m0, f0 = masses[0], energies[0]
     assert np.max(np.abs(masses - m0)) <= 1e-8 * abs(m0)
     assert np.max(np.abs(energies - f0)) <= 1e-8 * abs(f0)
-    assert reversal_error(t16_const, traj2, cfg_mid) <= 1e-6
+    assert reversal_error(t16_const, traj2) <= 1e-6
 
 
 def test_invariance_ks_suite_and_negative_control(t8_const):

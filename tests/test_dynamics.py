@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zdg.dynamics as dynamics
-from zdg.dynamics import (FlowConfig, ensemble_observables, flow, flow_energy,
+from zdg.dynamics import (ensemble_observables, flow, flow_energy,
                           invariance_test, mass, reversal_error,
                           vector_field_check)
 from zdg.config import ExperimentConfig
@@ -66,9 +66,9 @@ def test_vector_field_gradient_audit(tensor_sep, tensor_const, monkeypatch):
 
 def test_free_flow_exact_with_lawson(tensor_zero):
     c0 = sample_state(tensor_zero, seed=5)
-    cfg = FlowConfig(dt=1e-2, t_final=3.0, integrator="lawson-rk4",
-                     solver_tol=1e-13, sample_every=0)
-    traj = flow(tensor_zero, c0, cfg)
+    settings = dict(dt=1e-2, t_final=3.0, integrator="lawson-rk4",
+                    solver_tol=1e-13)
+    traj = flow(tensor_zero, c0, **settings)
     omega = tensor_zero.lam ** 2
     exact = c0 * np.exp(-1j * omega * 3.0)
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-12
@@ -82,9 +82,9 @@ def test_free_flow_midpoint_phase_error_matches_theory(tensor_zero):
     omega = float(tensor_zero.lam[-1] ** 2)
     h = 1e-2
     t_final = 2.0
-    cfg = FlowConfig(dt=h, t_final=t_final, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=0)
-    traj = flow(tensor_zero, c0, cfg)
+    settings = dict(dt=h, t_final=t_final, integrator="midpoint",
+                    solver_tol=1e-13)
+    traj = flow(tensor_zero, c0, **settings)
     exact = np.exp(-1j * omega * t_final)
     got = traj.states[-1][-1]
     predicted_defect = (omega * h) ** 3 / 12.0 * (t_final / h)
@@ -94,9 +94,9 @@ def test_free_flow_midpoint_phase_error_matches_theory(tensor_zero):
 
 def test_constant_kernel_conservation(tensor_const):
     c0 = sample_state(tensor_const, seed=7)
-    cfg = FlowConfig(dt=5e-3, t_final=2.0, integrator="midpoint",
-                     solver_tol=1e-14, sample_every=50)
-    traj = flow(tensor_const, c0, cfg)
+    settings = dict(dt=5e-3, t_final=2.0, integrator="midpoint",
+                    solver_tol=1e-14, sample_every=50)
+    traj = flow(tensor_const, c0, **settings)
     m0 = mass(c0)
     assert np.max(np.abs(mass(traj.states) - m0)) < 1e-11 * m0
     energies = flow_energy(tensor_const, traj.states)
@@ -113,9 +113,9 @@ def test_flow_energy_drift_second_order_at_coupling_kernel(tensor_sep):
     c0 = sample_state(tensor_sep, seed=9)
     drifts = {}
     for dt in (4e-3, 2e-3):
-        cfg = FlowConfig(dt=dt, t_final=1.0, integrator="midpoint",
-                         solver_tol=1e-14, sample_every=50)
-        traj = flow(tensor_sep, c0, cfg)
+        settings = dict(dt=dt, t_final=1.0, integrator="midpoint",
+                        solver_tol=1e-14, sample_every=50)
+        traj = flow(tensor_sep, c0, **settings)
         energies = flow_energy(tensor_sep, traj.states)
         drifts[dt] = np.max(np.abs(energies - energies[0]))
         assert drifts[dt] < 20.0 * dt ** 2
@@ -127,20 +127,19 @@ def test_flow_energy_drift_second_order_at_coupling_kernel(tensor_sep):
 
 def test_integrators_agree_on_coupled_flow(tensor_sep):
     c0 = sample_state(tensor_sep, seed=11)
-    mid = flow(tensor_sep, c0, FlowConfig(dt=2e-4, t_final=0.5,
-                                          integrator="midpoint",
-                                          solver_tol=1e-14, sample_every=0))
-    law = flow(tensor_sep, c0, FlowConfig(dt=2e-4, t_final=0.5,
-                                          integrator="lawson-rk4",
-                                          solver_tol=1e-13, sample_every=0))
+    mid = flow(tensor_sep, c0, dt=2e-4, t_final=0.5, integrator="midpoint",
+               solver_tol=1e-14)
+    law = flow(tensor_sep, c0, dt=2e-4, t_final=0.5,
+               integrator="lawson-rk4", solver_tol=1e-13)
     assert np.max(np.abs(mid.states[-1] - law.states[-1])) < 2e-6
 
 
 def test_reversal(tensor_sep):
     c0 = sample_state(tensor_sep, seed=13)
-    cfg = FlowConfig(dt=1e-3, t_final=1.0, integrator="midpoint",
-                     solver_tol=1e-14, sample_every=0)
-    assert reversal_error(tensor_sep, flow(tensor_sep, c0, cfg), cfg) < 1e-8
+    settings = dict(dt=1e-3, t_final=1.0, integrator="midpoint",
+                    solver_tol=1e-14)
+    traj = flow(tensor_sep, c0, **settings)
+    assert reversal_error(tensor_sep, traj) < 1e-8
 
 
 @pytest.mark.parametrize("n_extra", [0, 2])
@@ -150,28 +149,41 @@ def test_reversal_error_integrates_only_the_backward_leg(tensor_sep,
     # the state may carry more modes than the tensor
     extra = np.array([0.3 - 0.2j, 0.1 + 0.4j])[:n_extra]
     c0 = np.concatenate([sample_state(tensor_sep, seed=13), extra])
-    cfg = FlowConfig(dt=1e-2, t_final=0.5, integrator="midpoint",
-                     solver_tol=1e-14, sample_every=10)
-    fwd = flow(tensor_sep, c0, cfg)
+    settings = dict(dt=1e-2, t_final=0.5, integrator="midpoint",
+                    solver_tol=1e-14, sample_every=10)
+    fwd = flow(tensor_sep, c0, **settings)
     back = flow(tensor_sep, np.conj(fwd.states[-1]),
-                replace(cfg, sample_every=0))
+                **{**settings, "sample_every": 0})
     round_trip = float(np.max(np.abs(np.conj(back.states[-1]) - c0)))
     starts = []
     real = dynamics.flow
-    monkeypatch.setattr(dynamics, "flow",
-                        lambda t, c, f: starts.append(c) or real(t, c, f))
-    assert reversal_error(tensor_sep, fwd, cfg) == round_trip
+    monkeypatch.setattr(dynamics, "flow", lambda t, c, **kw:
+                        starts.append(c) or real(t, c, **kw))
+    assert reversal_error(tensor_sep, fwd) == round_trip
     assert len(starts) == 1
     assert np.array_equal(starts[0], np.conj(fwd.states[-1]))
 
 
+@pytest.mark.parametrize("integrator", ["midpoint", "lawson-rk4"])
+def test_reversal_error_reads_the_forward_settings(tensor_sep, integrator):
+    # the backward leg runs with the settings the trajectory records
+    c0 = sample_state(tensor_sep, seed=14)
+    settings = dict(dt=2e-2, t_final=0.4, integrator=integrator,
+                    solver_tol=1e-9)
+    fwd = flow(tensor_sep, c0, sample_every=5, **settings)
+    assert {key: fwd.meta[key] for key in settings} == settings
+    back = flow(tensor_sep, np.conj(fwd.states[-1]), **settings)
+    round_trip = float(np.max(np.abs(np.conj(back.states[-1]) - c0)))
+    assert reversal_error(tensor_sep, fwd) == round_trip
+
+
 def test_gauge_equivariance(tensor_sep):
     c0 = sample_state(tensor_sep, seed=15)
-    cfg = FlowConfig(dt=5e-3, t_final=0.5, integrator="midpoint",
-                     solver_tol=1e-14, sample_every=0)
+    settings = dict(dt=5e-3, t_final=0.5, integrator="midpoint",
+                    solver_tol=1e-14)
     alpha = 0.83
-    a = flow(tensor_sep, np.exp(1j * alpha) * c0, cfg).states[-1]
-    b = np.exp(1j * alpha) * flow(tensor_sep, c0, cfg).states[-1]
+    a = flow(tensor_sep, np.exp(1j * alpha) * c0, **settings).states[-1]
+    b = np.exp(1j * alpha) * flow(tensor_sep, c0, **settings).states[-1]
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -181,10 +193,10 @@ def test_high_mode_riders(tensor_const):
     c0 = sample_state(tensor_const, seed=17)
     extra = np.array([0.3 - 0.2j, 0.1 + 0.4j])
     full = np.concatenate([c0, extra])
-    cfg = FlowConfig(dt=1e-2, t_final=1.0, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=0)
-    traj_full = flow(tensor_const, full, cfg)
-    traj_low = flow(tensor_const, c0, cfg)
+    settings = dict(dt=1e-2, t_final=1.0, integrator="midpoint",
+                    solver_tol=1e-13)
+    traj_full = flow(tensor_const, full, **settings)
+    traj_low = flow(tensor_const, c0, **settings)
     assert np.allclose(traj_full.states[-1][:7], traj_low.states[-1],
                        atol=1e-13)
     n_hi = np.arange(7, 9)
@@ -195,31 +207,32 @@ def test_high_mode_riders(tensor_const):
 
 def test_batched_flow_matches_loop(tensor_sep):
     states = sample_state(tensor_sep, seed=19, size=4)
-    cfg = FlowConfig(dt=5e-3, t_final=0.3, integrator="midpoint",
-                     solver_tol=1e-14, sample_every=0)
-    batch = flow(tensor_sep, states, cfg).states[-1]
+    settings = dict(dt=5e-3, t_final=0.3, integrator="midpoint",
+                    solver_tol=1e-14)
+    batch = flow(tensor_sep, states, **settings).states[-1]
     for i in range(4):
-        single = flow(tensor_sep, states[i], cfg).states[-1]
+        single = flow(tensor_sep, states[i], **settings).states[-1]
         assert np.allclose(batch[i], single, atol=1e-10)
 
 
 def test_flow_argument_validation(tensor_const):
     c0 = sample_state(tensor_const, seed=21)
-    cfg = FlowConfig(dt=1e-3, t_final=1.0, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=0)
+    settings = dict(dt=1e-3, t_final=1.0, integrator="midpoint",
+                    solver_tol=1e-13)
     with pytest.raises(ValueError, match="integer number of dt steps"):
-        flow(tensor_const, c0, replace(cfg, dt=1e-2, t_final=0.305))
+        flow(tensor_const, c0, **{**settings, "dt": 1e-2,
+                                  "t_final": 0.305})
     with pytest.raises(ValueError, match="unknown integrator"):
-        flow(tensor_const, c0, replace(cfg, integrator="rk9000"))
+        flow(tensor_const, c0, **{**settings, "integrator": "rk9000"})
     with pytest.raises(ValueError, match="fewer modes"):
-        flow(tensor_const, c0[:3], cfg)
+        flow(tensor_const, c0[:3], **settings)
 
 
 def test_trajectory_sampling_grid(tensor_const):
     c0 = sample_state(tensor_const, seed=23)
-    cfg = FlowConfig(dt=0.01, t_final=0.1, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=4)
-    traj = flow(tensor_const, c0, cfg)
+    settings = dict(dt=0.01, t_final=0.1, integrator="midpoint",
+                    solver_tol=1e-13, sample_every=4)
+    traj = flow(tensor_const, c0, **settings)
     assert np.allclose(traj.times, [0.0, 0.04, 0.08, 0.1])
 
 
@@ -230,9 +243,10 @@ def test_flow_evaluates_no_energy_or_mass(tensor_sep, monkeypatch, size):
 
     monkeypatch.setattr(dynamics, "interaction_energy", refuse)
     monkeypatch.setattr(dynamics, "mass", refuse)
-    cfg = FlowConfig(dt=0.01, t_final=0.1, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=4)
-    traj = flow(tensor_sep, sample_state(tensor_sep, seed=4, size=size), cfg)
+    settings = dict(dt=0.01, t_final=0.1, integrator="midpoint",
+                    solver_tol=1e-13, sample_every=4)
+    traj = flow(tensor_sep, sample_state(tensor_sep, seed=4, size=size),
+                **settings)
     assert len(traj.times) == len(traj.states) == 4
     assert set(vars(traj)) == {"times", "states", "meta"}
 
@@ -283,9 +297,9 @@ def test_midpoint_counters_in_trajectory_meta(tensor_sep, monkeypatch,
     monkeypatch.setattr(dynamics, "nonlinearity",
                         lambda t, c: calls.append(1) or real(t, c))
     monkeypatch.setattr(dynamics, "MAX_ITER", max_iter)
-    cfg = FlowConfig(dt=0.01, t_final=0.02, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=0)
-    traj = flow(tensor_sep, sample_state(tensor_sep, size=4), cfg)
+    settings = dict(dt=0.01, t_final=0.02, integrator="midpoint",
+                    solver_tol=1e-13)
+    traj = flow(tensor_sep, sample_state(tensor_sep, size=4), **settings)
     assert traj.meta["n_steps"] == 2
     assert traj.meta["f_evals"] == len(calls)
     if max_iter == 100:
@@ -299,12 +313,12 @@ def test_midpoint_counters_in_trajectory_meta(tensor_sep, monkeypatch,
 # --- the extrapolated midpoint start ----------------------------------------
 
 
-def _free_start_flow(tensor, c0, cfg):
+def _free_start_flow(tensor, c0, dt, t_final, solver_tol, **_):
     """The midpoint flow with every step started from the free guess."""
     counters = {"f_evals": 0, "halvings": 0}
     c = np.asarray(c0, dtype=complex)
-    for _ in range(int(round(cfg.t_final / cfg.dt))):
-        c = dynamics._midpoint_step(tensor, c, cfg.dt, cfg, counters)
+    for _ in range(int(round(t_final / dt))):
+        c = dynamics._midpoint_step(tensor, c, dt, solver_tol, counters)
     return c, counters
 
 
@@ -326,10 +340,10 @@ def test_extrapolated_start_matches_free_start_flows(tensor_sep, tensor_grid,
                                                      kind):
     tensor = {"separable": tensor_sep, "grid": tensor_grid}[kind]
     c0 = sample_state(tensor, seed=27, size=8)
-    cfg = FlowConfig(dt=5e-3, t_final=0.5, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=0)
-    traj = flow(tensor, c0, cfg)
-    free, counters = _free_start_flow(tensor, c0, cfg)
+    settings = dict(dt=5e-3, t_final=0.5, integrator="midpoint",
+                    solver_tol=1e-13)
+    traj = flow(tensor, c0, **settings)
+    free, counters = _free_start_flow(tensor, c0, **settings)
     assert np.max(np.abs(traj.states[-1] - free)) <= 1e-10
     assert traj.meta["halvings"] == counters["halvings"] == 0
     # the start saves cubic-term calls: about 8 per step become 5 or 6
@@ -339,24 +353,22 @@ def test_extrapolated_start_matches_free_start_flows(tensor_sep, tensor_grid,
 def test_halving_clears_the_history(tensor_sep, monkeypatch):
     c = sample_state(tensor_sep, seed=29, size=4)
     monkeypatch.setattr(dynamics, "MAX_ITER", 8)  # eight cannot converge
-    cfg = FlowConfig(dt=0.01, t_final=1.0, integrator="midpoint",
-                     solver_tol=1e-13, sample_every=0)
     # a history that points the wrong way: the split must discard it
     history = [-dynamics._nl_part(tensor_sep, c)] * 3
     counters = {"f_evals": 0, "halvings": 0}
-    got = dynamics._midpoint_step(tensor_sep, c, cfg.dt, cfg, counters,
+    got = dynamics._midpoint_step(tensor_sep, c, 0.01, 1e-13, counters,
                                   history)
     assert counters["halvings"] > 0
     assert history == []
     free_counters = {"f_evals": 0, "halvings": 0}
-    want = dynamics._midpoint_step(tensor_sep, c, cfg.dt, cfg, free_counters)
+    want = dynamics._midpoint_step(tensor_sep, c, 0.01, 1e-13, free_counters)
     # the half steps start free, so only the failed full step differs
     assert got.tobytes() == want.tobytes()
     assert counters["halvings"] == free_counters["halvings"]
     # the next step starts free too, and a converged step keeps its part
-    nxt = dynamics._midpoint_step(tensor_sep, got, 1e-3, cfg, counters,
+    nxt = dynamics._midpoint_step(tensor_sep, got, 1e-3, 1e-13, counters,
                                   history)
-    free_nxt = dynamics._midpoint_step(tensor_sep, got, 1e-3, cfg,
+    free_nxt = dynamics._midpoint_step(tensor_sep, got, 1e-3, 1e-13,
                                        free_counters)
     assert nxt.tobytes() == free_nxt.tobytes()
     assert len(history) == 1
@@ -395,10 +407,10 @@ def test_midpoint_converges_at_second_order_to_the_exact_flow():
     exact = c0 * np.exp(-1j * (t.lam ** 2 + 2.0 * _closed_form_phase(t, c0)))
     errors = []
     for dt in (1e-3, 5e-4):
-        cfg = FlowConfig(dt=dt, t_final=1.0, integrator="midpoint",
-                         solver_tol=1e-13, sample_every=0)
-        err = np.max(np.abs(flow(t, c0, cfg).states[-1] - exact))
-        free, _ = _free_start_flow(t, c0, cfg)
+        settings = dict(dt=dt, t_final=1.0, integrator="midpoint",
+                        solver_tol=1e-13)
+        err = np.max(np.abs(flow(t, c0, **settings).states[-1] - exact))
+        free, _ = _free_start_flow(t, c0, **settings)
         assert abs(err - np.max(np.abs(free - exact))) <= 1e-10
         errors.append(err)
     assert 3.8 < errors[0] / errors[1] < 4.2

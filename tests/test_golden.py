@@ -1,17 +1,22 @@
-"""Golden outputs: `full-suite --seed 5` on the shipped configs, one thread.
+"""Golden outputs: `full-suite` on the shipped configs, one thread.
 
-tests/golden/full_suite_<config>_seed5.json, one per config in CONFIGS,
-holds the SHA-256 of every CSV sidecar, each record's name, status, value
-and tolerance (not its seconds, and not the `process` record), and the
-environment the file was made in.  The test reruns the suite on each
-config and compares all of it exactly.  On a machine
-whose numpy, BLAS or CPU differ it warns, naming the fields that differ,
-compares only the sidecar names, each record's name and status exactly, and
-its tolerance and value closely (elementwise in lists and mappings; RTOL
-and NOISE below say how closely).
+tests/golden/full_suite_<config>_seed<seed>.json, one per config in
+CONFIGS and seed in SEEDS, holds the run's exit code, the SHA-256 of every
+CSV sidecar, each record's name, status, value and tolerance (not its
+seconds, and not the `process` record), and the environment the file was
+made in.  The test reruns the suite on each config at seed 5 and compares
+all of it exactly; the other seeds are checked from the repository root
+with
 
-After a change that is meant to move these outputs, regenerate the files
-from the repository root with
+    PYTHONPATH=src python tests/test_golden.py --check
+
+On a machine whose numpy, BLAS or CPU differ, the check warns, naming the
+fields that differ, compares the exit code, the sidecar names and each
+record's name and status exactly, and its tolerance and value closely
+(elementwise in lists and mappings; RTOL and NOISE below say how closely).
+
+After a change that is meant to move these outputs, regenerate all the
+files from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -30,11 +35,12 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # default.cfg and the separable, file-kernel and dim-4 paths of the studies
 CONFIGS = ("default", "coupling_invariance", "file_kernel", "dim4")
+SEEDS = (5, 11, 13, 20, 35)  # the pool seeds; the test runs the first
 
 
-def golden_path(config):
+def golden_path(config, seed):
     return os.path.join(ROOT, "tests", "golden",
-                        f"full_suite_{config}_seed5.json")
+                        f"full_suite_{config}_seed{seed}.json")
 
 
 def environment():
@@ -50,15 +56,16 @@ def environment():
             "cpu": cpu}
 
 
-def manifest(out_dir, config):
-    """Run the suite on configs/<config>.cfg into out_dir and return its
-    golden manifest."""
+def manifest(out_dir, config, seed):
+    """Run the suite on configs/<config>.cfg at seed into out_dir and
+    return its golden manifest."""
     env = {**os.environ, "ZDG_THREADS": "1",
            "PYTHONPATH": os.path.join(ROOT, "src")}
-    subprocess.run([sys.executable, "-m", "zdg.cli", "full-suite",
-                    "--config", os.path.join(ROOT, "configs", f"{config}.cfg"),
-                    "--seed", "5", "--out", out_dir],
-                   check=True, capture_output=True, env=env)
+    run = subprocess.run([sys.executable, "-m", "zdg.cli", "full-suite",
+                          "--config",
+                          os.path.join(ROOT, "configs", f"{config}.cfg"),
+                          "--seed", str(seed), "--out", out_dir],
+                         capture_output=True, env=env)
     sidecars = {}
     for name in sorted(os.listdir(out_dir)):
         if name.endswith(".csv"):
@@ -69,7 +76,8 @@ def manifest(out_dir, config):
                     for key in ("name", "status", "value", "tolerance")}
                    for rec in json.load(fh)["records"]
                    if rec["name"] != "process"]
-    return {"env": environment(), "sidecars": sidecars, "records": records}
+    return {"env": environment(), "exit_code": run.returncode,
+            "sidecars": sidecars, "records": records}
 
 
 # On another machine a record value may move by RTOL * max(1, |value|).  A
@@ -107,11 +115,13 @@ def close(got, want, slack=0.0):
 
 
 def check(got, golden):
-    """Assert the manifest got matches golden: exactly on golden's
-    environment; else the same sidecar names, the same record names and
-    statuses, and tolerances and values close."""
+    """Assert the manifest got matches golden: the same exit code and
+    number of records, and exactly on golden's environment; else the same
+    sidecar names, the same record names and statuses, and tolerances and
+    values close."""
     env = environment()
     differ = [key for key in golden["env"] if golden["env"][key] != env[key]]
+    assert got["exit_code"] == golden["exit_code"]
     assert len(got["records"]) == len(golden["records"])
     if not differ:
         assert got["sidecars"] == golden["sidecars"]
@@ -134,21 +144,21 @@ def check(got, golden):
 
 @pytest.fixture(scope="module")
 def suites(tmp_path_factory):
-    """suites(config): the suite's manifest on config, run once for all the
-    tests of this module."""
+    """suites(config): the suite's manifest on config at seed 5, run once
+    for all the tests of this module."""
     runs = {}
 
     def run(config):
         if config not in runs:
             out = tmp_path_factory.mktemp(config) / "out"
-            runs[config] = manifest(str(out), config)
+            runs[config] = manifest(str(out), config, SEEDS[0])
         return runs[config]
     return run
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_full_suite_seed5_matches_the_golden_file(suites, config):
-    with open(golden_path(config)) as fh:
+    with open(golden_path(config, SEEDS[0])) as fh:
         check(suites(config), json.load(fh))
 
 
@@ -186,9 +196,11 @@ def test_golden_check_on_another_machine_compares_records_closely(
     module = sys.modules[__name__]
     monkeypatch.setattr(module, "environment", lambda: suite["env"])
     check(suite, suite)
-    for kind in (float, list, dict, "noise"):
+    failed = {**suite, "exit_code": 1 - suite["exit_code"]}
+    for golden in [_moved(suite, kind, 1 + 1e-13)
+                   for kind in (float, list, dict, "noise")] + [failed]:
         with pytest.raises(AssertionError):
-            check(suite, _moved(suite, kind, 1 + 1e-13))
+            check(suite, golden)
     monkeypatch.setattr(module, "environment",
                         lambda: {**suite["env"], "cpu": "another CPU"})
     near = _moved(_moved(_moved(suite, float, 1 + 1e-11), list, 1 - 1e-11),
@@ -212,17 +224,28 @@ def test_golden_check_on_another_machine_compares_records_closely(
         with pytest.warns(UserWarning, match="cpu"), \
                 pytest.raises(AssertionError):
             check(suite, golden)
+    with pytest.raises(AssertionError):
+        check(suite, failed)
 
 
 if __name__ == "__main__":
     import tempfile
-    for config in CONFIGS:
-        with tempfile.TemporaryDirectory() as tmp:
-            doc = manifest(os.path.join(tmp, "out"), config)
-        path = golden_path(config)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, allow_nan=False)
-            fh.write("\n")
-        print(f"wrote {path}: {len(doc['sidecars'])} sidecars, "
-              f"{len(doc['records'])} records")
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py [--check]")
+    checking = sys.argv[1:] == ["--check"]
+    for seed in SEEDS[1:] if checking else SEEDS:
+        for config in CONFIGS:
+            with tempfile.TemporaryDirectory() as tmp:
+                doc = manifest(os.path.join(tmp, "out"), config, seed)
+            path = golden_path(config, seed)
+            if checking:
+                print(f"checking {path}: exit code {doc['exit_code']}")
+                with open(path) as fh:
+                    check(doc, json.load(fh))
+                continue
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as fh:
+                json.dump(doc, fh, indent=1, allow_nan=False)
+                fh.write("\n")
+            print(f"wrote {path}: {len(doc['sidecars'])} sidecars, "
+                  f"{len(doc['records'])} records")

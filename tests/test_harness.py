@@ -608,7 +608,7 @@ def test_cli_flow_integrates_the_forward_trajectory_once(tmp_path,
     calls = []
     real = dynamics.flow
     monkeypatch.setattr(dynamics, "flow",
-                        lambda *a: calls.append(1) or real(*a))
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
     cfg = _write(tmp_path / "fast.cfg",
                  "flow.t_final = 0.05\nflow.dt = 0.005\n")
     assert main(["flow", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
@@ -734,11 +734,14 @@ def test_zero_kernel_slopes_and_rank_diagnostics_read_info(tmp_path,
             records.update((r["name"], r) for r in json.load(fh)["records"])
     for name, says in (("decay_slope", "vanishes at every M"),
                        ("bound_growth_slope", "vanishes at every cutoff"),
+                       ("pcn_energy_iact", "energy series is constant"),
                        ("pcn_energy_rhat", "energy series is constant"),
                        ("pcn_energy_ess_bulk", "energy series is constant")):
         assert records[name]["status"] == "info"
         assert records[name]["value"] is None
         assert says in records[name]["detail"]
+    # the thinning keeps integrated_autocorr's 1.0: the chain does not move
+    assert "thin=1," in records["pcn_acceptance_rate"]["detail"]
 
 
 def test_cli_env_thread_error_exits_two(tmp_path, monkeypatch, capsys):
