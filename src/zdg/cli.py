@@ -624,6 +624,7 @@ def main(argv=None):
     try:
         cfg, warnings = load_config(args.config, overrides)
         _apply_threads()
+        os.makedirs(cfg.out_dir, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -33,8 +33,10 @@ Hohenstein, Parrish & Martinez, J. Chem. Phys. 137, 044103, 2012).
 
 On the node path (grid and file kernels) the batched E and F write their
 temporaries into work buffers: psi = c B and the counterterm product
-c (S + T), each from its own matmul; the squares of psi, q and u = q W~;
-and the complex copy of u by which the cubic scales psi in place.  There
+c (S + T), each from its own matmul; the squares of psi's float view, in
+one pass, whose real slots then take |psi|^2 per spinor component; q and
+u = q W~; and the complex copy of u by which the cubic scales psi in
+place before one matmul by B^T, a view of the one copy of B.  There
 is one set per thread, shared by every tensor, so concurrent callers stay
 correct.  Each buffer grows to the largest rows x width a call on the
 thread has needed (at most BLOCK_ROWS rows) and is handed out as a
@@ -421,7 +423,9 @@ class FactoredInteraction:
     because A[j, k, l, m] = sum_xy rho_jk(x) W~(x, y) rho_lm(y).
 
     The node path works in the per-thread buffers of `_work` (the module
-    docstring says how); every returned array is fresh.
+    docstring says how): psi is squared once through its float view, the
+    summed squares reuse that buffer, and B is held once, B^T a view of
+    it.  Every returned array is fresh.
     """
 
     def __init__(self, tensor):
@@ -437,7 +441,6 @@ class FactoredInteraction:
         else:
             b, self.nodes = _node_factors(tensor.basis, tensor.wmat, j)
             self.synth = b.astype(complex)
-            self.synth_t = b.T.astype(complex)
             self.counter = st.astype(complex)
 
     @cached_property
@@ -481,10 +484,11 @@ class FactoredInteraction:
         thread's work buffers."""
         n, k = c.shape[0], self.nodes.shape[0]
         psi = np.matmul(c, self.synth, out=_work("psi", (n, 2 * k), complex))
-        sq = np.multiply(psi.real, psi.real, out=_work("sq", (n, 2 * k)))
-        np.add(sq, np.multiply(psi.imag, psi.imag,
-                               out=_work("sq_imag", (n, 2 * k))), out=sq)
-        q = np.add(sq[:, :k], sq[:, k:], out=_work("q", (n, k)))
+        # psi's float view as (rows, spinor, node, re/im), squared at once
+        sq = np.square(psi.view(float).reshape(n, 2, k, 2),
+                       out=_work("sq", (n, 2, k, 2)))
+        mod = np.add(sq[..., 0], sq[..., 1], out=sq[..., 0])  # |psi|^2
+        q = np.add(mod[:, 0], mod[:, 1], out=_work("q", (n, k)))
         return psi, q, np.matmul(q, self.nodes, out=_work("u", (n, k)))
 
     def _counter(self, c):
@@ -523,7 +527,7 @@ class FactoredInteraction:
         u_c = _work("u_complex", (n, 2, u.shape[1]), complex)
         u_c[...] = u[:, None, :]
         np.multiply(psi, u_c.reshape(n, -1), out=psi)
-        out = psi @ self.synth_t
+        out = psi @ self.synth.T
         out -= self._counter(c)
         return out
 

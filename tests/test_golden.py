@@ -19,9 +19,23 @@ After a change that is meant to move these outputs, regenerate all the
 files from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The same script compares two report trees, for example one run of the
+parent commit and one of a change:
+
+    PYTHONPATH=src python tests/test_golden.py --compare OLD NEW
+
+It prints each report's exit code (0 or 1, from its summary's `all_pass`),
+the records added, removed or moved (a record's `seconds`, the report's
+`elapsed_seconds`, `created`, `build_id` and `out_dir` echo, and the
+`process` record are not compared), and for each CSV sidecar either
+"identical" or, per column, the count of moved cells with their largest
+ulp and relative distance.  It exits 0 once it has compared the trees,
+however much moved.
 """
 
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -228,10 +242,167 @@ def test_golden_check_on_another_machine_compares_records_closely(
         check(suite, failed)
 
 
+# --- report comparator ----------------------------------------------------
+
+# report fields not compared; config and records are compared on their own
+SKIPPED = {"created", "build_id", "elapsed_seconds", "summary", "config",
+           "records"}
+
+
+def _tree(root):
+    """{relative path: absolute path} of the reports and sidecars under
+    root."""
+    found = {}
+    for top, _, names in os.walk(root):
+        for name in names:
+            if name.endswith((".json", ".csv")):
+                path = os.path.join(top, name)
+                found[os.path.relpath(path, root)] = path
+    return found
+
+
+def _records(doc):
+    """{(name, occurrence): record without its seconds}, process left out."""
+    keyed, seen = {}, {}
+    for rec in doc["records"]:
+        if rec["name"] == "process":
+            continue
+        k = seen[rec["name"]] = seen.get(rec["name"], -1) + 1
+        keyed[rec["name"], k] = {f: v for f, v in rec.items()
+                                 if f != "seconds"}
+    return keyed
+
+
+def _header(doc):
+    """The report's compared fields besides its records, config keys
+    prefixed, the out_dir echo left out."""
+    flat = {f"config {k}": v for k, v in doc["config"].items()
+            if k != "out_dir"}
+    flat.update((k, v) for k, v in doc.items() if k not in SKIPPED)
+    return flat
+
+
+def _differences(a, b):
+    """(key, a's value, b's value) where two mappings differ, in a's order
+    and then b's; a missing key reads None."""
+    keys = list(a) + [k for k in b if k not in a]
+    return [(k, a.get(k), b.get(k)) for k in keys if a.get(k) != b.get(k)]
+
+
+def _short(value, width=60):
+    text = json.dumps(value)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def compare_reports(old, new):
+    """Lines naming what moved between two report documents."""
+    lines = [f"exit code {1 - old['summary']['all_pass']} -> "
+             f"{1 - new['summary']['all_pass']}"]
+    lines += [f"{k}: {_short(a)} -> {_short(b)}"
+              for k, a, b in _differences(_header(old), _header(new))]
+    records = _differences(_records(old), _records(new))
+    for (name, k), a, b in records:
+        label = name + (f" #{k + 1}" if k else "")
+        if a is None or b is None:
+            rec = a or b
+            lines.append(f"{'-' if b is None else '+'} {label}: "
+                         f"{rec['status']} {_short(rec['value'])}")
+        else:
+            lines += [f"~ {label} {f}: {_short(x)} -> {_short(y)}"
+                      for f, x, y in _differences(a, b)]
+    return lines if records else lines + ["records identical"]
+
+
+def _ordered(x):
+    """float64 bits as integers in the order of the values they hold."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return np.where(bits < 0, np.iinfo(np.int64).min - bits, bits).tolist()
+
+
+def compare_tables(old_path, new_path):
+    """Lines naming what moved between two CSV sidecars."""
+    tables = []
+    for path in (old_path, new_path):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)))
+    (head, *old), (new_head, *new) = tables
+    if head != new_head:
+        return [f"header {head} -> {new_head}"]
+    lines = [f"rows {len(old)} -> {len(new)}"] if len(old) != len(new) \
+        else []
+    for j, name in enumerate(head):
+        pairs = [(r[j], s[j]) for r, s in zip(old, new) if r[j] != s[j]]
+        if not pairs:
+            continue
+        try:
+            a, b = np.array(pairs, dtype=float).T
+        except ValueError:
+            lines.append(f"column {name}: {len(pairs)} moved cells, "
+                         f"not all numbers")
+            continue
+        ulp = max(abs(x - y) for x, y in zip(_ordered(a), _ordered(b)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.max(np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)))
+        lines.append(f"column {name}: {len(pairs)} moved cells, largest "
+                     f"{ulp} ulp, relative {rel:.3g}")
+    return lines or ["identical"]
+
+
+def compare_trees(old_root, new_root):
+    """Lines comparing every report and sidecar under two trees."""
+    old, new = _tree(old_root), _tree(new_root)
+    lines = []
+    for rel in sorted(old.keys() | new.keys()):
+        if rel not in new or rel not in old:
+            lines.append(f"{rel}: only in {'OLD' if rel in old else 'NEW'}")
+            continue
+        if rel.endswith(".csv"):
+            found = compare_tables(old[rel], new[rel])
+        else:
+            with open(old[rel]) as fh, open(new[rel]) as gh:
+                found = compare_reports(json.load(fh), json.load(gh))
+        lines.append(f"{rel}: {found[0]}")
+        lines.extend("  " + line for line in found[1:])
+    return lines
+
+
+def test_compare_trees_names_moved_cells_and_records(tmp_path):
+    from zdg.report import Report, write_table
+
+    def tree(name, x, status, extra):
+        out = str(tmp_path / name / "default")
+        rep = Report("full-suite", {"seed": 5, "out_dir": out})
+        rep.created, rep.build_id = name, name
+        rep.add("a", "pass", 0.25, 1.0, seconds=len(name))
+        rep.add("b", status, 2.0, 1.0)
+        for rec in extra:
+            rep.add(*rec)
+        rep.add("process", "info", {"peak_rss_mb": len(name)})
+        rep.write(out)
+        write_table(out, "rows", ["n", "x"], [[1, x], [2, 0.5]])
+        write_table(out, "same", ["n"], [[3]])
+        return str(tmp_path / name)
+
+    old = tree("old", 0.1, "pass", [])
+    new = tree("newer", np.nextafter(0.1, 1.0), "fail", [("c", "info", 3)])
+    assert compare_trees(old, old) == [
+        "default/full_suite.json: exit code 0 -> 0", "  records identical",
+        "default/rows.csv: identical", "default/same.csv: identical"]
+    assert compare_trees(old, new) == [
+        "default/full_suite.json: exit code 0 -> 1",
+        '  ~ b status: "pass" -> "fail"', "  + c: info 3",
+        "default/rows.csv: column x: 1 moved cells, largest 1 ulp, "
+        "relative 1.39e-16", "default/same.csv: identical"]
+
+
 if __name__ == "__main__":
     import tempfile
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        print("\n".join(compare_trees(*sys.argv[2:])))
+        sys.exit(0)
     if sys.argv[1:] not in ([], ["--check"]):
-        sys.exit("usage: python tests/test_golden.py [--check]")
+        sys.exit("usage: python tests/test_golden.py "
+                 "[--check | --compare OLD NEW]")
     checking = sys.argv[1:] == ["--check"]
     for seed in SEEDS[1:] if checking else SEEDS:
         for config in CONFIGS:

@@ -508,6 +508,20 @@ def test_cli_config_errors_exit_two_without_output(tmp_path, capsys,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, sub", [("clifford-check", ""),
+                                          ("wick-check", "sub")],
+                         ids=["file", "below_file"])
+def test_cli_out_dir_that_cannot_be_made_exits_two_before_any_work(
+        tmp_path, capsys, monkeypatch, command, sub):
+    # the directory is made before any work, so no report is lost late
+    blocker = _write(tmp_path / "taken", "not a directory\n")
+    out = os.path.join(blocker, sub) if sub else blocker
+    monkeypatch.setitem(cli.RUNNERS, command, pytest.fail)
+    assert main([command, "--out", out]) == 2
+    assert out in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+
 @pytest.mark.parametrize("t_final, dt", [
     (1.0, 1e-3), (1.0, 5e-3), (1.0, 0.003), (0.305, 1e-2), (0.3, 5e-3),
     (10.0, 1e-3), (0.1, 0.01), (0.0, 0.01), (2.0, 0.7), (1.0, 1.0 / 3),

@@ -464,7 +464,7 @@ class _AllocatingNodeKernels:
         # P = c @ [B | S + T] was one matmul then
         self.mat = np.concatenate([factored.synth, factored.counter], axis=1)
         self.rank, self.e0 = factored.synth.shape[1], factored.e0
-        self.nodes, self.synth_t = factored.nodes, factored.synth_t
+        self.nodes, self.synth_t = factored.nodes, factored.synth.T
 
     def _density(self, psi):
         sq = psi.real ** 2 + psi.imag ** 2
@@ -507,16 +507,25 @@ def _blockwise(kernel, c, block):
     return out[0] if c.ndim == 1 else out
 
 
-@pytest.mark.parametrize("kind", ["grid", "matrix"])
-def test_node_path_buffers_are_bitwise_the_allocating_kernels(kind):
-    t = fresh_node_tensor(kind)
+# row counts that grow, shrink and then run in blocks with a short tail
+GROWING_ROWS = ((1, 1024), (7, 1024), (256, 1024), (7, 1024), (1500, 256))
+
+
+@pytest.mark.parametrize("kind, dim, cutoff, schedule", [
+    ("grid", 4, 10, GROWING_ROWS), ("matrix", 4, 10, GROWING_ROWS),
+    # the studies' regime: 80 nodes, full 1024-row blocks and a short tail
+    ("grid", 2, 32, ((7, 1024), (2100, 1024)))],
+    ids=["grid", "matrix", "grid_80_nodes"])
+def test_node_path_buffers_are_bitwise_the_allocating_kernels(kind, dim,
+                                                              cutoff,
+                                                              schedule):
+    t = fresh_node_tensor(kind, dim, cutoff)
     ref = _AllocatingNodeKernels(t.factored)
-    wide = random_coeffs(t.n_modes + 3, size=1500, seed=17)
+    wide = random_coeffs(t.n_modes + 3, size=max(r for r, _ in schedule),
+                         seed=17)
     wide[:, :t.n_modes] /= t.lam
-    # row counts that grow, shrink and then run in blocks with a short
-    # tail; a prefix view of a wider array is strided, as the studies pass
-    for rows, block in ((1, 1024), (7, 1024), (256, 1024), (7, 1024),
-                        (1500, 256)):
+    # a prefix view of a wider array is strided, as the studies pass
+    for rows, block in schedule:
         c = wide[:rows, :t.n_modes]
         for batch in (c, c[0], np.ascontiguousarray(c)):
             with mock.patch.object(interaction, "BLOCK_ROWS", block):
