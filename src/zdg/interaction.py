@@ -25,39 +25,14 @@ kind (`kernel_node_values`): W is the (K, K) matrix of w on the
 quadrature nodes, kept on the tensor, and v the rank-one node vector with
 W = v v^T, or None (grid and file kernels).
 Nothing in the studies or samplers touches A.  The counterterms, the
-batched E and F (`FactoredInteraction`) and the chaos series are computed
-from factors: the pair factor V = rho diag(w) v (A = V (x) V) when v
-exists, and otherwise the basis values and W on the nodes, since A itself
-is a quadrature sum over node pairs (quadrature tensor hypercontraction;
-Hohenstein, Parrish & Martinez, J. Chem. Phys. 137, 044103, 2012).
-
-On the node path (grid and file kernels) the batched E and F write their
-temporaries into work buffers: psi = c B and the counterterm product
-c (S + T), each from its own matmul; the squares of psi's float view, in
-one pass, whose real slots then take |psi|^2 per spinor component; q and
-u = q W~; and the complex copy of u by which the cubic scales psi in
-place before one matmul by B^T, a view of the one copy of B.  There
-is one set per thread, shared by every tensor, so concurrent callers stay
-correct.  Each buffer grows to the largest rows x width a call on the
-thread has needed (at most BLOCK_ROWS rows) and is handed out as a
-C-contiguous leading view that lives only for that call.  A warm call
-allocates its result and, beside it, only the iterator buffers numpy
-takes to add the two strided spinor halves of |psi|^2 into q (about
-128 KiB); every result is a fresh array, never a view of a buffer.  The
-arithmetic is op for op that of the allocating kernels, so the results
-are bitwise the same.
-
-On the rank-one path (constant and separable kernels) E and the quartic
-form run in the eigenbasis of M = D^1/2 V D^1/2, with D = diag(1 /
-lambda^2): c~ V c is the weighted sum e . mu of the squared moduli e of
-w = c diag(lambda) U, and the counterterm form c~ (S + T) c is e . h.
-For the tensor's own counterterms h = tau mu + mu^2 (tau = tr M), so on
-raw Gaussians E = X^2 - 2 Y - tr M^2 with X = sum mu (e - 1) and
-Y = sum mu^2 (e - 1), e i.i.d. Exp(1) under the prior.  w is one real
-matmul of the interleaved float view of c, half the flops of a complex
-product; the temporaries are the (rows, 2J) real w and its two-column
-contraction, allocated per call.  The cubic term stays one complex matmul
-c @ [V | S + T]: in the eigenbasis it would need two J x J products.
+batched E and F, the dense oracle and the chaos series are computed from
+factors by one of two classes, chosen once per tensor
+(`InteractionTensor.kind`): `RankOneKernel` from the pair factor
+V = rho diag(w) v (A = V (x) V) when v exists, and otherwise `NodeKernel`
+from the basis values and W on the nodes, since A itself is a quadrature
+sum over node pairs (quadrature tensor hypercontraction; Hohenstein,
+Parrish & Martinez, J. Chem. Phys. 137, 044103, 2012).  Each class says
+how its path computes and what it allocates.
 
 The tensor holds W and, for rank-one kernels, V; the dense A, the oracle
 of the factored paths, is built only by an explicit `dense_tensor`, and
@@ -107,9 +82,9 @@ def kernel_node_values(cfg, grid):
         grid's (`kernel_matrix_from_csv`).
 
     The config must pass `config.validate`, whose errors are raised as the
-    ValueError.  Grid and file kernels are checked to be symmetric,
-    pointwise nonnegative and positive semidefinite in the quadrature inner
-    product.
+    ValueError.  Grid and file kernels are checked to be symmetric (to
+    1e-12 of their largest entry), pointwise nonnegative and positive
+    semidefinite in the quadrature inner product.
     """
     errors, _ = validate(cfg)
     if errors:
@@ -132,8 +107,10 @@ def kernel_node_values(cfg, grid):
     else:
         mat = kernel_matrix_from_csv(cfg.kernel_profile_file,
                                      theta=grid.theta)
-    if not np.allclose(mat, mat.T, atol=1e-12):
-        raise ValueError("grid kernel must be symmetric")
+    asym = np.max(np.abs(mat - mat.T))
+    if asym > 1e-12 * np.max(np.abs(mat)):
+        raise ValueError(f"grid kernel must be symmetric: max|W - W^T| is "
+                         f"{asym:.3g}, over 1e-12 of max|W|")
     if np.any(mat < 0):
         raise ValueError("grid kernel must be pointwise nonnegative")
     sq = np.sqrt(grid.weights)
@@ -254,60 +231,33 @@ class InteractionTensor:
     def inv_lam2(self):
         return 1.0 / self.lam ** 2
 
+    @property
+    def kind(self):
+        """The one choice of kernel class: `RankOneKernel` given V."""
+        return NodeKernel if self.factor is None else RankOneKernel
+
     @cached_property
     def factored(self):
         """Factors of the batched E and F; built on first use, per instance,
         so `slice` and `dataclasses.replace` never see stale counterterms."""
-        return FactoredInteraction(self)
+        return self.kind(self)
 
     def slice(self, cutoff):
         """Tensor for a lower cutoff; counterterms recomputed at that cutoff."""
         if cutoff > self.cutoff:
             raise ValueError("can only slice to a smaller cutoff")
         j = cutoff + 1
-        factor = None if self.factor is None else self.factor[:j, :j].copy()
-        return _contracted(self.dim, self.lam[:j].copy(), self.wmat, factor,
-                           self.basis, self.budget_bytes)
+        return _contracted(self.dim, self.lam[:j].copy(), self.wmat,
+                           self.kind.sliced(self.factor, j), self.basis,
+                           self.budget_bytes)
 
 
 def _contracted(dim, lam, wmat, factor, basis, budget_bytes):
     """InteractionTensor with its counterterms contracted from the factors."""
-    s, t, e0c, e0t = _counterterms(lam, wmat, factor, basis)
-    return InteractionTensor(dim=dim, cutoff=lam.size - 1, s_mat=s, t_mat=t,
-                             e0_const=e0c, e0_trace=e0t, lam=lam, wmat=wmat,
-                             factor=factor, basis=basis,
-                             budget_bytes=budget_bytes)
-
-
-def _counterterms(lam, wmat, factor, basis):
-    """S, T, e0_const and e0_trace from the factors, never from A.
-
-    With D = diag(1 / lambda^2) and a rank-one A = V (x) V,
-
-        S = V tr(DV),  T = V D V,  e0_const = tr(DV)^2,
-        e0_trace = ||M||_F^2,  M = D^1/2 V D^1/2.
-
-    Otherwise, with B the (J, 2K) node values, C = B^T D B the covariance
-    kernel, sigma its diagonal density per node and W~ tiled over the
-    spinor components,
-
-        S = B diag(W~ sigma) B^T,  T = B (W~ o C) B^T,
-        e0_const = sigma . W~ sigma,  e0_trace = sum W~ o C o C.
-    """
-    il2 = 1.0 / lam ** 2
-    if factor is not None:
-        trace = float(np.diag(factor) @ il2)
-        m = _weighted(factor, il2)
-        return (factor * trace, (factor * il2) @ factor, trace * trace,
-                float(np.sum(m * m)))
-    b, nodes = _node_factors(basis, wmat, lam.size)
-    k = nodes.shape[0]
-    cov = (b.T * il2) @ b
-    sigma = cov.diagonal()[:k] + cov.diagonal()[k:]
-    pot = nodes @ sigma
-    wcov = np.tile(nodes, (2, 2)) * cov
-    return ((b * np.tile(pot, 2)) @ b.T, b @ wcov @ b.T,
-            float(sigma @ pot), float(np.sum(wcov * cov)))
+    t = InteractionTensor(dim, lam.size - 1, None, None, None, None, lam,
+                          wmat, basis, factor, budget_bytes)
+    t.s_mat, t.t_mat, t.e0_const, t.e0_trace = t.kind.counterterms(t)
+    return t
 
 
 def _weighted(factor, il2):
@@ -334,22 +284,7 @@ def dense_tensor(tensor):
             f"dense interaction tensor needs {need} bytes, over the budget "
             f"of {tensor.budget_bytes}; the largest admissible cutoff is "
             f"{max_cutoff}")
-    if tensor.factor is not None:
-        return np.einsum("jk,lm->jklm", tensor.factor, tensor.factor)
-    basis = tensor.basis
-    j = tensor.n_modes
-    b = pair_density(basis)[:j, :j] * basis.grid.weights
-    half = np.tensordot(b, tensor.wmat, axes=(2, 0))  # (J, J, K)
-    a = np.tensordot(half, b, axes=(2, 2))
-    del half
-    # exact symmetry A[p,q,r,s] = A[r,s,p,q] to roundoff, in place one slab
-    # pair at a time, so the peak stays near the 8 J^4 bytes of A
-    for p in range(j):
-        for r in range(p, j):
-            sym = 0.5 * (a[p, :, r, :] + a[r, :, p, :].T)
-            a[p, :, r, :] = sym
-            a[r, :, p, :] = sym.T
-    return a
+    return tensor.kind.dense(tensor)
 
 
 def assemble_interaction(basis, cfg):
@@ -398,57 +333,77 @@ def _work(name, shape, dtype=float):
     return buf[:size].reshape(shape)
 
 
-class FactoredInteraction:
-    """E and F of a tensor from factors; never touches the dense A.
+class RankOneKernel:
+    """E, F, counterterms, dense A and chaos series from a rank-one pair
+    factor V, A = V (x) V (constant and separable kernels).
 
-    With a rank-one pair factor V (A = V (x) V), E and the quartic form run
-    in the eigenbasis of M = U diag(mu) U^T (`eigenbasis`, built on first
-    use): with L = diag(lambda) U, w = c L and e = |w|^2,
+    E and the quartic form run in the eigenbasis of M = D^1/2 V D^1/2 =
+    U diag(mu) U^T (`eigenbasis`, built on first use), D = diag(1 /
+    lambda^2): with L = diag(lambda) U, w = c L and e = |w|^2,
 
         quartic = (e . mu)^2,    E = (e . mu)^2 - 2 e . h + e0,
 
     h the diagonal of G = U^T D^1/2 (S + T) D^1/2 U.  A G that is not
-    diagonal is refused.  w is the interleaved float view of c times
-    kron(L, I_2), squared in place and contracted with [mu | -2 h]
-    repeated per real and imaginary part.  The cubic term
-    (c~ V c) V c - (S + T) c comes from one matmul P = c @ [V | S + T].
-
-    Otherwise B, the basis values on the nodes as a (J, 2K) matrix, gives
-    psi = c B, the state on the grid, and the counterterm product
-    c (S + T) is a second matmul.  With q = |psi|^2 per node and
-    W~ = diag(w) W diag(w),
-
-        quartic = q . W~ q,    cubic = ((W~ q) psi) B^T,
-
-    because A[j, k, l, m] = sum_xy rho_jk(x) W~(x, y) rho_lm(y).
-
-    The node path works in the per-thread buffers of `_work` (the module
-    docstring says how): psi is squared once through its float view, the
-    summed squares reuse that buffer, and B is held once, B^T a view of
-    it.  Every returned array is fresh.
+    diagonal is refused.  For the tensor's own counterterms
+    h = tau mu + mu^2 (tau = tr M), so on raw Gaussians
+    E = X^2 - 2 Y - tr M^2 with X = sum mu (e - 1) and Y = sum mu^2 (e - 1),
+    e i.i.d. Exp(1) under the prior.  w is the interleaved float view of c
+    times kron(L, I_2), one real matmul at half the flops of a complex
+    product, squared in place and contracted with [mu | -2 h] repeated per
+    real and imaginary part; both temporaries are allocated per call.  The
+    cubic term (c~ V c) V c - (S + T) c comes from one complex matmul
+    P = c @ [V | S + T]: in the eigenbasis it would need two J x J products.
     """
 
     def __init__(self, tensor):
-        j = tensor.n_modes
-        st = np.zeros((j, j)) + tensor.s_mat + tensor.t_mat
+        st = np.zeros((tensor.n_modes,) * 2) + tensor.s_mat + tensor.t_mat
         self.e0 = tensor.e0_const + tensor.e0_trace
-        if tensor.factor is not None:
-            self.nodes = None
-            self.rank = tensor.factor.shape[1]
-            self.mat = np.concatenate([tensor.factor, st],
-                                      axis=1).astype(complex)
-            self._rank_one = (tensor.factor, st, tensor.lam)
-        else:
-            b, self.nodes = _node_factors(tensor.basis, tensor.wmat, j)
-            self.synth = b.astype(complex)
-            self.counter = st.astype(complex)
+        self.rank = tensor.factor.shape[1]
+        self.mat = np.concatenate([tensor.factor, st], axis=1).astype(complex)
+        self._operands = (tensor.factor, st, tensor.lam)
+
+    @staticmethod
+    def counterterms(tensor):
+        """S, T, e0_const and e0_trace from V, never from A: with
+        D = diag(1 / lambda^2),
+
+            S = V tr(DV),  T = V D V,  e0_const = tr(DV)^2,
+            e0_trace = ||M||_F^2,  M = D^1/2 V D^1/2.
+        """
+        factor, il2 = tensor.factor, tensor.inv_lam2
+        trace = float(np.diag(factor) @ il2)
+        m = _weighted(factor, il2)
+        return (factor * trace, (factor * il2) @ factor, trace * trace,
+                float(np.sum(m * m)))
+
+    @staticmethod
+    def dense(tensor):
+        return np.einsum("jk,lm->jklm", tensor.factor, tensor.factor)
+
+    @staticmethod
+    def series(tensor, n):
+        """(full series, bound) over the box [0, n)^4 for A = V (x) V.
+
+        With M = D^1/2 V D^1/2 the squared term sums to ||M||_F^4, the shuffle
+        that swaps whole pairs to ||M||_F^4 and the two that swap one index
+        to tr M^4 = ||M^2||_F^2 each.
+        """
+        m = _weighted(tensor.factor[:n, :n], tensor.inv_lam2[:n])
+        frob2 = float(np.sum(m * m))
+        m2 = m @ m
+        return 2.0 * frob2 * frob2 + 2.0 * float(np.sum(m2 * m2)), \
+            4.0 * frob2 * frob2
+
+    @staticmethod
+    def sliced(factor, j):
+        return factor[:j, :j].copy()
 
     @cached_property
     def eigenbasis(self):
         """(mu, U, h) of a rank-one tensor: M = U diag(mu) U^T and h the
         diagonal of G = U^T D^1/2 (S + T) D^1/2 U, refused when G is not
         diagonal to 1e-12 of its largest entry."""
-        factor, st, lam = self._rank_one
+        factor, st, lam = self._operands
         il2 = 1.0 / lam ** 2
         mu, u = np.linalg.eigh(_weighted(factor, il2))
         g = u.T @ _weighted(st, il2) @ u
@@ -467,7 +422,7 @@ class FactoredInteraction:
         """kron(L, I_2), L = diag(lambda) U, and [mu | -2 h] repeated per
         real and imaginary part: the operands of the rank-one E."""
         mu, u, h = self.eigenbasis
-        lam = self._rank_one[2]
+        lam = self._operands[2]
         return (np.kron(lam[:, None] * u, np.eye(2)),
                 np.repeat(np.stack([mu, -2.0 * h], axis=1), 2, axis=0))
 
@@ -478,6 +433,121 @@ class FactoredInteraction:
         w = c.view(float) @ self._lifted[0]
         w *= w
         return w
+
+    def quartic(self, c):
+        q = self._squares(c) @ self._lifted[1][:, 0]
+        return q * q
+
+    def energy(self, c):
+        # -2 h is exact, so this is bitwise q^2 - 2 e.h + e0
+        q, lin = (self._squares(c) @ self._lifted[1]).T
+        return q * q + lin + self.e0
+
+    def cubic(self, c):
+        p = c @ self.mat
+        left, counter = p[:, :self.rank], p[:, self.rank:]
+        q = np.vecdot(c, left).real
+        return q[:, None] * left - counter
+
+
+class NodeKernel:
+    """E, F, counterterms, dense A and chaos series from the node factors
+    (grid and file kernels, and any tensor without a pair factor V).
+
+    B, the basis values on the nodes as a (J, 2K) matrix, gives
+    psi = c B, the state on the grid, and the counterterm product
+    c (S + T) is a second matmul.  With q = |psi|^2 per node and
+    W~ = diag(w) W diag(w),
+
+        quartic = q . W~ q,    cubic = ((W~ q) psi) B^T,
+
+    because A[j, k, l, m] = sum_xy rho_jk(x) W~(x, y) rho_lm(y).
+
+    E and F write their temporaries into the work buffers of `_work`:
+    psi and c (S + T), each from its own matmul; the squares of psi's
+    float view, in one pass, whose real slots then take |psi|^2 per spinor
+    component; q and u = q W~; and the complex copy of u by which the
+    cubic scales psi in place before one matmul by B^T, a view of the one
+    copy of B.  There is one set per thread, shared by every tensor, so
+    concurrent callers stay correct.  Each buffer grows to the largest
+    rows x width a call on the thread has needed (at most BLOCK_ROWS rows)
+    and is handed out as a C-contiguous leading view that lives only for
+    that call.  A warm call allocates its result and, beside it, only the
+    iterator buffers numpy takes to add the two strided spinor halves of
+    |psi|^2 into q (about 128 KiB); every result is a fresh array, never a
+    view of a buffer.  The arithmetic is op for op that of the allocating
+    kernels, so the results are bitwise the same.
+    """
+
+    def __init__(self, tensor):
+        j = tensor.n_modes
+        st = np.zeros((j, j)) + tensor.s_mat + tensor.t_mat
+        self.e0 = tensor.e0_const + tensor.e0_trace
+        b, self.nodes = _node_factors(tensor.basis, tensor.wmat, j)
+        self.synth = b.astype(complex)
+        self.counter = st.astype(complex)
+
+    @staticmethod
+    def counterterms(tensor):
+        """S, T, e0_const and e0_trace from the node factors, never from A:
+        with D = diag(1 / lambda^2), B the (J, 2K) node values,
+        C = B^T D B the covariance kernel, sigma its diagonal density per
+        node and W~ tiled over the spinor components,
+
+            S = B diag(W~ sigma) B^T,  T = B (W~ o C) B^T,
+            e0_const = sigma . W~ sigma,  e0_trace = sum W~ o C o C.
+        """
+        il2 = tensor.inv_lam2
+        b, nodes = _node_factors(tensor.basis, tensor.wmat, tensor.n_modes)
+        k = nodes.shape[0]
+        cov = (b.T * il2) @ b
+        sigma = cov.diagonal()[:k] + cov.diagonal()[k:]
+        pot = nodes @ sigma
+        wcov = np.tile(nodes, (2, 2)) * cov
+        return ((b * np.tile(pot, 2)) @ b.T, b @ wcov @ b.T,
+                float(sigma @ pot), float(np.sum(wcov * cov)))
+
+    @staticmethod
+    def dense(tensor):
+        basis = tensor.basis
+        j = tensor.n_modes
+        b = pair_density(basis)[:j, :j] * basis.grid.weights
+        half = np.tensordot(b, tensor.wmat, axes=(2, 0))  # (J, J, K)
+        a = np.tensordot(half, b, axes=(2, 2))
+        del half
+        # exact symmetry A[p,q,r,s] = A[r,s,p,q] to roundoff, in place one slab
+        # pair at a time, so the peak stays near the 8 J^4 bytes of A
+        for p in range(j):
+            for r in range(p, j):
+                sym = 0.5 * (a[p, :, r, :] + a[r, :, p, :].T)
+                a[p, :, r, :] = sym
+                a[r, :, p, :] = sym.T
+        return a
+
+    @staticmethod
+    def series(tensor, n):
+        """(full series, bound) over the box [0, n)^4 from the node factors.
+
+        Of the three index shuffles the pairings add to the squared term, the
+        symmetries of rho and W make one the squared term and the other two
+        equal: with A scaled by 1 / lambda on every index the series is
+        2 sum A^2 + 2 sum A[j, k, l, m] A[j, m, l, k].  Both split over j; the
+        slab A[j] = rho_j W~ rho^T takes J^3 K flops in J^2 K memory.
+        """
+        b, nodes = _node_factors(tensor.basis, tensor.wmat, n)
+        b = (b / tensor.lam[:n, None]).reshape(n, 2, -1)
+        rho = np.einsum("jax,kax->jkx", b, b)  # pair density, scaled
+        q = nodes @ rho.reshape(n * n, -1).T
+        sq = cross = 0.0
+        for row in rho:
+            slab = (row @ q).reshape(n, n, n)
+            sq += float(np.sum(slab * slab))
+            cross += float(np.sum(slab * slab.T))
+        return 2.0 * (sq + cross), 4.0 * sq
+
+    @staticmethod
+    def sliced(factor, j):
+        return None
 
     def _node_pass(self, c):
         """(psi, q, u) of one block on the node path, as views of this
@@ -498,27 +568,15 @@ class FactoredInteraction:
                                    complex))
 
     def quartic(self, c):
-        if self.nodes is None:
-            q = self._squares(c) @ self._lifted[1][:, 0]
-            return q * q
         _, q, u = self._node_pass(c)
         return np.vecdot(q, u)
 
     def energy(self, c):
-        if self.nodes is None:
-            # -2 h is exact, so this is bitwise q^2 - 2 e.h + e0
-            q, lin = (self._squares(c) @ self._lifted[1]).T
-            return q * q + lin + self.e0
         _, q, u = self._node_pass(c)
         lin = np.vecdot(c, self._counter(c)).real
         return np.vecdot(q, u) - 2.0 * lin + self.e0
 
     def cubic(self, c):
-        if self.nodes is None:
-            p = c @ self.mat
-            left, counter = p[:, :self.rank], p[:, self.rank:]
-            q = np.vecdot(c, left).real
-            return q[:, None] * left - counter
         n = c.shape[0]
         psi, _, u = self._node_pass(c)
         # u psi in place, times a complex copy of u on both components:
@@ -748,41 +806,6 @@ def wick_quartic_cov_enumerated(idx, idx2):
 # chaos tail series
 
 
-def _rank_one_series(factor, il2):
-    """(full series, bound) over the box [0, J)^4 for A = V (x) V.
-
-    With M = D^1/2 V D^1/2 the squared term sums to ||M||_F^4, the shuffle
-    that swaps whole pairs to ||M||_F^4 and the two that swap one index
-    to tr M^4 = ||M^2||_F^2 each.
-    """
-    m = _weighted(factor, il2)
-    frob2 = float(np.sum(m * m))
-    m2 = m @ m
-    return 2.0 * frob2 * frob2 + 2.0 * float(np.sum(m2 * m2)), \
-        4.0 * frob2 * frob2
-
-
-def _node_series(tensor, n):
-    """(full series, bound) over the box [0, n)^4 on the node path.
-
-    Of the three index shuffles the pairings add to the squared term, the
-    symmetries of rho and W make one the squared term and the other two
-    equal: with A scaled by 1 / lambda on every index the series is
-    2 sum A^2 + 2 sum A[j, k, l, m] A[j, m, l, k].  Both split over j; the
-    slab A[j] = rho_j W~ rho^T takes J^3 K flops in J^2 K memory.
-    """
-    b, nodes = _node_factors(tensor.basis, tensor.wmat, n)
-    b = (b / tensor.lam[:n, None]).reshape(n, 2, -1)
-    rho = np.einsum("jax,kax->jkx", b, b)  # pair density, scaled
-    q = nodes @ rho.reshape(n * n, -1).T
-    sq = cross = 0.0
-    for row in rho:
-        slab = (row @ q).reshape(n, n, n)
-        sq += float(np.sum(slab * slab))
-        cross += float(np.sum(slab * slab.T))
-    return 2.0 * (sq + cross), 4.0 * sq
-
-
 def chaos_tail_series(tensor, low_cutoff):
     """Exact E |G_N - G_M|^2 and its permutation bound, M = low_cutoff.
 
@@ -790,18 +813,12 @@ def chaos_tail_series(tensor, low_cutoff):
     the difference of the two full-box sums.  Returns (exact, bound) with
     bound = 4 * sum |A|^2 / lambda-weights over the same set.  Rank-one
     kernels sum from the factor in O(J^3); grid and file kernels from the
-    node factors, one slab of A at a time (`_node_series`).
+    node factors, one slab of A at a time (`NodeKernel.series`).
     """
     n_hi = tensor.n_modes
     n_lo = low_cutoff + 1
     if n_lo > n_hi:
         raise ValueError("low cutoff exceeds tensor cutoff")
-    il2 = tensor.inv_lam2
-    if tensor.factor is not None:
-        v = tensor.factor
-        full = _rank_one_series(v, il2)
-        low = _rank_one_series(v[:n_lo, :n_lo], il2[:n_lo])
-    else:
-        full = _node_series(tensor, n_hi)
-        low = _node_series(tensor, n_lo)
+    full = tensor.kind.series(tensor, n_hi)
+    low = tensor.kind.series(tensor, n_lo)
     return full[0] - low[0], full[1] - low[1]

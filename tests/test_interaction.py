@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from zdg import interaction
 from zdg.config import ExperimentConfig, validate
-from zdg.interaction import (assemble_interaction, chaos_tail_series,
+from zdg.interaction import (NodeKernel, RankOneKernel,
+                             assemble_interaction, chaos_tail_series,
                              dense_tensor, grid_energy_context,
                              interaction_energy, interaction_energy_grid,
                              kernel_matrix_from_csv, kernel_matrix_to_csv,
@@ -167,8 +168,13 @@ def test_file_kernel_refuses_what_a_grid_kernel_would(basis):
     good = listed_node_matrix(GRIDK, grid)
     skew = good.copy()
     skew[0, 1] += 1e-3
+    # a 1e-6 skew part on O(1) values is under numpy's default rtol, yet
+    # F takes W~ as given where E and A see only its symmetric part
+    noise = np.random.default_rng(3).uniform(size=good.shape)
+    slight = 1.0 + np.eye(grid.size) + 1e-6 * (noise - noise.T)
     cos = np.cos(grid.theta)
-    for matrix, match in ((skew, "symmetric"), (good - 2.0, "nonnegative"),
+    for matrix, match in ((skew, "symmetric"), (slight, "symmetric"),
+                          (good - 2.0, "nonnegative"),
                           (1.0 - np.outer(cos, cos), "semidefinite")):
         with pytest.raises(ValueError, match=match):
             kernel_node_values(file_kernel(grid, matrix), grid)
@@ -298,6 +304,10 @@ def test_wick_literal_route_matches_energy(basis, tensors, kind):
         assert lit.real == pytest.approx(e_coeff[i], rel=1e-11, abs=1e-9)
 
 
+def _close(got, want, rel=1e-12):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 def test_quartic_form_dense_vs_factor_paths(basis, tensors):
     t = tensors["separable"]
     dense = replace(t, factor=None)  # the node path on the same kernel
@@ -308,6 +318,21 @@ def test_quartic_form_dense_vs_factor_paths(basis, tensors):
                        interaction_energy(dense, coeffs), rtol=1e-11)
     assert np.allclose(nonlinearity(t, coeffs), nonlinearity(dense, coeffs),
                        rtol=1e-10, atol=1e-10)
+    # the node path's counterterms and chaos series on rank-one kernels: a
+    # slice of the factor-free copy contracts them from the node factors
+    for kind in ("constant", "separable"):
+        rank_one = tensors[kind]
+        for cutoff in (4, rank_one.cutoff):
+            fast = rank_one.slice(cutoff)
+            node = replace(rank_one, factor=None).slice(cutoff)
+            assert node.factor is None
+            for name in ("s_mat", "t_mat", "e0_const", "e0_trace"):
+                assert _close(getattr(node, name), getattr(fast, name)), \
+                    (kind, cutoff, name)
+            for low in (0, cutoff // 2):
+                assert _close(np.array(chaos_tail_series(node, low)),
+                              np.array(chaos_tail_series(fast, low))), \
+                    (kind, cutoff, low)
 
 
 # --- factored fast path vs the dense-A oracle -------------------------------
@@ -381,12 +406,18 @@ def test_slice_and_replace_rebuild_cached_factors(kind):
     c = random_coeffs(t.n_modes, size=7, seed=13) / t.lam
     interaction_energy(t, c)  # builds and caches the factors of t
     assert t.factored is t.factored
+    # the tensor chooses its kernel class once, from its pair factor
+    kernel = NodeKernel if kind == "grid" else RankOneKernel
+    assert isinstance(t.factored, kernel)
+    assert isinstance(replace(t, factor=None).factored, NodeKernel)
     low = t.slice(5)
     assert low.factored is not t.factored
+    assert isinstance(low.factored, kernel)
     assert_matches_oracle(low, c[:, :low.n_modes])
     # the invariance negative control: counterterms dropped by replace
     bare = replace(t, s_mat=0, t_mat=0)
     assert bare.factored is not t.factored
+    assert isinstance(bare.factored, kernel)
     assert_matches_oracle(bare, c)
     if t.factor is not None:  # the rank-one energy runs with h = 0
         assert not np.any(bare.factored.eigenbasis[2])
