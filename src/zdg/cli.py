@@ -450,7 +450,7 @@ def _add_solver_counters(rep, meta):
     steps = meta["n_steps"]
     rep.add("solver_counters", "info",
             value={"steps": steps, "f_evals": meta["f_evals"],
-                   "f_per_step": meta["f_evals"] / steps if steps else 0.0,
+                   "f_per_step": meta["f_evals"] / steps if steps else None,
                    "halvings": meta["halvings"]},
             detail=f"{meta['integrator']} integrator at dt = {meta['dt']}: "
                    "cubic-term evaluations and step halvings")
@@ -514,9 +514,12 @@ def run_invariance(cfg, rep, args):
     from .dynamics import invariance_test
     tensor = _tensor_built(cfg, rep, None, "the config")
     res, seconds = _timed(invariance_test, tensor, cfg)
-    rep.add("pcn_burnin_acceptance", "info", value=res["acceptance_rate"],
-            detail=f"{cfg.invariance_ensemble_size} parallel chains, "
-                   f"{cfg.invariance_burn_steps} burn sweeps",
+    burn = cfg.invariance_burn_steps
+    detail = (f"{cfg.invariance_ensemble_size} parallel chains, "
+              f"{burn} burn sweeps" if burn
+              else "no burn-in sweep ran, so there is no acceptance rate")
+    rep.add("pcn_burnin_acceptance", "info",
+            value=res["acceptance_rate"] if burn else None, detail=detail,
             seconds=seconds)
     _add_solver_counters(rep, res["meta"])
     threshold = res["threshold"]
@@ -560,19 +563,18 @@ def _guarded(runner, cfg, rep, args):
 
 
 def run_full(cfg, rep, args):
-    """Every other subcommand in turn, its records named under the
-    subcommand's name up to its first '-' (clifford, ..., invariance)."""
-    for command, runner in RUNNERS.items():
-        if runner is run_full:
-            continue
+    """Every section in turn, its records named under the subcommand's
+    name up to its first '-' (clifford, ..., invariance)."""
+    for command, runner in _SECTIONS.items():
         name = command.split("-")[0]
         log.info("running %s", name)
-        sub = Report(name, {})
-        _guarded(runner, cfg, sub, args)
-        rep.extend(sub, prefix=name)
+        start = len(rep.records)
+        _guarded(runner, cfg, rep, args)
+        for record in rep.records[start:]:
+            record["name"] = f"{name}.{record['name']}"
 
 
-RUNNERS = {
+_SECTIONS = {
     "clifford-check": run_clifford,
     "spectral-check": run_spectral,
     "wick-check": run_wick,
@@ -582,8 +584,8 @@ RUNNERS = {
     "gibbs-sample": run_gibbs,
     "flow": run_flow,
     "invariance-test": run_invariance,
-    "full-suite": run_full,
 }
+RUNNERS = {**_SECTIONS, "full-suite": run_full}
 
 
 def build_parser():

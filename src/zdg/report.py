@@ -95,13 +95,6 @@ class Report:
                         value=value, tolerance=tolerance, detail=detail,
                         seconds=seconds)
 
-    def extend(self, other, prefix):
-        """Absorb another report's records under a dotted prefix."""
-        for record in other.records:
-            merged = dict(record)
-            merged["name"] = f"{prefix}.{record['name']}"
-            self.records.append(merged)
-
     @property
     def all_pass(self):
         return not any(r["status"] == "fail" for r in self.records)

@@ -276,6 +276,27 @@ def test_invariance_positive_and_negative_controls(tensor_sep):
     assert not energy_row["pass"]
 
 
+def test_invariance_paired_moments_catch_what_ks_misses(monkeypatch):
+    # a flow that scales the ensemble by 1 + 1e-4 moves no law far enough
+    # for KS, but the paired moments see it: re_c1's |z| sits near 23, so
+    # a moment bound of 40 would let it pass
+    tensor = assemble_interaction(build_basis(2, 4), CONSTANT)
+    cfg = ExperimentConfig(seed=5, invariance_ensemble_size=1024,
+                           invariance_kmax=4)
+    for scale, passes in ((1.0, True), (1 + 1e-4, False)):
+        monkeypatch.setattr(dynamics, "flow", lambda t, c, **kw:
+                            dynamics.Trajectory(np.array([0.0, 1.0]),
+                                                np.stack([c, c * scale])))
+        res = invariance_test(tensor, cfg)
+        assert len(res["rows"]) == 17
+        assert all(r["p_value"] >= res["threshold"] for r in res["rows"])
+        rows = {r["observable"]: r for r in res["rows"]}
+        assert all(r["pass"] for r in rows.values()) == passes
+    z = max(abs(rows["re_c1"]["z_mean"]), abs(rows["re_c1"]["z_second"]))
+    assert 4 < z < 40
+    assert not rows["re_c1"]["pass"]
+
+
 def test_invariance_test_makes_two_energy_calls(tensor_sep, monkeypatch):
     # the observables' energies at t = 0 and t_final; the flow adds none
     calls = []

@@ -71,6 +71,22 @@ def test_integrated_autocorr_iid_and_ar1():
     assert integrated_autocorr(ar) == pytest.approx(expected, rel=0.25)
 
 
+def test_chain_mean_standard_error_is_calibrated():
+    # 300 AR(1) series at rho = 0.9, so tau = (1 + rho) / (1 - rho) = 19:
+    # mean / se is standard normal across the series only when se carries
+    # the IACT factor (without it the spread reads about 4.1)
+    rng = np.random.default_rng(0)
+    rho, n_series, n = 0.9, 300, 4000
+    noise = rng.normal(size=(n, n_series))
+    x = np.empty((n, n_series))
+    x[0] = noise[0] / np.sqrt(1 - rho ** 2)
+    for i in range(1, n):
+        x[i] = rho * x[i - 1] + noise[i]
+    mean, se, tau = np.array([chain_mean(col) for col in x.T]).T
+    assert 0.85 <= np.std(mean / se) <= 1.25
+    assert np.mean(tau) == pytest.approx(19.0, rel=0.15)
+
+
 def test_importance_ensemble_reproducible(tensor_n3):
     a, a_lw = importance_ensemble(tensor_n3, 500, seed=11)
     b, b_lw = importance_ensemble(tensor_n3, 500, seed=11)

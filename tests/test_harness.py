@@ -313,11 +313,18 @@ def test_add_check_passes_at_or_below_the_tolerance():
     assert not rep.all_pass
 
 
-def test_report_extend_prefixes_names():
-    outer, inner = Report("suite", {}), Report("part", {})
-    inner.add("x", "pass")
-    outer.extend(inner, prefix="part")
-    assert outer.records[0]["name"] == "part.x"
+def test_full_suite_names_each_section_record_in_its_own_report(
+        monkeypatch):
+    def second(cfg, rep, args):
+        rep.add("y", "pass")
+        raise RuntimeError("section broke")
+
+    monkeypatch.setattr(cli, "_SECTIONS", {
+        "a-check": lambda cfg, rep, args: rep.add("x", "pass"),
+        "b": second})
+    rep = Report("full-suite", {})
+    cli.run_full(None, rep, None)
+    assert [r["name"] for r in rep.records] == ["a.x", "b.y", "b.aborted"]
 
 
 def test_report_write_is_valid_json(tmp_path):
@@ -647,6 +654,30 @@ def test_cli_flow_runs_clean_with_lawson_rk4(tmp_path, kernel):
     counters = records["solver_counters"]
     assert counters["detail"].startswith("lawson-rk4 integrator")
     assert counters["value"]["f_per_step"] == 4.0
+
+
+def test_cli_flow_of_no_steps_has_no_cubic_terms_per_step(tmp_path):
+    cfg = _write(tmp_path / "still.cfg", "cutoff = 4\nflow.t_final = 0\n")
+    out = str(tmp_path / "r")
+    main(["flow", "--config", cfg, "--out", out, "--seed", "5"])
+    with open(os.path.join(out, "flow.json")) as fh:
+        records = {r["name"]: r for r in json.load(fh)["records"]}
+    counters = records["solver_counters"]["value"]
+    assert counters["steps"] == 0
+    assert counters["f_per_step"] is None
+
+
+def test_cli_invariance_without_burn_in_has_no_acceptance_rate(tmp_path):
+    cfg = _write(tmp_path / "cold.cfg",
+                 "invariance.ensemble_size = 32\ninvariance.t_final = 0.05\n"
+                 "invariance.burn_steps = 0\n")
+    out = str(tmp_path / "r")
+    main(["invariance-test", "--config", cfg, "--out", out, "--seed", "5"])
+    with open(os.path.join(out, "invariance_test.json")) as fh:
+        records = {r["name"]: r for r in json.load(fh)["records"]}
+    acceptance = records["pcn_burnin_acceptance"]
+    assert acceptance["value"] is None
+    assert acceptance["detail"].startswith("no burn-in sweep ran")
 
 
 def test_cli_flow_trajectory_writes_every_mode_its_mass_counts(tmp_path):
