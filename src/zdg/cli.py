@@ -13,9 +13,9 @@ import os
 import sys
 import time
 
-from . import __version__, report
+from . import __version__
 from .config import auto_grid_size, load_config, step_count
-from .report import Report, write_table
+from .report import Columns, Report, write_table
 
 log = logging.getLogger("zdg.cli")
 
@@ -243,10 +243,8 @@ def run_energy(cfg, rep, args):
                   float(np.max(np.abs(e_field - e_wick))) / wscale, 1e-9,
                   detail="energy of the sampled field vs the Wick "
                          "monomial of its Gaussians, 100 samples")
-    rows = [{"sample": i, "e_coeff": float(e_field[i]),
-             "e_wick": float(e_wick[i].real)} for i in range(e_field.size)]
-    write_table(cfg.out_dir, "energy_samples",
-                ["sample", "e_coeff", "e_wick"], rows)
+    write_table(cfg.out_dir, "energy_samples", ["sample", "e_coeff", "e_wick"],
+                Columns(np.arange(e_field.size), e_field, e_wick.real))
     anchor_basis = build_basis(2, 0, grid_size=8)
     anchor = assemble_interaction(
         anchor_basis, ExperimentConfig(kernel_kind="constant",
@@ -327,10 +325,10 @@ def run_gibbs(cfg, rep, args):
     released before pcn_chain allocates the chain's, so the process holds
     one sampler's samples at a time, and a failing chain leaves the
     importance records and sidecar in place.  The pCN sidecar's energies
-    are those the chain's sweeps accepted.  The abs2_c* columns are
-    numpy's square np.abs(c_k) ** 2, the values the moment means average.
-    The records keep the order tensor, importance, pCN, moment
-    cross-validation.
+    are those the chain's sweeps accepted, written once the chain is
+    released.  The abs2_c* columns are numpy's square np.abs(c_k) ** 2, the
+    values the moment means average.  The records keep the order tensor,
+    importance, pCN, moment cross-validation.
     """
     import numpy as np
 
@@ -349,7 +347,8 @@ def run_gibbs(cfg, rep, args):
                  for k in ks]
     write_table(cfg.out_dir, "gibbs_importance_samples",
                 ["sample", "energy", "log_weight"] + abs2_names,
-                _SampleRows(coeffs, n_abs2, -log_weights, log_weights))
+                Columns(np.arange(len(coeffs)), -log_weights, log_weights,
+                        *(np.abs(coeffs[:, k]) ** 2 for k in range(n_abs2))))
     del coeffs, log_weights
     chain, sec_chain = _timed(pcn_chain, tensor, cfg.gibbs_ensemble_size,
                               cfg.seed)
@@ -393,35 +392,12 @@ def run_gibbs(cfg, rep, args):
     write_table(cfg.out_dir, "gibbs_moments",
                 ["k", "importance_mean", "importance_se", "pcn_mean",
                  "pcn_se", "pcn_iact", "z"], rows)
+    columns = Columns(np.arange(len(chain.energies)), chain.energies,
+                      *(np.abs(chain.coeffs[:, k]) ** 2
+                        for k in range(n_abs2)))
+    del chain
     write_table(cfg.out_dir, "gibbs_pcn_samples",
-                ["sample", "energy"] + abs2_names,
-                _SampleRows(chain.coeffs, n_abs2, chain.energies))
-
-
-class _SampleRows:
-    """Sidecar rows: sample index, the columns, then numpy's square
-    |c_k|^2 for k < n_abs2, the values the moment means average.
-
-    Each pass builds the rows one block of report._BLOCK_ROWS at a time,
-    so write_table holds one block of tuples, never the whole table; len
-    is the sample count, which benchmark/trace_child.py reads.
-    """
-
-    def __init__(self, coeffs, n_abs2, *columns):
-        self.coeffs, self.n_abs2, self.columns = coeffs, n_abs2, columns
-
-    def __len__(self):
-        return self.coeffs.shape[0]
-
-    def __iter__(self):
-        import numpy as np
-        step = report._BLOCK_ROWS
-        for lo in range(0, len(self), step):
-            block = slice(lo, lo + step)
-            abs2 = np.abs(self.coeffs[block, :self.n_abs2]) ** 2
-            yield from zip(range(lo, len(self)),
-                           *(col[block].tolist() for col in self.columns),
-                           *abs2.T.tolist())
+                ["sample", "energy"] + abs2_names, columns)
 
 
 def _load_initial_state(path, n_modes):
@@ -505,9 +481,9 @@ def run_flow(cfg, rep, args):
                          "2 Re<grad, h>")
     header = (["t"] + [f"{part}_c{n}" for n in range(traj.states.shape[-1])
                        for part in ("re", "im")] + ["flow_energy", "mass"])
-    table = np.column_stack([traj.times, traj.states.view(float),
-                             energies, masses])
-    write_table(cfg.out_dir, "flow_trajectory", header, table.tolist())
+    write_table(cfg.out_dir, "flow_trajectory", header,
+                Columns(traj.times, *traj.states.view(float).T, energies,
+                        masses))
 
 
 def run_invariance(cfg, rep, args):

@@ -596,16 +596,14 @@ def _as_batch(coeffs):
     return (c[None, :] if single else c), single
 
 
-def _by_blocks(kernel, coeffs, width=None, dtype=float):
-    """kernel over row blocks of BLOCK_ROWS; a one-block batch runs as is."""
+def _by_blocks(kernel, coeffs):
+    """kernel over row blocks of BLOCK_ROWS, later blocks concatenated to
+    the first; a one-block batch returns the kernel's own array."""
     c, single = _as_batch(coeffs)
-    n = c.shape[0]
-    if n <= BLOCK_ROWS:
-        out = kernel(c)
-    else:
-        out = np.empty((n,) if width is None else (n, width), dtype=dtype)
-        for lo in range(0, n, BLOCK_ROWS):
-            out[lo:lo + BLOCK_ROWS] = kernel(c[lo:lo + BLOCK_ROWS])
+    out = kernel(c[:BLOCK_ROWS])
+    if len(c) > BLOCK_ROWS:
+        out = np.concatenate([out] + [kernel(c[lo:lo + BLOCK_ROWS]) for lo in
+                                      range(BLOCK_ROWS, len(c), BLOCK_ROWS)])
     return out[0] if single else out
 
 
@@ -625,7 +623,7 @@ def nonlinearity(tensor, coeffs):
     F_m = sum_{jkl} A[m, k, j, l] c~_j c_k c_l - ((S + T) c)_m; the energy
     gradient satisfies d/dc~ E = 2 F exactly.
     """
-    return _by_blocks(tensor.factored.cubic, coeffs, tensor.n_modes, complex)
+    return _by_blocks(tensor.factored.cubic, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,28 @@ def _cell(value):
 _BLOCK_ROWS = 2048  # rows formatted and written per step of write_table
 
 
+class Columns:
+    """Table rows over equal-length array columns, as plain python scalars.
+
+    Each pass converts _BLOCK_ROWS rows at a time with .tolist(), so
+    write_table holds one block of rows, never the whole table; len is the
+    row count, which benchmark/trace_child.py reads off write_table's rows.
+    """
+
+    def __init__(self, *columns):
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("table columns differ in length")
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __iter__(self):
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            yield from zip(*(col[lo:lo + _BLOCK_ROWS].tolist()
+                             for col in self.columns))
+
+
 def _field(text, lone):
     """A cell as csv.writer's minimal quoting writes it; a row's lone empty
     cell is quoted so the row is not read back as blank."""

@@ -492,6 +492,25 @@ def test_gibbs_weight_reweights_prior_mean(tensor_n3):
     assert abs(m_imp - m_ch) < 4 * np.hypot(se_imp, se_ch)
 
 
+@pytest.mark.parametrize("kappa, exact", [(4.0, 1.875000), (1.0, 1.530245)])
+def test_pcn_chain_mean_matches_the_one_mode_target_law(kappa, exact):
+    # one mode: under the prior r = |c_0|^2 has density lam^2 exp(-lam^2 r),
+    # so E_rho r = int r exp(-lam^2 r - E(r)) dr / int exp(-lam^2 r - E(r))
+    # dr, a 1-D quadrature with E from real amplitudes sqrt(r).  A proposal
+    # scaled by 1 - beta^2 in place of sqrt(1 - beta^2) reads z -24 to -50.
+    cfg = ExperimentConfig(kernel_kind="constant", kernel_kappa=kappa)
+    t = assemble_interaction(build_basis(2, 0, grid_size=8), cfg)
+    lam2 = float(t.lam[0]) ** 2
+    r = np.linspace(0.0, 80.0 / lam2, 200000)
+    w = np.exp(-lam2 * r - interaction_energy(t, np.sqrt(r)[:, None]))
+    quad = np.trapezoid(r * w, r) / np.trapezoid(w, r)
+    assert quad == pytest.approx(exact, abs=1e-6)
+    for seed in (1, 2, 3):
+        chain = pcn_chain(t, 20000, seed)
+        mean, se, _ = chain_mean(np.abs(chain.coeffs[:, 0]) ** 2)
+        assert abs(mean - quad) <= 4 * se, (seed, mean, se)
+
+
 def test_cauchy_decay_study(tensor_n16):
     out = cauchy_decay_study(tensor_n16, [2, 4, 8], 40000, seed=51)
     assert out["slope"] < -0.1

@@ -16,7 +16,7 @@ from zdg.config import (KERNEL_NAMES, KERNEL_PROFILES, SCHEMA,
                         parse_config_text, step_count, validate)
 from zdg.interaction import (kernel_matrix_from_csv, kernel_matrix_to_csv,
                              kernel_node_values)
-from zdg.report import Report, build_identifier, write_table
+from zdg.report import Columns, Report, build_identifier, write_table
 from zdg.zonal import build_basis
 
 
@@ -871,11 +871,17 @@ def _per_row_sample_rows(coeffs, energy, log_weights, kcols):
     return rows
 
 
+def _sample_columns(coeffs, n_abs2, *columns):
+    """The gibbs sidecar rows as run_gibbs builds them: the sample index,
+    the columns, then np.abs(coeffs[:, k]) ** 2 for k < n_abs2."""
+    return Columns(np.arange(len(coeffs)), *columns,
+                   *(np.abs(coeffs[:, k]) ** 2 for k in range(n_abs2)))
+
+
 def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
     """On 20 000 draws over a wide range of scales and on 10^5 standard
     complex draws, whose moduli Python's per-element pow squared off the
     array square in the last bit on about 0.08% of cells."""
-    from zdg.cli import _SampleRows
     from zdg.rng import derive_rng, standard_complex
     rng = np.random.default_rng(4)
     n = 20000
@@ -889,13 +895,13 @@ def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
         old = write_table(str(tmp_path / "old"), "imp", head,
                           _per_row_sample_rows(coeffs, -lw, lw, range(3)))
         new = write_table(str(tmp_path / "new"), "imp", head,
-                          _SampleRows(coeffs, 3, -lw, lw))
+                          _sample_columns(coeffs, 3, -lw, lw))
         assert open(old, "rb").read() == open(new, "rb").read()
         head = ["sample", "energy"] + names[:2]
         old = write_table(str(tmp_path / "old"), "pcn", head,
                           _per_row_sample_rows(coeffs, lw, None, range(2)))
         new = write_table(str(tmp_path / "new"), "pcn", head,
-                          _SampleRows(coeffs, 2, lw))
+                          _sample_columns(coeffs, 2, lw))
         assert open(old, "rb").read() == open(new, "rb").read()
 
 
@@ -1016,7 +1022,6 @@ def test_number_tuples_with_edge_values_are_bytewise_the_cell_writer(
 
 def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
         tmp_path):
-    from zdg.cli import _SampleRows
     rng = np.random.default_rng(9)
     n = 20000
     scale = np.exp(rng.normal(scale=4.0, size=(n, 3)))
@@ -1024,9 +1029,9 @@ def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
     lw = rng.normal(scale=30.0, size=n)
     names = [f"abs2_c{k}" for k in range(3)]
     assert _same_table(tmp_path, ["sample", "energy", "log_weight"] + names,
-                       _SampleRows(coeffs, 3, -lw, lw))
+                       _sample_columns(coeffs, 3, -lw, lw))
     assert _same_table(tmp_path, ["sample", "energy"] + names[:2],
-                       _SampleRows(coeffs, 2, lw))
+                       _sample_columns(coeffs, 2, lw))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 10])
@@ -1081,18 +1086,16 @@ def test_write_table_failing_mid_stream_keeps_the_previous_sidecar(
 
 def _sidecar_peak(tmp_path, n):
     """Traced peak bytes of building and writing an n x 6 gibbs sidecar
-    from its arrays, which are allocated before the trace."""
-    from zdg.cli import _SampleRows
+    from its columns, which are allocated before the trace."""
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     lw = rng.normal(scale=30.0, size=n)
-    energy = -lw
+    rows = _sample_columns(coeffs, 3, -lw, lw)
     head = ["sample", "energy", "log_weight", "abs2_c0", "abs2_c1",
             "abs2_c2"]
     tracemalloc.start()
     try:
-        write_table(str(tmp_path), "imp", head,
-                    _SampleRows(coeffs, 3, energy, lw))
+        write_table(str(tmp_path), "imp", head, rows)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1112,19 +1115,20 @@ def test_gibbs_sidecar_write_memory_is_bounded(tmp_path):
 
 def test_sample_rows_are_sized_and_repeatable(monkeypatch):
     """len is the row count benchmark/trace_child.py reads off write_table's
-    rows; a second pass gives the same rows."""
-    from zdg.cli import _SampleRows
+    rows; a second pass gives the same rows; unequal columns are refused."""
     monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
     rng = np.random.default_rng(6)
     for n in (0, 3, 4, 10):
         coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         lw = rng.normal(size=n)
-        rows = _SampleRows(coeffs, 2, -lw, lw)
+        rows = _sample_columns(coeffs, 2, -lw, lw)
         assert len(rows) == n
         first = list(rows)
         assert len(first) == n
         assert [row[0] for row in first] == list(range(n))
         assert list(rows) == first
+    with pytest.raises(ValueError, match="table columns differ in length"):
+        Columns(np.arange(4), np.arange(3))
 
 
 def test_write_table_writes_numpy_floats_as_plain_floats(tmp_path):
@@ -1396,6 +1400,25 @@ def test_run_path_imports_no_scipy(tmp_path):
         with open(os.path.join(out, f"{stem}.json")) as fh:
             process = json.load(fh)["records"][-1]
         assert process["value"]["scipy_loaded"] is False
+
+
+def test_cli_and_config_load_without_numpy():
+    # main applies ZDG_THREADS after load_config, so numpy imported by cli,
+    # config or report would start its BLAS pools uncapped, silently
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "import zdg.cli\n"
+            "from zdg.config import load_config\n"
+            "load_config(None)\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.split('.')[0] == 'numpy'))\n")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.split() == []
 
 
 def test_benchmark_tracer_wraps_the_layers_it_names(tmp_path):
