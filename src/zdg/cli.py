@@ -134,14 +134,13 @@ def run_clifford(cfg, rep, args):
                    "{0, +-1, +-i}, and sizes 2^(d//2), checked exactly for "
                    "dimensions 1 through 12",
             seconds=time.perf_counter() - t0)
-    write_table(cfg.out_dir, "clifford_families",
-                ["dim", "matrix_size", "anticommutation_ok", "hermitian_ok",
-                 "entries_ok", "size_ok", "count_ok"], rows)
+    write_table(cfg.out_dir, "clifford_families", rows=rows)
 
 
 def run_spectral(cfg, rep, args):
     import numpy as np
 
+    from .gibbs import _loglog_slope
     from .zonal import build_basis, dirac_apply_grid, gram_matrix, lp_norm
     basis, seconds = _timed(build_basis, cfg.dim, cfg.cutoff,
                             grid_size=cfg.effective_grid_size())
@@ -177,15 +176,12 @@ def run_spectral(cfg, rep, args):
                     detail="cutoff too small for a trend window starting "
                            "at n = 8; raise cutoff to at least 12")
             continue
-        lam = np.sqrt([row["omega"] for row in window])
-        slope = float(np.polyfit(np.log(lam),
-                                 np.log([row[f"lp{p}"] for row in window]),
-                                 1)[0])
+        slope = _loglog_slope(np.sqrt([row["omega"] for row in window]),
+                              [row[f"lp{p}"] for row in window])
         rep.add_check(f"lp_growth_exponent_p{p}", slope, bound,
                       detail=f"fitted exponent of ||e_n||_p against "
                              f"lambda_n over n in [8, {cfg.cutoff}]")
-    write_table(cfg.out_dir, "spectral_modes",
-                ["n", "omega", "eigen_residual", "lp4", "lp6"], rows)
+    write_table(cfg.out_dir, "spectral_modes", rows=rows)
 
 
 def run_wick(cfg, rep, args):
@@ -243,8 +239,9 @@ def run_energy(cfg, rep, args):
                   float(np.max(np.abs(e_field - e_wick))) / wscale, 1e-9,
                   detail="energy of the sampled field vs the Wick "
                          "monomial of its Gaussians, 100 samples")
-    write_table(cfg.out_dir, "energy_samples", ["sample", "e_coeff", "e_wick"],
-                Columns(np.arange(e_field.size), e_field, e_wick.real))
+    write_table(cfg.out_dir, "energy_samples", rows=Columns({
+        "sample": np.arange(e_field.size), "e_coeff": e_field,
+        "e_wick": e_wick.real}))
     anchor_basis = build_basis(2, 0, grid_size=8)
     anchor = assemble_interaction(
         anchor_basis, ExperimentConfig(kernel_kind="constant",
@@ -286,9 +283,7 @@ def run_cauchy(cfg, rep, args):
                       detail=f"log-log slope of sqrt(series) in M; "
                              f"threshold -nu/2 + 0.1 at nu = {cfg.nu}",
                       seconds=seconds)
-    write_table(cfg.out_dir, "cauchy_rows",
-                ["m", "n", "exact", "bound", "mc", "mc_se", "z",
-                 "tail_q50", "tail_q90", "tail_q99"], out["rows"])
+    write_table(cfg.out_dir, "cauchy_rows", rows=out["rows"])
 
 
 def run_nelson(cfg, rep, args):
@@ -313,8 +308,7 @@ def run_nelson(cfg, rep, args):
         detail = "the bound vanishes at every cutoff, so there is no slope"
     rep.add("bound_growth_slope", "info", value=out["growth_slope"],
             tolerance=threshold, detail=detail, seconds=seconds)
-    write_table(cfg.out_dir, "nelson_rows",
-                ["n", "bound", "min", "respects_bound"], out["rows"])
+    write_table(cfg.out_dir, "nelson_rows", rows=out["rows"])
 
 
 def run_gibbs(cfg, rep, args):
@@ -336,8 +330,10 @@ def run_gibbs(cfg, rep, args):
                         importance_ensemble, pcn_chain, weighted_mean)
     tensor = _tensor_built(cfg, rep, None, "the config")
     ks = range(min(cfg.gibbs_kmax, tensor.cutoff) + 1)
-    n_abs2 = min(2, tensor.cutoff) + 1
-    abs2_names = [f"abs2_c{k}" for k in range(n_abs2)]
+
+    def abs2(coeffs):
+        return {f"abs2_c{k}": np.abs(coeffs[:, k]) ** 2
+                for k in range(min(2, tensor.cutoff) + 1)}
     (coeffs, log_weights), sec_imp = _timed(
         importance_ensemble, tensor, cfg.gibbs_ensemble_size, cfg.seed)
     rep.add("importance_ess", "info", value=effective_sample_size(log_weights),
@@ -345,10 +341,9 @@ def run_gibbs(cfg, rep, args):
             seconds=sec_imp)
     imp_means = [weighted_mean(np.abs(coeffs[:, k]) ** 2, log_weights)
                  for k in ks]
-    write_table(cfg.out_dir, "gibbs_importance_samples",
-                ["sample", "energy", "log_weight"] + abs2_names,
-                Columns(np.arange(len(coeffs)), -log_weights, log_weights,
-                        *(np.abs(coeffs[:, k]) ** 2 for k in range(n_abs2))))
+    write_table(cfg.out_dir, "gibbs_importance_samples", rows=Columns({
+        "sample": np.arange(len(coeffs)), "energy": -log_weights,
+        "log_weight": log_weights, **abs2(coeffs)}))
     del coeffs, log_weights
     chain, sec_chain = _timed(pcn_chain, tensor, cfg.gibbs_ensemble_size,
                               cfg.seed)
@@ -389,15 +384,11 @@ def run_gibbs(cfg, rep, args):
         rep.add_check(f"moment_cross_validation_k{k}", abs(z), 3.0,
                       detail=f"mean |c_{k}|^2: importance {m1:.6g} "
                              f"({se1:.2g}) vs chain {m2:.6g} ({se2:.2g})")
-    write_table(cfg.out_dir, "gibbs_moments",
-                ["k", "importance_mean", "importance_se", "pcn_mean",
-                 "pcn_se", "pcn_iact", "z"], rows)
-    columns = Columns(np.arange(len(chain.energies)), chain.energies,
-                      *(np.abs(chain.coeffs[:, k]) ** 2
-                        for k in range(n_abs2)))
+    write_table(cfg.out_dir, "gibbs_moments", rows=rows)
+    columns = Columns({"sample": np.arange(len(chain.energies)),
+                       "energy": chain.energies, **abs2(chain.coeffs)})
     del chain
-    write_table(cfg.out_dir, "gibbs_pcn_samples",
-                ["sample", "energy"] + abs2_names, columns)
+    write_table(cfg.out_dir, "gibbs_pcn_samples", rows=columns)
 
 
 def _load_initial_state(path, n_modes):
@@ -479,11 +470,11 @@ def run_flow(cfg, rep, args):
     rep.add_check("vector_field_directional", vchk["directional"], 1e-5,
                   detail="directional derivative pairing dE(h) = "
                          "2 Re<grad, h>")
-    header = (["t"] + [f"{part}_c{n}" for n in range(traj.states.shape[-1])
-                       for part in ("re", "im")] + ["flow_energy", "mass"])
-    write_table(cfg.out_dir, "flow_trajectory", header,
-                Columns(traj.times, *traj.states.view(float).T, energies,
-                        masses))
+    parts = zip((f"{part}_c{n}" for n in range(traj.states.shape[-1])
+                 for part in ("re", "im")), traj.states.view(float).T)
+    write_table(cfg.out_dir, "flow_trajectory", rows=Columns({
+        "t": traj.times, **dict(parts), "flow_energy": energies,
+        "mass": masses}))
 
 
 def run_invariance(cfg, rep, args):
@@ -516,9 +507,7 @@ def run_invariance(cfg, rep, args):
                     detail=f"ks={row['ks_stat']:.4f}, "
                            f"z_mean={row['z_mean']:.2f}, "
                            f"z_second={row['z_second']:.2f}")
-    write_table(cfg.out_dir, "invariance_rows",
-                ["observable", "ks_stat", "p_value", "z_mean", "z_second",
-                 "pass"], res["rows"])
+    write_table(cfg.out_dir, "invariance_rows", rows=res["rows"])
 
 
 def _guarded(runner, cfg, rep, args):

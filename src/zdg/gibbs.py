@@ -138,10 +138,13 @@ def integrated_autocorr(series):
     var = np.mean(x * x)
     if var == 0:
         return 1.0
-    padded = np.zeros(2 * n)
-    padded[:n] = x
-    spec = np.abs(np.fft.rfft(padded)) ** 2
-    acf = np.fft.irfft(spec)[:n] / (n * var)
+    spec = np.fft.rfft(x, n=2 * n)
+    np.abs(spec, out=spec.real)
+    spec.imag = 0.0
+    spec.real **= 2
+    acf = np.fft.irfft(spec)[:n]
+    del spec
+    acf /= n * var
     tau = 1.0
     for k in range(1, n):
         tau += 2.0 * acf[k]

@@ -4,7 +4,8 @@ A report is a flat list of check records, each carrying a status in
 {pass, fail, info}; "info" marks measurements that are reported rather
 than adjudicated.  Field order in the JSON is fixed so reports diff
 cleanly across runs.  Large numeric tables never go inline; they are
-written as CSV sidecars next to the JSON file.  A sidecar is streamed in
+written as CSV sidecars next to the JSON file, headed by the column names
+their rows carry, so each column is named once.  A sidecar is streamed in
 blocks of rows, formatted a column at a time, and written atomically: it
 appears under its name only once its last row is written.  The bytes are
 those csv.writer would write for the same cells.
@@ -145,25 +146,26 @@ _BLOCK_ROWS = 2048  # rows formatted and written per step of write_table
 
 
 class Columns:
-    """Table rows over equal-length array columns, as plain python scalars.
+    """Table rows over named equal-length array columns, as plain python
+    scalars: Columns({name: array, ...}) heads its table with its names.
 
     Each pass converts _BLOCK_ROWS rows at a time with .tolist(), so
     write_table holds one block of rows, never the whole table; len is the
     row count, which benchmark/trace_child.py reads off write_table's rows.
     """
 
-    def __init__(self, *columns):
-        if len(set(map(len, columns))) > 1:
+    def __init__(self, columns):
+        if len(set(map(len, columns.values()))) > 1:
             raise ValueError("table columns differ in length")
         self.columns = columns
 
     def __len__(self):
-        return len(self.columns[0])
+        return len(next(iter(self.columns.values()), ()))
 
     def __iter__(self):
         for lo in range(0, len(self), _BLOCK_ROWS):
             yield from zip(*(col[lo:lo + _BLOCK_ROWS].tolist()
-                             for col in self.columns))
+                             for col in self.columns.values()))
 
 
 def _field(text, lone):
@@ -186,44 +188,48 @@ def _column(values, lone):
     return [_field(_cell(v), lone) for v in values]
 
 
-def _blocks(stem, header, rows):
-    """The CSV text of header and rows, one string per block of rows."""
+def _blocks(stem, rows):
+    """The CSV text of a table, one string per block of rows, headed by the
+    names of a Columns or by the keys of a list's first mapping."""
+    columnar = isinstance(rows, Columns)
+    first = rows.columns if columnar else rows[0] if rows else {}
+    header = list(first) if isinstance(first, dict) else []
+    refusal = ValueError(f"table {stem}: every row must be a mapping with "
+                         f"the first row's keys, one key at least")
     if not header:
-        raise ValueError(f"table {stem}: the header names no column")
-    width, lone, names = len(header), len(header) == 1, set(header)
+        raise refusal
+    lone, names = len(header) == 1, set(header)
     yield ",".join(_field(str(name), lone) for name in header) + "\r\n"
     rows = iter(rows)
-    while block := [row if not isinstance(row, dict)
-                    else [row[name] for name in header] if row.keys() == names
+    while block := [row if columnar
+                    else [row[name] for name in header]
+                    if isinstance(row, dict) and row.keys() == names
                     else None
                     for row in itertools.islice(rows, _BLOCK_ROWS)]:
-        if any(row is None for row in block) \
-                or set(map(len, block)) != {width}:
-            raise ValueError(f"table {stem}: every row needs {width} "
-                             f"cells, one per header name")
+        if any(row is None for row in block):
+            raise refusal
         columns = [_column(col, lone) for col in zip(*block)]
         yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
-def write_table(out_dir, stem, header, rows):
+def write_table(out_dir, stem, *, rows):
     """Write one CSV sidecar (RFC-4180 quoting); returns its path.
 
-    header names at least one column.  rows may be any iterable of
-    sequences or of mappings whose keys are the header names, and every row
-    must have one cell per header name, else ValueError; floats are written
-    with full repr precision so reruns diff exactly.  Rows are taken
-    _BLOCK_ROWS at a time into a temporary file that replaces
-    <stem>.csv only after the last one, so a refused row or a crash leaves
-    no partial sidecar; a refusal or any other exception also removes the
-    temporary file.
+    rows is a Columns, headed by its names, or a list of mappings, headed
+    by the first one's keys in order; a later mapping with other keys, a
+    row that is not a mapping and an empty list are refused (ValueError).
+    Floats are written with full repr precision so reruns diff exactly.
+    Rows are taken _BLOCK_ROWS at a time into a temporary file that
+    replaces <stem>.csv only after the last one, so a refused row or a
+    crash leaves no partial sidecar; a refusal or any other exception also
+    removes the temporary file.
     """
-    header = list(header)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{stem}.csv")
     tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.writelines(_blocks(stem, header, rows))
+            fh.writelines(_blocks(stem, rows))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

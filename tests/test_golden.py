@@ -379,8 +379,8 @@ def test_compare_trees_names_moved_cells_and_records(tmp_path):
             rep.add(*rec)
         rep.add("process", "info", {"peak_rss_mb": len(name)})
         rep.write(out)
-        write_table(out, "rows", ["n", "x"], [[1, x], [2, 0.5]])
-        write_table(out, "same", ["n"], [[3]])
+        write_table(out, "rows", rows=[{"n": 1, "x": x}, {"n": 2, "x": 0.5}])
+        write_table(out, "same", rows=[{"n": 3}])
         return str(tmp_path / name)
 
     old = tree("old", 0.1, "pass", [])

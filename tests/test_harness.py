@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import tracemalloc
@@ -363,9 +364,9 @@ def test_report_non_finite_values_become_fail_records(tmp_path):
 
 
 def test_write_table_quoting_and_float_repr(tmp_path):
-    path = write_table(tmp_path, "t", ["name", "x", "flag"],
-                       [["a,b", 0.1, True], {"name": 'q"q', "x": 2.0,
-                                             "flag": False}])
+    path = write_table(tmp_path, "t", rows=[
+        {"name": "a,b", "x": 0.1, "flag": True},
+        {"name": 'q"q', "x": 2.0, "flag": False}])
     raw = open(path).read()
     assert '"a,b"' in raw
     assert '"q""q"' in raw
@@ -710,7 +711,7 @@ def test_cli_invariance_rows_are_those_of_invariance_test(tmp_path):
     cfg, _ = load_config(path, {"seed": "7"})
     res = dynamics.invariance_test(_build_tensor(cfg), cfg)
     direct = write_table(str(tmp_path / "direct"), "invariance_rows",
-                         got.splitlines()[0].split(","), res["rows"])
+                         rows=res["rows"])
     with open(direct, newline="") as fh:
         assert fh.read() == got
 
@@ -871,11 +872,13 @@ def _per_row_sample_rows(coeffs, energy, log_weights, kcols):
     return rows
 
 
-def _sample_columns(coeffs, n_abs2, *columns):
+def _sample_columns(coeffs, n_abs2, **columns):
     """The gibbs sidecar rows as run_gibbs builds them: the sample index,
-    the columns, then np.abs(coeffs[:, k]) ** 2 for k < n_abs2."""
-    return Columns(np.arange(len(coeffs)), *columns,
-                   *(np.abs(coeffs[:, k]) ** 2 for k in range(n_abs2)))
+    the named columns, then abs2_c<k> = np.abs(coeffs[:, k]) ** 2 for
+    k < n_abs2."""
+    return Columns({"sample": np.arange(len(coeffs)), **columns,
+                    **{f"abs2_c{k}": np.abs(coeffs[:, k]) ** 2
+                       for k in range(n_abs2)}})
 
 
 def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
@@ -888,20 +891,18 @@ def test_sample_rows_are_bytewise_the_per_row_builder(tmp_path):
     scale = np.exp(rng.normal(scale=4.0, size=(n, 3)))
     wide = scale * (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
     standard = standard_complex(derive_rng(0, "abs2"), (100000, 3))
-    names = [f"abs2_c{k}" for k in range(3)]
     for coeffs in (wide, standard):
         lw = rng.normal(scale=30.0, size=coeffs.shape[0])
-        head = ["sample", "energy", "log_weight"] + names
-        old = write_table(str(tmp_path / "old"), "imp", head,
-                          _per_row_sample_rows(coeffs, -lw, lw, range(3)))
-        new = write_table(str(tmp_path / "new"), "imp", head,
-                          _sample_columns(coeffs, 3, -lw, lw))
+        old = write_table(str(tmp_path / "old"), "imp",
+                          rows=_per_row_sample_rows(coeffs, -lw, lw, range(3)))
+        new = write_table(str(tmp_path / "new"), "imp",
+                          rows=_sample_columns(coeffs, 3, energy=-lw,
+                                               log_weight=lw))
         assert open(old, "rb").read() == open(new, "rb").read()
-        head = ["sample", "energy"] + names[:2]
-        old = write_table(str(tmp_path / "old"), "pcn", head,
-                          _per_row_sample_rows(coeffs, lw, None, range(2)))
-        new = write_table(str(tmp_path / "new"), "pcn", head,
-                          _sample_columns(coeffs, 2, lw))
+        rows = _per_row_sample_rows(coeffs, lw, None, range(2))
+        old = write_table(str(tmp_path / "old"), "pcn", rows=rows)
+        new = write_table(str(tmp_path / "new"), "pcn",
+                          rows=_sample_columns(coeffs, 2, energy=lw))
         assert open(old, "rb").read() == open(new, "rb").read()
 
 
@@ -983,10 +984,21 @@ def _plain_floats(rows):
             else [plain(v) for v in row] for row in rows]
 
 
+def _named(header, rows):
+    """The same cells as write_table takes them: a Columns as it is, each
+    sequence row as a mapping of the header names to its cells, and no
+    rows as empty named columns."""
+    if isinstance(rows, Columns):
+        return rows
+    return ([row if isinstance(row, dict) else dict(zip(header, row))
+             for row in rows]
+            or Columns({name: np.zeros(0) for name in header}))
+
+
 def _same_table(tmp_path, header, rows):
     old = _old_write_table(str(tmp_path / "old"), "t", header,
                            _plain_floats(rows))
-    new = write_table(str(tmp_path / "new"), "t", header, rows)
+    new = write_table(str(tmp_path / "new"), "t", rows=_named(header, rows))
     return open(old, "rb").read() == open(new, "rb").read()
 
 
@@ -1029,16 +1041,17 @@ def test_write_table_is_bytewise_the_cell_writer_on_gibbs_sidecars(
     lw = rng.normal(scale=30.0, size=n)
     names = [f"abs2_c{k}" for k in range(3)]
     assert _same_table(tmp_path, ["sample", "energy", "log_weight"] + names,
-                       _sample_columns(coeffs, 3, -lw, lw))
+                       _sample_columns(coeffs, 3, energy=-lw, log_weight=lw))
     assert _same_table(tmp_path, ["sample", "energy"] + names[:2],
-                       _sample_columns(coeffs, 2, lw))
+                       _sample_columns(coeffs, 2, energy=lw))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 10])
 def test_streamed_blocks_are_bytewise_the_cell_writer(tmp_path, monkeypatch,
                                                       n):
-    """0, 1, B-1, B, B+1 and 2.5 B rows with the block size B patched to 4:
-    each block picks its own fast or cell-by-cell columns."""
+    """0, 1, B-1, B, B+1 and 2.5 B rows with the block size B patched to 4,
+    as mappings and as object-array columns: each block picks its own fast
+    or cell-by-cell columns."""
     monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
     mixed = [_MIXED_ROWS[i % len(_MIXED_ROWS)] for i in range(n)]
     assert _same_table(tmp_path, _MIXED_HEADER, mixed)
@@ -1046,40 +1059,47 @@ def test_streamed_blocks_are_bytewise_the_cell_writer(tmp_path, monkeypatch,
     assert _same_table(tmp_path, ["only"], lone)
     assert _same_table(tmp_path, ["x", "k"],
                        [[i / 7, i] for i in range(n)])
-    old = _old_write_table(str(tmp_path / "old"), "g", _MIXED_HEADER,
-                           _plain_floats(mixed))
-    new = write_table(str(tmp_path / "new"), "g", _MIXED_HEADER,
-                      (row for row in mixed))
-    assert open(old, "rb").read() == open(new, "rb").read()
+    cells = np.empty((n, len(_MIXED_HEADER)), dtype=object)
+    for i, row in enumerate(mixed):
+        cells[i] = list(row.values()) if isinstance(row, dict) else row
+    assert _same_table(tmp_path, _MIXED_HEADER,
+                       Columns(dict(zip(_MIXED_HEADER, cells.T))))
+
+
+_REFUSAL = ("table t: every row must be a mapping with the first row's "
+            "keys, one key at least")
 
 
 def test_write_table_refusal_in_a_later_block_leaves_no_file(tmp_path,
                                                              monkeypatch):
     monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
-    rows = [[i, i / 3] for i in range(12)]
-    rows[9] = [9]  # third block
+    rows = [{"a": i, "b": i / 3} for i in range(12)]
+    rows[9] = {"a": 9}  # third block
     out = tmp_path / "r"
-    with pytest.raises(ValueError,
-                       match="table t: every row needs 2 cells, one per "
-                             "header name"):
-        write_table(str(out), "t", ["a", "b"], rows)
+    with pytest.raises(ValueError, match=_REFUSAL):
+        write_table(str(out), "t", rows=rows)
     assert os.listdir(out) == []
 
 
 def test_write_table_failing_mid_stream_keeps_the_previous_sidecar(
         tmp_path, monkeypatch):
     monkeypatch.setattr(report, "_BLOCK_ROWS", 4)
-    path = write_table(str(tmp_path), "t", ["a"], [[1], [2]])
+    path = write_table(str(tmp_path), "t", rows=[{"a": 1}, {"a": 2}])
     before = open(path, "rb").read()
 
-    def rows():
-        for i in range(10):
-            if i == 9:
+    class Failing:
+        """A 10-row column whose slice for the third block raises."""
+
+        def __len__(self):
+            return 10
+
+        def __getitem__(self, rows):
+            if rows.start >= 8:
                 raise RuntimeError("source failed")
-            yield [i]
+            return np.arange(10)[rows]
 
     with pytest.raises(RuntimeError, match="source failed"):
-        write_table(str(tmp_path), "t", ["a"], rows())
+        write_table(str(tmp_path), "t", rows=Columns({"a": Failing()}))
     assert os.listdir(tmp_path) == ["t.csv"]
     assert open(path, "rb").read() == before
 
@@ -1090,12 +1110,10 @@ def _sidecar_peak(tmp_path, n):
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     lw = rng.normal(scale=30.0, size=n)
-    rows = _sample_columns(coeffs, 3, -lw, lw)
-    head = ["sample", "energy", "log_weight", "abs2_c0", "abs2_c1",
-            "abs2_c2"]
+    rows = _sample_columns(coeffs, 3, energy=-lw, log_weight=lw)
     tracemalloc.start()
     try:
-        write_table(str(tmp_path), "imp", head, rows)
+        write_table(str(tmp_path), "imp", rows=rows)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1121,21 +1139,22 @@ def test_sample_rows_are_sized_and_repeatable(monkeypatch):
     for n in (0, 3, 4, 10):
         coeffs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         lw = rng.normal(size=n)
-        rows = _sample_columns(coeffs, 2, -lw, lw)
+        rows = _sample_columns(coeffs, 2, energy=-lw, log_weight=lw)
         assert len(rows) == n
         first = list(rows)
         assert len(first) == n
         assert [row[0] for row in first] == list(range(n))
         assert list(rows) == first
     with pytest.raises(ValueError, match="table columns differ in length"):
-        Columns(np.arange(4), np.arange(3))
+        Columns({"a": np.arange(4), "b": np.arange(3)})
 
 
 def test_write_table_writes_numpy_floats_as_plain_floats(tmp_path):
-    path = write_table(str(tmp_path), "t", ["k", "mixed", "np"], [
-        [0, np.float64(1.4500000000000002), np.float64(0.1)],
-        [1, 2.5, np.float64("nan")],
-        [2, np.float64(-0.0), np.float64(1e300)],
+    path = write_table(str(tmp_path), "t", rows=[
+        {"k": 0, "mixed": np.float64(1.4500000000000002),
+         "np": np.float64(0.1)},
+        {"k": 1, "mixed": 2.5, "np": np.float64("nan")},
+        {"k": 2, "mixed": np.float64(-0.0), "np": np.float64(1e300)},
     ])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -1144,19 +1163,40 @@ def test_write_table_writes_numpy_floats_as_plain_floats(tmp_path):
 
 
 def test_write_table_refuses_rows_that_miss_the_header_width(tmp_path):
-    """A sequence of another length, a mapping that lacks a header name or
-    holds one more key, and a header with no names are each refused,
+    """A later mapping that lacks one of the first row's keys, holds one
+    more or names another, a plain sequence row, first or later, an empty
+    table and a first mapping or Columns with no names are each refused,
     naming the table and leaving no sidecar."""
-    needs_two = "table t: every row needs 2 cells, one per header name"
-    for header, rows, message in (
-            (["a", "b"], [[1, 2], [3]], needs_two),
-            (["a", "b"], [{"a": 1, "b": 2}, {"a": 3}], needs_two),
-            (["a", "b"], [{"a": 1, "b": 2, "c": 3}], needs_two),
-            ([], [], "table t: the header names no column")):
+    for rows in ([{"a": 1, "b": 2}, {"a": 3}],
+                 [{"a": 1, "b": 2}, {"a": 3, "b": 4, "c": 5}],
+                 [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+                 [{"a": 1, "b": 2}, [3, 4]], [[1, 2], {"a": 3, "b": 4}],
+                 [(1, 2)], [], [{}], Columns({})):
         out = tmp_path / "r"
-        with pytest.raises(ValueError, match=message):
-            write_table(str(out), "t", header, rows)
+        with pytest.raises(ValueError, match=_REFUSAL):
+            write_table(str(out), "t", rows=rows)
         assert os.listdir(out) == []
+
+
+def test_write_table_heads_mappings_with_the_first_rows_key_order(tmp_path):
+    path = write_table(str(tmp_path), "t",
+                       rows=[{"b": 1, "a": 0.5}, {"a": 2.5, "b": 3}])
+    assert open(path, newline="").read() == "b,a\r\n1,0.5\r\n3,2.5\r\n"
+
+
+def test_permuting_named_columns_permutes_the_written_columns(tmp_path):
+    rng = np.random.default_rng(8)
+    arrays = {"k": np.arange(5), "x": rng.normal(size=5),
+              "y": rng.normal(size=5) * 1e-300}
+    written = {}
+    for order in itertools.permutations(arrays):
+        path = write_table(str(tmp_path), "t", rows=Columns(
+            {name: arrays[name] for name in order}))
+        with open(path, newline="") as fh:
+            columns = list(zip(*csv.reader(fh)))
+        assert [col[0] for col in columns] == list(order)
+        for col in columns:
+            assert written.setdefault(col[0], col) == col
 
 
 def _small_run_config(tmp_path):
@@ -1423,7 +1463,7 @@ def test_cli_and_config_load_without_numpy():
 
 def test_benchmark_tracer_wraps_the_layers_it_names(tmp_path):
     """benchmark/trace_child.py wraps zdg attributes by name, and reads
-    the len of write_table's rows, its 4th positional argument; a rename
+    the len of write_table's rows, its keyword argument; a rename
     in the package, or unsized gibbs sidecar rows, breaks the traced
     benchmark runs."""
     import subprocess
