@@ -42,14 +42,11 @@ def _build_tensor(cfg, cutoff=None):
     """Basis plus interaction tensor; studies may need a larger cutoff."""
     from .interaction import assemble_interaction
     from .zonal import build_basis
-    own_grid = cfg.effective_grid_size()
+    grid_size = cfg.effective_grid_size()
     if cutoff is None:
         cutoff = cfg.cutoff
-        grid_size = own_grid
     else:
-        grid_size = max(own_grid, auto_grid_size(cutoff))
-        if cfg.kernel_kind == "file" and grid_size != own_grid:
-            _refuse_file_study(cfg, cutoff, grid_size)
+        grid_size = max(grid_size, auto_grid_size(cutoff))
     return assemble_interaction(
         build_basis(cfg.dim, cutoff, grid_size=grid_size), cfg)
 
@@ -63,25 +60,6 @@ def _tensor_built(cfg, rep, cutoff, source):
             detail=f"cutoff {tensor.cutoff} from {source}; {nbytes} bytes in "
                    "wmat, factor, s_mat, t_mat and lam")
     return tensor
-
-
-def _refuse_file_study(cfg, cutoff, grid_size):
-    """Raise for a study grid the kernel file cannot cover, naming the
-    file's node count, the grid the study needs and the largest study
-    cutoff whose grid is the file's."""
-    from .interaction import kernel_matrix_from_csv
-    nodes = kernel_matrix_from_csv(cfg.kernel_profile_file).shape[0]
-    own_grid = cfg.effective_grid_size()
-    fits = [c for c in range(cutoff)
-            if max(own_grid, auto_grid_size(c)) == nodes]
-    largest = (f"the largest admissible study cutoff is {fits[-1]}" if fits
-               else "no study cutoff fits it")
-    raise ValueError(
-        f"kernel file nodes do not match the quadrature grid of study "
-        f"cutoff {cutoff}: {cfg.kernel_profile_file} tabulates {nodes} "
-        f"nodes where the study grid has {grid_size}; {largest} "
-        f"(cauchy-study needs 2 * max(cauchy.m_list), nelson-scan "
-        f"max(nelson.n_list))")
 
 
 def _add_process_record(rep):
@@ -140,8 +118,8 @@ def run_clifford(cfg, rep, args):
 def run_spectral(cfg, rep, args):
     import numpy as np
 
-    from .gibbs import _loglog_slope
-    from .zonal import build_basis, dirac_apply_grid, gram_matrix, lp_norm
+    from .zonal import (build_basis, dirac_apply_grid, gram_matrix,
+                        loglog_slope, lp_norm)
     basis, seconds = _timed(build_basis, cfg.dim, cfg.cutoff,
                             grid_size=cfg.effective_grid_size())
     rep.add("basis_built", "info", value=basis.n_modes,
@@ -176,8 +154,8 @@ def run_spectral(cfg, rep, args):
                     detail="cutoff too small for a trend window starting "
                            "at n = 8; raise cutoff to at least 12")
             continue
-        slope = _loglog_slope(np.sqrt([row["omega"] for row in window]),
-                              [row[f"lp{p}"] for row in window])
+        slope = loglog_slope(np.sqrt([row["omega"] for row in window]),
+                             [row[f"lp{p}"] for row in window])
         rep.add_check(f"lp_growth_exponent_p{p}", slope, bound,
                       detail=f"fitted exponent of ||e_n||_p against "
                              f"lambda_n over n in [8, {cfg.cutoff}]")

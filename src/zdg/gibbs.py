@@ -23,6 +23,7 @@ import numpy as np
 from . import interaction
 from . import rng as rng_mod
 from .interaction import chaos_tail_series, interaction_energy
+from .zonal import loglog_slope
 
 log = logging.getLogger(__name__)
 
@@ -433,13 +434,6 @@ def _ladder(tensor, rungs):
     return {n: tensor.slice(n) for n in rungs}
 
 
-def _loglog_slope(x, y):
-    """Fitted slope of log y against log x; None when every y is 0."""
-    if not any(y):
-        return None
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
 def _study_blocks(tensor, slices, n_samples, seed, label):
     """Energies of n_samples common prior draws on every slice, by block.
 
@@ -511,7 +505,7 @@ def cauchy_decay_study(tensor, m_list, n_samples, seed):
             "tail_q50": float(q50), "tail_q90": float(q90),
             "tail_q99": float(q99),
         })
-    return {"rows": rows, "slope": _loglog_slope(
+    return {"rows": rows, "slope": loglog_slope(
         m_list, [np.sqrt(r["exact"]) for r in rows])}
 
 
@@ -534,7 +528,7 @@ def nelson_scan(tensor, n_list, n_samples, seed):
         bound, low = -3.0 * t.e0_const, float(lows[n])
         rows.append({"n": n, "bound": bound, "min": low,
                      "respects_bound": bool(low >= bound - 1e-9 * abs(bound))})
-    return {"rows": rows, "growth_slope": _loglog_slope(
+    return {"rows": rows, "growth_slope": loglog_slope(
         list(slices), [abs(row["bound"]) for row in rows])}
 
 

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import validate
+from .config import auto_grid_size, validate
 
 SEPARABLE_PROFILES = {
     "one_plus_cos": lambda theta: 1.0 + np.cos(theta),
@@ -142,8 +142,9 @@ def kernel_matrix_from_csv(path, theta=None):
 
     When theta is given the header nodes must match it to relative
     tolerance NODE_RTOL, so a file tabulated on one quadrature grid cannot be
-    applied silently to another.  An unparsable or non-finite node or value
-    is refused, and so is a ragged table.
+    applied silently to another; a refusal for another node count names the
+    largest cutoff whose automatic grid the file covers.  An unparsable or
+    non-finite node or value is refused, and so is a ragged table.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -164,10 +165,16 @@ def kernel_matrix_from_csv(path, theta=None):
         theta = np.asarray(theta, dtype=float)
         if theta.size != k or not np.allclose(nodes, theta, rtol=NODE_RTOL,
                                               atol=1e-12):
+            if theta.size == k:
+                fact = " at other angles"
+            else:
+                fits = [c for c in range(k) if auto_grid_size(c) <= k]
+                fact = ("; the largest cutoff whose automatic grid it covers "
+                        f"is {fits[-1]}" if fits else
+                        "; it covers no cutoff's automatic grid")
             raise ValueError(
                 f"kernel file nodes do not match the quadrature grid: {path} "
-                f"tabulates {k} nodes where the grid has {theta.size}"
-                + (" at other angles" if theta.size == k else ""))
+                f"tabulates {k} nodes where the grid has {theta.size}{fact}")
     return mat
 
 

@@ -296,6 +296,13 @@ def lp_norm(grid, values, p):
     return (np.power(mag, p) @ grid.weights) ** (1.0 / p)
 
 
+def loglog_slope(x, y):
+    """Fitted slope of log y against log x; None when every y is 0."""
+    if not any(y):
+        return None
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 def hs_norm(coeffs, s):
     """Sobolev norm sqrt(sum_n (1 + n)^{2s} |c_n|^2) of coefficient vectors."""
     coeffs = np.asarray(coeffs)

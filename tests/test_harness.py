@@ -921,31 +921,49 @@ def test_gibbs_sample_abort_names_the_kernel_file_and_both_grids(tmp_path):
     aborted = next(r for r in records if r["name"] == "aborted")
     assert aborted["detail"] == (
         f"kernel file nodes do not match the quadrature grid: {kernel} "
-        "tabulates 32 nodes where the grid has 40")
+        "tabulates 32 nodes where the grid has 40; the largest cutoff whose "
+        "automatic grid it covers is 8")
 
 
 def test_file_kernel_study_refusal_names_nodes_grid_and_cutoff(tmp_path):
-    from zdg.cli import _build_tensor
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     kernel = os.path.join(root, "configs", "sample_kernel.csv")
     cfg_path = _write(tmp_path / "file.cfg",
                       f"kernel.kind = file\nkernel.profile_file = {kernel}\n")
     cfg, _ = load_config(cfg_path, {})
     assert _build_tensor(cfg, cutoff=8).n_modes == 9  # still the file grid
+    largest = "the largest cutoff whose automatic grid it covers is 8"
+    # cutoff 9 is the first whose automatic grid (34 nodes) is not the file's
+    for cutoff, grid in ((9, 34), (64, 144)):
+        with pytest.raises(ValueError) as info:
+            _build_tensor(cfg, cutoff=cutoff)
+        assert str(info.value) == (
+            f"kernel file nodes do not match the quadrature grid: {kernel} "
+            f"tabulates 32 nodes where the grid has {grid}; {largest}")
+    for cmd, stem, grid in (("nelson-scan", "nelson_scan", 80),
+                            ("cauchy-study", "cauchy_study", 144)):
+        out = str(tmp_path / stem)
+        assert main([cmd, "--config", cfg_path, "--out", out]) == 1
+        with open(os.path.join(out, f"{stem}.json")) as fh:
+            records = json.load(fh)["records"]
+        assert [r["name"] for r in records[-2:]] == ["aborted", "process"]
+        assert records[-2]["status"] == "fail"
+        detail = records[-2]["detail"]
+        assert kernel in detail and "tabulates 32 nodes" in detail
+        assert f"the grid has {grid}; {largest}" in detail
+
+
+def test_kernel_csv_with_fewer_nodes_than_any_automatic_grid(tmp_path):
+    # the smallest automatic grid, cutoff 0's, has 16 nodes
+    small = build_basis(2, 5, grid_size=15)
+    path = tmp_path / "kernel.csv"
+    kernel_matrix_to_csv(path, small.grid.theta, np.ones((15, 15)))
     with pytest.raises(ValueError) as info:
-        _build_tensor(cfg, cutoff=64)
-    detail = str(info.value)
-    assert detail.startswith("kernel file nodes do not match")
-    assert "tabulates 32 nodes" in detail
-    assert "study grid has 144" in detail
-    assert "largest admissible study cutoff is 8" in detail
-    out = str(tmp_path / "r")
-    assert main(["nelson-scan", "--config", cfg_path, "--out", out]) == 1
-    with open(os.path.join(out, "nelson_scan.json")) as fh:
-        doc = json.load(fh)
-    aborted = next(r for r in doc["records"] if r["name"] == "aborted")
-    assert "tabulates 32 nodes" in aborted["detail"]
-    assert "study grid has 80" in aborted["detail"]
+        kernel_matrix_from_csv(path, theta=build_basis(2, 5).grid.theta)
+    assert str(info.value) == (
+        f"kernel file nodes do not match the quadrature grid: {path} "
+        "tabulates 15 nodes where the grid has 26; it covers no cutoff's "
+        "automatic grid")
 
 
 def _old_cell(value):
@@ -1440,6 +1458,24 @@ def test_run_path_imports_no_scipy(tmp_path):
         with open(os.path.join(out, f"{stem}.json")) as fh:
             process = json.load(fh)["records"][-1]
         assert process["value"]["scipy_loaded"] is False
+
+
+def test_spectral_check_imports_no_sampler_modules(tmp_path):
+    # its log-log fit lives in zdg.zonal, beside the L^p norms it fits
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = str(tmp_path / "r")
+    code = ("import sys\n"
+            "from zdg.cli import main\n"
+            f"assert main(['spectral-check', '--out', {out!r}]) == 0\n"
+            "print(*sorted(m for m in ('zdg.gibbs', 'zdg.interaction', "
+            "'zdg.rng') if m in sys.modules))\n")
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.split() == []
 
 
 def test_cli_and_config_load_without_numpy():
